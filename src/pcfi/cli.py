@@ -219,7 +219,7 @@ def _add_common_impute_args(p: argparse.ArgumentParser) -> None:
                    help="zero-fill channels whose missing entries cannot reach "
                         "an observed value instead of erroring")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads over channel groups "
+                   help="worker threads over column blocks "
                         "(0 = all cpus; default: PCFI_THREADS or 1)")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, neighbors_of_many
+from .graph import Graph
 
 __all__ = [
     "UNREACHABLE",
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 UNREACHABLE = -1
+# Channels per dense block in the sparse products here and in stage 1.
+BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -73,24 +75,12 @@ class SpdsMatrix:
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Hop distance from every node to the nearest of ``sources``.
 
-    Level-synchronous breadth-first search over the whole frontier at
-    once. Returns int64 distances with ``UNREACHABLE`` where no source
-    can be reached; an empty source set yields all ``UNREACHABLE``.
+    Returns int64 distances with ``UNREACHABLE`` where no source can be
+    reached; an empty source set yields all ``UNREACHABLE``.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    dist = np.full(g.num_nodes, UNREACHABLE, dtype=np.int64)
-    if sources.size == 0:
-        return dist
-    dist[sources] = 0
-    frontier = np.unique(sources)
-    level = 0
-    while frontier.size:
-        nbrs = neighbors_of_many(g, frontier)
-        nbrs = nbrs[dist[nbrs] == UNREACHABLE]
-        frontier = np.unique(nbrs)
-        level += 1
-        dist[frontier] = level
-    return dist
+    known = np.zeros((g.num_nodes, 1), dtype=bool)
+    known[np.asarray(sources, dtype=np.int64), 0] = True
+    return _hop_distances(g, known)[:, 0]
 
 
 def compute_spds_channel(g: Graph, known_column: np.ndarray) -> np.ndarray:
@@ -101,20 +91,16 @@ def compute_spds_channel(g: Graph, known_column: np.ndarray) -> np.ndarray:
             f"known column shape {known_column.shape} does not match graph "
             f"with {g.num_nodes} nodes"
         )
-    return multi_source_bfs(g, np.flatnonzero(known_column))
+    return _hop_distances(g, known_column[:, None])[:, 0]
 
 
-def compute_spds(g: Graph, known: np.ndarray, alpha: float,
-                 mode: str = "auto") -> SpdsMatrix:
+def compute_spds(g: Graph, known: np.ndarray, alpha: float) -> SpdsMatrix:
     """Distance field for every channel of a known-mask.
 
-    ``mode`` selects the search strategy:
-
-    * ``"structural"``: all channels must share one known set; a single
-      search is run and broadcast (InputError otherwise);
-    * ``"per_channel"``: one search per channel, unconditionally;
-    * ``"auto"`` (default): structural when the mask is row-constant,
-      per-channel otherwise.
+    Channels with the same known set share one search, so a structural
+    mask costs a single search whatever the channel count. The distinct
+    known sets are searched together, ``BLOCK_COLUMNS`` at a time: each
+    level expands every frontier of a block with one sparse product.
     """
     known = np.asarray(known, dtype=bool)
     if known.ndim != 2 or known.shape[0] != g.num_nodes:
@@ -122,23 +108,47 @@ def compute_spds(g: Graph, known: np.ndarray, alpha: float,
             f"known mask shape {known.shape} does not match graph with "
             f"{g.num_nodes} nodes"
         )
-    if mode not in ("auto", "structural", "per_channel"):
-        raise InputError(f"unknown SPD-S mode {mode!r}")
+    return SpdsMatrix(distances=_hop_distances(g, known), alpha=alpha)
+
+
+def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
+    """Level-synchronous breadth-first search from the known set of every
+    column of ``known`` (N x F bool), run once per distinct column."""
     n, f = known.shape
-    row_constant = f > 0 and bool((known == known[:, :1]).all())
-    if mode == "structural" and not row_constant:
-        raise InputError(
-            "structural mode requires every row of the mask to be constant "
-            "across channels"
-        )
-    if row_constant and mode != "per_channel":
-        col = multi_source_bfs(g, np.flatnonzero(known[:, 0]))
-        distances = np.repeat(col[:, None], f, axis=1)
-    else:
-        distances = np.empty((n, f), dtype=np.int64)
-        for d in range(f):
-            distances[:, d] = multi_source_bfs(g, np.flatnonzero(known[:, d]))
-    return SpdsMatrix(distances=distances, alpha=alpha)
+    dist = np.empty((n, f), dtype=np.int64)
+    if n == 0 or f == 0:
+        return dist
+    adj = g.self_loop_adjacency(bool)
+    # each column as one byte string, eight rows per byte, so that columns
+    # compare whole (np.unique(axis=1) compares one structured field per row)
+    packed = np.ascontiguousarray(np.packbits(known, axis=0).T)
+    _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    for lo in range(0, first.size, BLOCK_COLUMNS):
+        hi = lo + BLOCK_COLUMNS
+        block = _bfs_block(adj, known[:, first[lo:hi]])
+        for d in np.flatnonzero((inverse >= lo) & (inverse < hi)):
+            dist[:, d] = block[:, inverse[d] - lo]
+    return dist
+
+
+def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each column's ``sources`` over ``adj`` (``A + I``
+    as bool). A node reached at level L was still unreached at the start
+    of levels 1..L, so counting those levels gives its distance."""
+    unreached = ~sources
+    dist = np.zeros(sources.shape, dtype=np.int64)
+    frontier = sources
+    while True:
+        frontier = adj @ frontier
+        frontier &= unreached
+        if not frontier.any():
+            break
+        dist += unreached
+        unreached ^= frontier
+    dist[unreached] = UNREACHABLE
+    return dist
 
 
 def pseudo_confidence(spds: SpdsMatrix) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Inter-node value diffusion, one operator per distinct missing pattern.
+"""Inter-node value diffusion: the paper's pinned, confidence-weighted
+iteration.
 
-For a single channel, nodes are reordered so observed (source) nodes
-come first. The raw weight matrix puts ``alpha ** (S[j] - S[i])`` on
-each edge (i, j), a self-loop of weight 1 on every node, and 0
-elsewhere; rows are then normalized to sum to 1. Source rows are
-replaced by one-hot rows (their values are pinned), giving the block
-form::
+For a single channel, the raw weight matrix puts ``alpha ** (S[j] - S[i])``
+on each edge (i, j), a self-loop of weight 1 on every node, and 0
+elsewhere; rows are then normalized to sum to 1. Source (observed) rows
+are replaced by one-hot rows, so their values stay pinned. With sources
+ordered first this is the block form::
 
     W_hat = [[ I     0    ]
              [ W_uk  W_uu ]]
@@ -17,16 +17,33 @@ rest; because edge weights favor neighbors closer to a source
 dominate the mix. With every component containing a source, the
 spectral radius of ``W_uu`` is below 1 and the iteration converges to
 the linear-system solution ``x_u = (I - W_uu)^{-1} W_uk x_k``, which
-``mode="closed_form"`` computes directly.
+``mode="closed_form"`` computes directly, one explicit operator
+(:func:`build_channel_operator`) per distinct missing pattern.
 
-Channels sharing one missing pattern share one operator; they are
-diffused together as a dense block. Groups may run on a thread pool:
-each group writes a disjoint set of output columns and is internally
-sequential, so results are byte-identical for any thread count.
+The iterative mode runs every channel through one shared operator.
+Row ``i`` of the weights is ``alpha ** -S[i]`` times ``C[j] = alpha ** S[j]``,
+and row normalization cancels the ``alpha ** -S[i]`` factor, so one step
+of every channel at once is::
+
+    X <- ((A + I) (C * X)) / ((A + I) C),   observed entries re-pinned.
+
+The kernel carries ``Y = C * X``: each step is one sparse product with
+``A + I``, a multiply by ``C / ((A + I) C)`` (0 on pinned rows) and the
+addition of the pinned values; the last step divides by ``(A + I) C``.
+Rows that reach no source have ``C = 0`` and stay exactly 0.
+``alpha ** S`` would underflow on deep nodes, so a channel whose
+``max(S) * ln(1 / alpha)`` exceeds ``MAX_DECAY`` goes through its
+explicit operator instead, whose ratio weights never underflow.
+
+Channels run in blocks of ``BLOCK_COLUMNS`` columns, on a thread pool
+when asked. Columns never mix inside a product and each block is
+internally sequential, so results are byte-identical for any thread
+count and any grouping of channels.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .confidence import UNREACHABLE, SpdsMatrix
+from .confidence import BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix
 from .errors import InputError, NoSourceError, NumericalError
 from .graph import ChannelPartition, Graph, induced_subgraph, neighbors_of_many, partition_channel
 from .masking import FeatureSet
@@ -49,6 +66,11 @@ __all__ = [
     "fp_baseline",
     "resolve_threads",
 ]
+
+# Largest max(S) * ln(1/alpha) the fused kernel takes. alpha ** S then stays
+# above e**-600 (about 1e-261), so C and C * X are normal floats for any
+# |X| above about 1e-47 and lose no precision.
+MAX_DECAY = 600.0
 
 
 @dataclass(frozen=True)
@@ -227,29 +249,22 @@ def closed_form_channel(op: ChannelOperator, x0, *, max_dense_unknowns: int = 20
     return out
 
 
-def _group_channels(known: np.ndarray):
-    """Indices of channels sharing each distinct missing pattern."""
-    uniq, inverse = np.unique(known, axis=1, return_inverse=True)
-    groups = [np.flatnonzero(inverse == gi) for gi in range(uniq.shape[1])]
-    return uniq, groups
-
-
 def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
                   steps: int = 100, mode: str = "iterative",
                   lenient: bool = False, threads: int | None = None,
                   max_dense_unknowns: int = 2000) -> DiffusionResult:
     """Fill missing entries channel-wise by confidence-weighted diffusion.
 
-    Channels with identical missing patterns share one operator and are
-    processed as a block. Every missing node must reach a source in its
-    channel; with ``lenient=True``, offending channels are flagged and
-    the unreachable region is left at zero (sources elsewhere in the
-    channel still diffuse over their reachable region), otherwise
+    Every missing node must reach a source in its channel; with
+    ``lenient=True``, offending channels are flagged and the unreachable
+    region is left at zero (sources elsewhere in the channel still
+    diffuse over their reachable region), otherwise
     :class:`NoSourceError` is raised naming the channels.
 
     ``mode`` is "iterative" (``steps`` applications of the operator) or
-    "closed_form" (direct solve). ``threads`` parallelizes over pattern
-    groups; output bits do not depend on it.
+    "closed_form" (direct solve). ``threads`` parallelizes over column
+    blocks (closed form: over missing patterns); output bits do not
+    depend on it.
     """
     if mode not in ("iterative", "closed_form"):
         raise InputError(f"unknown diffusion mode {mode!r}")
@@ -278,73 +293,115 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
         return DiffusionResult(values=out, residuals=residuals,
                                flagged_channels=[], steps_run=steps_run, mode=mode)
 
-    uniq, groups = _group_channels(fs.known)
-    flagged: list[int] = []
-    bad: list[int] = []
-    work: list[tuple[int, np.ndarray]] = []  # (group index, reachable-node mask)
-    for gi, channels in enumerate(groups):
-        known_col = uniq[:, gi]
-        dist_col = spds.distances[:, channels[0]]
-        reach = dist_col != UNREACHABLE
-        if not known_col.any():
-            if lenient:
-                flagged.extend(channels.tolist())
-            else:
-                bad.extend(channels.tolist())
-            continue
-        if not reach.all():
-            if lenient:
-                flagged.extend(channels.tolist())
-            else:
-                bad.extend(channels.tolist())
-                continue
-        work.append((gi, reach))
-    if bad:
-        bad.sort()
+    has_source = fs.known.any(axis=0)
+    unhealthy = ~has_source | (spds.distances == UNREACHABLE).any(axis=0)
+    flagged = np.flatnonzero(unhealthy).tolist()
+    if flagged and not lenient:
         raise NoSourceError(
-            f"{len(bad)} channel(s) have missing nodes with no reachable "
-            f"observed entry: {bad[:10]}{'...' if len(bad) > 10 else ''}; "
+            f"{len(flagged)} channel(s) have missing nodes with no reachable "
+            f"observed entry: {flagged[:10]}{'...' if len(flagged) > 10 else ''}; "
             "rerun leniently to zero-fill them or restrict the graph first",
-            channels=bad,
+            channels=flagged,
         )
 
-    def run_group(item):
-        gi, reach = item
-        channels = groups[gi]
-        dist_col = spds.distances[:, channels[0]]
-        if reach.all():
-            sub, sub_dist, sub_known = g, dist_col, uniq[:, gi]
-            rows = None
-        else:
-            rows = np.flatnonzero(reach)
-            sub = induced_subgraph(g, rows)
-            sub_dist = dist_col[rows]
-            sub_known = uniq[rows, gi]
-        part = partition_channel(sub_known, int(channels[0]))
-        op = build_channel_operator(sub, sub_dist, part, spds.alpha)
-        block = out[:, channels] if rows is None else out[np.ix_(rows, channels)]
+    nthreads = resolve_threads(threads)
+    if mode == "closed_form":
+        explicit = has_source
+    else:
+        deep = spds.distances.max(axis=0) * -math.log(spds.alpha) > MAX_DECAY
+        explicit = has_source & deep
+        fused = np.flatnonzero(~explicit)
+        if fused.size:
+            ai = g.self_loop_adjacency()
+
+            def run_block(cols):
+                out[:, cols], residuals[cols] = _diffuse_block(ai, fs, spds, cols, steps)
+
+            _run(run_block, [fused[lo:lo + BLOCK_COLUMNS]
+                             for lo in range(0, fused.size, BLOCK_COLUMNS)], nthreads)
+    if explicit.any():
+        _diffuse_per_pattern(g, fs, spds, np.flatnonzero(explicit), out, residuals,
+                             steps=steps, mode=mode,
+                             max_dense_unknowns=max_dense_unknowns, nthreads=nthreads)
+    return DiffusionResult(values=out, residuals=residuals,
+                           flagged_channels=flagged, steps_run=steps_run, mode=mode)
+
+
+def _run(fn, items, nthreads: int) -> None:
+    if nthreads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            list(pool.map(fn, items))
+    else:
+        for item in items:
+            fn(item)
+
+
+def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, cols: np.ndarray,
+                   steps: int):
+    """``steps`` fused iterations on the channels ``cols``; returns their
+    values and the max change of the last step per channel."""
+    x0 = fs.values[:, cols]  # observed values, 0 elsewhere
+    known = fs.known[:, cols]
+    s = spds.distances[:, cols]
+    scale = np.power(spds.alpha, s, dtype=np.float64)
+    scale[s == UNREACHABLE] = 0.0
+    del s
+    den = ai @ scale
+    # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
+    den[scale == 0.0] = np.inf
+    scale /= den
+    scale[known] = 0.0
+
+    # five block-sized arrays stay alive: x0, scale, den, and y before and
+    # after each product
+    prev = y = x0
+    for step in range(1, steps):
+        y = ai @ y
+        if step == steps - 1:
+            prev = _unscale(y.copy(), den, x0, known)
+        y *= scale
+        y += x0
+    del scale
+    x = _unscale(ai @ y, den, x0, known)
+    prev -= x
+    return x, np.abs(prev, out=prev).max(axis=0)
+
+
+def _unscale(t: np.ndarray, den: np.ndarray, x0: np.ndarray,
+             known: np.ndarray) -> np.ndarray:
+    """Values ``t / den`` from a product ``t = (A + I) Y``, with the
+    observed entries set back to their exact input bits."""
+    t /= den
+    np.copyto(t, x0, where=known)
+    return t
+
+
+def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix,
+                         channels: np.ndarray, out: np.ndarray,
+                         residuals: np.ndarray | None, *, steps: int, mode: str,
+                         max_dense_unknowns: int, nthreads: int) -> None:
+    """Diffuse ``channels`` (each with a source) through one explicit
+    operator per distinct missing pattern, restricted to the nodes that
+    reach a source; writes ``out`` and, when iterating, ``residuals``."""
+    _, inverse = np.unique(fs.known[:, channels], axis=1, return_inverse=True)
+    inverse = inverse.ravel()
+    groups = [channels[inverse == gi] for gi in range(inverse.max() + 1)]
+
+    def run_group(cols):
+        dist_col = spds.distances[:, cols[0]]
+        rows = np.flatnonzero(dist_col != UNREACHABLE)
+        sub = g if rows.size == g.num_nodes else induced_subgraph(g, rows)
+        part = partition_channel(fs.known[rows, cols[0]], int(cols[0]))
+        op = build_channel_operator(sub, dist_col[rows], part, spds.alpha)
+        block = out[np.ix_(rows, cols)]
         if mode == "iterative":
-            vals, res = diffuse_channel(op, block, steps=steps)
-            residuals[channels] = res
+            vals, residuals[cols] = diffuse_channel(op, block, steps=steps)
         else:
             vals = closed_form_channel(op, block,
                                        max_dense_unknowns=max_dense_unknowns)
-        if rows is None:
-            out[:, channels] = vals
-        else:
-            out[np.ix_(rows, channels)] = vals
+        out[np.ix_(rows, cols)] = vals
 
-    nthreads = resolve_threads(threads)
-    if nthreads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(run_group, work))
-    else:
-        for item in work:
-            run_group(item)
-
-    flagged.sort()
-    return DiffusionResult(values=out, residuals=residuals,
-                           flagged_channels=flagged, steps_run=steps_run, mode=mode)
+    _run(run_group, groups, nthreads)
 
 
 def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResult:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import InputError
 from .masking import FeatureSet
@@ -65,6 +67,14 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def self_loop_adjacency(self, dtype=np.float64) -> sparse.csr_array:
+        """``A + I``, the adjacency matrix with a self-loop on every node,
+        as a CSR matrix of ones with sorted indices."""
+        n = self.num_nodes
+        adj = sparse.csr_array((np.ones(self.indices.size, dtype=dtype),
+                                self.indices, self.indptr), shape=(n, n))
+        return adj + sparse.eye_array(n, dtype=dtype, format="csr")
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an (E, 2) array with i < j."""
@@ -179,21 +189,10 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
 
 
 def connected_components(g: Graph) -> ComponentLabels:
-    """Label connected components by BFS flood fill."""
-    n = g.num_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        frontier = np.array([start], dtype=np.int64)
-        labels[start] = comp
-        while frontier.size:
-            nbrs = neighbors_of_many(g, frontier)
-            nbrs = nbrs[labels[nbrs] == -1]
-            frontier = np.unique(nbrs)
-            labels[frontier] = comp
-        comp += 1
+    """Label connected components (scipy's graph traversal)."""
+    comp, labels = csgraph.connected_components(g.self_loop_adjacency(bool),
+                                                directed=False)
+    labels = labels.astype(np.int64)
     if comp == 0:
         return ComponentLabels(labels=labels, num_components=0, largest_id=-1)
     sizes = np.bincount(labels, minlength=comp)

@@ -7,6 +7,9 @@ from pcfi import (InputError, SpdsMatrix, UNREACHABLE, build_graph,
                   pseudo_confidence, relative_pc, structural_mask,
                   uniform_mask)
 
+from pcfi import confidence
+from pcfi.confidence import BLOCK_COLUMNS
+
 from _oracles import floyd_warshall, random_gnp_edges, spds_reference
 
 
@@ -95,24 +98,32 @@ def test_compute_spds_shape_check():
         compute_spds(g, np.ones((3, 2), dtype=bool), 0.5)
 
 
-def test_compute_spds_explicit_modes():
-    g = build_graph([[0, 1], [1, 2]], 3)
-    row_constant = np.array([[True], [False], [False]]).repeat(2, axis=1)
-    mixed = row_constant.copy()
-    mixed[2, 1] = True
-    # structural mode demands a row-constant mask
-    s = compute_spds(g, row_constant, 0.5, mode="structural")
-    assert s.distances[:, 0].tolist() == [0, 1, 2]
-    with pytest.raises(InputError, match="structural"):
-        compute_spds(g, mixed, 0.5, mode="structural")
-    # per_channel works on both and matches the auto result
-    auto = compute_spds(g, mixed, 0.5)
-    per = compute_spds(g, mixed, 0.5, mode="per_channel")
-    assert np.array_equal(auto.distances, per.distances)
-    per_rc = compute_spds(g, row_constant, 0.5, mode="per_channel")
-    assert np.array_equal(per_rc.distances, s.distances)
-    with pytest.raises(InputError, match="mode"):
-        compute_spds(g, mixed, 0.5, mode="diagonal")
+def test_compute_spds_searches_each_known_set_once(monkeypatch):
+    """Channels sharing a known set share one search, and more distinct
+    sets than one block holds, in shuffled order, each land in their own
+    columns."""
+    rng = np.random.default_rng(5)
+    n = 40
+    edges = random_gnp_edges(rng, n, 0.06)
+    g = build_graph(edges, n)
+    distinct = uniform_mask(n, 2 * BLOCK_COLUMNS + 3, 0.7, seed=5)
+    distinct[:, 0] = False
+    distinct[:, 1] = True
+    known = distinct[:, rng.permutation(np.repeat(np.arange(distinct.shape[1]), 2))]
+    searched = []
+    real = confidence._bfs_block
+
+    def counting(adj, sources):
+        searched.append(sources.shape[1])
+        return real(adj, sources)
+
+    monkeypatch.setattr(confidence, "_bfs_block", counting)
+    spds = compute_spds(g, known, 0.5)
+    assert searched == [BLOCK_COLUMNS, BLOCK_COLUMNS, 3]
+    allpairs = floyd_warshall(n, edges)
+    for d in range(known.shape[1]):
+        ref = spds_reference(allpairs, known[:, d])
+        assert np.array_equal(spds.distances[:, d], ref), f"channel {d}"
 
 
 def test_compute_spds_channel_matches_bfs():

@@ -7,9 +7,15 @@ from pcfi import (FeatureSet, InputError, NoSourceError, SpdsMatrix,
                   fp_baseline, impute_stage1, partition_channel,
                   resolve_threads, structural_mask, uniform_mask)
 
+from pcfi.confidence import BLOCK_COLUMNS
+
 from _oracles import (dense_pinned_operator, dense_uniform_exponent_operator,
                       floyd_warshall, iterate_dense, random_connected_edges,
                       spds_reference)
+
+
+# enough channels for three column blocks
+MULTI_BLOCK = 2 * BLOCK_COLUMNS + 6
 
 
 def _instance(seed, n=None, f=3, rate=0.5, alpha=0.5, kind="uniform"):
@@ -99,14 +105,69 @@ def test_path_midpoint_steady_state():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_iterative_matches_dense_oracle_iteration(seed):
-    g, fs, spds, edges = _instance(seed, f=2, alpha=0.6)
+    g, fs, spds, edges = _instance(seed, f=MULTI_BLOCK, alpha=0.6)
     n = g.num_nodes
-    res = impute_stage1(g, fs, spds, steps=7)
-    for d in range(2):
+    res = impute_stage1(g, fs, spds, steps=7, threads=2)
+    for d in range(MULTI_BLOCK):
         w = dense_pinned_operator(n, edges, spds.distances[:, d],
                                   fs.known[:, d], 0.6)
         ref = iterate_dense(w, fs.values[:, d], 7)
         assert np.max(np.abs(res.values[:, d] - ref)) < 1e-12
+        prev = iterate_dense(w, fs.values[:, d], 6)
+        assert abs(res.residuals[d] - np.max(np.abs(ref - prev))) < 1e-12
+
+
+def test_deep_channels_do_not_underflow():
+    """alpha ** S underflows past S = 307 at alpha 0.1. A channel that
+    deep must still match the explicit iteration, alongside a shallow
+    channel in the same call."""
+    n = 400
+    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    g = build_graph(edges, n)
+    known = np.zeros((n, 2), dtype=bool)
+    known[0, 0] = True
+    known[::10, 1] = True
+    rng = np.random.default_rng(3)
+    fs = apply_mask(rng.normal(size=(n, 2)), known)
+    spds = compute_spds(g, known, 0.1)
+    res = impute_stage1(g, fs, spds, steps=600)
+    assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
+    for d in range(2):
+        w = dense_pinned_operator(n, edges, spds.distances[:, d], known[:, d], 0.1)
+        ref = iterate_dense(w, fs.values[:, d], 600)
+        assert np.max(np.abs(res.values[:, d] - ref)) < 1e-12
+
+    n = 4000
+    g = build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
+    known = np.zeros((n, 1), dtype=bool)
+    known[0] = True
+    fs = apply_mask(np.ones((n, 1)), known)
+    res = impute_stage1(g, fs, compute_spds(g, known, 0.1), steps=100)
+    assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sourceless_component_stays_zero_without_warnings():
+    """Rows that reach no source would divide 0 by 0; they must come out
+    exactly 0, and the rest must equal a run without that component."""
+    rng = np.random.default_rng(9)
+    n, m = 30, 8
+    edges = random_connected_edges(rng, n)
+    island = np.column_stack([np.arange(n, n + m - 1), np.arange(n + 1, n + m)])
+    g = build_graph(np.concatenate([edges, island]), n + m)
+    known = np.zeros((n + m, MULTI_BLOCK), dtype=bool)
+    known[:n] = uniform_mask(n, MULTI_BLOCK, 0.5, seed=9)
+    fs = apply_mask(rng.normal(size=(n + m, MULTI_BLOCK)), known)
+    spds = compute_spds(g, known, 0.7)
+    res = impute_stage1(g, fs, spds, steps=30, lenient=True, threads=2)
+    assert res.flagged_channels == list(range(MULTI_BLOCK))
+    assert np.all(res.values[n:] == 0.0)
+    assert np.isfinite(res.residuals).all()
+    main = build_graph(edges, n)
+    alone = impute_stage1(main, FeatureSet(values=fs.values[:n], known=known[:n]),
+                          compute_spds(main, known[:n], 0.7), steps=30)
+    assert np.array_equal(alone.values.view(np.uint64),
+                          res.values[:n].view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -179,22 +240,25 @@ def test_disconnected_with_sources_everywhere_is_fine_strict():
 
 
 def test_grouped_channels_equal_individual_runs_bitwise():
-    g, fs, spds, _ = _instance(21, n=30, f=5, alpha=0.8)
-    full = impute_stage1(g, fs, spds, steps=40)
-    for d in range(5):
+    g, fs, spds, _ = _instance(21, n=30, f=MULTI_BLOCK, alpha=0.8)
+    full = impute_stage1(g, fs, spds, steps=40, threads=3)
+    for d in range(MULTI_BLOCK):
         fd = FeatureSet(values=fs.values[:, [d]], known=fs.known[:, [d]])
         sd = SpdsMatrix(distances=spds.distances[:, [d]], alpha=0.8)
         rd = impute_stage1(g, fd, sd, steps=40)
         assert np.array_equal(
             rd.values[:, 0].view(np.uint64), full.values[:, d].view(np.uint64)
         )
+        assert rd.residuals[0] == full.residuals[d]
 
 
 def test_thread_count_does_not_change_bits():
-    g, fs, spds, _ = _instance(22, n=60, f=8, alpha=0.8)
+    g, fs, spds, _ = _instance(22, n=60, f=MULTI_BLOCK, alpha=0.8)
     seq = impute_stage1(g, fs, spds, steps=30, threads=1)
-    par = impute_stage1(g, fs, spds, steps=30, threads=4)
-    assert np.array_equal(seq.values.view(np.uint64), par.values.view(np.uint64))
+    for threads in (2, 3, 4):
+        par = impute_stage1(g, fs, spds, steps=30, threads=threads)
+        assert np.array_equal(seq.values.view(np.uint64), par.values.view(np.uint64))
+        assert np.array_equal(seq.residuals, par.residuals)
 
 
 def test_resolve_threads_env(monkeypatch):
