@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import InputError
 from .masking import FeatureSet
@@ -190,6 +189,10 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
 
 def connected_components(g: Graph) -> ComponentLabels:
     """Label connected components (scipy's graph traversal)."""
+    # imported here: csgraph loads scipy.sparse.linalg, which no other
+    # code path needs, so every CLI start would pay for it
+    from scipy.sparse import csgraph
+
     comp, labels = csgraph.connected_components(g.self_loop_adjacency(bool),
                                                 directed=False)
     labels = labels.astype(np.int64)

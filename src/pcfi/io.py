@@ -67,12 +67,22 @@ class _OutHandle:
         return False
 
 
-def _loadtxt(text: str, *, delimiter, skiprows: int, what: str) -> np.ndarray:
+def _parse(source, *, delimiter, skiprows: int, what: str) -> np.ndarray:
     try:
-        return np.loadtxt(_io.StringIO(text), delimiter=delimiter,
-                          skiprows=skiprows, ndmin=2, dtype=np.float64)
+        return np.loadtxt(source, delimiter=delimiter, skiprows=skiprows,
+                          ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise InputError(f"could not parse {what}: {exc}") from exc
+
+
+def _loadtxt(path, *, delimiter, skiprows: int, what: str) -> np.ndarray:
+    """Parse from the open file (or stdin for '-'): a text copy in memory
+    would take 4 bytes per character on top of the array."""
+    if str(path) == "-":
+        return _parse(sys.stdin, delimiter=delimiter, skiprows=skiprows,
+                      what=what)
+    with open(path) as fh:
+        return _parse(fh, delimiter=delimiter, skiprows=skiprows, what=what)
 
 
 def load_edges(path) -> np.ndarray:
@@ -82,7 +92,8 @@ def load_edges(path) -> np.ndarray:
     if not any(line.strip() and not line.lstrip().startswith("#")
                for line in text.splitlines()):
         return np.empty((0, 2), dtype=np.int64)
-    arr = _loadtxt(text, delimiter=None, skiprows=0, what=f"edge list {path}")
+    arr = _parse(_io.StringIO(text), delimiter=None, skiprows=0,
+                 what=f"edge list {path}")
     if arr.shape[1] != 2:
         raise InputError(
             f"edge list {path} must have exactly 2 columns, found {arr.shape[1]}"
@@ -94,7 +105,7 @@ def load_edges(path) -> np.ndarray:
 
 def load_matrix(path, header: bool = False) -> np.ndarray:
     """Comma-separated float matrix; all entries must be finite."""
-    arr = _loadtxt(_read_text(path), delimiter=",", skiprows=1 if header else 0,
+    arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
                    what=f"matrix {path}")
     if not np.isfinite(arr).all():
         raise InputError(f"matrix {path} contains non-finite entries")
@@ -103,7 +114,7 @@ def load_matrix(path, header: bool = False) -> np.ndarray:
 
 def load_mask(path, header: bool = False) -> np.ndarray:
     """Boolean mask from a 0/1 matrix; any other value is an error."""
-    arr = _loadtxt(_read_text(path), delimiter=",", skiprows=1 if header else 0,
+    arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
                    what=f"mask {path}")
     if not np.isin(arr, (0.0, 1.0)).all():
         bad = arr[~np.isin(arr, (0.0, 1.0))].flat[0]
@@ -113,7 +124,7 @@ def load_mask(path, header: bool = False) -> np.ndarray:
 
 def load_spds(path, header: bool = False) -> np.ndarray:
     """Integer distance field; -1 marks unreachable, nothing below it."""
-    arr = _loadtxt(_read_text(path), delimiter=",", skiprows=1 if header else 0,
+    arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
                    what=f"distance field {path}")
     if np.any(arr != np.floor(arr)):
         raise InputError(f"distance field {path} contains non-integer entries")
@@ -195,7 +206,7 @@ def write_dataset(directory, dataset: SynthDataset) -> None:
 def load_dataset(directory):
     """Load a dataset directory back as ``(graph, features, labels, meta)``."""
     directory = Path(directory)
-    labels_arr = _loadtxt(_read_text(directory / "labels.csv"), delimiter=None,
+    labels_arr = _loadtxt(directory / "labels.csv", delimiter=None,
                           skiprows=0, what="labels")
     labels = labels_arr.astype(np.int64).ravel()
     features = load_matrix(directory / "features.csv")

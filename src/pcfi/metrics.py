@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .confidence import UNREACHABLE, SpdsMatrix
 from .errors import InputError
@@ -55,7 +54,9 @@ class EvalReport:
     distance-to-source to count/cosine/rmse aggregates;
     ``spearman_distance_cosine`` is the rank correlation between bucket
     distance and bucket mean cosine (None with fewer than two usable
-    buckets).
+    buckets or when every bucket cosine ties); tied cosines share the
+    average of their rank positions, as in ``scipy.stats.rankdata``'s
+    ``"average"`` rule.
     """
 
     rmse: float | None
@@ -104,6 +105,21 @@ def _row_cosines(a: np.ndarray, b: np.ndarray):
     cos = np.full(a.shape[0], np.nan)
     cos[ok] = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
     return cos, ok
+
+
+def _spearman_sorted(ys: np.ndarray) -> float:
+    """Spearman correlation of ``ys`` against its position order, for
+    keys that are already distinct and sorted: the Pearson correlation
+    of ranks ``1..n`` with the average ranks of ``ys``."""
+    order = np.argsort(ys, kind="stable")
+    sorted_ys = ys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ys[1:] != sorted_ys[:-1]])
+    ends = np.r_[starts[1:], ys.size]
+    ranks = np.empty(ys.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    # [1, 0], not [0, 1]: the two differ in the last bit, and this one is
+    # the element scipy.stats.spearmanr returns
+    return float(np.corrcoef(np.arange(1.0, ys.size + 1.0), ranks)[1, 0])
 
 
 def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
@@ -169,13 +185,11 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
                 "rmse": (float(np.sqrt(np.mean(sub_diff[sub_missing] ** 2)))
                          if sub_missing.any() else None),
             }
-        trend = [(k, v["cosine_mean"]) for k, v in sorted(buckets.items())
-                 if v["cosine_mean"] is not None]
-        ys = [t[1] for t in trend]
+        ys = np.array([v["cosine_mean"] for _, v in sorted(buckets.items())
+                       if v["cosine_mean"] is not None])
         # rank correlation is undefined when every bucket cosine ties
-        if len(trend) >= 2 and max(ys) > min(ys):
-            rho = stats.spearmanr([t[0] for t in trend], ys).statistic
-            spearman = None if np.isnan(rho) else float(rho)
+        if ys.size >= 2 and ys.max() > ys.min():
+            spearman = _spearman_sorted(ys)
 
     return EvalReport(
         rmse=overall,

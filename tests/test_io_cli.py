@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,26 @@ def test_cli_stdout_mode(tmp_path, capsys):
     assert all(len(line.split(",")) == 2 for line in lines)
     # no sidecar is written next to stdout
     assert not (tmp_path / "-.json").exists()
+
+
+def test_cli_features_from_stdin_match_file(tmp_path):
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=6)
+    from_file = tmp_path / "file.csv"
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                 str(fpath), "--mask", str(mpath), "--out",
+                 str(from_file)]) == 0
+    # a real child process, so the loader reads the interpreter's stdin
+    from_stdin = tmp_path / "stdin.csv"
+    src = str(Path(pio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcfi.cli", "--quiet", "impute", "--edges",
+         str(epath), "--features", "-", "--mask", str(mpath), "--out",
+         str(from_stdin)],
+        input=fpath.read_text(), env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert from_stdin.read_bytes() == from_file.read_bytes()
 
 
 def test_cli_exit_codes(tmp_path):

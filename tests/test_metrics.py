@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from pcfi import InputError, SpdsMatrix, evaluate, rmse
+from pcfi.metrics import _spearman_sorted
 
 
 def test_rmse_hand_value():
@@ -117,3 +119,29 @@ def test_shape_mismatch_rejected():
     with pytest.raises(InputError):
         evaluate(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2), dtype=bool),
                  SpdsMatrix(distances=np.zeros((3, 2), dtype=np.int64), alpha=0.5))
+
+
+@pytest.mark.parametrize("ys", [
+    [0.91, 0.72, 0.80, 0.15, 0.53, 0.40],   # no ties
+    [0.9, 0.5, 0.9, 0.1, 0.5, 0.5, 0.3],    # ties, including a triple
+    [0.3, 0.6],                             # two buckets
+    [0.6, 0.3],
+])
+def test_spearman_matches_scipy(ys):
+    ys = np.array(ys)
+    expected = stats.spearmanr(np.arange(ys.size), ys).statistic
+    assert _spearman_sorted(ys) == pytest.approx(expected, abs=1e-12)
+
+
+def test_spearman_matches_scipy_on_random_tied_buckets():
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(300):
+        # few distinct levels, so most draws contain ties
+        ys = rng.integers(0, 4, size=int(rng.integers(2, 12))) / 4.0
+        if ys.max() == ys.min():
+            continue
+        expected = stats.spearmanr(np.arange(ys.size), ys).statistic
+        assert _spearman_sorted(ys) == pytest.approx(expected, abs=1e-12)
+        checked += 1
+    assert checked > 200
