@@ -7,8 +7,9 @@ Conventions shared by the library and the command line:
 * matrices are comma-separated with no header row (pass ``header=True``
   to skip one); masks must contain only 0/1 entries; distance fields are
   integers with -1 marking unreachable entries;
-* floats are written with 9 significant digits and negative zero
-  normalized, so identical arrays always serialize to identical bytes;
+* each float of a matrix is written as the bytes of Python's
+  ``"%.9g" % x`` (9 significant digits), with ``-0`` written as ``0``, so
+  identical arrays always serialize to identical bytes;
 * a path of ``-`` reads from stdin or writes to stdout;
 * JSON reports sort keys, round floats to 9 significant digits, and
   replace non-finite values with null.
@@ -133,12 +134,139 @@ def load_spds(path, header: bool = False) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+# Matrices are formatted in blocks of whole rows holding about this many
+# values, so the temporaries stay at a few MB whatever the matrix size.
+_BLOCK_VALUES = 1 << 16
+# A cell is 24 bytes, handled as three little-endian 64-bit words.
+_WORD = np.dtype("<u8")
+# _SCALE[i] = 10**(8 - e) for the decimal exponent e = i - 5 of a value;
+# exact for e <= 8. e = 9 never takes fixed notation, so its scale is nan.
+_SCALE = np.array([float(10 ** k) for k in range(13, -1, -1)] + [np.nan])
+# binary exponent field of |x| (E = floor(log2|x|) for normal values) ->
+# i = floor(E * log10(2)) + 5, clipped to [0, 13]: a lower bound on e + 5,
+# off by at most one
+_EXP_INDEX = np.clip(np.floor((np.arange(2048) - 1023) * np.log10(2.0)) + 5,
+                     0, 13).astype(np.intp)
+# |scaled - D| must stay this far inside the rounding tie; the scaled value
+# is within half an ulp (< 6e-8) of the exact one
+_TIE = 0.5 - 1e-6
+
+
+def _cell_tables():
+    """Lookup tables that assemble a cell from a value's sign, decimal
+    exponent and nine-digit mantissa ``D = a*10**8 + b*10**4 + c``.
+
+    Cell bytes: 0 sign, 1-5 the ``0.000`` prefix of a negative exponent,
+    then the digits of D in bytes 6, 8, ..., 22 with the decimal point in
+    the odd byte after the last integer digit, 23 the separator. Unused
+    bytes are 0 and are dropped on output. The digit words null the
+    trailing zeros of D; the exponent templates put back the integer
+    zeros (``'0' | digit == digit``) and the point.
+    """
+    quads = np.arange(10000)
+    digits = np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10,
+                       quads % 10], axis=1)
+    kept = np.flip(np.logical_or.accumulate(np.flip(digits > 0, 1), axis=1), 1)
+    shifts = np.array([0, 16, 32, 48], np.uint64)
+    full = ((digits + 48).astype(np.uint64) << shifts).sum(axis=1)
+    stripped = (((digits + 48) * kept).astype(np.uint64) << shifts).sum(axis=1)
+    low = stripped                                       # [c]
+    mid = np.stack([full, stripped], axis=1).ravel()     # [2*b + (c == 0)]
+    head = np.zeros((15, 2, 10, 2), np.uint64)           # [i, point, a, minus]
+    tail = np.zeros((15, 2, 2), np.uint64)               # [i, point], 2 words
+    for i in range(1, 14):
+        e = i - 5
+        for point in (0, 1):
+            cell = bytearray(24)
+            if e < 0:
+                cell[1:2 - e] = b"0." + b"0" * (-e - 1)
+            else:
+                cell[8:6 + 2 * (e + 1):2] = b"0" * e
+                if point:
+                    cell[7 + 2 * e] = ord(".")
+            words = np.frombuffer(bytes(cell), _WORD)
+            head[i, point] = words[0]
+            tail[i, point] = words[1:]
+    head |= (48 + np.arange(10, dtype=np.uint64))[:, None] << np.uint64(48)
+    head[..., 1] |= np.uint64(ord("-"))
+    return tuple(t.astype(_WORD) for t in (low, mid, head.ravel(),
+                                            tail[..., 0].ravel(),
+                                            tail[..., 1].ravel()))
+
+
+_LOW, _MID, _HEAD, _TAIL1, _TAIL2 = _cell_tables()
+
+
+@np.errstate(invalid="ignore")  # signalling nan bit patterns print as nan
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """``"%.9g" % v`` for each value of the 1-D ``x``, as (n, 3) words
+    holding 24-byte cells with a null separator byte.
+
+    Where ``%.9g`` takes fixed notation (decimal exponent e in [-4, 8]
+    after rounding), ``D = rint(|x| * 10**(8 - e))`` is Python's correctly
+    rounded nine-digit mantissa: the power of ten is exact, so the product
+    is within half an ulp of the exact one, and values that close to a
+    rounding tie are not taken here. Zero is "0"; every other value (nan,
+    inf, scientific notation, near-ties) is formatted by Python itself.
+    """
+    mag = np.abs(x)
+    i = _EXP_INDEX.take(mag.view(np.int64) >> 52)    # e + 5, or one less
+    d = np.rint(mag * _SCALE.take(i))
+    i += d >= 1e9
+    scale = _SCALE.take(i)
+    scaled = mag * scale
+    d = np.rint(scaled)
+    fixed = ((i > 0) & (d >= 1e8) & (d < 1e9)
+             & (np.abs(scaled - d) < _TIE))
+    d = np.where(fixed, d, 0.0)
+    frac = d / scale
+    key = 2 * i
+    key += frac != np.floor(frac)                    # a point is written
+    mantissa = d.astype(np.int64)
+    ab = mantissa // 10000
+    c = mantissa - ab * 10000
+    a = ab // 10000
+    b = ab - a * 10000
+    head = (key * 10 + a) * 2
+    head += x < 0
+    cells = np.empty((x.size, 3), _WORD)
+    cells[:, 0] = _HEAD.take(head)
+    np.bitwise_or(_TAIL1.take(key), _MID.take(2 * b + (c == 0)),
+                  out=cells[:, 1])
+    np.bitwise_or(_TAIL2.take(key), _LOW.take(c), out=cells[:, 2])
+    slow = np.flatnonzero(~fixed & (x != 0))
+    if slow.size:
+        # "%.9g" never exceeds 16 characters; the padding spaces are
+        # dropped with the null bytes
+        text = ("%-16.9g" * slow.size) % tuple(x[slow].tolist())
+        cells[slow, :2] = np.frombuffer(text.encode("ascii"),
+                                        _WORD).reshape(-1, 2)
+        cells[slow, 2] = 0
+    return cells
+
+
 def write_matrix(path, arr: np.ndarray) -> None:
-    """Comma-separated floats, 9 significant digits, negative zero
-    normalized."""
-    arr = np.asarray(arr, dtype=np.float64) + 0.0  # +0.0 turns -0.0 into 0.0
+    """Comma-separated floats, each the bytes of ``"%.9g" % x`` with
+    negative zero written as ``0``; a 1-D array gives one value per line.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    elif arr.ndim != 2:
+        raise ValueError(f"Expected 1D or 2D array, got {arr.ndim}D array instead")
+    n, f = arr.shape
     with _OutHandle(path) as fh:
-        np.savetxt(fh, arr, fmt="%.9g", delimiter=",")
+        if f == 0:
+            fh.write("\n" * n)
+            return
+        ends = np.full(f, ord(",") << 56, _WORD)
+        ends[-1] = ord("\n") << 56
+        rows = max(1, _BLOCK_VALUES // f)
+        for start in range(0, n, rows):
+            block = arr[start:start + rows]
+            cells = _format_cells(block.ravel())
+            cells.reshape(*block.shape, 3)[:, :, 2] |= ends
+            fh.write(cells.tobytes().translate(None, b"\0 ").decode("ascii"))
 
 
 def write_spds(path, distances: np.ndarray) -> None:

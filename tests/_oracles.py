@@ -128,3 +128,21 @@ def random_gnp_edges(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
             if rng.random() < p:
                 pairs.append((i, j))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def sbm_edges_reference(labels: np.ndarray, intra_p: float, inter_p: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Edge sampling as first written: one probability per remaining pair
+    of each row, compared with that row's draws."""
+    n = labels.size
+    chunks = []
+    for i in range(n - 1):
+        rest = labels[i + 1:]
+        p = np.where(rest == labels[i], intra_p, inter_p)
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
+        if hits.size:
+            chunks.append(np.column_stack([np.full(hits.size, i, dtype=np.int64),
+                                           hits + i + 1]))
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(chunks)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pcfi
 
 # scipy.stats costs about 0.9 s to import; scipy.sparse.linalg (pulled
-# in by scipy.sparse.csgraph) about 0.1 s
-HEAVY = ("scipy.stats", "scipy.sparse.linalg")
+# in by scipy.sparse.csgraph) and scipy.special (used only by synth) about
+# 0.1 s each
+HEAVY = ("scipy.stats", "scipy.sparse.linalg", "scipy.special")
 
 
 def test_cli_import_skips_heavy_scipy_modules():

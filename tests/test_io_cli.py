@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcfi import InputError, SynthSpec, generate
 from pcfi import io as pio
@@ -33,6 +37,110 @@ def test_write_matrix_is_byte_stable(tmp_path):
     pio.write_matrix(a, arr)
     pio.write_matrix(b, arr.copy())
     assert a.read_bytes() == b.read_bytes()
+
+
+def _savetxt_text(arr) -> str:
+    """The writer's reference: numpy's own ``%.9g`` formatting."""
+    buf = io.StringIO()
+    with np.errstate(invalid="ignore"):
+        arr = np.asarray(arr, dtype=np.float64) + 0.0
+    np.savetxt(buf, arr, fmt="%.9g", delimiter=",")
+    return buf.getvalue()
+
+
+def _written_text(arr) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        pio.write_matrix("-", arr)
+    return buf.getvalue()
+
+
+def _assert_writes_like_savetxt(arr):
+    got, want = _written_text(arr), _savetxt_text(arr)
+    if got != want:
+        # report the first differing line: pytest's diff of two large
+        # texts takes minutes
+        lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        first = next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b), None)
+        pytest.fail(f"line {first[0]}: wrote {first[1]!r}, savetxt {first[2]!r}"
+                    if first else f"wrote {len(got)} chars, savetxt {len(want)}")
+
+
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, _SHAPES,
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_write_matrix_matches_savetxt_on_any_float(arr):
+    _assert_writes_like_savetxt(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.uint64, _SHAPES, elements=st.integers(0, 2**64 - 1)))
+def test_write_matrix_matches_savetxt_on_raw_bit_patterns(bits):
+    _assert_writes_like_savetxt(bits.view(np.float64))
+
+
+def _adversarial_values() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    # x = (D + 0.5) * 10**k: the tenth significant digit is a 5, so x sits
+    # at (or, not being exact in binary, an ulp or two from) a rounding tie
+    # of the nine-digit mantissa D
+    mantissa = rng.integers(10**8, 10**9, size=3000).astype(np.float64)
+    k = rng.integers(-14, 3, size=3000).astype(np.float64)
+    ties = np.concatenate([(mantissa + 0.5) * 10.0**k,
+                           [123456789.5, 999999999.5, 12345678.25,
+                            1234567.125, 9.9999999995e-05, 0.00012345678950]])
+    decades = 10.0 ** np.arange(-8, 12)
+    # values that round up across a power of ten, and the range edges of
+    # fixed notation
+    crossing = np.concatenate([9.9999999995 * decades, 9.99999999949999 * decades,
+                               9.9999999 * decades, [1e-4, 1e9, 0.0001, 1e-5]])
+    base = np.concatenate([ties, decades, crossing])
+    near = [np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+            np.nextafter(np.nextafter(base, np.inf), np.inf),
+            np.nextafter(np.nextafter(base, -np.inf), -np.inf)]
+    values = np.concatenate([base, *near])
+    return np.concatenate([values, -values])
+
+
+def test_write_matrix_matches_savetxt_on_adversarial_grid():
+    values = _adversarial_values()
+    _assert_writes_like_savetxt(values)
+    _assert_writes_like_savetxt(values[:values.size // 7 * 7].reshape(-1, 7))
+
+
+def test_fixed_notation_values_skip_python_formatting():
+    # every decade of fixed notation, including values whose decimal
+    # exponent the binary-exponent estimate puts one too low (such as
+    # 10**k); Python-formatted cells carry padding spaces. 2**-13 is an
+    # exact rounding tie, which Python formats.
+    rng = np.random.default_rng(1)
+    exps = np.repeat(np.arange(-4, 9), 200)
+    values = (1.0 + 9.0 * rng.random(exps.size)) * 10.0**exps
+    values = np.concatenate([values, 10.0 ** np.arange(-4, 9),
+                             2.0 ** np.arange(-12, 30), -values, [0.0, -0.0]])
+    cells = pio._format_cells(values)
+    assert b" " not in cells.tobytes()
+    _assert_writes_like_savetxt(values)
+
+
+@pytest.mark.parametrize("shape", [
+    (5,), (0,), (0, 4), (3, 0), (0, 0),
+    (pio._BLOCK_VALUES // 2 + 1, 4),   # three blocks of rows
+    (2, pio._BLOCK_VALUES + 3),         # rows wider than a block
+])
+def test_write_matrix_shapes_match_savetxt(shape):
+    _assert_writes_like_savetxt(np.random.default_rng(2).normal(size=shape) * 100.0)
+
+
+def test_write_matrix_rejects_other_ranks():
+    with pytest.raises(ValueError, match="1D or 2D"):
+        _written_text(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="1D or 2D"):
+        _written_text(np.float64(1.0))
 
 
 def test_mask_loader_rejects_non_binary(tmp_path):
@@ -190,24 +298,45 @@ def test_cli_stdout_mode(tmp_path, capsys):
     assert not (tmp_path / "-.json").exists()
 
 
+def _run_cli(args, stdin: bytes = b"") -> bytes:
+    """Run the command line in a child process, so it reads and writes the
+    interpreter's own stdin and stdout; returns the stdout bytes."""
+    src = str(Path(pio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pcfi.cli", "--quiet", *args],
+                          input=stdin, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 def test_cli_features_from_stdin_match_file(tmp_path):
     epath, fpath, mpath = _write_inputs(tmp_path, seed=6)
     from_file = tmp_path / "file.csv"
     assert main(["--quiet", "impute", "--edges", str(epath), "--features",
                  str(fpath), "--mask", str(mpath), "--out",
                  str(from_file)]) == 0
-    # a real child process, so the loader reads the interpreter's stdin
     from_stdin = tmp_path / "stdin.csv"
-    src = str(Path(pio.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pcfi.cli", "--quiet", "impute", "--edges",
-         str(epath), "--features", "-", "--mask", str(mpath), "--out",
-         str(from_stdin)],
-        input=fpath.read_text(), env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_cli(["impute", "--edges", str(epath), "--features", "-", "--mask",
+              str(mpath), "--out", str(from_stdin)], stdin=fpath.read_bytes())
     assert from_stdin.read_bytes() == from_file.read_bytes()
+
+
+def test_cli_stdout_bytes_match_file_across_blocks(tmp_path):
+    # 400 x 400 values fill three write blocks
+    n = f = 400
+    assert n * f > 2 * pio._BLOCK_VALUES
+    epath, fpath, _ = _write_inputs(tmp_path, n=n, f=f, seed=3)
+    mask_args = ["mask", "--type", "uniform", "--rate", "0.5", "--seed", "2",
+                 "--num-nodes", str(n), "--num-channels", str(f)]
+    mpath = tmp_path / "mask2.csv"
+    _run_cli(mask_args + ["--out", str(mpath)])
+    assert _run_cli(mask_args + ["--out", "-"]) == mpath.read_bytes()
+    impute_args = ["impute", "--edges", str(epath), "--features", str(fpath),
+                   "--mask", str(mpath)]
+    out = tmp_path / "out.csv"
+    _run_cli(impute_args + ["--out", str(out)])
+    assert _run_cli(impute_args + ["--out", "-"]) == out.read_bytes()
 
 
 def test_cli_exit_codes(tmp_path):

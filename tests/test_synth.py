@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from _oracles import sbm_edges_reference
 from pcfi import (InputError, SynthSpec, class_homophily, connected_components,
                   equidistant_means, feature_homophily, generate,
-                  generate_features, generate_graph, generate_labels)
+                  generate_features, generate_graph, generate_labels, sbm_edges)
 
 
 def test_generation_is_deterministic():
@@ -18,6 +19,22 @@ def test_generation_is_deterministic():
     c = generate(SynthSpec(num_nodes=400, num_classes=4, feature_dim=3,
                            intra_edge_prob=0.04, inter_edge_prob=0.008, seed=6))
     assert not np.array_equal(a.features, c.features)
+
+
+@pytest.mark.parametrize("intra, inter", [(0.05, 0.004), (0.004, 0.05),
+                                          (0.0, 0.03), (0.03, 0.0), (0.0, 0.0),
+                                          (1.0, 0.01), (0.01, 1.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sbm_edges_match_reference_loop(intra, inter, seed):
+    labels = generate_labels(150, 4, np.random.Generator(np.random.PCG64(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed + 10))
+    ref_rng = np.random.Generator(np.random.PCG64(seed + 10))
+    edges = sbm_edges(labels, intra, inter, rng)
+    expected = sbm_edges_reference(labels, intra, inter, ref_rng)
+    assert edges.dtype == expected.dtype == np.int64
+    assert np.array_equal(edges, expected)
+    # same draws, so the stream continues where the reference leaves it
+    assert rng.random() == ref_rng.random()
 
 
 def test_labels_balanced():
