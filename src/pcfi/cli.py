@@ -83,9 +83,9 @@ def cmd_impute(args) -> int:
     values, known = _load_features_mask(args)
     g = _graph_for(args, values.shape[0])
     fs = apply_mask(values, known)
-    if (values[~known] != 0).any():
-        log.info("ignoring values at %d masked entries",
-                 int((values[~known] != 0).sum()))
+    ignored = np.count_nonzero(values[~known])
+    if ignored:
+        log.info("ignoring values at %d masked entries", ignored)
     cfg = ImputationConfig(alpha=args.alpha, beta=args.beta, steps=args.k,
                            method=args.method, mode=args.mode,
                            lenient_no_source=args.lenient_no_source,

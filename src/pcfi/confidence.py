@@ -11,6 +11,12 @@ geometrically with hop distance, and defined as 0 at unreachable nodes.
 The relative pseudo-confidence between neighbors,
 ``alpha ** (S[j, d] - S[i, d])``, is the edge weight used by the
 channel-wise diffusion.
+
+The search runs once per distinct known set, ``BLOCK_COLUMNS`` sets at
+a time; each block is a C-contiguous copy of its columns of the mask.
+Confidences are read from a table of ``alpha ** k``, one ``np.power``
+per distance value (unless the table would outgrow the field), which
+holds the bits the elementwise power gives.
 """
 
 from __future__ import annotations
@@ -115,22 +121,23 @@ def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
     """Level-synchronous breadth-first search from the known set of every
     column of ``known`` (N x F bool), run once per distinct column."""
     n, f = known.shape
-    dist = np.empty((n, f), dtype=np.int64)
     if n == 0 or f == 0:
-        return dist
+        return np.empty((n, f), dtype=np.int64)
     adj = g.self_loop_adjacency(bool)
     # each column as one byte string, eight rows per byte, so that columns
     # compare whole (np.unique(axis=1) compares one structured field per row)
     packed = np.ascontiguousarray(np.packbits(known, axis=0).T)
     _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
                                   return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
+    # one column per distinct known set, searched in C-contiguous blocks and
+    # stored as contiguous column ranges, then gathered row by row: writing
+    # each block straight to its scattered columns of the N x F result
+    # touches a cache line per element
+    dist = np.empty((n, first.size), dtype=np.int64)
     for lo in range(0, first.size, BLOCK_COLUMNS):
         hi = lo + BLOCK_COLUMNS
-        block = _bfs_block(adj, known[:, first[lo:hi]])
-        for d in np.flatnonzero((inverse >= lo) & (inverse < hi)):
-            dist[:, d] = block[:, inverse[d] - lo]
-    return dist
+        dist[:, lo:hi] = _bfs_block(adj, known.take(first[lo:hi], axis=1))
+    return dist.take(inverse.ravel(), axis=1)
 
 
 def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
@@ -153,10 +160,23 @@ def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
 
 def pseudo_confidence(spds: SpdsMatrix) -> np.ndarray:
     """``alpha ** S`` elementwise, defined as 0 at unreachable entries."""
-    s = spds.distances
-    out = np.power(spds.alpha, s.astype(np.float64))
-    out[s == UNREACHABLE] = 0.0
-    return out
+    return alpha_powers(spds.alpha, spds.distances)
+
+
+def alpha_powers(alpha: float, distances: np.ndarray) -> np.ndarray:
+    """``alpha ** distances`` for an integer distance array, 0 where it is
+    ``UNREACHABLE``: ``np.power`` runs once per distance value and the
+    array reads its powers from that table. A table longer than the array
+    (a distance field not made by a search may hold any large value) would
+    save nothing, so then the power is taken elementwise, with the same bits."""
+    top = int(distances.max(initial=0)) + 2
+    if top > distances.size:
+        out = np.power(alpha, distances.astype(np.float64))
+        out[distances == UNREACHABLE] = 0.0
+        return out
+    table = np.power(alpha, np.arange(top, dtype=np.float64))
+    table[-1] = 0.0  # UNREACHABLE (-1) reads the last slot
+    return table.take(distances)
 
 
 def relative_pc(spds: SpdsMatrix, i: int, j: int, d: int) -> float:

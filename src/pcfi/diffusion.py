@@ -36,9 +36,12 @@ Rows that reach no source have ``C = 0`` and stay exactly 0.
 explicit operator instead, whose ratio weights never underflow.
 
 Channels run in blocks of ``BLOCK_COLUMNS`` columns, on a thread pool
-when asked. Columns never mix inside a product and each block is
-internally sequential, so results are byte-identical for any thread
-count and any grouping of channels.
+when asked. Each block works on C-contiguous copies of its columns of
+the values, the mask and the distance field: a column selection of a
+C-ordered matrix is F-ordered, and mixing the two layouts slows every
+elementwise step of the loop. Columns never mix inside a product and
+each block is internally sequential, so results are byte-identical for
+any thread count and any grouping of channels.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .confidence import BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix
+from .confidence import BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix, alpha_powers
 from .errors import InputError, NoSourceError, NumericalError
 from .graph import ChannelPartition, Graph, induced_subgraph, neighbors_of_many, partition_channel
 from .masking import FeatureSet
@@ -340,12 +343,11 @@ def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, cols: np.ndarray,
                    steps: int):
     """``steps`` fused iterations on the channels ``cols``; returns their
     values and the max change of the last step per channel."""
-    x0 = fs.values[:, cols]  # observed values, 0 elsewhere
-    known = fs.known[:, cols]
-    s = spds.distances[:, cols]
-    scale = np.power(spds.alpha, s, dtype=np.float64)
-    scale[s == UNREACHABLE] = 0.0
-    del s
+    # C-contiguous copies, so every elementwise step below runs on arrays of
+    # one layout (column selections of a C-ordered matrix are F-ordered)
+    x0 = fs.values.take(cols, axis=1)  # observed values, 0 elsewhere
+    known = fs.known.take(cols, axis=1)
+    scale = alpha_powers(spds.alpha, spds.distances.take(cols, axis=1))
     den = ai @ scale
     # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
     den[scale == 0.0] = np.inf

@@ -10,6 +10,11 @@ Conventions shared by the library and the command line:
 * each float of a matrix is written as the bytes of Python's
   ``"%.9g" % x`` (9 significant digits), with ``-0`` written as ``0``, so
   identical arrays always serialize to identical bytes;
+* a header-less mask file in canonical form (every row the same number
+  of single ``0``/``1`` digits joined by ``,`` and ended by a newline, as
+  ``write_matrix`` writes a mask) is read from its bytes; any other mask
+  input, stdin and ``--header`` files included, goes through
+  ``np.loadtxt``, which gives the same mask for canonical files;
 * a path of ``-`` reads from stdin or writes to stdout;
 * JSON reports sort keys, round floats to 9 significant digits, and
   replace non-finite values with null.
@@ -114,13 +119,44 @@ def load_matrix(path, header: bool = False) -> np.ndarray:
 
 
 def load_mask(path, header: bool = False) -> np.ndarray:
-    """Boolean mask from a 0/1 matrix; any other value is an error."""
-    arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
-                   what=f"mask {path}")
+    """Boolean mask from a 0/1 matrix; any other value is an error.
+
+    A file is read once; a canonical header-less one is decoded from its
+    bytes, anything else (and stdin) goes through ``np.loadtxt``."""
+    skiprows = 1 if header else 0
+    if str(path) == "-":
+        source = sys.stdin
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        mask = None if header else _canonical_mask(data)
+        if mask is not None:
+            return mask
+        # the decoding and newline handling of open(path) in text mode
+        source = _io.TextIOWrapper(_io.BytesIO(data))
+    arr = _parse(source, delimiter=",", skiprows=skiprows, what=f"mask {path}")
     if not np.isin(arr, (0.0, 1.0)).all():
         bad = arr[~np.isin(arr, (0.0, 1.0))].flat[0]
         raise InputError(f"mask {path} must contain only 0 and 1, found {bad!r}")
     return arr.astype(bool)
+
+
+def _canonical_mask(data: bytes) -> np.ndarray | None:
+    """The mask held by ``data`` if every row is the same number of single
+    ``0``/``1`` digits joined by ``,`` and ended by a newline (as
+    ``write_matrix`` writes a mask); None otherwise."""
+    width = data.find(b"\n") + 1
+    if width < 2 or width % 2 or len(data) % width:
+        return None
+    rows = np.frombuffer(data, np.uint8).reshape(-1, width)
+    ends = np.full(width // 2, ord(","), np.uint8)
+    ends[-1] = ord("\n")
+    if not (rows[:, 1::2] == ends).all():
+        return None
+    digits = rows[:, ::2] - np.uint8(ord("0"))  # wraps below "0"
+    if not (digits <= 1).all():
+        return None
+    return digits.view(bool)
 
 
 def load_spds(path, header: bool = False) -> np.ndarray:

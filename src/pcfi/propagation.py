@@ -96,8 +96,17 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.nd
         )
     corr = correlation(values)
     xi = pseudo_confidence(spds)
-    correction = beta * (1.0 - xi) * ((xi * (values - corr.means)) @ corr.r)
-    return values + correction
+    # values + beta * (1 - xi) * ((xi * (values - means)) @ R), in place with
+    # the same operations in the same order, so the bits are the same
+    t = values - corr.means
+    t *= xi
+    out = t @ corr.r
+    del t
+    np.subtract(1.0, xi, out=xi)
+    xi *= beta
+    out *= xi
+    out += values
+    return out
 
 
 def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, beta: float,

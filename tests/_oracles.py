@@ -146,3 +146,33 @@ def sbm_edges_reference(labels: np.ndarray, intra_p: float, inter_p: float,
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(chunks)
+
+
+def load_mask_reference(source, skiprows: int, what: str) -> np.ndarray:
+    """Mask parsing as first written: ``np.loadtxt`` over the text, then a
+    0/1 check. Raises ValueError with the message the loader's
+    ``InputError`` carries."""
+    try:
+        arr = np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2,
+                         dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"could not parse {what}: {exc}") from exc
+    if not np.isin(arr, (0.0, 1.0)).all():
+        bad = arr[~np.isin(arr, (0.0, 1.0))].flat[0]
+        raise ValueError(f"{what} must contain only 0 and 1, found {bad!r}")
+    return arr.astype(bool)
+
+
+def pseudo_confidence_reference(distances: np.ndarray, alpha: float) -> np.ndarray:
+    """``alpha ** S`` by one elementwise ``np.power``, 0 where S is -1."""
+    out = np.power(alpha, distances.astype(np.float64))
+    out[distances == -1] = 0.0
+    return out
+
+
+def stage2_expression(values: np.ndarray, xi: np.ndarray, means: np.ndarray,
+                      r: np.ndarray, beta: float) -> np.ndarray:
+    """The whole-matrix stage-2 correction as first written, one full-size
+    temporary per operation."""
+    correction = beta * (1.0 - xi) * ((xi * (values - means)) @ r)
+    return values + correction

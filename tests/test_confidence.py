@@ -10,7 +10,8 @@ from pcfi import (InputError, SpdsMatrix, UNREACHABLE, build_graph,
 from pcfi import confidence
 from pcfi.confidence import BLOCK_COLUMNS
 
-from _oracles import floyd_warshall, random_gnp_edges, spds_reference
+from _oracles import (floyd_warshall, pseudo_confidence_reference,
+                      random_gnp_edges, spds_reference)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -67,6 +68,39 @@ def test_pseudo_confidence_values():
     assert xi.tolist() == [[1.0, 0.5], [0.25, 0.0]]
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.37, 0.5, 0.8, 0.9, 0.999])
+def test_pseudo_confidence_matches_elementwise_power_bitwise(alpha):
+    rng = np.random.default_rng(int(alpha * 1000))
+    dist = rng.integers(-1, 2001, size=(300, 40))
+    dist[:5] = np.arange(40) * 50  # every depth up to 1950
+    dist[5, :3] = [UNREACHABLE, 2000, 0]
+    xi = pseudo_confidence(SpdsMatrix(distances=dist, alpha=alpha))
+    expected = pseudo_confidence_reference(dist, alpha)
+    assert xi.dtype == np.float64 and xi.shape == dist.shape
+    assert xi.tobytes() == expected.tobytes()
+    if alpha == 0.1:
+        # deep entries underflow through the subnormals to exactly 0.0
+        assert np.all(xi[dist >= 324] == 0.0)
+        assert np.any((xi > 0.0) & (xi < np.finfo(np.float64).tiny))
+    assert np.all(xi[dist == UNREACHABLE] == 0.0)
+
+
+@pytest.mark.parametrize("deep", [10**12, 2**40])
+def test_pseudo_confidence_of_huge_distances_is_bounded(deep):
+    """A field may hold any distance >= -1; a power table as long as the
+    largest one would not fit in memory."""
+    dist = np.array([[0, deep, UNREACHABLE], [3, 1, deep - 1]])
+    xi = pseudo_confidence(SpdsMatrix(distances=dist, alpha=0.9))
+    assert xi.tobytes() == pseudo_confidence_reference(dist, 0.9).tobytes()
+    assert xi.tolist() == [[1.0, 0.0, 0.0], [0.9 ** 3, 0.9, 0.0]]
+
+
+def test_pseudo_confidence_of_empty_and_all_unreachable():
+    for dist in (np.zeros((0, 3), np.int64), np.full((4, 2), UNREACHABLE)):
+        xi = pseudo_confidence(SpdsMatrix(distances=dist, alpha=0.5))
+        assert xi.shape == dist.shape and np.all(xi == 0.0)
+
+
 def test_pseudo_confidence_monotone_in_distance():
     s = SpdsMatrix(distances=np.arange(12).reshape(12, 1), alpha=0.8)
     xi = pseudo_confidence(s)[:, 0]
@@ -114,6 +148,7 @@ def test_compute_spds_searches_each_known_set_once(monkeypatch):
     real = confidence._bfs_block
 
     def counting(adj, sources):
+        assert sources.flags.c_contiguous
         searched.append(sources.shape[1])
         return real(adj, sources)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis.extra import numpy as hnp
 from pcfi import InputError, SynthSpec, generate
 from pcfi import io as pio
 from pcfi.cli import main
+
+from _oracles import load_mask_reference
 
 
 def test_matrix_round_trip(tmp_path):
@@ -148,6 +151,125 @@ def test_mask_loader_rejects_non_binary(tmp_path):
     path.write_text("1,0\n0,2\n")
     with pytest.raises(InputError, match="0 and 1"):
         pio.load_mask(path)
+
+
+def _mask_or_message(load):
+    """The loaded mask, or the message of the error it raised."""
+    try:
+        return load()
+    except (InputError, ValueError) as exc:
+        return str(exc)
+
+
+def _assert_same_mask(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == bool and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def _mask_matches_text_parser(path, header=False):
+    got = _mask_or_message(lambda: pio.load_mask(path, header=header))
+    with open(path) as fh:
+        expected = _mask_or_message(lambda: load_mask_reference(
+            fh, 1 if header else 0, f"mask {path}"))
+    _assert_same_mask(got, expected)
+
+
+_CANONICAL_MASKS = {
+    "one-column": b"0\n1\n1\n",
+    "one-row": b"0,1,1,0\n",
+    "400x400": "".join(
+        ",".join(row) + "\n" for row in
+        (np.random.default_rng(4).random((400, 400)) < 0.3).astype(int).astype(str)
+    ).encode(),
+}
+
+
+def _forbid_text_parser(monkeypatch):
+    def no_text_parser(*args, **kwargs):
+        raise AssertionError("canonical mask went through np.loadtxt")
+
+    monkeypatch.setattr(np, "loadtxt", no_text_parser)
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL_MASKS))
+def test_canonical_mask_matches_text_parser_without_it(tmp_path, monkeypatch,
+                                                       name):
+    path = tmp_path / "mask.csv"
+    path.write_bytes(_CANONICAL_MASKS[name])
+    with open(path) as fh:
+        expected = load_mask_reference(fh, 0, f"mask {path}")
+    _forbid_text_parser(monkeypatch)
+    _assert_same_mask(pio.load_mask(path), expected)
+
+
+def test_written_mask_is_read_without_text_parser(tmp_path, monkeypatch):
+    known = np.random.default_rng(1).random((50, 7)) < 0.5
+    path = tmp_path / "mask.csv"
+    pio.write_matrix(path, known.astype(np.float64))
+    _forbid_text_parser(monkeypatch)
+    assert np.array_equal(pio.load_mask(path), known)
+
+
+# inputs the byte reader must hand to np.loadtxt unchanged (with --header,
+# every input goes there)
+_OTHER_MASKS = {
+    "crlf": b"0,1\r\n1,0\r\n",
+    "no-final-newline": b"0,1\n1,0",
+    "float": b"1.0\n0.0\n",
+    "leading-space": b" 1,0\n0,1\n",
+    "space-separated": b"1 0\n0 1\n",
+    "two": b"0,2\n1,0\n",
+    "minus-one": b"0,1\n-1,0\n",
+    "blank-line": b"0,1\n\n1,0\n",
+    "comment": b"# note\n0,1\n1,0\n",
+    "trailing-comma": b"0,1,\n1,0,\n",
+    "ragged": b"0,1\n1\n",
+    "lone-cr": b"0,1\r1,0\r",
+    "empty": b"",
+    "header": b"a,b,c\n0,1,1\n1,0,0\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("name", sorted(_OTHER_MASKS))
+def test_other_masks_go_through_text_parser(tmp_path, name, header):
+    path = tmp_path / "mask.csv"
+    path.write_bytes(_OTHER_MASKS[name])
+    _mask_matches_text_parser(path, header=header)
+
+
+@pytest.mark.parametrize("text", ["0,1\n1,0\n", "0,1\r\n1,2\r\n"])
+def test_mask_from_stdin_goes_through_text_parser(monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    got = _mask_or_message(lambda: pio.load_mask("-"))
+    expected = _mask_or_message(lambda: load_mask_reference(
+        io.StringIO(text), 0, "mask -"))
+    _assert_same_mask(got, expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_mask_from_named_pipe_is_read_once(tmp_path):
+    """A pipe can be read only once, so the text parser must reuse the
+    bytes the canonical check read (a second open would wait for a
+    writer forever, hence the child process and its timeout)."""
+    fifo = tmp_path / "mask.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(b"0,1\r\n1,1\r\n",), daemon=True)
+    writer.start()
+    src = str(Path(pio.__file__).resolve().parents[1])
+    code = "import sys; from pcfi import io; print(io.load_mask(sys.argv[1]).tolist())"
+    proc = subprocess.run([sys.executable, "-c", code, str(fifo)], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    writer.join(timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[False, True], [True, True]]"
 
 
 def test_spds_loader_sentinel_rules(tmp_path):

@@ -5,7 +5,8 @@ from pcfi import (InputError, SpdsMatrix, apply_mask, build_graph,
                   compute_spds, correlation, impute_stage1, propagate_stage2,
                   stage2_bruteforce_oracle, uniform_mask)
 
-from _oracles import random_connected_edges
+from _oracles import (pseudo_confidence_reference, random_connected_edges,
+                      stage2_expression)
 
 
 def test_correlation_basics():
@@ -65,12 +66,44 @@ def test_vectorized_matches_node_loop(seed):
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _stage2_instance(seed):
+    """Random values with a zero-variance channel, and distances with
+    observed, deep and unreachable entries."""
+    rng = np.random.default_rng(seed)
+    n, f = 60, 9
+    x = rng.normal(size=(n, f)) * 2.0 + 0.5
+    x[:, 4] = 1.25
+    dist = rng.integers(0, 7, size=(n, f))
+    dist[rng.random((n, f)) < 0.1] = -1
+    return x, SpdsMatrix(distances=dist, alpha=0.7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stage2_matches_whole_matrix_expression_bitwise(seed):
+    x, s = _stage2_instance(seed)
+    corr = correlation(x)
+    assert np.all(corr.r[4] == 0.0) and np.all(corr.r[:, 4] == 0.0)
+    expected = stage2_expression(
+        x, pseudo_confidence_reference(s.distances, s.alpha), corr.means,
+        corr.r, 0.05)
+    assert propagate_stage2(x, s, 0.05).tobytes() == expected.tobytes()
+
+
+def test_stage2_leaves_its_inputs_unmodified():
+    x, s = _stage2_instance(7)
+    x_bits, dist_bits = x.tobytes(), s.distances.tobytes()
+    out = propagate_stage2(x, s, 0.3)
+    assert not np.shares_memory(out, x)
+    assert x.tobytes() == x_bits
+    assert s.distances.tobytes() == dist_bits
+
+
 def test_beta_zero_is_identity_exact():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 4))
     s = SpdsMatrix(distances=rng.integers(0, 4, size=(20, 4)), alpha=0.5)
     out = propagate_stage2(x, s, 0.0)
-    assert np.array_equal(out, x)
+    assert out.tobytes() == x.tobytes()
 
 
 def test_all_observed_is_identity_exact():
