@@ -9,43 +9,37 @@ See :mod:`pcfi.diffusion` and :mod:`pcfi.propagation` for the math,
 the file-based workflow.
 """
 
-from .confidence import (UNREACHABLE, SpdsMatrix, compute_spds,
-                         compute_spds_channel, multi_source_bfs,
-                         pseudo_confidence, relative_pc)
-from .diffusion import (ChannelOperator, DiffusionResult, build_channel_operator,
-                        closed_form_channel, diffuse_channel, fp_baseline,
-                        impute_stage1, resolve_threads)
+from .confidence import (UNREACHABLE, SpdsMatrix, compute_spds, multi_source_bfs,
+                         pseudo_confidence)
+from .diffusion import (DiffusionResult, build_channel_operator, closed_form_channel,
+                        diffuse_channel, fp_baseline, impute_stage1, resolve_threads)
 from .errors import InputError, NoSourceError, NumericalError, PcfiError
-from .graph import (ChannelPartition, ComponentLabels, Graph, build_graph,
-                    connected_components, extract_largest_component,
+from .graph import (Graph, build_graph, connected_components, extract_largest_component,
                     induced_subgraph, partition_channel)
-from .masking import FeatureSet, MaskSpec, apply_mask, structural_mask, uniform_mask
+from .masking import FeatureSet, apply_mask, structural_mask, uniform_mask
 from .metrics import EvalReport, evaluate, rmse
 from .pipeline import ImputationConfig, ImputeOutcome, impute, run_pipeline
-from .propagation import (CorrelationMatrix, correlation, propagate_stage2,
-                          stage2_bruteforce_oracle)
+from .propagation import correlation, propagate_stage2
 from .synth import (SynthDataset, SynthSpec, class_homophily, equidistant_means,
                     feature_homophily, generate, generate_features, generate_graph,
-                    generate_labels, sample_features, sbm_edges)
+                    generate_labels, sbm_edges)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNREACHABLE", "SpdsMatrix", "compute_spds", "compute_spds_channel",
-    "multi_source_bfs", "pseudo_confidence", "relative_pc",
-    "ChannelOperator", "DiffusionResult", "build_channel_operator",
-    "closed_form_channel", "diffuse_channel", "fp_baseline", "impute_stage1",
-    "resolve_threads",
+    "UNREACHABLE", "SpdsMatrix", "compute_spds", "multi_source_bfs",
+    "pseudo_confidence",
+    "DiffusionResult", "build_channel_operator", "closed_form_channel",
+    "diffuse_channel", "fp_baseline", "impute_stage1", "resolve_threads",
     "InputError", "NoSourceError", "NumericalError", "PcfiError",
-    "ChannelPartition", "ComponentLabels", "Graph", "build_graph",
-    "connected_components", "extract_largest_component", "induced_subgraph",
-    "partition_channel",
-    "FeatureSet", "MaskSpec", "apply_mask", "structural_mask", "uniform_mask",
+    "Graph", "build_graph", "connected_components", "extract_largest_component",
+    "induced_subgraph", "partition_channel",
+    "FeatureSet", "apply_mask", "structural_mask", "uniform_mask",
     "EvalReport", "evaluate", "rmse",
     "ImputationConfig", "ImputeOutcome", "impute", "run_pipeline",
-    "CorrelationMatrix", "correlation", "propagate_stage2", "stage2_bruteforce_oracle",
+    "correlation", "propagate_stage2",
     "SynthDataset", "SynthSpec", "class_homophily", "equidistant_means",
     "feature_homophily", "generate", "generate_features", "generate_graph",
-    "generate_labels", "sample_features", "sbm_edges",
+    "generate_labels", "sbm_edges",
     "__version__",
 ]

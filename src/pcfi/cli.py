@@ -22,7 +22,7 @@ import numpy as np
 from . import io as pio
 from .confidence import compute_spds, SpdsMatrix
 from .errors import InputError, NumericalError
-from .graph import build_graph, connected_components, induced_subgraph
+from .graph import build_graph, extract_largest_component
 from .masking import apply_mask, structural_mask, uniform_mask
 from .metrics import evaluate
 from .pipeline import ImputationConfig, METHODS, impute, run_pipeline
@@ -81,11 +81,14 @@ def cmd_mask(args) -> int:
 
 def cmd_impute(args) -> int:
     values, known = _load_features_mask(args)
-    g = _graph_for(args, values.shape[0])
+    n, f = values.shape
+    g = _graph_for(args, n)
     fs = apply_mask(values, known)
     ignored = np.count_nonzero(values[~known])
+    del values  # fs holds the masked copy; the raw matrix would only add to peak memory
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)
+    num_missing = known.size - np.count_nonzero(known)
     cfg = ImputationConfig(alpha=args.alpha, beta=args.beta, steps=args.k,
                            method=args.method, mode=args.mode,
                            lenient_no_source=args.lenient_no_source,
@@ -108,9 +111,9 @@ def cmd_impute(args) -> int:
         report = {
             "schema_version": 1,
             "config": cfg.summary(),
-            "num_nodes": int(values.shape[0]),
-            "num_channels": int(values.shape[1]),
-            "num_missing_entries": int((~known).sum()),
+            "num_nodes": n,
+            "num_channels": f,
+            "num_missing_entries": num_missing,
             "flagged_channels": outcome.flagged_channels,
             "steps_run": stage1.steps_run if stage1 is not None else 0,
             "residuals": (None if residuals is None
@@ -120,7 +123,7 @@ def cmd_impute(args) -> int:
                              else None),
         }
         pio.write_json(report_path, report)
-    log.info("imputed %d missing entries with %s", int((~known).sum()), cfg.method)
+    log.info("imputed %d missing entries with %s", num_missing, cfg.method)
     return EXIT_OK
 
 
@@ -182,13 +185,11 @@ def cmd_pipeline(args) -> int:
         g = _graph_for(args, features.shape[0])
     else:
         raise InputError("provide --dataset, or both --edges and --features")
-    if not args.no_lcc and g.num_nodes > 0:
-        comps = connected_components(g)
-        if comps.num_components > 1:
-            keep = np.flatnonzero(comps.labels == comps.largest_id)
+    if not args.no_lcc:
+        g, keep, num_components = extract_largest_component(g)
+        if num_components > 1:
             log.info("restricted to largest component: %d of %d nodes",
-                     keep.size, g.num_nodes)
-            g = induced_subgraph(g, keep)
+                     keep.size, features.shape[0])
             features = features[keep]
     seeds = _parse_int_list(args.seeds, "--seeds")
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]

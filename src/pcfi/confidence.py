@@ -32,10 +32,8 @@ __all__ = [
     "UNREACHABLE",
     "SpdsMatrix",
     "multi_source_bfs",
-    "compute_spds_channel",
     "compute_spds",
     "pseudo_confidence",
-    "relative_pc",
 ]
 
 UNREACHABLE = -1
@@ -89,17 +87,6 @@ def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
     return _hop_distances(g, known)[:, 0]
 
 
-def compute_spds_channel(g: Graph, known_column: np.ndarray) -> np.ndarray:
-    """Distance field for a single channel's boolean known-column."""
-    known_column = np.asarray(known_column, dtype=bool)
-    if known_column.shape != (g.num_nodes,):
-        raise InputError(
-            f"known column shape {known_column.shape} does not match graph "
-            f"with {g.num_nodes} nodes"
-        )
-    return _hop_distances(g, known_column[:, None])[:, 0]
-
-
 def compute_spds(g: Graph, known: np.ndarray, alpha: float) -> SpdsMatrix:
     """Distance field for every channel of a known-mask.
 
@@ -124,11 +111,7 @@ def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
     if n == 0 or f == 0:
         return np.empty((n, f), dtype=np.int64)
     adj = g.self_loop_adjacency(bool)
-    # each column as one byte string, eight rows per byte, so that columns
-    # compare whole (np.unique(axis=1) compares one structured field per row)
-    packed = np.ascontiguousarray(np.packbits(known, axis=0).T)
-    _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
-                                  return_index=True, return_inverse=True)
+    first, inverse = distinct_columns(known)
     # one column per distinct known set, searched in C-contiguous blocks and
     # stored as contiguous column ranges, then gathered row by row: writing
     # each block straight to its scattered columns of the N x F result
@@ -137,7 +120,19 @@ def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
     for lo in range(0, first.size, BLOCK_COLUMNS):
         hi = lo + BLOCK_COLUMNS
         dist[:, lo:hi] = _bfs_block(adj, known.take(first[lo:hi], axis=1))
-    return dist.take(inverse.ravel(), axis=1)
+    return dist.take(inverse, axis=1)
+
+
+def distinct_columns(known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the columns of a boolean matrix with at least one row by
+    their content: returns ``first``, the lowest column index of each
+    distinct column, and ``inverse``, the group of every column."""
+    # each column as one byte string, eight rows per byte, so that columns
+    # compare whole (np.unique(axis=1) compares one structured field per row)
+    packed = np.ascontiguousarray(np.packbits(known, axis=0).T)
+    _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
@@ -177,24 +172,3 @@ def alpha_powers(alpha: float, distances: np.ndarray) -> np.ndarray:
     table = np.power(alpha, np.arange(top, dtype=np.float64))
     table[-1] = 0.0  # UNREACHABLE (-1) reads the last slot
     return table.take(distances)
-
-
-def relative_pc(spds: SpdsMatrix, i: int, j: int, d: int) -> float:
-    """Confidence of node ``j`` relative to node ``i`` in channel ``d``:
-    ``alpha ** (S[j, d] - S[i, d])``.
-
-    Raises
-    ------
-    InputError
-        If either endpoint is unreachable in channel ``d``; the ratio is
-        undefined there.
-    """
-    s = spds.distances
-    si = int(s[i, d])
-    sj = int(s[j, d])
-    if si == UNREACHABLE or sj == UNREACHABLE:
-        raise InputError(
-            f"relative confidence undefined: node {i if si == UNREACHABLE else j} "
-            f"is unreachable in channel {d}"
-        )
-    return float(spds.alpha ** (sj - si))

@@ -54,13 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .confidence import BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix, alpha_powers
+from .confidence import (BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix, alpha_powers,
+                         distinct_columns)
 from .errors import InputError, NoSourceError, NumericalError
-from .graph import ChannelPartition, Graph, induced_subgraph, neighbors_of_many, partition_channel
+from .graph import ChannelPartition, Graph, induced_subgraph, partition_channel
 from .masking import FeatureSet
 
 __all__ = [
-    "ChannelOperator",
     "DiffusionResult",
     "build_channel_operator",
     "diffuse_channel",
@@ -74,6 +74,8 @@ __all__ = [
 # above e**-600 (about 1e-261), so C and C * X are normal floats for any
 # |X| above about 1e-47 and lose no precision.
 MAX_DECAY = 600.0
+# Most unknowns the closed form densifies ``I - W_uu`` for.
+MAX_DENSE_UNKNOWNS = 2000
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class ChannelOperator:
 
     partition: ChannelPartition
     matrix: sparse.csr_array
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,8 @@ def build_channel_operator(g: Graph, dist_col: np.ndarray,
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
     unk = partition.unknown_nodes
-    deg = g.degrees[unk] if nu else np.empty(0, dtype=np.int64)
-    rows_orig = np.repeat(unk, deg)
-    cols_orig = neighbors_of_many(g, unk)
+    rows_orig = np.repeat(unk, g.degrees[unk])
+    cols_orig = g.adjacency()[unk].indices
     w = np.power(alpha, (dist_col[cols_orig] - dist_col[rows_orig]).astype(np.float64))
 
     self_rows = np.arange(nk, n, dtype=np.int64)
@@ -187,7 +187,7 @@ def build_channel_operator(g: Graph, dist_col: np.ndarray,
          (np.concatenate([pin, rows_new]), np.concatenate([pin, cols_new]))),
         shape=(n, n),
     )
-    return ChannelOperator(partition=partition, matrix=matrix, alpha=alpha)
+    return ChannelOperator(partition=partition, matrix=matrix)
 
 
 def _as_block(x: np.ndarray) -> np.ndarray:
@@ -217,12 +217,12 @@ def diffuse_channel(op: ChannelOperator, x0, steps: int = 100):
     return out, residuals
 
 
-def closed_form_channel(op: ChannelOperator, x0, *, max_dense_unknowns: int = 2000):
+def closed_form_channel(op: ChannelOperator, x0):
     """Solve ``x_u = (I - W_uu)^{-1} W_uk x_k`` directly.
 
     ``x0`` as in :func:`diffuse_channel`; observed rows pass through
-    bit-identical. The solve densifies ``W_uu``
-    (``max_dense_unknowns`` bounds the allowed size).
+    bit-identical. The solve densifies ``W_uu``, so it is refused above
+    ``MAX_DENSE_UNKNOWNS`` unknowns.
     """
     nk = op.partition.num_known
     n = op.partition.num_known + op.partition.num_unknown
@@ -233,10 +233,10 @@ def closed_form_channel(op: ChannelOperator, x0, *, max_dense_unknowns: int = 20
     out = x0.copy()
     if nu == 0:
         return out
-    if nu > max_dense_unknowns:
+    if nu > MAX_DENSE_UNKNOWNS:
         raise InputError(
             f"closed form would densify a {nu} x {nu} system "
-            f"(limit {max_dense_unknowns}); use the iterative mode"
+            f"(limit {MAX_DENSE_UNKNOWNS}); use the iterative mode"
         )
     xk = x0[op.partition.known_nodes]
     wuu = op.matrix[nk:, nk:]
@@ -254,8 +254,7 @@ def closed_form_channel(op: ChannelOperator, x0, *, max_dense_unknowns: int = 20
 
 def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
                   steps: int = 100, mode: str = "iterative",
-                  lenient: bool = False, threads: int | None = None,
-                  max_dense_unknowns: int = 2000) -> DiffusionResult:
+                  lenient: bool = False, threads: int | None = None) -> DiffusionResult:
     """Fill missing entries channel-wise by confidence-weighted diffusion.
 
     Every missing node must reach a source in its channel; with
@@ -324,8 +323,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
                              for lo in range(0, fused.size, BLOCK_COLUMNS)], nthreads)
     if explicit.any():
         _diffuse_per_pattern(g, fs, spds, np.flatnonzero(explicit), out, residuals,
-                             steps=steps, mode=mode,
-                             max_dense_unknowns=max_dense_unknowns, nthreads=nthreads)
+                             steps=steps, mode=mode, nthreads=nthreads)
     return DiffusionResult(values=out, residuals=residuals,
                            flagged_channels=flagged, steps_run=steps_run, mode=mode)
 
@@ -381,13 +379,12 @@ def _unscale(t: np.ndarray, den: np.ndarray, x0: np.ndarray,
 def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix,
                          channels: np.ndarray, out: np.ndarray,
                          residuals: np.ndarray | None, *, steps: int, mode: str,
-                         max_dense_unknowns: int, nthreads: int) -> None:
+                         nthreads: int) -> None:
     """Diffuse ``channels`` (each with a source) through one explicit
     operator per distinct missing pattern, restricted to the nodes that
     reach a source; writes ``out`` and, when iterating, ``residuals``."""
-    _, inverse = np.unique(fs.known[:, channels], axis=1, return_inverse=True)
-    inverse = inverse.ravel()
-    groups = [channels[inverse == gi] for gi in range(inverse.max() + 1)]
+    first, inverse = distinct_columns(fs.known[:, channels])
+    groups = [channels[inverse == gi] for gi in range(first.size)]
 
     def run_group(cols):
         dist_col = spds.distances[:, cols[0]]
@@ -399,8 +396,7 @@ def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix,
         if mode == "iterative":
             vals, residuals[cols] = diffuse_channel(op, block, steps=steps)
         else:
-            vals = closed_form_channel(op, block,
-                                       max_dense_unknowns=max_dense_unknowns)
+            vals = closed_form_channel(op, block)
         out[np.ix_(rows, cols)] = vals
 
     _run(run_group, groups, nthreads)
@@ -424,11 +420,9 @@ def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResul
         return DiffusionResult(values=fs.values.copy(),
                                residuals=np.zeros(fs.num_channels),
                                flagged_channels=[], steps_run=steps, mode="fp")
+    op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
-    loops = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([np.repeat(loops, g.degrees), loops])
-    cols = np.concatenate([g.indices, loops])
-    op = sparse.csr_array((dinv[rows] * dinv[cols], (rows, cols)), shape=(n, n))
+    op.data = dinv[np.repeat(np.arange(n), g.degrees + 1)] * dinv[op.indices]
 
     known = fs.known
     pinned = fs.values[known]

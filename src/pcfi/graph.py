@@ -3,7 +3,9 @@
 The graph is stored in compressed sparse row form: ``indptr`` of length
 N+1 and a flat ``indices`` array holding each node's neighbors sorted
 ascending. Graphs are immutable after construction; self-loops and
-duplicate edges are removed when building.
+duplicate edges are removed when building. Building, restricting and
+the component search run on ``scipy.sparse``; this module is the one
+place that forms ``A + I`` and cuts a graph to its largest component.
 """
 
 from __future__ import annotations
@@ -14,18 +16,14 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .masking import FeatureSet
 
 __all__ = [
     "Graph",
-    "ChannelPartition",
-    "ComponentLabels",
     "build_graph",
     "connected_components",
     "extract_largest_component",
     "induced_subgraph",
     "partition_channel",
-    "neighbors_of_many",
 ]
 
 
@@ -66,6 +64,13 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def adjacency(self) -> sparse.csr_array:
+        """``A``, the adjacency matrix, as a bool CSR matrix with sorted
+        indices."""
+        n = self.num_nodes
+        return sparse.csr_array((np.ones(self.indices.size, dtype=bool),
+                                 self.indices, self.indptr), shape=(n, n))
 
     def self_loop_adjacency(self, dtype=np.float64) -> sparse.csr_array:
         """``A + I``, the adjacency matrix with a self-loop on every node,
@@ -124,18 +129,6 @@ class ComponentLabels:
         return np.bincount(self.labels, minlength=self.num_components)
 
 
-def neighbors_of_many(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of ``nodes`` (duplicates preserved)."""
-    starts = g.indptr[nodes]
-    counts = g.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    gather = np.arange(total) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-    return g.indices[gather]
-
-
 def build_graph(edge_list, num_nodes: int) -> Graph:
     """Build an undirected graph from raw edge pairs.
 
@@ -165,26 +158,17 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
         )
 
     edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size:
-        # canonical orientation, then both directions, deduplicated
-        lo = edges.min(axis=1)
-        hi = edges.max(axis=1)
-        directed = np.concatenate([
-            np.column_stack([lo, hi]),
-            np.column_stack([hi, lo]),
-        ])
-        keys = directed[:, 0] * num_nodes + directed[:, 1]
-        order = np.unique(keys)
-        rows = order // num_nodes
-        cols = order % num_nodes
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
+    both = np.concatenate([edges, edges[:, ::-1]])
+    # built from (row, col) pairs, a CSR matrix sums its duplicates and sorts
+    # each row's indices
+    adj = sparse.csr_array((np.ones(both.shape[0], dtype=bool), (both[:, 0], both[:, 1])),
+                           shape=(num_nodes, num_nodes))
+    return _graph_of(adj)
 
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(indptr=indptr, indices=cols)
+
+def _graph_of(adj: sparse.csr_array) -> Graph:
+    return Graph(indptr=adj.indptr.astype(np.int64),
+                 indices=adj.indices.astype(np.int64))
 
 
 def connected_components(g: Graph) -> ComponentLabels:
@@ -193,8 +177,7 @@ def connected_components(g: Graph) -> ComponentLabels:
     # code path needs, so every CLI start would pay for it
     from scipy.sparse import csgraph
 
-    comp, labels = csgraph.connected_components(g.self_loop_adjacency(bool),
-                                                directed=False)
+    comp, labels = csgraph.connected_components(g.adjacency(), directed=False)
     labels = labels.astype(np.int64)
     if comp == 0:
         return ComponentLabels(labels=labels, num_components=0, largest_id=-1)
@@ -205,39 +188,27 @@ def connected_components(g: Graph) -> ComponentLabels:
 
 
 def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
-    """Subgraph induced on ``nodes`` (ascending original ids), with ids
-    compacted to ``0..len(nodes)-1`` in that order."""
+    """Subgraph induced on ``nodes`` (distinct original ids, in any order),
+    with ids compacted to ``0..len(nodes)-1`` in that order."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    remap = np.full(g.num_nodes, -1, dtype=np.int64)
-    remap[nodes] = np.arange(nodes.size)
-    rows = np.repeat(remap[nodes], g.degrees[nodes])
-    cols = remap[neighbors_of_many(g, nodes)]
-    keep = cols >= 0
-    rows, cols = rows[keep], cols[keep]
-    indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    # rows are emitted in ascending remapped order, cols ascend within rows
-    return Graph(indptr=indptr, indices=cols)
+    adj = g.adjacency()[nodes][:, nodes]
+    adj.sort_indices()
+    return _graph_of(adj)
 
 
-def extract_largest_component(g: Graph, features: FeatureSet):
-    """Restrict ``g`` and ``features`` to the largest connected component.
+def extract_largest_component(g: Graph):
+    """Restrict ``g`` to its largest connected component (ties go to the
+    component holding the smallest node id).
 
-    Returns ``(subgraph, subfeatures, id_map)`` where ``id_map[new_id]``
-    is the original node id.
+    Returns ``(subgraph, id_map, num_components)``, where ``id_map[new_id]``
+    is the original node id; a graph with at most one component comes
+    back unchanged.
     """
-    if features.num_nodes != g.num_nodes:
-        raise InputError(
-            f"features have {features.num_nodes} rows but graph has "
-            f"{g.num_nodes} nodes"
-        )
     comps = connected_components(g)
+    if comps.num_components <= 1:
+        return g, np.arange(g.num_nodes), comps.num_components
     id_map = np.flatnonzero(comps.labels == comps.largest_id)
-    sub = induced_subgraph(g, id_map)
-    subfeatures = FeatureSet(values=features.values[id_map].copy(),
-                             known=features.known[id_map].copy())
-    return sub, subfeatures, id_map
+    return induced_subgraph(g, id_map), id_map, comps.num_components
 
 
 def partition_channel(mask_column: np.ndarray, d: int) -> ChannelPartition:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["FeatureSet", "MaskSpec", "structural_mask", "uniform_mask", "apply_mask"]
+__all__ = ["FeatureSet", "structural_mask", "uniform_mask", "apply_mask"]
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,6 @@ class FeatureSet:
         return bool((self.known == self.known[:, :1]).all())
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Recipe for simulated missingness.
-
-    ``kind`` is "structural" or "uniform"; ``rate`` is the fraction
-    removed (rows or entries); ``seed`` feeds the PCG64 stream.
-    """
-
-    kind: str
-    rate: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("structural", "uniform"):
-            raise InputError(f"unknown mask kind {self.kind!r}")
-        if not (0.0 < self.rate < 1.0):
-            raise InputError(f"mask rate must lie in (0, 1), got {self.rate}")
-
-
 def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray:
     """Choose ``count`` distinct indices from ``range(population)``: draw one
     uniform per candidate and keep the ``count`` smallest."""
@@ -102,8 +83,11 @@ def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray
     return ranks[:count]
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+def _missing_count(rate: float, total: int) -> int:
+    """``round(rate * total)``, halves rounded up."""
+    if not (0.0 < rate < 1.0):
+        raise InputError(f"mask rate must lie in (0, 1), got {rate}")
+    return int(np.floor(rate * total + 0.5))
 
 
 def structural_mask(num_nodes: int, num_channels: int, rate: float,
@@ -115,8 +99,7 @@ def structural_mask(num_nodes: int, num_channels: int, rate: float,
     InputError
         If the rounded count would remove every row.
     """
-    spec = MaskSpec(kind="structural", rate=rate, seed=seed)
-    n_missing = _round_half_up(spec.rate * num_nodes)
+    n_missing = _missing_count(rate, num_nodes)
     if num_nodes > 0 and n_missing >= num_nodes:
         raise InputError(
             f"structural rate {rate} removes all {num_nodes} rows; no entries "
@@ -139,9 +122,8 @@ def uniform_mask(num_nodes: int, num_channels: int, rate: float,
     InputError
         If the rounded count would remove every entry.
     """
-    spec = MaskSpec(kind="uniform", rate=rate, seed=seed)
     total = num_nodes * num_channels
-    n_missing = _round_half_up(spec.rate * total)
+    n_missing = _missing_count(rate, total)
     if total > 0 and n_missing >= total:
         raise InputError(
             f"uniform rate {rate} removes all {total} entries; no entries "

@@ -29,12 +29,7 @@ import numpy as np
 from .confidence import SpdsMatrix, pseudo_confidence
 from .errors import InputError
 
-__all__ = [
-    "CorrelationMatrix",
-    "correlation",
-    "propagate_stage2",
-    "stage2_bruteforce_oracle",
-]
+__all__ = ["correlation", "propagate_stage2"]
 
 
 @dataclass(frozen=True)
@@ -106,32 +101,4 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.nd
     xi *= beta
     out *= xi
     out += values
-    return out
-
-
-def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, beta: float,
-                     *, max_cells: int = 1_000_000) -> np.ndarray:
-    """Reference implementation of :func:`propagate_stage2` that builds
-    the per-node mixing matrix explicitly. Quadratic in channels per
-    node; guarded to N * F^2 <= ``max_cells`` cells."""
-    values = np.asarray(values, dtype=np.float64)
-    if beta < 0:
-        raise InputError(f"beta must be >= 0, got {beta}")
-    if values.shape != spds.distances.shape:
-        raise InputError(
-            f"value shape {values.shape} does not match distance field "
-            f"shape {spds.distances.shape}"
-        )
-    n, f = values.shape
-    if n * f * f > max_cells:
-        raise InputError(
-            f"node-loop reference limited to {max_cells} cells, got {n * f * f}"
-        )
-    corr = correlation(values)
-    xi = pseudo_confidence(spds)
-    out = values.copy()
-    for i in range(n):
-        b = beta * np.outer(1.0 - xi[i], xi[i]) * corr.r
-        np.fill_diagonal(b, 0.0)
-        out[i] += b @ (values[i] - corr.means)
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, build_graph, connected_components, induced_subgraph
+from .graph import Graph, build_graph, extract_largest_component
 
 __all__ = [
     "SynthSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "generate_labels",
     "sbm_edges",
     "equidistant_means",
-    "sample_features",
     "class_homophily",
     "feature_homophily",
 ]
@@ -268,11 +267,9 @@ def generate_graph(spec: SynthSpec):
     _warn_fragmentation(spec)
     edges = sbm_edges(labels, spec.intra_edge_prob, spec.inter_edge_prob, rng)
     g = build_graph(edges, spec.num_nodes)
-    if spec.largest_component and spec.num_nodes > 0:
-        comps = connected_components(g)
-        keep = np.flatnonzero(comps.labels == comps.largest_id)
-        g = induced_subgraph(g, keep)
-        labels = labels[keep].copy()
+    if spec.largest_component:
+        g, keep, _ = extract_largest_component(g)
+        labels = labels[keep]
     return g, labels
 
 
@@ -316,13 +313,10 @@ def generate(spec: SynthSpec) -> SynthDataset:
             "num_edges_generated": int(g.num_edges)}
     meta.update(means_info)
 
-    if spec.largest_component and spec.num_nodes > 0:
-        comps = connected_components(g)
-        keep = np.flatnonzero(comps.labels == comps.largest_id)
-        g = induced_subgraph(g, keep)
-        labels = labels[keep].copy()
-        features = features[keep].copy()
-        meta["num_components_generated"] = comps.num_components
+    if spec.largest_component:
+        g, keep, meta["num_components_generated"] = extract_largest_component(g)
+        labels = labels[keep]
+        features = features[keep]
 
     meta["num_nodes"] = g.num_nodes
     meta["num_edges"] = int(g.num_edges)

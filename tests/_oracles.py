@@ -1,13 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written in the most literal style possible (dense
-matrices, plain Python loops) so it shares no code path with the
-library being tested.
+Most of what is here is written in the most literal style possible
+(dense matrices, plain Python loops) so it shares no code path with the
+library being tested. The rest keeps earlier versions of library code,
+as first written, that a faster path must reproduce bit for bit; the
+stage-2 oracle reuses the library's channel moments and confidences and
+checks only the mixing.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+from scipy import sparse
+
+from pcfi import InputError, SpdsMatrix, correlation, pseudo_confidence
 
 INF = float("inf")
 
@@ -176,3 +184,146 @@ def stage2_expression(values: np.ndarray, xi: np.ndarray, means: np.ndarray,
     temporary per operation."""
     correction = beta * (1.0 - xi) * ((xi * (values - means)) @ r)
     return values + correction
+
+
+def compute_spds_channel(g, known_column: np.ndarray) -> np.ndarray:
+    """Distance field for one channel's boolean known-column, by a
+    queue-based breadth-first search from every observed node."""
+    known_column = np.asarray(known_column, dtype=bool)
+    if known_column.shape != (g.num_nodes,):
+        raise InputError(
+            f"known column shape {known_column.shape} does not match graph "
+            f"with {g.num_nodes} nodes"
+        )
+    dist = np.full(g.num_nodes, -1, dtype=np.int64)
+    queue = deque()
+    for s in np.flatnonzero(known_column):
+        dist[s] = 0
+        queue.append(int(s))
+    while queue:
+        i = queue.popleft()
+        for j in g.neighbors(i):
+            if dist[j] == -1:
+                dist[j] = dist[i] + 1
+                queue.append(int(j))
+    return dist
+
+
+def relative_pc(spds: SpdsMatrix, i: int, j: int, d: int) -> float:
+    """Confidence of node ``j`` relative to node ``i`` in channel ``d``:
+    ``alpha ** (S[j, d] - S[i, d])``.
+
+    Raises
+    ------
+    InputError
+        If either endpoint is unreachable in channel ``d``; the ratio is
+        undefined there.
+    """
+    s = spds.distances
+    si = int(s[i, d])
+    sj = int(s[j, d])
+    if si == -1 or sj == -1:
+        raise InputError(
+            f"relative confidence undefined: node {i if si == -1 else j} "
+            f"is unreachable in channel {d}"
+        )
+    return float(spds.alpha ** (sj - si))
+
+
+def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, beta: float,
+                             *, max_cells: int = 1_000_000) -> np.ndarray:
+    """Stage 2 with the per-node mixing matrix built explicitly. Quadratic
+    in channels per node; guarded to N * F^2 <= ``max_cells`` cells."""
+    values = np.asarray(values, dtype=np.float64)
+    if beta < 0:
+        raise InputError(f"beta must be >= 0, got {beta}")
+    if values.shape != spds.distances.shape:
+        raise InputError(
+            f"value shape {values.shape} does not match distance field "
+            f"shape {spds.distances.shape}"
+        )
+    n, f = values.shape
+    if n * f * f > max_cells:
+        raise InputError(
+            f"node-loop reference limited to {max_cells} cells, got {n * f * f}"
+        )
+    corr = correlation(values)
+    xi = pseudo_confidence(spds)
+    out = values.copy()
+    for i in range(n):
+        b = beta * np.outer(1.0 - xi[i], xi[i]) * corr.r
+        np.fill_diagonal(b, 0.0)
+        out[i] += b @ (values[i] - corr.means)
+    return out
+
+
+def build_graph_reference(edges, num_nodes: int):
+    """CSR ``(indptr, indices)`` of an undirected graph as first built:
+    encoded ``row * N + col`` keys, ``np.unique`` and ``np.add.at``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    if edges.size:
+        # canonical orientation, then both directions, deduplicated
+        lo = edges.min(axis=1)
+        hi = edges.max(axis=1)
+        directed = np.concatenate([
+            np.column_stack([lo, hi]),
+            np.column_stack([hi, lo]),
+        ])
+        keys = directed[:, 0] * num_nodes + directed[:, 1]
+        order = np.unique(keys)
+        rows = order // num_nodes
+        cols = order % num_nodes
+    else:
+        rows = np.empty(0, dtype=np.int64)
+        cols = np.empty(0, dtype=np.int64)
+
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols
+
+
+def induced_subgraph_reference(g, nodes: np.ndarray):
+    """CSR ``(indptr, indices)`` of the subgraph induced on ``nodes``
+    (ascending), as first built by gathering neighbor lists by hand."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    remap = np.full(g.num_nodes, -1, dtype=np.int64)
+    remap[nodes] = np.arange(nodes.size)
+    rows = np.repeat(remap[nodes], g.degrees[nodes])
+    starts = g.indptr[nodes]
+    counts = g.indptr[nodes + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        neighbors = np.empty(0, dtype=np.int64)
+    else:
+        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        gather = (np.arange(total) - np.repeat(offsets, counts)
+                  + np.repeat(starts, counts))
+        neighbors = g.indices[gather]
+    cols = remap[neighbors]
+    keep = cols >= 0
+    rows, cols = rows[keep], cols[keep]
+    indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols
+
+
+def fp_baseline_reference(g, values: np.ndarray, known: np.ndarray, steps: int):
+    """FP diffusion with ``D^-1/2 (A + I) D^-1/2`` formed by hand, as
+    first written; returns ``(values, residuals)``."""
+    n = g.num_nodes
+    dinv = 1.0 / np.sqrt(g.degrees + 1.0)
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([np.repeat(loops, g.degrees), loops])
+    cols = np.concatenate([g.indices, loops])
+    op = sparse.csr_array((dinv[rows] * dinv[cols], (rows, cols)), shape=(n, n))
+
+    pinned = values[known]
+    x = values.copy()
+    for _ in range(steps):
+        prev = x
+        x = op @ x
+        x[known] = pinned
+    return x, np.abs(x - prev).max(axis=0)

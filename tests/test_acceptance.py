@@ -18,12 +18,12 @@ import pytest
 from pcfi import (apply_mask, build_channel_operator, build_graph,
                   compute_spds, closed_form_channel, fp_baseline, generate,
                   impute, impute_stage1, partition_channel, propagate_stage2,
-                  run_pipeline, stage2_bruteforce_oracle, structural_mask,
-                  uniform_mask, ImputationConfig, SynthSpec)
+                  run_pipeline, structural_mask, uniform_mask,
+                  ImputationConfig, SynthSpec)
 from pcfi import io as pio
 
 from conftest import record_acceptance
-from _oracles import random_connected_edges
+from _oracles import random_connected_edges, stage2_bruteforce_oracle
 
 
 def _check(cid: str, label: str, ok: bool, detail: str) -> None:
@@ -101,7 +101,7 @@ def test_c03_neighbor_confidence_ratios():
     """Across at least 1e5 sampled (edge, channel) pairs, the relative
     confidence between neighbors lands exactly in {1/a, 1, a} when the
     row node is missing and in {1, a} when it is observed."""
-    from pcfi import relative_pc
+    from _oracles import relative_pc
 
     total = 0
     violations = 0

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcfi import (InputError, SpdsMatrix, UNREACHABLE, build_graph,
-                  compute_spds, compute_spds_channel, multi_source_bfs,
-                  pseudo_confidence, relative_pc, structural_mask,
-                  uniform_mask)
+                  compute_spds, multi_source_bfs, pseudo_confidence,
+                  structural_mask, uniform_mask)
 
 from pcfi import confidence
 from pcfi.confidence import BLOCK_COLUMNS
 
-from _oracles import (floyd_warshall, pseudo_confidence_reference,
-                      random_gnp_edges, spds_reference)
+from _oracles import (compute_spds_channel, floyd_warshall,
+                      pseudo_confidence_reference, random_gnp_edges,
+                      relative_pc, spds_reference)
 
 
 @pytest.mark.parametrize("seed", range(10))

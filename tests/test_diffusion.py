@@ -7,6 +7,7 @@ from pcfi import (FeatureSet, InputError, NoSourceError, SpdsMatrix,
                   fp_baseline, impute_stage1, partition_channel,
                   resolve_threads, structural_mask, uniform_mask)
 
+from pcfi import diffusion
 from pcfi.confidence import BLOCK_COLUMNS
 
 from _oracles import (dense_pinned_operator, dense_uniform_exponent_operator,
@@ -286,12 +287,13 @@ def test_validation_errors():
         impute_stage1(g, fs, wrong)
 
 
-def test_closed_form_size_guard():
+def test_closed_form_size_guard(monkeypatch):
     g, fs, spds, _ = _instance(5, n=30, f=1)
     part = partition_channel(fs.known[:, 0], 0)
     op = build_channel_operator(g, spds.distances[:, 0], part, 0.5)
+    monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", 2)
     with pytest.raises(InputError, match="iterative"):
-        closed_form_channel(op, fs.values, max_dense_unknowns=2)
+        closed_form_channel(op, fs.values)
 
 
 def test_fp_baseline_matches_dense_reference():

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcfi import (InputError, build_graph, connected_components,
-                  extract_largest_component, induced_subgraph,
+from pcfi import (InputError, apply_mask, build_graph, connected_components,
+                  extract_largest_component, fp_baseline, induced_subgraph,
                   partition_channel)
-from pcfi.graph import neighbors_of_many
-from pcfi.masking import FeatureSet
 
-from _oracles import components_reference, floyd_warshall, random_gnp_edges
+from _oracles import (build_graph_reference, components_reference, floyd_warshall,
+                      fp_baseline_reference, induced_subgraph_reference,
+                      random_gnp_edges)
 
 
 def test_build_dedups_and_drops_self_loops():
@@ -86,14 +86,19 @@ def test_induced_subgraph_keeps_internal_edges_only():
     assert sub.neighbors(1).tolist() == [0, 2]
 
 
-def test_extract_largest_component_restricts_features():
+def test_extract_largest_component_maps_ids():
     g = build_graph([[0, 1], [2, 3], [3, 4]], 5)
-    vals = np.arange(10, dtype=np.float64).reshape(5, 2)
-    fs = FeatureSet(values=vals, known=np.ones((5, 2), dtype=bool))
-    sub, sub_fs, id_map = extract_largest_component(g, fs)
+    sub, id_map, num_components = extract_largest_component(g)
     assert id_map.tolist() == [2, 3, 4]
+    assert num_components == 2
     assert sub.num_nodes == 3
-    assert np.array_equal(sub_fs.values, vals[[2, 3, 4]])
+    assert sub.neighbors(1).tolist() == [0, 2]
+    # one component: the graph itself, every id kept
+    line = build_graph([[0, 1], [1, 2]], 3)
+    same, id_map, num_components = extract_largest_component(line)
+    assert same is line and id_map.tolist() == [0, 1, 2] and num_components == 1
+    empty, id_map, num_components = extract_largest_component(build_graph([], 0))
+    assert empty.num_nodes == 0 and id_map.size == 0 and num_components == 0
 
 
 def test_partition_channel_orders_known_first():
@@ -103,13 +108,6 @@ def test_partition_channel_orders_known_first():
     assert part.unknown_nodes.tolist() == [0, 2]
     assert part.to_original.tolist() == [1, 3, 4, 0, 2]
     assert np.array_equal(part.to_reordered[part.to_original], np.arange(5))
-
-
-def test_neighbors_of_many_concatenates():
-    g = build_graph([[0, 1], [0, 2], [1, 2]], 3)
-    out = neighbors_of_many(g, np.array([0, 2]))
-    assert out.tolist() == [1, 2, 0, 1]
-    assert neighbors_of_many(g, np.array([], dtype=np.int64)).size == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,3 +127,77 @@ def test_relabeling_nodes_relabels_components(data):
     for i in range(n):
         for j in range(n):
             assert (c1[i] == c1[j]) == (c2[perm[i]] == c2[perm[j]])
+
+
+@st.composite
+def _edge_lists(draw, max_nodes=25):
+    """Node count and raw pairs: repeats, both orientations, self-loops,
+    isolated nodes and empty lists all occur."""
+    n = draw(st.integers(0, max_nodes))
+    if n == 0:
+        return 0, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair, max_size=3 * n))
+    extra = draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    return n, edges + [(j, i) for i, j in extra]
+
+
+def _assert_same_csr(g, indptr, indices):
+    for got, want in ((g.indptr, indptr), (g.indices, indices)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_lists())
+def test_build_matches_reference(case):
+    n, edges = case
+    _assert_same_csr(build_graph(edges, n), *build_graph_reference(edges, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_induced_subgraph_matches_reference(data):
+    n, edges = data.draw(_edge_lists())
+    g = build_graph(edges, n)
+    subsets = [np.arange(0), np.arange(n),
+               np.array(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)),
+                                                  max_size=n))), dtype=np.int64)]
+    for nodes in subsets:
+        _assert_same_csr(induced_subgraph(g, nodes),
+                         *induced_subgraph_reference(g, nodes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_induced_subgraph_in_any_node_order(data):
+    """Ids follow the order of ``nodes``, and neighbor lists stay sorted
+    as every graph's are: the same CSR as building the relabeled edges."""
+    n, edges = data.draw(_edge_lists())
+    g = build_graph(edges, n)
+    nodes = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    nodes = nodes[:data.draw(st.integers(0, n))]
+    new_id = {int(v): k for k, v in enumerate(nodes)}
+    inside = [(new_id[i], new_id[j]) for i, j in g.edge_array().tolist()
+              if i in new_id and j in new_id]
+    want = build_graph(inside, nodes.size)
+    _assert_same_csr(induced_subgraph(g, nodes), want.indptr, want.indices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fp_baseline_matches_reference_bits(data):
+    n, edges = data.draw(_edge_lists())
+    g = build_graph(edges, n)
+    f = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    known = rng.random((n, f)) < 0.5
+    fs = apply_mask(rng.normal(size=(n, f)), known)
+    steps = data.draw(st.integers(1, 12))
+    res = fp_baseline(g, fs, steps=steps)
+    if n == 0:
+        return
+    values, residuals = fp_baseline_reference(g, fs.values, known, steps)
+    assert np.array_equal(res.values.view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(res.residuals.view(np.uint64), residuals.view(np.uint64))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -420,6 +421,21 @@ def test_cli_stdout_mode(tmp_path, capsys):
     assert not (tmp_path / "-.json").exists()
 
 
+def test_readme_library_example_runs():
+    """The README's python block runs as written, in a fresh interpreter."""
+    readme = Path(pio.__file__).resolve().parents[2] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    src = str(Path(pio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rmse, cosine = (float(tok) for tok in proc.stdout.split())
+    assert np.isfinite(rmse) and np.isfinite(cosine)
+
+
 def _run_cli(args, stdin: bytes = b"") -> bytes:
     """Run the command line in a child process, so it reads and writes the
     interpreter's own stdin and stdout; returns the stdout bytes."""
@@ -474,6 +490,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--quiet", "impute", "--edges", str(epath), "--features",
                  str(fpath), "--mask", str(mpath), "--alpha", "1.5",
                  "--out", str(tmp_path / "o.csv")]) == 2
+    # 2: an edge names a node id at or above the feature row count
+    big = tmp_path / "big.tsv"
+    big.write_text(epath.read_text() + f"0\t{len(fpath.read_text().splitlines())}\n")
+    assert main(["--quiet", "impute", "--edges", str(big), "--features",
+                 str(fpath), "--mask", str(mpath), "--out",
+                 str(tmp_path / "o.csv")]) == 2
     # 3: missing file
     assert main(["--quiet", "impute", "--edges", str(tmp_path / "nope.tsv"),
                  "--features", str(fpath), "--mask", str(mpath),

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcfi import InputError, apply_mask, structural_mask, uniform_mask
-from pcfi.masking import FeatureSet, MaskSpec
+from pcfi import (InputError, apply_mask, build_graph, run_pipeline,
+                  structural_mask, uniform_mask)
+from pcfi.masking import FeatureSet
 
 
 def test_structural_mask_removes_whole_rows():
@@ -53,8 +54,9 @@ def test_mask_rate_bounds():
         structural_mask(10, 2, 0.0, seed=0)
     with pytest.raises(InputError):
         uniform_mask(10, 2, -0.1, seed=0)
-    with pytest.raises(InputError):
-        MaskSpec(kind="diagonal", rate=0.5)
+    with pytest.raises(InputError, match="mask kind"):
+        run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)),
+                     mask_kind="diagonal", mask_rate=0.5, seeds=[0])
 
 
 def test_mask_refuses_to_remove_everything():

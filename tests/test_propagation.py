@@ -3,10 +3,10 @@ import pytest
 
 from pcfi import (InputError, SpdsMatrix, apply_mask, build_graph,
                   compute_spds, correlation, impute_stage1, propagate_stage2,
-                  stage2_bruteforce_oracle, uniform_mask)
+                  uniform_mask)
 
 from _oracles import (pseudo_confidence_reference, random_connected_edges,
-                      stage2_expression)
+                      stage2_bruteforce_oracle, stage2_expression)
 
 
 def test_correlation_basics():
