@@ -73,7 +73,7 @@ def cmd_mask(args) -> int:
         known = structural_mask(n, f, args.rate, args.seed)
     else:
         known = uniform_mask(n, f, args.rate, args.seed)
-    pio.write_matrix(args.out, known.astype(np.float64))
+    pio.write_mask(args.out, known)
     log.info("wrote %dx%d %s mask (rate=%g, seed=%d) to %s",
              n, f, args.type, args.rate, args.seed, args.out)
     return EXIT_OK
@@ -84,7 +84,7 @@ def cmd_impute(args) -> int:
     n, f = values.shape
     g = _graph_for(args, n)
     fs = apply_mask(values, known)
-    ignored = np.count_nonzero(values[~known])
+    ignored = np.count_nonzero(np.logical_and(values, ~known))
     del values  # fs holds the masked copy; the raw matrix would only add to peak memory
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)

@@ -10,9 +10,11 @@ Conventions shared by the library and the command line:
 * each float of a matrix is written as the bytes of Python's
   ``"%.9g" % x`` (9 significant digits), with ``-0`` written as ``0``, so
   identical arrays always serialize to identical bytes;
+* each integer of a mask, distance field, edge list or label file is
+  written as the bytes of ``"%d" % x``;
 * a header-less mask file in canonical form (every row the same number
   of single ``0``/``1`` digits joined by ``,`` and ended by a newline, as
-  ``write_matrix`` writes a mask) is read from its bytes; any other mask
+  ``write_mask`` writes a mask) is read from its bytes; any other mask
   input, stdin and ``--header`` files included, goes through
   ``np.loadtxt``, which gives the same mask for canonical files;
 * a path of ``-`` reads from stdin or writes to stdout;
@@ -39,6 +41,7 @@ __all__ = [
     "load_mask",
     "load_spds",
     "write_matrix",
+    "write_mask",
     "write_spds",
     "write_edges",
     "write_json",
@@ -144,7 +147,7 @@ def load_mask(path, header: bool = False) -> np.ndarray:
 def _canonical_mask(data: bytes) -> np.ndarray | None:
     """The mask held by ``data`` if every row is the same number of single
     ``0``/``1`` digits joined by ``,`` and ended by a newline (as
-    ``write_matrix`` writes a mask); None otherwise."""
+    ``write_mask`` writes a mask); None otherwise."""
     width = data.find(b"\n") + 1
     if width < 2 or width % 2 or len(data) % width:
         return None
@@ -281,11 +284,9 @@ def _format_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def write_matrix(path, arr: np.ndarray) -> None:
-    """Comma-separated floats, each the bytes of ``"%.9g" % x`` with
-    negative zero written as ``0``; a 1-D array gives one value per line.
-    """
-    arr = np.asarray(arr, dtype=np.float64)
+def _write_rows(path, arr: np.ndarray, lines) -> None:
+    """Write the rows of ``arr`` (a 1-D array gives one value per line) in
+    blocks of whole rows; ``lines(block)`` returns a block's bytes."""
     if arr.ndim == 1:
         arr = arr[:, None]
     elif arr.ndim != 2:
@@ -295,26 +296,79 @@ def write_matrix(path, arr: np.ndarray) -> None:
         if f == 0:
             fh.write("\n" * n)
             return
-        ends = np.full(f, ord(",") << 56, _WORD)
-        ends[-1] = ord("\n") << 56
         rows = max(1, _BLOCK_VALUES // f)
         for start in range(0, n, rows):
-            block = arr[start:start + rows]
-            cells = _format_cells(block.ravel())
-            cells.reshape(*block.shape, 3)[:, :, 2] |= ends
-            fh.write(cells.tobytes().translate(None, b"\0 ").decode("ascii"))
+            fh.write(lines(arr[start:start + rows]).decode("ascii"))
+
+
+def _float_lines(block: np.ndarray) -> bytes:
+    ends = np.full(block.shape[1], ord(",") << 56, _WORD)
+    ends[-1] = ord("\n") << 56
+    cells = _format_cells(block.ravel())
+    cells.reshape(*block.shape, 3)[:, :, 2] |= ends
+    return cells.tobytes().translate(None, b"\0 ")
+
+
+def _integer_lines(block: np.ndarray, delimiter: str) -> bytes:
+    """``"%d" % x`` for each value of an integer or bool block, joined by
+    ``delimiter`` within a row.
+
+    Each value fills a cell as wide as the block's widest value: a ``-``
+    in the first byte if negative, its digits right-aligned and the
+    separator last; the null bytes between are dropped on output.
+    """
+    rows, f = block.shape
+    ends = np.full(f, ord(delimiter), np.uint8)
+    ends[-1] = ord("\n")
+    lo, hi = int(block.min()), int(block.max())
+    if lo >= 0 and hi <= 9:
+        # every cell is one digit and its separator: nothing to drop
+        cells = np.empty((rows, f, 2), np.uint8)
+        np.add(block, ord("0"), out=cells[..., 0], casting="unsafe")
+        cells[..., 1] = ends
+        return cells.tobytes()
+    digits = len(str(max(hi, -lo)))
+    width = (lo < 0) + digits + 1
+    x = block.ravel()
+    negative = x < 0
+    mag = x.astype(np.uint64)                  # two's complement
+    np.negative(mag, out=mag, where=negative)  # |x|, even for -2**63
+    cells = np.zeros((x.size, width), np.uint8)
+    cells[negative, 0] = ord("-")
+    cells.reshape(rows, f, width)[..., -1] = ends
+    last = width - 2
+    cells[:, last] = mag % 10 + ord("0")
+    for col in range(last - 1, last - digits, -1):
+        mag //= 10
+        cells[:, col] = np.where(mag > 0, mag % 10 + ord("0"), 0)
+    return cells.tobytes().translate(None, b"\0")
+
+
+def write_matrix(path, arr: np.ndarray) -> None:
+    """Comma-separated floats, each the bytes of ``"%.9g" % x`` with
+    negative zero written as ``0``; a 1-D array gives one value per line.
+    """
+    _write_rows(path, np.asarray(arr, dtype=np.float64), _float_lines)
+
+
+def _write_integers(path, arr: np.ndarray, delimiter: str) -> None:
+    """Integers (or bools as 0/1), each the bytes of ``"%d" % x``, joined
+    by ``delimiter``; a 1-D array gives one value per line."""
+    _write_rows(path, arr, lambda block: _integer_lines(block, delimiter))
+
+
+def write_mask(path, known: np.ndarray) -> None:
+    """A 0/1 mask (1 = observed), in the canonical form ``load_mask``
+    reads from its bytes."""
+    _write_integers(path, np.asarray(known, dtype=bool), ",")
 
 
 def write_spds(path, distances: np.ndarray) -> None:
-    with _OutHandle(path) as fh:
-        np.savetxt(fh, np.asarray(distances, dtype=np.int64), fmt="%d",
-                   delimiter=",")
+    _write_integers(path, np.asarray(distances, dtype=np.int64), ",")
 
 
 def write_edges(path, edges: np.ndarray) -> None:
-    with _OutHandle(path) as fh:
-        np.savetxt(fh, np.asarray(edges, dtype=np.int64), fmt="%d",
-                   delimiter="\t")
+    _write_integers(path, np.asarray(edges, dtype=np.int64), "\t")
 
 
 def _json_sanitize(obj):
@@ -351,8 +405,8 @@ def write_dataset(directory, dataset: SynthDataset) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_edges(directory / "edges.tsv", dataset.graph.edge_array())
     write_matrix(directory / "features.csv", dataset.features)
-    with _OutHandle(directory / "labels.csv") as fh:
-        np.savetxt(fh, dataset.labels.astype(np.int64), fmt="%d")
+    _write_integers(directory / "labels.csv",
+                    np.asarray(dataset.labels, dtype=np.int64), " ")
     meta = {"spec": {
                 "num_nodes": dataset.spec.num_nodes,
                 "num_classes": dataset.spec.num_classes,

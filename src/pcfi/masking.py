@@ -11,9 +11,11 @@ Two protocols remove entries from a fully observed matrix:
   one missing set;
 * uniform: entries are removed independently across the N x F grid.
 
-Both draw without replacement via ranks of one uniform sample per
-candidate (PCG64 stream), so a given seed selects the same entries on
-any platform.
+Both draw one uniform per candidate (PCG64 stream) and remove the
+``count`` candidates with the smallest draws, ties going to the lower
+index, so a given seed selects the same entries on any platform. The
+``count``-th smallest draw is found by linear-time selection
+(``np.partition``), not by sorting every draw.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class FeatureSet:
             )
         if not np.isfinite(values).all():
             raise InputError("feature matrix contains non-finite entries")
-        if np.any(values[~known] != 0.0):
+        if np.logical_and(values, ~known).any():
             raise InputError("unknown entries must be stored as 0.0")
         values.setflags(write=False)
         known.setflags(write=False)
@@ -77,10 +79,18 @@ class FeatureSet:
 
 
 def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray:
-    """Choose ``count`` distinct indices from ``range(population)``: draw one
-    uniform per candidate and keep the ``count`` smallest."""
-    ranks = np.argsort(rng.random(population), kind="stable")
-    return ranks[:count]
+    """Boolean selection of ``count`` of ``range(population)``: draw one
+    uniform per candidate and keep the ``count`` smallest, ties at the
+    largest kept draw going to the lowest indices (the first ``count`` of
+    a stable sort)."""
+    draws = rng.random(population)
+    if count == 0:
+        return np.zeros(population, dtype=bool)
+    pivot = np.partition(draws, count - 1)[count - 1]
+    chosen = draws < pivot
+    ties = count - np.count_nonzero(chosen)
+    chosen[np.flatnonzero(draws == pivot)[:ties]] = True
+    return chosen
 
 
 def _missing_count(rate: float, total: int) -> int:
@@ -108,7 +118,7 @@ def structural_mask(num_nodes: int, num_channels: int, rate: float,
     rng = np.random.Generator(np.random.PCG64(seed))
     missing_rows = _select(rng, num_nodes, n_missing)
     known = np.ones((num_nodes, num_channels), dtype=bool)
-    known[missing_rows, :] = False
+    known[missing_rows] = False
     return known
 
 
@@ -130,9 +140,8 @@ def uniform_mask(num_nodes: int, num_channels: int, rate: float,
             "would remain observed"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    flat = _select(rng, total, n_missing)
-    known = np.ones(total, dtype=bool)
-    known[flat] = False
+    known = _select(rng, total, n_missing)
+    np.logical_not(known, out=known)
     return known.reshape(num_nodes, num_channels)
 
 

@@ -218,21 +218,30 @@ def class_homophily(g: Graph, labels: np.ndarray) -> float:
     return float(np.mean(labels[edges[:, 0]] == labels[edges[:, 1]]))
 
 
+# feature_homophily gathers the endpoint rows of this many edges at a time,
+# so it never holds an E x F copy of the features
+_EDGE_CHUNK = 512
+
+
 def feature_homophily(g: Graph, features: np.ndarray) -> float:
     """Mean cosine similarity across edges; zero-norm endpoints are
     skipped (error if every edge is skipped or there are no edges)."""
     edges = g.edge_array()
     if edges.shape[0] == 0:
         raise InputError("feature homophily undefined on a graph with no edges")
-    a = features[edges[:, 0]]
-    b = features[edges[:, 1]]
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    ok = (na > 0) & (nb > 0)
-    if not ok.any():
+    cos = []
+    for start in range(0, edges.shape[0], _EDGE_CHUNK):
+        chunk = edges[start:start + _EDGE_CHUNK]
+        a = features[chunk[:, 0]]
+        b = features[chunk[:, 1]]
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        ok = (na > 0) & (nb > 0)
+        cos.append(np.sum(a * b, axis=1)[ok] / (na[ok] * nb[ok]))
+    cos = np.concatenate(cos)
+    if cos.size == 0:
         raise InputError("feature homophily undefined: all edge endpoints have "
                          "zero-norm features")
-    cos = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
     return float(cos.mean())
 
 

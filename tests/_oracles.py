@@ -327,3 +327,28 @@ def fp_baseline_reference(g, values: np.ndarray, known: np.ndarray, steps: int):
         x = op @ x
         x[known] = pinned
     return x, np.abs(x - prev).max(axis=0)
+
+
+def select_reference(rng: np.random.Generator, population: int, count: int) -> np.ndarray:
+    """Choose ``count`` distinct indices from ``range(population)``: draw one
+    uniform per candidate and keep the ``count`` smallest."""
+    ranks = np.argsort(rng.random(population), kind="stable")
+    return ranks[:count]
+
+
+def feature_homophily_reference(g, features: np.ndarray) -> float:
+    """Mean cosine similarity across edges; zero-norm endpoints are
+    skipped (error if every edge is skipped or there are no edges)."""
+    edges = g.edge_array()
+    if edges.shape[0] == 0:
+        raise InputError("feature homophily undefined on a graph with no edges")
+    a = features[edges[:, 0]]
+    b = features[edges[:, 1]]
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    ok = (na > 0) & (nb > 0)
+    if not ok.any():
+        raise InputError("feature homophily undefined: all edge endpoints have "
+                         "zero-norm features")
+    cos = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
+    return float(cos.mean())

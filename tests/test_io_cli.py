@@ -147,6 +147,96 @@ def test_write_matrix_rejects_other_ranks():
         _written_text(np.float64(1.0))
 
 
+def _savetxt_integers(arr, delimiter=" ") -> bytes:
+    """The integer writers' reference: numpy's own ``%d`` formatting."""
+    buf = io.StringIO()
+    np.savetxt(buf, arr, fmt="%d", delimiter=delimiter)
+    return buf.getvalue().encode()
+
+
+def _written_bytes(write, tmp_path, arr) -> bytes:
+    """What ``write`` puts in a file; the same bytes must go to stdout."""
+    path = tmp_path / "out.txt"
+    write(path, arr)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write("-", arr)
+    assert buf.getvalue().encode() == path.read_bytes()
+    return path.read_bytes()
+
+
+_INTEGER_WRITERS = {
+    "spds": (pio.write_spds, ","),
+    "edges": (pio.write_edges, "\t"),
+    "labels": (lambda path, arr: pio._write_integers(path, arr, " "), " "),
+}
+_INT64 = np.iinfo(np.int64)
+
+
+def _integer_matrices():
+    rng = np.random.default_rng(5)
+    wide = rng.integers(-10**18, 10**18, size=(300, 9))
+    wide[rng.random(wide.shape) < 0.2] = -1
+    wide[rng.random(wide.shape) < 0.2] = 0
+    wide[0, :4] = [_INT64.min, _INT64.max, -(10**17), 10**17 + 3]
+    small = rng.integers(-1, 12, size=(pio._BLOCK_VALUES // 2 + 1, 4))
+    small[:pio._BLOCK_VALUES // 4] %= 10  # a first block of single digits only
+    return {
+        "wide": wide,
+        "digits": rng.integers(0, 10, size=(40, 7)),
+        "distances": small,
+        "tall": rng.integers(-5, 5, size=(3, pio._BLOCK_VALUES + 3)),
+        "empty-rows": np.zeros((0, 4), np.int64),
+        "empty-columns": np.zeros((3, 0), np.int64),
+        "one": np.array([[-7]]),
+        "labels": rng.integers(0, 13, size=500),
+        "no-labels": np.zeros(0, np.int64),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_integer_matrices()))
+@pytest.mark.parametrize("writer", sorted(_INTEGER_WRITERS))
+def test_integer_writers_match_savetxt(tmp_path, writer, name):
+    write, delimiter = _INTEGER_WRITERS[writer]
+    arr = _integer_matrices()[name]
+    assert (_written_bytes(write, tmp_path, arr)
+            == _savetxt_integers(arr, delimiter))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.int64, _SHAPES,
+                  elements=st.one_of(st.integers(-1, 10),
+                                     st.integers(_INT64.min, _INT64.max))))
+def test_integer_writer_matches_savetxt_on_any_int64(arr):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        pio.write_spds("-", arr)
+    assert buf.getvalue().encode() == _savetxt_integers(arr, ",")
+
+
+def test_dataset_labels_and_edges_match_savetxt(tmp_path):
+    ds = generate(SynthSpec(num_nodes=300, num_classes=12, feature_dim=2,
+                            intra_edge_prob=0.05, inter_edge_prob=0.01, seed=1))
+    pio.write_dataset(tmp_path, ds)
+    assert ds.labels.max() >= 10
+    assert ((tmp_path / "labels.csv").read_bytes()
+            == _savetxt_integers(ds.labels.astype(np.int64)))
+    assert ((tmp_path / "edges.tsv").read_bytes()
+            == _savetxt_integers(ds.graph.edge_array(), "\t"))
+
+
+@pytest.mark.parametrize("shape", [
+    (50, 7), (1, 1), (0, 3), (4, 0), (7,),
+    (pio._BLOCK_VALUES // 3 + 1, 3),    # several blocks of rows
+    (2, pio._BLOCK_VALUES + 1),          # rows wider than a block
+])
+def test_write_mask_matches_float_writer(tmp_path, shape):
+    known = np.random.default_rng(3).random(shape) < 0.5
+    written = _written_bytes(pio.write_mask, tmp_path, known)
+    pio.write_matrix(tmp_path / "float.csv", known.astype(np.float64))
+    assert written == (tmp_path / "float.csv").read_bytes()
+
+
 def test_mask_loader_rejects_non_binary(tmp_path):
     path = tmp_path / "mask.csv"
     path.write_text("1,0\n0,2\n")
@@ -388,6 +478,19 @@ def test_cli_full_chain(tmp_path):
     assert rep["rmse"] is not None
     assert rep["distance_buckets"]
     assert len(rep["cosine_per_node"]) == 40
+
+
+def test_cli_impute_counts_ignored_values(tmp_path, caplog):
+    epath, fpath, mpath = _write_inputs(tmp_path)
+    feats, known = pio.load_matrix(fpath), pio.load_mask(mpath)
+    feats.flat[np.flatnonzero(~known)[::4]] = 0.0  # some masked entries hold 0
+    pio.write_matrix(fpath, feats)
+    expected = np.count_nonzero(feats[~known])
+    assert 0 < expected < np.count_nonzero(~known)
+    with caplog.at_level("INFO", logger="pcfi"):
+        assert main(["impute", "--edges", str(epath), "--features", str(fpath),
+                     "--mask", str(mpath), "--out", str(tmp_path / "o.csv")]) == 0
+    assert f"ignoring values at {expected} masked entries" in caplog.text
 
 
 def test_cli_eval_accepts_precomputed_distance_field(tmp_path):

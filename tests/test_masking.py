@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import select_reference
 from pcfi import (InputError, apply_mask, build_graph, run_pipeline,
                   structural_mask, uniform_mask)
-from pcfi.masking import FeatureSet
+from pcfi.masking import FeatureSet, _select
 
 
 def test_structural_mask_removes_whole_rows():
@@ -119,3 +120,54 @@ def test_structural_mask_count_matches_rounding(n, rate, seed):
         known = structural_mask(n, 3, rate, seed)
         assert (~known.any(axis=1)).sum() == expected
         assert (known.all(axis=1) | ~known.any(axis=1)).all()
+
+
+def _oracle_structural(n, f, rate, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    known = np.ones((n, f), dtype=bool)
+    known[select_reference(rng, n, int(np.floor(rate * n + 0.5))), :] = False
+    return known
+
+
+def _oracle_uniform(n, f, rate, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    known = np.ones(n * f, dtype=bool)
+    known[select_reference(rng, n * f, int(np.floor(rate * n * f + 0.5)))] = False
+    return known.reshape(n, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 150), f=st.integers(1, 40),
+       rate=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
+def test_masks_match_sort_based_selection(n, f, rate, seed):
+    for mask, oracle, total in ((structural_mask, _oracle_structural, n),
+                                (uniform_mask, _oracle_uniform, n * f)):
+        if int(np.floor(rate * total + 0.5)) >= total:
+            continue
+        assert np.array_equal(mask(n, f, rate, seed), oracle(n, f, rate, seed))
+
+
+class _StubGenerator:
+    """Hands out fixed draws, so ties can be forced."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+@pytest.mark.parametrize("draws,count,expected", [
+    ([0.5, 0.1, 0.5, 0.5, 0.2, 0.5], 4, {0, 1, 2, 4}),
+    ([0.5, 0.1, 0.5, 0.5, 0.2, 0.5], 3, {0, 1, 4}),
+    ([0.3, 0.3, 0.3, 0.3], 2, {0, 1}),
+    ([0.3, 0.3, 0.3, 0.3], 4, {0, 1, 2, 3}),
+    ([0.9, 0.3, 0.1], 1, {2}),
+    ([0.9, 0.3, 0.1], 0, set()),
+])
+def test_selection_breaks_ties_by_lowest_index(draws, count, expected):
+    chosen = _select(_StubGenerator(draws), len(draws), count)
+    assert chosen.dtype == bool
+    assert set(np.flatnonzero(chosen)) == expected
+    assert set(select_reference(_StubGenerator(draws), len(draws), count)) == expected

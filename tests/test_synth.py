@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from _oracles import sbm_edges_reference
-from pcfi import (InputError, SynthSpec, class_homophily, connected_components,
-                  equidistant_means, feature_homophily, generate,
-                  generate_features, generate_graph, generate_labels, sbm_edges)
+from _oracles import (feature_homophily_reference, random_gnp_edges,
+                      sbm_edges_reference)
+from pcfi import (InputError, SynthSpec, build_graph, class_homophily,
+                  connected_components, equidistant_means, feature_homophily,
+                  generate, generate_features, generate_graph, generate_labels,
+                  sbm_edges, synth)
 
 
 def test_generation_is_deterministic():
@@ -180,3 +182,30 @@ def test_homophily_helpers_validate():
     g2 = build_graph([[0, 1]], 2)
     with pytest.raises(InputError, match="zero-norm"):
         feature_homophily(g2, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("seed", range(4))
+def test_feature_homophily_matches_unchunked_oracle(monkeypatch, chunk, seed):
+    rng = np.random.default_rng(seed)
+    n, f = 90, 1 + 13 * seed
+    edges = random_gnp_edges(rng, n, 0.15)
+    if edges.shape[0] % 7 == 0:
+        edges = edges[:-1]  # leave a short last chunk
+    g = build_graph(edges, n)
+    assert g.num_edges % 7 and g.num_edges % 512 and g.num_edges > 512
+    features = rng.normal(size=(n, f)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    features[rng.random(n) < 0.2] = 0.0  # zero-norm rows are skipped
+    monkeypatch.setattr(synth, "_EDGE_CHUNK", chunk)
+    assert feature_homophily(g, features) == feature_homophily_reference(g, features)
+
+
+def test_feature_homophily_all_zero_norm_error_matches_oracle():
+    g = build_graph(np.array([[0, 1], [1, 2], [2, 3]]), 4)
+    features = np.zeros((4, 3))
+    features[[0, 2], 0] = 1.0  # every edge has one zero-norm endpoint
+    with pytest.raises(InputError) as want:
+        feature_homophily_reference(g, features)
+    with pytest.raises(InputError) as got:
+        feature_homophily(g, features)
+    assert str(got.value) == str(want.value)
