@@ -61,8 +61,7 @@ def _graph_for(args, num_nodes: int):
 
 def cmd_mask(args) -> int:
     if args.features_file is not None:
-        shape = pio.load_matrix(args.features_file, header=args.header).shape
-        n, f = int(shape[0]), int(shape[1])
+        n, f = pio.load_matrix_shape(args.features_file, header=args.header)
     elif args.num_nodes is not None and args.num_channels is not None:
         n, f = args.num_nodes, args.num_channels
     else:
@@ -83,9 +82,11 @@ def cmd_impute(args) -> int:
     values, known = _load_features_mask(args)
     n, f = values.shape
     g = _graph_for(args, n)
-    fs = apply_mask(values, known)
+    # handed to impute in a list that it empties, so that neither the raw nor
+    # the masked matrix stays alive through stage 2
+    masked = [apply_mask(values, known)]
     ignored = np.count_nonzero(np.logical_and(values, ~known))
-    del values  # fs holds the masked copy; the raw matrix would only add to peak memory
+    del values
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)
     num_missing = known.size - np.count_nonzero(known)
@@ -93,13 +94,13 @@ def cmd_impute(args) -> int:
                            method=args.method, mode=args.mode,
                            lenient_no_source=args.lenient_no_source,
                            threads=args.threads)
-    outcome = impute(g, fs, cfg)
+    outcome = impute(g, masked, cfg)
     pio.write_matrix(args.out, outcome.values)
 
     spds = outcome.spds
     if args.spds_out is not None:
         if spds is None:
-            spds = compute_spds(g, fs.known, args.alpha)
+            spds = compute_spds(g, known, args.alpha)
         pio.write_spds(args.spds_out, spds.distances)
 
     report_path = args.report

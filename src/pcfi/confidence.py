@@ -14,9 +14,13 @@ channel-wise diffusion.
 
 The search runs once per distinct known set, ``BLOCK_COLUMNS`` sets at
 a time; each block is a C-contiguous copy of its columns of the mask.
-Confidences are read from a table of ``alpha ** k``, one ``np.power``
-per distance value (unless the table would outgrow the field), which
-holds the bits the elementwise power gives.
+The field is stored in the narrowest signed integer type that holds
+every hop count of the graph (int16 up to 32767 nodes), a quarter of
+int64 or less. Confidences are read from a table of ``alpha ** k``, one
+``np.power`` per distance value (unless the table would outgrow the
+field), which holds the bits the elementwise power gives; a whole field
+is read in row blocks, because ``np.take`` turns a narrow index array
+into an ``intp`` copy of it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ __all__ = [
 UNREACHABLE = -1
 # Channels per dense block in the sparse products here and in stage 1.
 BLOCK_COLUMNS = 32
+# Values per row block of a whole-field confidence lookup.
+ROW_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,10 @@ class SpdsMatrix:
 
     Attributes
     ----------
-    distances : ndarray of int64, shape (N, F)
-        Hop counts; ``UNREACHABLE`` (-1) where no source is reachable.
+    distances : ndarray of a signed integer type, shape (N, F)
+        Hop counts; ``UNREACHABLE`` (-1) where no source is reachable. A
+        signed integer array keeps its type (``compute_spds`` gives the
+        narrowest one for the graph); any other input becomes int64.
     alpha : float
         Decay base in (0, 1) used to turn distances into confidences.
     """
@@ -57,7 +65,9 @@ class SpdsMatrix:
     alpha: float
 
     def __post_init__(self):
-        distances = np.ascontiguousarray(self.distances, dtype=np.int64)
+        distances = np.asarray(self.distances)
+        distances = np.ascontiguousarray(
+            distances, dtype=distances.dtype if distances.dtype.kind == "i" else np.int64)
         if distances.ndim != 2:
             raise InputError(f"distance field must be 2-D, got shape {distances.shape}")
         if np.any(distances < UNREACHABLE):
@@ -79,7 +89,8 @@ class SpdsMatrix:
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Hop distance from every node to the nearest of ``sources``.
 
-    Returns int64 distances with ``UNREACHABLE`` where no source can be
+    Returns distances in the graph's distance type (see
+    :func:`distance_dtype`) with ``UNREACHABLE`` where no source can be
     reached; an empty source set yields all ``UNREACHABLE``.
     """
     known = np.zeros((g.num_nodes, 1), dtype=bool)
@@ -104,19 +115,28 @@ def compute_spds(g: Graph, known: np.ndarray, alpha: float) -> SpdsMatrix:
     return SpdsMatrix(distances=_hop_distances(g, known), alpha=alpha)
 
 
+def distance_dtype(num_nodes: int) -> np.dtype:
+    """Narrowest signed integer type holding ``UNREACHABLE`` and every hop
+    count of a graph with ``num_nodes`` nodes (at most ``num_nodes - 1``)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if num_nodes <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
     """Level-synchronous breadth-first search from the known set of every
     column of ``known`` (N x F bool), run once per distinct column."""
     n, f = known.shape
     if n == 0 or f == 0:
-        return np.empty((n, f), dtype=np.int64)
+        return np.empty((n, f), dtype=distance_dtype(n))
     adj = g.self_loop_adjacency(bool)
     first, inverse = distinct_columns(known)
     # one column per distinct known set, searched in C-contiguous blocks and
     # stored as contiguous column ranges, then gathered row by row: writing
     # each block straight to its scattered columns of the N x F result
     # touches a cache line per element
-    dist = np.empty((n, first.size), dtype=np.int64)
+    dist = np.empty((n, first.size), dtype=distance_dtype(n))
     for lo in range(0, first.size, BLOCK_COLUMNS):
         hi = lo + BLOCK_COLUMNS
         dist[:, lo:hi] = _bfs_block(adj, known.take(first[lo:hi], axis=1))
@@ -140,7 +160,7 @@ def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
     as bool). A node reached at level L was still unreached at the start
     of levels 1..L, so counting those levels gives its distance."""
     unreached = ~sources
-    dist = np.zeros(sources.shape, dtype=np.int64)
+    dist = np.zeros(sources.shape, dtype=distance_dtype(adj.shape[0]))
     frontier = sources
     while True:
         frontier = adj @ frontier
@@ -155,7 +175,20 @@ def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
 
 def pseudo_confidence(spds: SpdsMatrix) -> np.ndarray:
     """``alpha ** S`` elementwise, defined as 0 at unreachable entries."""
-    return alpha_powers(spds.alpha, spds.distances)
+    out = np.empty(spds.distances.shape)
+    for rows, xi in confidence_rows(spds):
+        out[rows] = xi
+    return out
+
+
+def confidence_rows(spds: SpdsMatrix):
+    """``(rows, alpha ** S[rows])`` for consecutive row slices ``rows`` of
+    about ``ROW_BLOCK_VALUES`` entries each; every block is a new array."""
+    n, f = spds.distances.shape
+    step = max(1, ROW_BLOCK_VALUES // max(f, 1))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        yield rows, alpha_powers(spds.alpha, spds.distances[rows])
 
 
 def alpha_powers(alpha: float, distances: np.ndarray) -> np.ndarray:

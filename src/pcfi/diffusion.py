@@ -424,13 +424,11 @@ def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResul
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     op.data = dinv[np.repeat(np.arange(n), g.degrees + 1)] * dinv[op.indices]
 
-    known = fs.known
-    pinned = fs.values[known]
     x = fs.values.copy()
     for _ in range(steps):
         prev = x
         x = op @ x
-        x[known] = pinned
+        np.copyto(x, fs.values, where=fs.known)
     residuals = np.abs(x - prev).max(axis=0)
     return DiffusionResult(values=x, residuals=residuals, flagged_channels=[],
                            steps_run=steps, mode="fp")

@@ -17,6 +17,9 @@ Conventions shared by the library and the command line:
   ``write_mask`` writes a mask) is read from its bytes; any other mask
   input, stdin and ``--header`` files included, goes through
   ``np.loadtxt``, which gives the same mask for canonical files;
+* the shape of a matrix alone (``pcfi mask --features-file``) is read
+  from its lines without parsing a value;
+* rows are written as bytes, to stdout's binary buffer for ``-``;
 * a path of ``-`` reads from stdin or writes to stdout;
 * JSON reports sort keys, round floats to 9 significant digits, and
   replace non-finite values with null.
@@ -24,6 +27,7 @@ Conventions shared by the library and the command line:
 
 from __future__ import annotations
 
+import contextlib
 import io as _io
 import json
 import sys
@@ -38,6 +42,7 @@ from .synth import SynthDataset
 __all__ = [
     "load_edges",
     "load_matrix",
+    "load_matrix_shape",
     "load_mask",
     "load_spds",
     "write_matrix",
@@ -56,24 +61,22 @@ def _read_text(path) -> str:
     return Path(path).read_text()
 
 
-class _OutHandle:
-    """Open ``path`` for text writing, or wrap stdout when path is '-'."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._fh = None
-
-    def __enter__(self):
-        if self.path == "-":
-            self._fh = sys.stdout
-        else:
-            self._fh = open(self.path, "w", newline="\n")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self.path != "-":
-            self._fh.close()
-        return False
+@contextlib.contextmanager
+def _output(path, binary: bool = False):
+    """Yield the ``write`` of ``path`` opened for text, or for bytes when
+    ``binary``. '-' is stdout: bytes go to its binary buffer, after any
+    text it holds, or as text to a stdout that has none (``io.StringIO``)."""
+    if str(path) != "-":
+        with open(path, "wb" if binary else "w", newline=None if binary else "\n") as fh:
+            yield fh.write
+    elif not binary:
+        yield sys.stdout.write
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        yield sys.stdout.buffer.write
+        sys.stdout.buffer.flush()
+    else:
+        yield lambda data: sys.stdout.write(data.decode("ascii"))
 
 
 def _parse(source, *, delimiter, skiprows: int, what: str) -> np.ndarray:
@@ -119,6 +122,34 @@ def load_matrix(path, header: bool = False) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InputError(f"matrix {path} contains non-finite entries")
     return arr
+
+
+def load_matrix_shape(path, header: bool = False) -> tuple[int, int]:
+    """Rows and columns of a comma-separated matrix, read from its lines
+    without parsing a value: rows are the lines that keep any text once a
+    ``#`` comment is cut off, columns one more than a row's commas.
+
+    Raises
+    ------
+    InputError
+        If the file has no rows, or rows of different widths.
+    """
+    if str(path) == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    # the line ends of open(path) in text mode: \n, \r\n and \r
+    lines = [line.partition(b"#")[0]
+             for line in data.splitlines()[1 if header else 0:]]
+    commas = [line.count(b",") for line in lines if line]
+    if not commas:
+        raise InputError(f"matrix {path} has no rows")
+    for row, count in enumerate(commas):
+        if count != commas[0]:
+            raise InputError(f"matrix {path} is ragged: row {row + 1} has "
+                             f"{count + 1} columns, row 1 has {commas[0] + 1}")
+    return len(commas), commas[0] + 1
 
 
 def load_mask(path, header: bool = False) -> np.ndarray:
@@ -292,13 +323,13 @@ def _write_rows(path, arr: np.ndarray, lines) -> None:
     elif arr.ndim != 2:
         raise ValueError(f"Expected 1D or 2D array, got {arr.ndim}D array instead")
     n, f = arr.shape
-    with _OutHandle(path) as fh:
+    with _output(path, binary=True) as write:
         if f == 0:
-            fh.write("\n" * n)
+            write(b"\n" * n)
             return
         rows = max(1, _BLOCK_VALUES // f)
         for start in range(0, n, rows):
-            fh.write(lines(arr[start:start + rows]).decode("ascii"))
+            write(lines(arr[start:start + rows]))
 
 
 def _float_lines(block: np.ndarray) -> bytes:
@@ -364,7 +395,12 @@ def write_mask(path, known: np.ndarray) -> None:
 
 
 def write_spds(path, distances: np.ndarray) -> None:
-    _write_integers(path, np.asarray(distances, dtype=np.int64), ",")
+    """A distance field; an integer array is written in its own type, with
+    no int64 copy."""
+    distances = np.asarray(distances)
+    if distances.dtype.kind not in "iu":
+        distances = distances.astype(np.int64)
+    _write_integers(path, distances, ",")
 
 
 def write_edges(path, edges: np.ndarray) -> None:
@@ -393,9 +429,8 @@ def _json_sanitize(obj):
 def write_json(path, obj) -> None:
     """JSON with sorted keys, 9-significant-digit floats, null for
     non-finite values, and a trailing newline."""
-    with _OutHandle(path) as fh:
-        json.dump(_json_sanitize(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _output(path) as write:
+        write(json.dumps(_json_sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
 def write_dataset(directory, dataset: SynthDataset) -> None:

@@ -83,13 +83,19 @@ class ImputeOutcome:
     config: ImputationConfig
 
 
-def impute(g: Graph, fs: FeatureSet, cfg: ImputationConfig,
+def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
            spds: SpdsMatrix | None = None) -> ImputeOutcome:
     """Run one method on one masked feature set.
 
     A precomputed distance field may be passed to avoid recomputing it
     across methods; it must match the mask and use ``cfg.alpha``.
+
+    ``fs`` may be handed over in a one-item list, which is emptied: with
+    no other reference left to it, the masked input is then freed once
+    stage 1 has read it, before stage 2 allocates two arrays of its size.
     """
+    if isinstance(fs, list):
+        fs = fs.pop()
     if cfg.method == "zero":
         return ImputeOutcome(values=fs.values.copy(), spds=None, stage1=None,
                              flagged_channels=[], config=cfg)
@@ -107,6 +113,7 @@ def impute(g: Graph, fs: FeatureSet, cfg: ImputationConfig,
         )
     stage1 = impute_stage1(g, fs, spds, steps=cfg.steps, mode=cfg.mode,
                            lenient=cfg.lenient_no_source, threads=cfg.threads)
+    del fs
     values = stage1.values
     if cfg.method == "pcfi":
         values = propagate_stage2(values, spds, cfg.beta)

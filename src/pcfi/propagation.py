@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import SpdsMatrix, pseudo_confidence
+from .confidence import SpdsMatrix, confidence_rows
 from .errors import InputError
 
 __all__ = ["correlation", "propagate_stage2"]
@@ -57,6 +57,12 @@ def correlation(values: np.ndarray) -> CorrelationMatrix:
     InputError
         If fewer than 2 rows (correlation undefined).
     """
+    return _centered_correlation(values)[1]
+
+
+def _centered_correlation(values: np.ndarray) -> tuple[np.ndarray, CorrelationMatrix]:
+    """``values - means`` as a new array the caller may overwrite, and the
+    correlation of ``values`` computed from it."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise InputError(f"value matrix must be 2-D, got shape {values.shape}")
@@ -65,13 +71,15 @@ def correlation(values: np.ndarray) -> CorrelationMatrix:
         raise InputError(f"correlation needs at least 2 rows, got {n}")
     means = values.mean(axis=0)
     centered = values - means
-    cov = centered.T @ centered / (n - 1)
-    stds = np.sqrt(np.diag(cov).copy())
+    # cov / (n - 1) / outer(stds, stds), each step in place
+    r = centered.T @ centered
+    r /= n - 1
+    stds = np.sqrt(np.diag(r).copy())
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = cov / np.outer(stds, stds)
+        r /= np.outer(stds, stds)
     r[~np.isfinite(r)] = 0.0
     np.fill_diagonal(r, 0.0)
-    return CorrelationMatrix(r=r, means=means, stds=stds)
+    return centered, CorrelationMatrix(r=r, means=means, stds=stds)
 
 
 def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.ndarray:
@@ -79,7 +87,8 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.nd
 
     ``values`` is the fully filled matrix from the diffusion stage.
     With ``beta == 0``, or with every entry observed (all distances 0),
-    the input is returned bit-identical.
+    the input is returned bit-identical. Besides ``values``, two arrays of
+    its size are alive at once: ``values - means`` and the product.
     """
     values = np.asarray(values, dtype=np.float64)
     if beta < 0:
@@ -89,16 +98,17 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.nd
             f"value shape {values.shape} does not match distance field "
             f"shape {spds.distances.shape}"
         )
-    corr = correlation(values)
-    xi = pseudo_confidence(spds)
     # values + beta * (1 - xi) * ((xi * (values - means)) @ R), in place with
-    # the same operations in the same order, so the bits are the same
-    t = values - corr.means
-    t *= xi
+    # the same operations in the same order, so the bits are the same; the
+    # confidences xi are read in row blocks, twice, and never held whole
+    t, corr = _centered_correlation(values)
+    for rows, xi in confidence_rows(spds):
+        t[rows] *= xi
     out = t @ corr.r
     del t
-    np.subtract(1.0, xi, out=xi)
-    xi *= beta
-    out *= xi
+    for rows, xi in confidence_rows(spds):
+        np.subtract(1.0, xi, out=xi)
+        xi *= beta
+        out[rows] *= xi
     out += values
     return out

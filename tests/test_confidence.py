@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcfi import (InputError, SpdsMatrix, UNREACHABLE, build_graph,
-                  compute_spds, multi_source_bfs, pseudo_confidence,
-                  structural_mask, uniform_mask)
+from pcfi import (InputError, SpdsMatrix, UNREACHABLE, apply_mask, build_graph,
+                  compute_spds, evaluate, impute_stage1, multi_source_bfs,
+                  propagate_stage2, pseudo_confidence, structural_mask,
+                  uniform_mask)
 
 from pcfi import confidence
-from pcfi.confidence import BLOCK_COLUMNS
+from pcfi import io as pio
+from pcfi.confidence import BLOCK_COLUMNS, distance_dtype
 
 from _oracles import (compute_spds_channel, floyd_warshall,
                       pseudo_confidence_reference, random_gnp_edges,
@@ -124,6 +126,60 @@ def test_spds_matrix_validation():
         SpdsMatrix(distances=np.array([[0]]), alpha=1.0)
     with pytest.raises(InputError):
         SpdsMatrix(distances=np.array([[0]]), alpha=0.0)
+
+
+def test_spds_matrix_keeps_signed_integer_types():
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        dist = np.array([[0, 1], [UNREACHABLE, 2]], dtype=dtype)
+        assert SpdsMatrix(distances=dist, alpha=0.5).distances.dtype == dtype
+    for other in (np.array([[0.0, 2.0]]), np.array([[0, 2]], np.uint8),
+                  [[0, 2]], np.array([[True, False]])):
+        assert SpdsMatrix(distances=other, alpha=0.5).distances.dtype == np.int64
+
+
+def test_distance_type_holds_every_hop_count():
+    for n, dtype in [(0, np.int8), (127, np.int8), (128, np.int16),
+                     (32767, np.int16), (32768, np.int32),
+                     (2**31 - 1, np.int32), (2**31, np.int64)]:
+        assert distance_dtype(n) == dtype, n
+    # a path's far end is n - 1 hops away
+    for n in (127, 128):
+        g = build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
+        known = np.zeros((n, 1), dtype=bool)
+        known[0] = True
+        dist = compute_spds(g, known, 0.5).distances
+        assert dist.dtype == distance_dtype(n)
+        assert dist[:, 0].tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_narrow_field_matches_its_int64_copy(tmp_path, n):
+    """Confidences, both stages, the evaluation report and the written
+    field are the same from the searched field (int8 for 100 nodes, int16
+    for 300) as from an int64 copy of it, unreachable entries included."""
+    rng = np.random.default_rng(n)
+    g = build_graph(random_gnp_edges(rng, n, 2.5 / n), n)
+    known = uniform_mask(n, 40, 0.8, seed=n)
+    narrow = compute_spds(g, known, 0.8)
+    wide = SpdsMatrix(distances=narrow.distances.astype(np.int64), alpha=0.8)
+    assert narrow.distances.dtype == distance_dtype(n) != np.int64
+    assert np.any(narrow.distances == UNREACHABLE)
+    assert (pseudo_confidence(narrow).tobytes()
+            == pseudo_confidence(wide).tobytes())
+
+    truth = rng.normal(size=(n, 40))
+    fs = apply_mask(truth, known)
+    outputs = []
+    for spds in (narrow, wide):
+        values = impute_stage1(g, fs, spds, steps=30, lenient=True).values
+        values = propagate_stage2(values, spds, 0.05)
+        name = f"{spds.distances.dtype}"
+        pio.write_json(tmp_path / f"{name}.json",
+                       evaluate(truth, values, known, spds).to_dict())
+        pio.write_spds(tmp_path / f"{name}.csv", spds.distances)
+        outputs.append([values.tobytes()] + [
+            (tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_compute_spds_shape_check():

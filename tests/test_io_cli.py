@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcfi import InputError, SynthSpec, generate
+from pcfi import InputError, SynthSpec, build_graph, generate
+from pcfi import cli
 from pcfi import io as pio
+from pcfi import pipeline
 from pcfi.cli import main
 
 from _oracles import load_mask_reference
@@ -235,6 +239,110 @@ def test_write_mask_matches_float_writer(tmp_path, shape):
     written = _written_bytes(pio.write_mask, tmp_path, known)
     pio.write_matrix(tmp_path / "float.csv", known.astype(np.float64))
     assert written == (tmp_path / "float.csv").read_bytes()
+
+
+def test_write_spds_makes_no_int64_copy(tmp_path):
+    dist = np.random.default_rng(0).integers(-1, 300, size=(4000, 500))
+    narrow = dist.astype(np.int16)
+    tracemalloc.start()
+    try:
+        pio.write_spds(tmp_path / "narrow.csv", narrow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dist.nbytes // 4, peak
+    pio.write_spds(tmp_path / "wide.csv", dist)
+    assert ((tmp_path / "narrow.csv").read_bytes()
+            == (tmp_path / "wide.csv").read_bytes())
+
+
+def test_matrix_to_stdout_keeps_the_order_of_text_before_and_after(monkeypatch):
+    """Rows go to stdout's binary buffer, after the text already written
+    to stdout and before the text written next."""
+    arr = np.random.default_rng(3).normal(size=(300, 500))
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="ascii", newline="\n")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before")
+    pio.write_matrix("-", arr)
+    print("after")
+    stdout.flush()
+    monkeypatch.undo()
+    assert raw.getvalue() == (b"before\n" + _savetxt_text(arr).encode()
+                              + b"after\n")
+
+
+_SHAPE_FILES = {
+    # name: (text, shape without --header, shape with --header)
+    "plain": ("1,2\n3,4\n", (2, 2), (1, 2)),
+    "crlf": ("1,2\r\n3,4\r\n", (2, 2), (1, 2)),
+    "cr": ("1,2\r3,4\r", (2, 2), (1, 2)),
+    "no-final-newline": ("1,2\n3,4", (2, 2), (1, 2)),
+    "blank-lines": ("1,2\n\n3,4\n\n", (2, 2), (1, 2)),
+    "comments": ("# c\n1,2\n3,4 # x\n#\n", (2, 2), (2, 2)),
+    "header": ("a,b\n1,2\n5,6\n", (3, 2), (2, 2)),  # no value is parsed
+    "one-column": ("5\n6\n7\n", (3, 1), (2, 1)),
+    "one-row": ("1,2,3", (1, 3), None),
+    "spaces": (" 1 , 2 \n3,4\n", (2, 2), (1, 2)),
+    "ragged": ("1,2\n3\n", None, (1, 1)),
+    "ragged-wider": ("1,2\n3,4,5\n", None, (1, 3)),
+    "blank-with-spaces": ("1,2\n   \n3,4\n", None, None),
+    "empty": ("", None, None),
+    "only-blank-lines": ("\n\n", None, None),
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("name", sorted(_SHAPE_FILES))
+def test_matrix_shape_from_lines_matches_parsed_shape(tmp_path, name, header):
+    """Where the matrix parser accepts a file, the shape read from its
+    lines is the parsed shape; ragged and empty files raise InputError."""
+    text, *shapes = _SHAPE_FILES[name]
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    expected = shapes[header]
+    if expected is None:
+        with pytest.raises(InputError, match="ragged|no rows"):
+            pio.load_matrix_shape(path, header=header)
+        return
+    assert pio.load_matrix_shape(path, header=header) == expected
+    try:
+        parsed = pio.load_matrix(path, header=header)
+    except InputError:
+        assert name == "header" and not header
+    else:
+        assert parsed.shape == expected
+
+
+def test_matrix_shape_from_stdin(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,2\n3,4\n5,6\n")))
+    assert pio.load_matrix_shape("-") == (3, 2)
+
+
+def test_cli_mask_reads_shape_without_parsing_values(tmp_path, monkeypatch):
+    fpath = tmp_path / "x.csv"
+    pio.write_matrix(fpath, np.random.default_rng(1).normal(size=(37, 11)))
+    flags = tmp_path / "flags.csv"
+    assert main(["--quiet", "mask", "--type", "uniform", "--rate", "0.5",
+                 "--num-nodes", "37", "--num-channels", "11",
+                 "--out", str(flags)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matrix was parsed")
+
+    monkeypatch.setattr(pio, "load_matrix", refuse)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    from_file = tmp_path / "file.csv"
+    assert main(["--quiet", "mask", "--type", "uniform", "--rate", "0.5",
+                 "--features-file", str(fpath), "--out", str(from_file)]) == 0
+    assert from_file.read_bytes() == flags.read_bytes()
+    for name in ("ragged", "ragged-wider", "empty"):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(_SHAPE_FILES[name][0])
+        assert main(["--quiet", "mask", "--type", "uniform", "--rate", "0.5",
+                     "--features-file", str(bad), "--out",
+                     str(tmp_path / "m.csv")]) == 2
 
 
 def test_mask_loader_rejects_non_binary(tmp_path):
@@ -491,6 +599,49 @@ def test_cli_impute_counts_ignored_values(tmp_path, caplog):
         assert main(["impute", "--edges", str(epath), "--features", str(fpath),
                      "--mask", str(mpath), "--out", str(tmp_path / "o.csv")]) == 0
     assert f"ignoring values at {expected} masked entries" in caplog.text
+
+
+def test_cli_impute_frees_masked_input_before_stage2(tmp_path, monkeypatch):
+    """The impute command hands the masked matrix to ``impute`` in a list
+    that it empties, so nothing holds it once stage 1 is done."""
+    epath, fpath, mpath = _write_inputs(tmp_path)
+    masked = []
+    alive_in_stage2 = []
+
+    def recording_apply_mask(values, known):
+        fs = pipeline.apply_mask(values, known)
+        masked.append(weakref.ref(fs.values))
+        return fs
+
+    def checking_stage2(*args, **kwargs):
+        alive_in_stage2.append(masked[0]() is not None)
+        return real_stage2(*args, **kwargs)
+
+    real_stage2 = pipeline.propagate_stage2
+    monkeypatch.setattr(cli, "apply_mask", recording_apply_mask)
+    monkeypatch.setattr(pipeline, "propagate_stage2", checking_stage2)
+    out = tmp_path / "o.csv"
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                 str(fpath), "--mask", str(mpath), "--out", str(out)]) == 0
+    assert alive_in_stage2 == [False]
+    monkeypatch.undo()
+    kept = tmp_path / "kept.csv"
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                 str(fpath), "--mask", str(mpath), "--out", str(kept)]) == 0
+    assert out.read_bytes() == kept.read_bytes()
+
+
+def test_impute_takes_the_feature_set_out_of_a_list(tmp_path):
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
+    g = build_graph(pio.load_edges(epath), 40)
+    fs = pipeline.apply_mask(pio.load_matrix(fpath), pio.load_mask(mpath))
+    for method in pipeline.METHODS:
+        cfg = pipeline.ImputationConfig(method=method)
+        handed = [fs]
+        from_list = pipeline.impute(g, handed, cfg)
+        assert handed == []
+        assert (from_list.values.tobytes()
+                == pipeline.impute(g, fs, cfg).values.tobytes())
 
 
 def test_cli_eval_accepts_precomputed_distance_field(tmp_path):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pcfi import confidence
 from pcfi import (InputError, SpdsMatrix, apply_mask, build_graph,
                   compute_spds, correlation, impute_stage1, propagate_stage2,
                   uniform_mask)
@@ -87,6 +90,43 @@ def test_stage2_matches_whole_matrix_expression_bitwise(seed):
         x, pseudo_confidence_reference(s.distances, s.alpha), corr.means,
         corr.r, 0.05)
     assert propagate_stage2(x, s, 0.05).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block_values", [1, 7, 9 * 13])
+def test_stage2_in_row_blocks_matches_whole_matrix_expression_bitwise(
+        monkeypatch, block_values):
+    """Confidences are read in row blocks of one row, of one row when a
+    block holds fewer values than a row, and of 13 rows (60 is no multiple
+    of 13); the bits are those of the whole-matrix expression."""
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
+    x, s = _stage2_instance(11)
+    corr = correlation(x)
+    expected = stage2_expression(
+        x, pseudo_confidence_reference(s.distances, s.alpha), corr.means,
+        corr.r, 0.05)
+    assert propagate_stage2(x, s, 0.05).tobytes() == expected.tobytes()
+
+
+def test_stage2_allocation_peak_is_two_matrices_and_two_correlations():
+    """Stage 2 allocates ``values - means`` and the product, each N x F,
+    and F x F arrays for the correlation; the confidences are never held
+    whole. A third N x F array (the whole xi) would exceed the bound."""
+    rng = np.random.default_rng(4)
+    n, f = 40_000, 16
+    x = rng.normal(size=(n, f))
+    dist = rng.integers(-1, 6, size=(n, f)).astype(np.int16)
+    s = SpdsMatrix(distances=dist, alpha=0.8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = propagate_stage2(x, s, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 20  # row blocks of the confidences and their indices
+    assert peak <= 2 * x.nbytes + 2 * f * f * 8 + slack, peak
+    assert peak > 2 * x.nbytes  # the bound is not loose by an N x F array
+    assert out.shape == x.shape
 
 
 def test_stage2_leaves_its_inputs_unmodified():
