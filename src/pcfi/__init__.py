@@ -15,7 +15,7 @@ from .diffusion import (DiffusionResult, build_channel_operator, closed_form_cha
                         diffuse_channel, fp_baseline, impute_stage1, resolve_threads)
 from .errors import InputError, NoSourceError, NumericalError, PcfiError
 from .graph import (Graph, build_graph, connected_components, extract_largest_component,
-                    induced_subgraph, partition_channel)
+                    induced_subgraph)
 from .masking import FeatureSet, apply_mask, structural_mask, uniform_mask
 from .metrics import EvalReport, evaluate, rmse
 from .pipeline import ImputationConfig, ImputeOutcome, impute, run_pipeline
@@ -33,7 +33,7 @@ __all__ = [
     "diffuse_channel", "fp_baseline", "impute_stage1", "resolve_threads",
     "InputError", "NoSourceError", "NumericalError", "PcfiError",
     "Graph", "build_graph", "connected_components", "extract_largest_component",
-    "induced_subgraph", "partition_channel",
+    "induced_subgraph",
     "FeatureSet", "apply_mask", "structural_mask", "uniform_mask",
     "EvalReport", "evaluate", "rmse",
     "ImputationConfig", "ImputeOutcome", "impute", "run_pipeline",

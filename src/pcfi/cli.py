@@ -107,8 +107,7 @@ def cmd_impute(args) -> int:
     if report_path is None and args.out != "-":
         report_path = args.out + ".json"
     if report_path is not None:
-        stage1 = outcome.stage1
-        residuals = stage1.residuals if stage1 is not None else None
+        residuals = outcome.residuals
         report = {
             "schema_version": 1,
             "config": cfg.summary(),
@@ -116,7 +115,7 @@ def cmd_impute(args) -> int:
             "num_channels": f,
             "num_missing_entries": num_missing,
             "flagged_channels": outcome.flagged_channels,
-            "steps_run": stage1.steps_run if stage1 is not None else 0,
+            "steps_run": outcome.steps_run,
             "residuals": (None if residuals is None
                           else [float(r) for r in residuals]),
             "max_residual": (float(residuals.max())

@@ -4,8 +4,9 @@ iteration.
 For a single channel, the raw weight matrix puts ``alpha ** (S[j] - S[i])``
 on each edge (i, j), a self-loop of weight 1 on every node, and 0
 elsewhere; rows are then normalized to sum to 1. Source (observed) rows
-are replaced by one-hot rows, so their values stay pinned. With sources
-ordered first this is the block form::
+are replaced by one-hot rows, so their values stay pinned. Written with
+the sources first, as notation only (the operator keeps node order),
+this is the block form::
 
     W_hat = [[ I     0    ]
              [ W_uk  W_uu ]]
@@ -16,11 +17,18 @@ rest; because edge weights favor neighbors closer to a source
 (``S[j] < S[i]`` gets weight ``1/alpha > 1``), high-certainty values
 dominate the mix. With every component containing a source, the
 spectral radius of ``W_uu`` is below 1 and the iteration converges to
-the linear-system solution ``x_u = (I - W_uu)^{-1} W_uk x_k``, which
-``mode="closed_form"`` computes directly, one explicit operator
-(:func:`build_channel_operator`) per distinct missing pattern.
+the linear-system solution ``x_u = (I - W_uu)^{-1} W_uk x_k``.
 
-The iterative mode runs every channel through one shared operator.
+The explicit operator (:func:`build_channel_operator`) is built once per
+distinct missing pattern, in node order, and serves two cases:
+``mode="closed_form"``, which solves the linear system directly, and
+deep channels (below). It is iterated by :func:`diffuse_channel`, the one
+pinned loop, which the FP baseline runs as well with its own operator.
+Nodes that reach no source see only other such nodes, all at distance
+``UNREACHABLE``, so their rows average among themselves and their zeros
+stay exactly 0.
+
+The iterative mode runs every other channel through one shared operator.
 Row ``i`` of the weights is ``alpha ** -S[i]`` times ``C[j] = alpha ** S[j]``,
 and row normalization cancels the ``alpha ** -S[i]`` factor, so one step
 of every channel at once is::
@@ -35,13 +43,14 @@ Rows that reach no source have ``C = 0`` and stay exactly 0.
 ``max(S) * ln(1 / alpha)`` exceeds ``MAX_DECAY`` goes through its
 explicit operator instead, whose ratio weights never underflow.
 
-Channels run in blocks of ``BLOCK_COLUMNS`` columns, on a thread pool
-when asked. Each block works on C-contiguous copies of its columns of
-the values, the mask and the distance field: a column selection of a
-C-ordered matrix is F-ordered, and mixing the two layouts slows every
-elementwise step of the loop. Columns never mix inside a product and
-each block is internally sequential, so results are byte-identical for
-any thread count and any grouping of channels.
+Channels run in blocks of ``BLOCK_COLUMNS`` columns (explicit operator:
+one block per missing pattern), on a thread pool when asked. Each block
+works on C-contiguous copies of its columns of the values, the mask and
+the distance field: a column selection of a C-ordered matrix is
+F-ordered, and mixing the two layouts slows every elementwise step of
+the loop. Columns never mix inside a product and each block is
+internally sequential, so results are byte-identical for any thread
+count and any grouping of channels.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from scipy import sparse
 from .confidence import (BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix, alpha_powers,
                          distinct_columns)
 from .errors import InputError, NoSourceError, NumericalError
-from .graph import ChannelPartition, Graph, induced_subgraph, partition_channel
+from .graph import Graph
 from .masking import FeatureSet
 
 __all__ = [
@@ -76,19 +85,6 @@ __all__ = [
 MAX_DECAY = 600.0
 # Most unknowns the closed form densifies ``I - W_uu`` for.
 MAX_DENSE_UNKNOWNS = 2000
-
-
-@dataclass(frozen=True)
-class ChannelOperator:
-    """Pinned row-stochastic diffusion operator for one missing pattern.
-
-    ``matrix`` lives in the reordered space of ``partition`` (sources
-    first): source rows are one-hot, remaining rows are the normalized
-    distance-ratio weights.
-    """
-
-    partition: ChannelPartition
-    matrix: sparse.csr_array
 
 
 @dataclass(frozen=True)
@@ -138,117 +134,81 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def build_channel_operator(g: Graph, dist_col: np.ndarray,
-                           partition: ChannelPartition, alpha: float) -> ChannelOperator:
-    """Assemble the pinned operator for one channel.
+def build_channel_operator(g: Graph, dist_col: np.ndarray, known_col: np.ndarray,
+                           alpha: float) -> sparse.csr_array:
+    """The pinned operator of one channel, in node order.
 
-    ``dist_col`` holds the hop distance to the nearest source for every
-    node; all nodes must be reachable (restrict the graph first if not).
-
-    Raises
-    ------
-    NoSourceError
-        If the partition has no source nodes.
-    InputError
-        If an unreachable node is present.
+    ``dist_col`` holds each node's hop distance to the nearest source
+    (``UNREACHABLE`` where there is none) and ``known_col`` marks the
+    sources. Row ``i`` puts ``alpha ** (S[j] - S[i])`` on each entry ``j``
+    of ``A + I``, normalized to sum to 1; source rows are one-hot.
     """
-    nk, nu = partition.num_known, partition.num_unknown
-    n = nk + nu
-    if nk == 0:
-        raise NoSourceError(
-            f"channel {partition.channel} has no observed entries to diffuse from",
-            channels=[partition.channel],
-        )
+    n = g.num_nodes
     dist_col = np.asarray(dist_col, dtype=np.int64)
-    if dist_col.shape != (n,):
-        raise InputError(f"distance column has shape {dist_col.shape}, expected ({n},)")
-    if np.any(dist_col == UNREACHABLE):
-        raise InputError(
-            f"channel {partition.channel}: operator undefined on unreachable nodes"
-        )
+    known_col = np.asarray(known_col, dtype=bool)
+    if dist_col.shape != (n,) or known_col.shape != (n,):
+        raise InputError(f"distance column {dist_col.shape} and mask column "
+                         f"{known_col.shape} must both have shape ({n},)")
     if not (0.0 < alpha < 1.0):
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
-    unk = partition.unknown_nodes
-    rows_orig = np.repeat(unk, g.degrees[unk])
-    cols_orig = g.adjacency()[unk].indices
-    w = np.power(alpha, (dist_col[cols_orig] - dist_col[rows_orig]).astype(np.float64))
-
-    self_rows = np.arange(nk, n, dtype=np.int64)
-    rows_new = np.concatenate([partition.to_reordered[rows_orig], self_rows])
-    cols_new = np.concatenate([partition.to_reordered[cols_orig], self_rows])
-    data = np.concatenate([w, np.ones(nu)])
-    rowsum = np.bincount(rows_new - nk, weights=data, minlength=nu)
-    data = data / rowsum[rows_new - nk]
-
-    pin = np.arange(nk, dtype=np.int64)
-    matrix = sparse.csr_array(
-        (np.concatenate([np.ones(nk), data]),
-         (np.concatenate([pin, rows_new]), np.concatenate([pin, cols_new]))),
-        shape=(n, n),
-    )
-    return ChannelOperator(partition=partition, matrix=matrix)
+    op = g.self_loop_adjacency()
+    rows = np.repeat(np.arange(n), np.diff(op.indptr))
+    w = np.power(alpha, (dist_col[op.indices] - dist_col[rows]).astype(np.float64))
+    pin = known_col[rows]
+    w[pin] = op.indices[pin] == rows[pin]
+    op.data = w / np.bincount(rows, weights=w, minlength=n)[rows]
+    op.eliminate_zeros()
+    return op
 
 
-def _as_block(x: np.ndarray) -> np.ndarray:
-    return x[:, None] if x.ndim == 1 else x
+def diffuse_channel(op: sparse.csr_array, x0: np.ndarray, known: np.ndarray,
+                    steps: int = 100):
+    """Run ``steps`` iterations of ``x = op @ x`` from ``x0``, setting the
+    entries where ``known`` holds back to their ``x0`` bits after each.
 
-
-def diffuse_channel(op: ChannelOperator, x0, steps: int = 100):
-    """Run ``steps`` iterations of the pinned operator.
-
-    ``x0`` is indexed by original node id, one column per channel of the
-    shared missing pattern (a 1-D vector is treated as one column).
-    Returns ``(values, residuals)`` in original node order, where
-    ``residuals`` is the max absolute change of the last step per
-    column.
+    ``x0`` and ``known`` have one row per node and one column per
+    channel. Returns ``(values, residuals)``, where ``residuals`` is the
+    max absolute change of the last step per column.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
-    x0 = _as_block(np.asarray(x0, dtype=np.float64))
-    perm = op.partition.to_original
-    x = np.ascontiguousarray(x0[perm])
+    # one indexed store of the pinned entries per step: a masked copy
+    # would pass over the whole block
+    pinned = np.flatnonzero(known)
+    values = x0.ravel()[pinned]
+    x = x0
     for _ in range(steps):
         prev = x
-        x = op.matrix @ x
-    residuals = np.abs(x - prev).max(axis=0) if x.size else np.zeros(x.shape[1])
-    out = np.empty_like(x)
-    out[perm] = x
-    return out, residuals
+        x = op @ x  # a new C-ordered array, so ravel() is a view of it
+        x.ravel()[pinned] = values
+    return x, np.abs(x - prev).max(axis=0, initial=0.0)
 
 
-def closed_form_channel(op: ChannelOperator, x0):
-    """Solve ``x_u = (I - W_uu)^{-1} W_uk x_k`` directly.
+def closed_form_channel(op: sparse.csr_array, x0: np.ndarray,
+                        solve: np.ndarray) -> np.ndarray:
+    """Solve ``x_u = (I - W_uu)^{-1} W_uk x_k`` for the rows ``solve``
+    (missing and reachable: ``S > 0``); every other row keeps its ``x0``
+    bits.
 
-    ``x0`` as in :func:`diffuse_channel`; observed rows pass through
-    bit-identical. The solve densifies ``W_uu``, so it is refused above
-    ``MAX_DENSE_UNKNOWNS`` unknowns.
+    ``x0`` has one row per node and one column per channel, and is 0 on
+    every missing row, so ``W_uk x_k`` is ``op[u] @ x0``. The solve
+    densifies ``W_uu``, so it is refused above ``MAX_DENSE_UNKNOWNS``
+    unknowns.
     """
-    nk = op.partition.num_known
-    n = op.partition.num_known + op.partition.num_unknown
-    nu = op.partition.num_unknown
-    x0 = _as_block(np.asarray(x0, dtype=np.float64))
-    if x0.shape[0] != n:
-        raise InputError(f"value block has {x0.shape[0]} rows, expected {n}")
-    out = x0.copy()
-    if nu == 0:
-        return out
-    if nu > MAX_DENSE_UNKNOWNS:
+    u = np.flatnonzero(solve)
+    if u.size > MAX_DENSE_UNKNOWNS:
         raise InputError(
-            f"closed form would densify a {nu} x {nu} system "
+            f"closed form would densify a {u.size} x {u.size} system "
             f"(limit {MAX_DENSE_UNKNOWNS}); use the iterative mode"
         )
-    xk = x0[op.partition.known_nodes]
-    wuu = op.matrix[nk:, nk:]
-    wuk = op.matrix[nk:, :nk]
-    a = np.eye(nu) - wuu.toarray()
+    wu = op[u]
+    a = np.eye(u.size) - wu[:, u].toarray()
+    out = x0.copy()
     try:
-        xu = np.linalg.solve(a, wuk @ xk)
+        out[u] = np.linalg.solve(a, wu @ x0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"channel {op.partition.channel}: linear system is singular ({exc})"
-        ) from exc
-    out[op.partition.unknown_nodes] = xu
+        raise NumericalError(f"linear system is singular ({exc})") from exc
     return out
 
 
@@ -381,23 +341,20 @@ def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix,
                          residuals: np.ndarray | None, *, steps: int, mode: str,
                          nthreads: int) -> None:
     """Diffuse ``channels`` (each with a source) through one explicit
-    operator per distinct missing pattern, restricted to the nodes that
-    reach a source; writes ``out`` and, when iterating, ``residuals``."""
+    operator per distinct missing pattern; writes ``out`` and, when
+    iterating, ``residuals``."""
     first, inverse = distinct_columns(fs.known[:, channels])
     groups = [channels[inverse == gi] for gi in range(first.size)]
 
     def run_group(cols):
         dist_col = spds.distances[:, cols[0]]
-        rows = np.flatnonzero(dist_col != UNREACHABLE)
-        sub = g if rows.size == g.num_nodes else induced_subgraph(g, rows)
-        part = partition_channel(fs.known[rows, cols[0]], int(cols[0]))
-        op = build_channel_operator(sub, dist_col[rows], part, spds.alpha)
-        block = out[np.ix_(rows, cols)]
+        op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], spds.alpha)
+        x0 = fs.values.take(cols, axis=1)
         if mode == "iterative":
-            vals, residuals[cols] = diffuse_channel(op, block, steps=steps)
+            out[:, cols], residuals[cols] = diffuse_channel(
+                op, x0, fs.known.take(cols, axis=1), steps)
         else:
-            vals = closed_form_channel(op, block)
-        out[np.ix_(rows, cols)] = vals
+            out[:, cols] = closed_form_channel(op, x0, dist_col > 0)
 
     _run(run_group, groups, nthreads)
 
@@ -409,26 +366,14 @@ def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResul
     each step multiplies and then resets observed entries to their input
     bits. Regions with no observed node in a channel simply stay zero
     (no flagging)."""
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
     if fs.num_nodes != g.num_nodes:
         raise InputError(
             f"features have {fs.num_nodes} rows but graph has {g.num_nodes} nodes"
         )
-    n = g.num_nodes
-    if n == 0 or fs.num_channels == 0:
-        return DiffusionResult(values=fs.values.copy(),
-                               residuals=np.zeros(fs.num_channels),
-                               flagged_channels=[], steps_run=steps, mode="fp")
     op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
-    op.data = dinv[np.repeat(np.arange(n), g.degrees + 1)] * dinv[op.indices]
+    op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]
 
-    x = fs.values.copy()
-    for _ in range(steps):
-        prev = x
-        x = op @ x
-        np.copyto(x, fs.values, where=fs.known)
-    residuals = np.abs(x - prev).max(axis=0)
+    x, residuals = diffuse_channel(op, fs.values, fs.known, steps)
     return DiffusionResult(values=x, residuals=residuals, flagged_channels=[],
                            steps_run=steps, mode="fp")

@@ -23,7 +23,6 @@ __all__ = [
     "connected_components",
     "extract_largest_component",
     "induced_subgraph",
-    "partition_channel",
 ]
 
 
@@ -85,31 +84,6 @@ class Graph:
         rows = np.repeat(np.arange(self.num_nodes), self.degrees)
         keep = rows < self.indices
         return np.column_stack([rows[keep], self.indices[keep]])
-
-
-@dataclass(frozen=True)
-class ChannelPartition:
-    """Known/unknown node split for one channel, with the reordering that
-    places known nodes first.
-
-    ``to_reordered[old_id]`` gives the position in the reordered space;
-    ``to_original[new_pos]`` restores the original id. Known nodes occupy
-    positions ``0..len(known_nodes)-1`` preserving their relative order.
-    """
-
-    channel: int
-    known_nodes: np.ndarray
-    unknown_nodes: np.ndarray
-    to_reordered: np.ndarray
-    to_original: np.ndarray
-
-    @property
-    def num_known(self) -> int:
-        return self.known_nodes.size
-
-    @property
-    def num_unknown(self) -> int:
-        return self.unknown_nodes.size
 
 
 @dataclass(frozen=True)
@@ -210,15 +184,3 @@ def extract_largest_component(g: Graph):
     id_map = np.flatnonzero(comps.labels == comps.largest_id)
     return induced_subgraph(g, id_map), id_map, comps.num_components
 
-
-def partition_channel(mask_column: np.ndarray, d: int) -> ChannelPartition:
-    """Split nodes into known/unknown for channel ``d`` and record the
-    permutation that lists known nodes first (ascending within each part)."""
-    mask_column = np.asarray(mask_column, dtype=bool)
-    known = np.flatnonzero(mask_column)
-    unknown = np.flatnonzero(~mask_column)
-    to_original = np.concatenate([known, unknown])
-    to_reordered = np.empty(mask_column.size, dtype=np.int64)
-    to_reordered[to_original] = np.arange(mask_column.size)
-    return ChannelPartition(channel=d, known_nodes=known, unknown_nodes=unknown,
-                            to_reordered=to_reordered, to_original=to_original)

@@ -19,10 +19,11 @@ Conventions shared by the library and the command line:
   ``np.loadtxt``, which gives the same mask for canonical files;
 * the shape of a matrix alone (``pcfi mask --features-file``) is read
   from its lines without parsing a value;
-* rows are written as bytes, to stdout's binary buffer for ``-``;
+* rows and JSON reports are written as bytes, to stdout's binary
+  buffer for ``-``;
 * a path of ``-`` reads from stdin or writes to stdout;
-* JSON reports sort keys, round floats to 9 significant digits, and
-  replace non-finite values with null.
+* JSON reports are ASCII, sort keys, round floats to 9 significant
+  digits, and replace non-finite values with null.
 """
 
 from __future__ import annotations
@@ -62,15 +63,13 @@ def _read_text(path) -> str:
 
 
 @contextlib.contextmanager
-def _output(path, binary: bool = False):
-    """Yield the ``write`` of ``path`` opened for text, or for bytes when
-    ``binary``. '-' is stdout: bytes go to its binary buffer, after any
-    text it holds, or as text to a stdout that has none (``io.StringIO``)."""
+def _output(path):
+    """Yield the ``write`` of ``path`` opened for bytes. '-' is stdout:
+    bytes go to its binary buffer, after any text it holds, or as text to
+    a stdout that has none (``io.StringIO``)."""
     if str(path) != "-":
-        with open(path, "wb" if binary else "w", newline=None if binary else "\n") as fh:
+        with open(path, "wb") as fh:
             yield fh.write
-    elif not binary:
-        yield sys.stdout.write
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         yield sys.stdout.buffer.write
@@ -323,7 +322,7 @@ def _write_rows(path, arr: np.ndarray, lines) -> None:
     elif arr.ndim != 2:
         raise ValueError(f"Expected 1D or 2D array, got {arr.ndim}D array instead")
     n, f = arr.shape
-    with _output(path, binary=True) as write:
+    with _output(path) as write:
         if f == 0:
             write(b"\n" * n)
             return
@@ -429,8 +428,9 @@ def _json_sanitize(obj):
 def write_json(path, obj) -> None:
     """JSON with sorted keys, 9-significant-digit floats, null for
     non-finite values, and a trailing newline."""
+    text = json.dumps(_json_sanitize(obj), indent=2, sort_keys=True) + "\n"
     with _output(path) as write:
-        write(json.dumps(_json_sanitize(obj), indent=2, sort_keys=True) + "\n")
+        write(text.encode("ascii"))
 
 
 def write_dataset(directory, dataset: SynthDataset) -> None:

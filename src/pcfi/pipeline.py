@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import SpdsMatrix, compute_spds
-from .diffusion import DiffusionResult, fp_baseline, impute_stage1
+from .diffusion import fp_baseline, impute_stage1
 from .errors import InputError
 from .graph import Graph
 from .masking import FeatureSet, apply_mask, structural_mask, uniform_mask
@@ -74,11 +74,15 @@ class ImputationConfig:
 @dataclass(frozen=True)
 class ImputeOutcome:
     """Imputed values plus the intermediates a caller may want to
-    inspect or serialize (distance field, diffusion bookkeeping)."""
+    inspect or serialize: the distance field and the diffusion's
+    per-channel ``residuals`` (None for ``zero`` and in closed-form
+    mode) and ``steps_run``. The diffused matrix itself is not kept, so
+    that only ``values`` holds an array of the input's size."""
 
     values: np.ndarray
     spds: SpdsMatrix | None
-    stage1: DiffusionResult | None
+    residuals: np.ndarray | None
+    steps_run: int
     flagged_channels: list
     config: ImputationConfig
 
@@ -97,11 +101,12 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     if isinstance(fs, list):
         fs = fs.pop()
     if cfg.method == "zero":
-        return ImputeOutcome(values=fs.values.copy(), spds=None, stage1=None,
-                             flagged_channels=[], config=cfg)
+        return ImputeOutcome(values=fs.values.copy(), spds=None, residuals=None,
+                             steps_run=0, flagged_channels=[], config=cfg)
     if cfg.method == "fp":
         res = fp_baseline(g, fs, steps=cfg.steps)
-        return ImputeOutcome(values=res.values, spds=None, stage1=res,
+        return ImputeOutcome(values=res.values, spds=None, residuals=res.residuals,
+                             steps_run=res.steps_run,
                              flagged_channels=list(res.flagged_channels),
                              config=cfg)
     if spds is None:
@@ -117,7 +122,8 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     values = stage1.values
     if cfg.method == "pcfi":
         values = propagate_stage2(values, spds, cfg.beta)
-    return ImputeOutcome(values=values, spds=spds, stage1=stage1,
+    return ImputeOutcome(values=values, spds=spds, residuals=stage1.residuals,
+                         steps_run=stage1.steps_run,
                          flagged_channels=list(stage1.flagged_channels),
                          config=cfg)
 

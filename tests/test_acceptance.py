@@ -17,7 +17,7 @@ import pytest
 
 from pcfi import (apply_mask, build_channel_operator, build_graph,
                   compute_spds, closed_form_channel, fp_baseline, generate,
-                  impute, impute_stage1, partition_channel, propagate_stage2,
+                  impute, impute_stage1, propagate_stage2,
                   run_pipeline, structural_mask, uniform_mask,
                   ImputationConfig, SynthSpec)
 from pcfi import io as pio
@@ -79,13 +79,11 @@ def test_c02_operator_structure_and_pinning():
         alpha = [0.1, 0.5, 0.8, 0.9][i % 4]
         g, fs, spds = _random_instance(seed=2000 + i, max_n=80, alpha=alpha)
         for d in range(fs.num_channels):
-            part = partition_channel(fs.known[:, d], d)
-            op = build_channel_operator(g, spds.distances[:, d], part, alpha)
-            dense = op.matrix.toarray()
+            known = fs.known[:, d]
+            op = build_channel_operator(g, spds.distances[:, d], known, alpha)
+            dense = op.toarray()
             worst_row = max(worst_row, float(np.max(np.abs(dense.sum(axis=1) - 1.0))))
-            nk = part.num_known
-            onehot_ok &= np.array_equal(dense[:nk, :nk], np.eye(nk))
-            onehot_ok &= not dense[:nk, nk:].any()
+            onehot_ok &= np.array_equal(dense[known], np.eye(g.num_nodes)[known])
         for mode in ("iterative", "closed_form"):
             out = impute_stage1(g, fs, spds, steps=100, mode=mode).values
             bits_ok &= np.array_equal(out[fs.known].view(np.uint64),

@@ -4,8 +4,8 @@ import pytest
 from pcfi import (FeatureSet, InputError, NoSourceError, SpdsMatrix,
                   apply_mask, build_channel_operator, build_graph,
                   closed_form_channel, compute_spds, diffuse_channel,
-                  fp_baseline, impute_stage1, partition_channel,
-                  resolve_threads, structural_mask, uniform_mask)
+                  fp_baseline, impute_stage1, resolve_threads,
+                  structural_mask, uniform_mask)
 
 from pcfi import diffusion
 from pcfi.confidence import BLOCK_COLUMNS
@@ -34,16 +34,17 @@ def _instance(seed, n=None, f=3, rate=0.5, alpha=0.5, kind="uniform"):
     return g, fs, spds, edges
 
 
+def _path_edges(n):
+    return np.column_stack([np.arange(n - 1), np.arange(1, n)])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_operator_matches_dense_reference(seed):
     g, fs, spds, edges = _instance(seed, alpha=0.3)
     n = g.num_nodes
     for d in range(fs.num_channels):
-        part = partition_channel(fs.known[:, d], d)
-        op = build_channel_operator(g, spds.distances[:, d], part, 0.3)
-        dense = op.matrix.toarray()
-        # back to original order for the comparison
-        dense = dense[np.ix_(part.to_reordered, part.to_reordered)]
+        op = build_channel_operator(g, spds.distances[:, d], fs.known[:, d], 0.3)
+        dense = op.toarray()
         ref = dense_pinned_operator(n, edges, spds.distances[:, d],
                                     fs.known[:, d], 0.3)
         assert np.max(np.abs(dense - ref)) < 1e-14
@@ -65,14 +66,12 @@ def test_uniform_exponent_formulation_is_equivalent(seed):
 
 def test_operator_rows_are_stochastic_and_pinned():
     g, fs, spds, _ = _instance(3, n=30, alpha=0.5)
-    part = partition_channel(fs.known[:, 0], 0)
-    op = build_channel_operator(g, spds.distances[:, 0], part, 0.5)
-    dense = op.matrix.toarray()
+    known = fs.known[:, 0]
+    op = build_channel_operator(g, spds.distances[:, 0], known, 0.5)
+    dense = op.toarray()
     sums = dense.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
-    nk = part.num_known
-    assert np.array_equal(dense[:nk, :nk], np.eye(nk))
-    assert not dense[:nk, nk:].any()
+    assert np.array_equal(dense[known], np.eye(g.num_nodes)[known])
 
 
 def test_two_node_hand_values():
@@ -82,13 +81,12 @@ def test_two_node_hand_values():
     known = np.array([[True], [False]])
     fs = apply_mask(np.array([[1.0], [0.0]]), known)
     spds = compute_spds(g, known, 0.5)
-    part = partition_channel(known[:, 0], 0)
-    op = build_channel_operator(g, spds.distances[:, 0], part, 0.5)
-    x1, _ = diffuse_channel(op, fs.values, steps=1)
-    x2, _ = diffuse_channel(op, fs.values, steps=2)
+    op = build_channel_operator(g, spds.distances[:, 0], known[:, 0], 0.5)
+    x1, _ = diffuse_channel(op, fs.values, known, steps=1)
+    x2, _ = diffuse_channel(op, fs.values, known, steps=2)
     assert x1[1, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert x2[1, 0] == pytest.approx(8.0 / 9.0, abs=1e-15)
-    cf = closed_form_channel(op, fs.values)
+    cf = closed_form_channel(op, fs.values, spds.distances[:, 0] > 0)
     assert cf[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -123,7 +121,7 @@ def test_deep_channels_do_not_underflow():
     deep must still match the explicit iteration, alongside a shallow
     channel in the same call."""
     n = 400
-    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    edges = _path_edges(n)
     g = build_graph(edges, n)
     known = np.zeros((n, 2), dtype=bool)
     known[0, 0] = True
@@ -139,7 +137,7 @@ def test_deep_channels_do_not_underflow():
         assert np.max(np.abs(res.values[:, d] - ref)) < 1e-12
 
     n = 4000
-    g = build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
+    g = build_graph(_path_edges(n), n)
     known = np.zeros((n, 1), dtype=bool)
     known[0] = True
     fs = apply_mask(np.ones((n, 1)), known)
@@ -150,34 +148,51 @@ def test_deep_channels_do_not_underflow():
 @pytest.mark.filterwarnings("error")
 def test_sourceless_component_stays_zero_without_warnings():
     """Rows that reach no source would divide 0 by 0; they must come out
-    exactly 0, and the rest must equal a run without that component."""
+    exactly 0, and the rest must equal a run without that component. The
+    fused kernel, deep channels and the closed form each get a case."""
     rng = np.random.default_rng(9)
     n, m = 30, 8
     edges = random_connected_edges(rng, n)
-    island = np.column_stack([np.arange(n, n + m - 1), np.arange(n + 1, n + m)])
-    g = build_graph(np.concatenate([edges, island]), n + m)
-    known = np.zeros((n + m, MULTI_BLOCK), dtype=bool)
-    known[:n] = uniform_mask(n, MULTI_BLOCK, 0.5, seed=9)
-    fs = apply_mask(rng.normal(size=(n + m, MULTI_BLOCK)), known)
-    spds = compute_spds(g, known, 0.7)
-    res = impute_stage1(g, fs, spds, steps=30, lenient=True, threads=2)
-    assert res.flagged_channels == list(range(MULTI_BLOCK))
-    assert np.all(res.values[n:] == 0.0)
-    assert np.isfinite(res.residuals).all()
-    main = build_graph(edges, n)
-    alone = impute_stage1(main, FeatureSet(values=fs.values[:n], known=known[:n]),
-                          compute_spds(main, known[:n], 0.7), steps=30)
-    assert np.array_equal(alone.values.view(np.uint64),
-                          res.values[:n].view(np.uint64))
+    shallow = uniform_mask(n, MULTI_BLOCK, 0.5, seed=9)
+    # channels 0 and 1 are deep at alpha 0.1 (two missing patterns);
+    # channel 2 is shallow and runs in the fused kernel alongside
+    deep = np.zeros((300, 3), dtype=bool)
+    deep[0, :2] = True
+    deep[5, 1] = True
+    deep[::10, 2] = True
+    cases = [(edges, shallow, 0.7, {"steps": 30}),
+             (_path_edges(300), deep, 0.1, {"steps": 30}),
+             (edges, shallow, 0.7, {"mode": "closed_form"})]
+    for main_edges, main_known, alpha, kw in cases:
+        n, f = main_known.shape
+        island = np.column_stack([np.arange(n, n + m - 1), np.arange(n + 1, n + m)])
+        g = build_graph(np.concatenate([main_edges, island]), n + m)
+        known = np.zeros((n + m, f), dtype=bool)
+        known[:n] = main_known
+        fs = apply_mask(rng.normal(size=(n + m, f)), known)
+        spds = compute_spds(g, known, alpha)
+        if alpha == 0.1:
+            depth = spds.distances.max(axis=0) * -np.log(alpha)
+            assert (depth[:2] > diffusion.MAX_DECAY).all()
+            assert depth[2] < diffusion.MAX_DECAY
+        res = impute_stage1(g, fs, spds, lenient=True, threads=2, **kw)
+        assert res.flagged_channels == list(range(f))
+        assert np.all(res.values[n:] == 0.0)
+        if res.residuals is not None:
+            assert np.isfinite(res.residuals).all()
+        main = build_graph(main_edges, n)
+        alone = impute_stage1(main, FeatureSet(values=fs.values[:n], known=main_known),
+                              compute_spds(main, main_known, alpha), **kw)
+        assert np.array_equal(alone.values.view(np.uint64),
+                              res.values[:n].view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_closed_form_is_iteration_fixed_point(seed):
     g, fs, spds, _ = _instance(seed, f=2, alpha=0.5)
     res = impute_stage1(g, fs, spds, mode="closed_form")
-    part0 = partition_channel(fs.known[:, 0], 0)
-    op = build_channel_operator(g, spds.distances[:, 0], part0, 0.5)
-    once, _ = diffuse_channel(op, res.values[:, [0]], steps=1)
+    op = build_channel_operator(g, spds.distances[:, 0], fs.known[:, 0], 0.5)
+    once, _ = diffuse_channel(op, res.values[:, [0]], fs.known[:, [0]], steps=1)
     assert np.max(np.abs(once[:, 0] - res.values[:, 0])) < 1e-10
 
 
@@ -185,11 +200,17 @@ def test_known_entries_survive_bit_identical():
     g, fs, spds, _ = _instance(12, n=35, alpha=0.8)
     it = impute_stage1(g, fs, spds, steps=50)
     cf = impute_stage1(g, fs, spds, mode="closed_form")
-    known = fs.known
+    # a deep channel, on the explicit operator, with an observed -0.0
+    n = 400
+    path = build_graph(_path_edges(n), n)
+    known = np.zeros((n, 1), dtype=bool)
+    known[:2] = True
+    deep = apply_mask(np.array([[-0.0], [1.0]] + [[0.0]] * (n - 2)), known)
+    dp = impute_stage1(path, deep, compute_spds(path, known, 0.1), steps=50)
     # == would accept -0.0 vs 0.0; require identical bit patterns
-    for out in (it.values, cf.values):
-        a = out[known].view(np.uint64)
-        b = fs.values[known].view(np.uint64)
+    for out, given in ((it.values, fs), (cf.values, fs), (dp.values, deep)):
+        a = out[given.known].view(np.uint64)
+        b = given.values[given.known].view(np.uint64)
         assert np.array_equal(a, b)
 
 
@@ -254,12 +275,25 @@ def test_grouped_channels_equal_individual_runs_bitwise():
 
 
 def test_thread_count_does_not_change_bits():
-    g, fs, spds, _ = _instance(22, n=60, f=MULTI_BLOCK, alpha=0.8)
-    seq = impute_stage1(g, fs, spds, steps=30, threads=1)
-    for threads in (2, 3, 4):
-        par = impute_stage1(g, fs, spds, steps=30, threads=threads)
-        assert np.array_equal(seq.values.view(np.uint64), par.values.view(np.uint64))
-        assert np.array_equal(seq.residuals, par.residuals)
+    """Both the fused kernel (a pool task per column block) and the
+    explicit operator of deep channels (a task per missing pattern)."""
+    fused = _instance(22, n=60, f=MULTI_BLOCK, alpha=0.8)[:3]
+    n = 400
+    path = build_graph(_path_edges(n), n)
+    known = np.zeros((n, 12), dtype=bool)
+    for d in range(12):
+        known[(d % 4) * 3, d] = True  # four patterns, each 390+ hops deep
+    deep_spds = compute_spds(path, known, 0.1)
+    assert (deep_spds.distances.max(axis=0) * -np.log(0.1) > diffusion.MAX_DECAY).all()
+    deep = (path, apply_mask(np.random.default_rng(22).normal(size=(n, 12)), known),
+            deep_spds)
+    for g, fs, spds in (fused, deep):
+        seq = impute_stage1(g, fs, spds, steps=30, threads=1)
+        for threads in (2, 3, 4):
+            par = impute_stage1(g, fs, spds, steps=30, threads=threads)
+            assert np.array_equal(seq.values.view(np.uint64),
+                                  par.values.view(np.uint64))
+            assert np.array_equal(seq.residuals, par.residuals)
 
 
 def test_resolve_threads_env(monkeypatch):
@@ -289,11 +323,10 @@ def test_validation_errors():
 
 def test_closed_form_size_guard(monkeypatch):
     g, fs, spds, _ = _instance(5, n=30, f=1)
-    part = partition_channel(fs.known[:, 0], 0)
-    op = build_channel_operator(g, spds.distances[:, 0], part, 0.5)
+    op = build_channel_operator(g, spds.distances[:, 0], fs.known[:, 0], 0.5)
     monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", 2)
     with pytest.raises(InputError, match="iterative"):
-        closed_form_channel(op, fs.values)
+        closed_form_channel(op, fs.values, spds.distances[:, 0] > 0)
 
 
 def test_fp_baseline_matches_dense_reference():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcfi import (InputError, apply_mask, build_graph, connected_components,
-                  extract_largest_component, fp_baseline, induced_subgraph,
-                  partition_channel)
+                  extract_largest_component, fp_baseline, induced_subgraph)
 
 from _oracles import (build_graph_reference, components_reference, floyd_warshall,
                       fp_baseline_reference, induced_subgraph_reference,
@@ -99,15 +98,6 @@ def test_extract_largest_component_maps_ids():
     assert same is line and id_map.tolist() == [0, 1, 2] and num_components == 1
     empty, id_map, num_components = extract_largest_component(build_graph([], 0))
     assert empty.num_nodes == 0 and id_map.size == 0 and num_components == 0
-
-
-def test_partition_channel_orders_known_first():
-    mask = np.array([False, True, False, True, True])
-    part = partition_channel(mask, 0)
-    assert part.known_nodes.tolist() == [1, 3, 4]
-    assert part.unknown_nodes.tolist() == [0, 2]
-    assert part.to_original.tolist() == [1, 3, 4, 0, 2]
-    assert np.array_equal(part.to_reordered[part.to_original], np.arange(5))
 
 
 @settings(max_examples=40, deadline=None)

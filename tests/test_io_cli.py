@@ -527,6 +527,26 @@ def test_json_sorted_rounded_with_newline(tmp_path):
     assert data["d"] == [0, 1]
 
 
+def test_json_is_ascii_bytes_alike_in_a_file_and_on_stdout(tmp_path, monkeypatch):
+    """A report is the ASCII text of ``json.dumps``, and goes to stdout's
+    binary buffer after the text already written and before the next."""
+    obj = {"\u00e9": [1.5, float("inf")], "a": {"n": np.int64(3)}}
+    path = tmp_path / "r.json"
+    pio.write_json(path, obj)
+    want = json.dumps({"a": {"n": 3}, "\u00e9": [1.5, None]}, indent=2,
+                      sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="ascii", newline="\n")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before")
+    pio.write_json("-", obj)
+    print("after")
+    stdout.flush()
+    monkeypatch.undo()
+    assert raw.getvalue() == b"before\n" + path.read_bytes() + b"after\n"
+
+
 def test_dataset_round_trip(tmp_path):
     ds = generate(SynthSpec(num_nodes=120, num_classes=3, feature_dim=4,
                             intra_edge_prob=0.08, inter_edge_prob=0.01, seed=3))
@@ -642,6 +662,28 @@ def test_impute_takes_the_feature_set_out_of_a_list(tmp_path):
         assert handed == []
         assert (from_list.values.tobytes()
                 == pipeline.impute(g, fs, cfg).values.tobytes())
+
+
+def test_impute_outcome_holds_one_matrix_of_the_input_size():
+    """After ``impute`` returns, the outcome holds the imputed matrix, the
+    narrow distance field and per-channel residuals. Keeping the stage-1
+    matrix as well would make two N x F float64 arrays."""
+    rng = np.random.default_rng(6)
+    n, f = 3000, 64
+    edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    g = build_graph(edges + rng.integers(0, n, size=(n, 2)).tolist(), n)
+    known = rng.random((n, f)) < 0.5
+    fs = pipeline.apply_mask(rng.normal(size=(n, f)), known)
+    cfg = pipeline.ImputationConfig(method="pcfi")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        outcome = pipeline.impute(g, fs, cfg)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert outcome.values.shape == (n, f)
+    assert held < 1.5 * n * f * 8, held
 
 
 def test_cli_eval_accepts_precomputed_distance_field(tmp_path):
