@@ -59,6 +59,14 @@ def _graph_for(args, num_nodes: int):
     return build_graph(edges, num_nodes)
 
 
+def _impute_config(args, method: str) -> ImputationConfig:
+    """The run settings of ``impute`` and ``pipeline``, for ``method``."""
+    return ImputationConfig(alpha=args.alpha, beta=args.beta, steps=args.k,
+                            method=method, mode=args.mode,
+                            lenient_no_source=args.lenient_no_source,
+                            threads=args.threads)
+
+
 def cmd_mask(args) -> int:
     if args.features_file is not None:
         n, f = pio.load_matrix_shape(args.features_file, header=args.header)
@@ -90,17 +98,14 @@ def cmd_impute(args) -> int:
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)
     num_missing = known.size - np.count_nonzero(known)
-    cfg = ImputationConfig(alpha=args.alpha, beta=args.beta, steps=args.k,
-                           method=args.method, mode=args.mode,
-                           lenient_no_source=args.lenient_no_source,
-                           threads=args.threads)
+    cfg = _impute_config(args, args.method)
     outcome = impute(g, masked, cfg)
     pio.write_matrix(args.out, outcome.values)
 
     spds = outcome.spds
     if args.spds_out is not None:
         if spds is None:
-            spds = compute_spds(g, known, args.alpha)
+            spds = compute_spds(g, known)
         pio.write_spds(args.spds_out, spds.distances)
 
     report_path = args.report
@@ -147,12 +152,11 @@ def cmd_eval(args) -> int:
         if not np.array_equal(distances == 0, known):
             raise InputError("distance field inconsistent with mask: distance 0 "
                              "must hold exactly at observed entries")
-        spds = SpdsMatrix(distances=distances, alpha=args.alpha)
+        spds = SpdsMatrix(distances=distances)
     elif args.edges is not None:
         g = _graph_for(args, truth.shape[0])
-        spds = compute_spds(g, known, args.alpha)
-    report = evaluate(truth, imputed, known, spds,
-                      config={"alpha": args.alpha} if spds is not None else {})
+        spds = compute_spds(g, known)
+    report = evaluate(truth, imputed, known, spds)
     pio.write_json(args.report, report.to_dict())
     if report.rmse is not None:
         log.info("rmse=%.6g cosine_mean=%s over %d nodes", report.rmse,
@@ -193,11 +197,10 @@ def cmd_pipeline(args) -> int:
             features = features[keep]
     seeds = _parse_int_list(args.seeds, "--seeds")
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+    # run_pipeline sets each run's method; zero checks none of the settings
     report = run_pipeline(
-        g, features, mask_kind=args.mask_type, mask_rate=args.rate,
-        seeds=seeds, methods=methods, alpha=args.alpha, beta=args.beta,
-        steps=args.k, mode=args.mode,
-        lenient_no_source=args.lenient_no_source, threads=args.threads,
+        g, features, _impute_config(args, "zero"), mask_kind=args.mask_type,
+        mask_rate=args.rate, seeds=seeds, methods=methods,
         collect_timings=args.timings,
     )
     pio.write_json(args.out, report)
@@ -208,14 +211,15 @@ def cmd_pipeline(args) -> int:
 
 
 def _add_common_impute_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.8,
-                   help="confidence decay base in (0, 1) (default 0.8)")
-    p.add_argument("--beta", type=float, default=1e-3,
-                   help="inter-channel correction strength (default 1e-3)")
-    p.add_argument("--k", type=int, default=100,
-                   help="diffusion steps K (default 100)")
+    p.add_argument("--alpha", type=float, default=ImputationConfig.alpha,
+                   help="confidence decay base in (0, 1), read by pcfi and "
+                        "pcfi_stage1_only (default %(default)s)")
+    p.add_argument("--beta", type=float, default=ImputationConfig.beta,
+                   help="inter-channel correction strength (default %(default)s)")
+    p.add_argument("--k", type=int, default=ImputationConfig.steps,
+                   help="diffusion steps K (default %(default)s)")
     p.add_argument("--mode", choices=["iterative", "closed_form"],
-                   default="iterative", help="diffusion solver")
+                   default=ImputationConfig.mode, help="diffusion solver")
     p.add_argument("--lenient-no-source", action="store_true",
                    help="zero-fill channels whose missing entries cannot reach "
                         "an observed value instead of erroring")
@@ -277,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "distance buckets")
     p.add_argument("--edges", help="edge list (alternative to --spds: "
                                    "distances are computed from it)")
-    p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--report", required=True, help="report JSON path or -")
     p.set_defaults(func=cmd_eval)
 

@@ -5,8 +5,10 @@ the shortest path from node ``i`` to the nearest node whose value in
 channel ``d`` is observed (0 on the observed nodes themselves). Nodes
 with no path to any observed node carry the sentinel ``UNREACHABLE``.
 
-The pseudo-confidence of an entry is ``alpha ** S[i, d]`` with
-``alpha`` in (0, 1): certainty 1 at observed entries, decaying
+The field holds hop counts only. The decay base ``alpha`` in (0, 1) is
+a setting of the run, passed to each function that turns hops into
+confidence and checked there. The pseudo-confidence of an entry is
+``alpha ** S[i, d]``: certainty 1 at observed entries, decaying
 geometrically with hop distance, and defined as 0 at unreachable nodes.
 The relative pseudo-confidence between neighbors,
 ``alpha ** (S[j, d] - S[i, d])``, is the edge weight used by the
@@ -57,12 +59,9 @@ class SpdsMatrix:
         Hop counts; ``UNREACHABLE`` (-1) where no source is reachable. A
         signed integer array keeps its type (``compute_spds`` gives the
         narrowest one for the graph); any other input becomes int64.
-    alpha : float
-        Decay base in (0, 1) used to turn distances into confidences.
     """
 
     distances: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         distances = np.asarray(self.distances)
@@ -72,18 +71,8 @@ class SpdsMatrix:
             raise InputError(f"distance field must be 2-D, got shape {distances.shape}")
         if np.any(distances < UNREACHABLE):
             raise InputError("distances must be >= -1")
-        if not (0.0 < self.alpha < 1.0):
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
         distances.setflags(write=False)
         object.__setattr__(self, "distances", distances)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.distances.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.distances.shape[1]
 
 
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
@@ -98,7 +87,7 @@ def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
     return _hop_distances(g, known)[:, 0]
 
 
-def compute_spds(g: Graph, known: np.ndarray, alpha: float) -> SpdsMatrix:
+def compute_spds(g: Graph, known: np.ndarray) -> SpdsMatrix:
     """Distance field for every channel of a known-mask.
 
     Channels with the same known set share one search, so a structural
@@ -112,7 +101,7 @@ def compute_spds(g: Graph, known: np.ndarray, alpha: float) -> SpdsMatrix:
             f"known mask shape {known.shape} does not match graph with "
             f"{g.num_nodes} nodes"
         )
-    return SpdsMatrix(distances=_hop_distances(g, known), alpha=alpha)
+    return SpdsMatrix(distances=_hop_distances(g, known))
 
 
 def distance_dtype(num_nodes: int) -> np.dtype:
@@ -173,22 +162,30 @@ def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pseudo_confidence(spds: SpdsMatrix) -> np.ndarray:
+def pseudo_confidence(spds: SpdsMatrix, alpha: float) -> np.ndarray:
     """``alpha ** S`` elementwise, defined as 0 at unreachable entries."""
     out = np.empty(spds.distances.shape)
-    for rows, xi in confidence_rows(spds):
+    for rows, xi in confidence_rows(spds, alpha):
         out[rows] = xi
     return out
 
 
-def confidence_rows(spds: SpdsMatrix):
+def confidence_rows(spds: SpdsMatrix, alpha: float):
     """``(rows, alpha ** S[rows])`` for consecutive row slices ``rows`` of
-    about ``ROW_BLOCK_VALUES`` entries each; every block is a new array."""
+    about ``ROW_BLOCK_VALUES`` entries each; every block is a new array.
+    ``alpha`` must lie in (0, 1)."""
+    check_alpha(alpha)
     n, f = spds.distances.shape
     step = max(1, ROW_BLOCK_VALUES // max(f, 1))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        yield rows, alpha_powers(spds.alpha, spds.distances[rows])
+        yield rows, alpha_powers(alpha, spds.distances[rows])
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`InputError` unless ``alpha`` lies in (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def alpha_powers(alpha: float, distances: np.ndarray) -> np.ndarray:

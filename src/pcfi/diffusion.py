@@ -64,7 +64,7 @@ import numpy as np
 from scipy import sparse
 
 from .confidence import (BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix, alpha_powers,
-                         distinct_columns)
+                         check_alpha, distinct_columns)
 from .errors import InputError, NoSourceError, NumericalError
 from .graph import Graph
 from .masking import FeatureSet
@@ -104,15 +104,12 @@ class DiffusionResult:
         reachable; empty unless lenient mode intervened.
     steps_run : int
         Iterations performed (0 in closed-form mode).
-    mode : str
-        "iterative", "closed_form", or "fp".
     """
 
     values: np.ndarray
     residuals: np.ndarray | None
     flagged_channels: list[int]
     steps_run: int
-    mode: str
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -149,8 +146,7 @@ def build_channel_operator(g: Graph, dist_col: np.ndarray, known_col: np.ndarray
     if dist_col.shape != (n,) or known_col.shape != (n,):
         raise InputError(f"distance column {dist_col.shape} and mask column "
                          f"{known_col.shape} must both have shape ({n},)")
-    if not (0.0 < alpha < 1.0):
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
 
     op = g.self_loop_adjacency()
     rows = np.repeat(np.arange(n), np.diff(op.indptr))
@@ -212,10 +208,11 @@ def closed_form_channel(op: sparse.csr_array, x0: np.ndarray,
     return out
 
 
-def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
+def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
                   steps: int = 100, mode: str = "iterative",
                   lenient: bool = False, threads: int | None = None) -> DiffusionResult:
-    """Fill missing entries channel-wise by confidence-weighted diffusion.
+    """Fill missing entries channel-wise by confidence-weighted diffusion,
+    with confidences ``alpha ** S`` for ``alpha`` in (0, 1).
 
     Every missing node must reach a source in its channel; with
     ``lenient=True``, offending channels are flagged and the unreachable
@@ -228,6 +225,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
     blocks (closed form: over missing patterns); output bits do not
     depend on it.
     """
+    check_alpha(alpha)
     if mode not in ("iterative", "closed_form"):
         raise InputError(f"unknown diffusion mode {mode!r}")
     if mode == "iterative" and steps < 1:
@@ -253,7 +251,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
     residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
     if n == 0 or f == 0:
         return DiffusionResult(values=out, residuals=residuals,
-                               flagged_channels=[], steps_run=steps_run, mode=mode)
+                               flagged_channels=[], steps_run=steps_run)
 
     has_source = fs.known.any(axis=0)
     unhealthy = ~has_source | (spds.distances == UNREACHABLE).any(axis=0)
@@ -270,22 +268,23 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, *,
     if mode == "closed_form":
         explicit = has_source
     else:
-        deep = spds.distances.max(axis=0) * -math.log(spds.alpha) > MAX_DECAY
+        deep = spds.distances.max(axis=0) * -math.log(alpha) > MAX_DECAY
         explicit = has_source & deep
         fused = np.flatnonzero(~explicit)
         if fused.size:
             ai = g.self_loop_adjacency()
 
             def run_block(cols):
-                out[:, cols], residuals[cols] = _diffuse_block(ai, fs, spds, cols, steps)
+                out[:, cols], residuals[cols] = _diffuse_block(ai, fs, spds, alpha, cols,
+                                                               steps)
 
             _run(run_block, [fused[lo:lo + BLOCK_COLUMNS]
                              for lo in range(0, fused.size, BLOCK_COLUMNS)], nthreads)
     if explicit.any():
-        _diffuse_per_pattern(g, fs, spds, np.flatnonzero(explicit), out, residuals,
-                             steps=steps, mode=mode, nthreads=nthreads)
+        _diffuse_per_pattern(g, fs, spds, alpha, np.flatnonzero(explicit), out,
+                             residuals, steps=steps, mode=mode, nthreads=nthreads)
     return DiffusionResult(values=out, residuals=residuals,
-                           flagged_channels=flagged, steps_run=steps_run, mode=mode)
+                           flagged_channels=flagged, steps_run=steps_run)
 
 
 def _run(fn, items, nthreads: int) -> None:
@@ -297,20 +296,21 @@ def _run(fn, items, nthreads: int) -> None:
             fn(item)
 
 
-def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, cols: np.ndarray,
-                   steps: int):
+def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
+                   cols: np.ndarray, steps: int):
     """``steps`` fused iterations on the channels ``cols``; returns their
     values and the max change of the last step per channel."""
     # C-contiguous copies, so every elementwise step below runs on arrays of
     # one layout (column selections of a C-ordered matrix are F-ordered)
     x0 = fs.values.take(cols, axis=1)  # observed values, 0 elsewhere
-    known = fs.known.take(cols, axis=1)
-    scale = alpha_powers(spds.alpha, spds.distances.take(cols, axis=1))
+    pinned = np.flatnonzero(fs.known.take(cols, axis=1))
+    values = x0.ravel()[pinned]
+    scale = alpha_powers(alpha, spds.distances.take(cols, axis=1))
     den = ai @ scale
     # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
     den[scale == 0.0] = np.inf
     scale /= den
-    scale[known] = 0.0
+    scale.ravel()[pinned] = 0.0
 
     # five block-sized arrays stay alive: x0, scale, den, and y before and
     # after each product
@@ -318,25 +318,25 @@ def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, cols: np.ndarray,
     for step in range(1, steps):
         y = ai @ y
         if step == steps - 1:
-            prev = _unscale(y.copy(), den, x0, known)
+            prev = _unscale(y.copy(), den, pinned, values)
         y *= scale
         y += x0
     del scale
-    x = _unscale(ai @ y, den, x0, known)
+    x = _unscale(ai @ y, den, pinned, values)
     prev -= x
     return x, np.abs(prev, out=prev).max(axis=0)
 
 
-def _unscale(t: np.ndarray, den: np.ndarray, x0: np.ndarray,
-             known: np.ndarray) -> np.ndarray:
-    """Values ``t / den`` from a product ``t = (A + I) Y``, with the
-    observed entries set back to their exact input bits."""
+def _unscale(t: np.ndarray, den: np.ndarray, pinned: np.ndarray,
+             values: np.ndarray) -> np.ndarray:
+    """Values ``t / den`` from a C-ordered product ``t = (A + I) Y``, with
+    the entries at flat indices ``pinned`` set back to the input bits."""
     t /= den
-    np.copyto(t, x0, where=known)
+    t.ravel()[pinned] = values
     return t
 
 
-def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix,
+def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
                          channels: np.ndarray, out: np.ndarray,
                          residuals: np.ndarray | None, *, steps: int, mode: str,
                          nthreads: int) -> None:
@@ -348,7 +348,7 @@ def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix,
 
     def run_group(cols):
         dist_col = spds.distances[:, cols[0]]
-        op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], spds.alpha)
+        op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], alpha)
         x0 = fs.values.take(cols, axis=1)
         if mode == "iterative":
             out[:, cols], residuals[cols] = diffuse_channel(
@@ -376,4 +376,4 @@ def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResul
 
     x, residuals = diffuse_channel(op, fs.values, fs.known, steps)
     return DiffusionResult(values=x, residuals=residuals, flagged_channels=[],
-                           steps_run=steps, mode="fp")
+                           steps_run=steps)

@@ -32,6 +32,7 @@ import contextlib
 import io as _io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +55,6 @@ __all__ = [
     "write_dataset",
     "load_dataset",
 ]
-
-
-def _read_text(path) -> str:
-    if str(path) == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
 
 
 @contextlib.contextmanager
@@ -96,22 +91,30 @@ def _loadtxt(path, *, delimiter, skiprows: int, what: str) -> np.ndarray:
         return _parse(fh, delimiter=delimiter, skiprows=skiprows, what=what)
 
 
+def _load_integers(path, *, delimiter, skiprows: int = 0, what: str) -> np.ndarray:
+    """Integer matrix (int64) of a text file; an entry that is not a whole
+    number is an error. Input with no rows gives an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        arr = _loadtxt(path, delimiter=delimiter, skiprows=skiprows, what=what)
+    whole = np.isfinite(arr) & (arr == np.floor(arr))
+    if not whole.all():
+        raise InputError(f"{what} contains non-integer entries, such as "
+                         f"{arr[~whole].flat[0]!r}")
+    return arr.astype(np.int64)
+
+
 def load_edges(path) -> np.ndarray:
     """Edge pairs as an (E, 2) int64 array; blank/comment-only input
     gives an empty list."""
-    text = _read_text(path)
-    if not any(line.strip() and not line.lstrip().startswith("#")
-               for line in text.splitlines()):
+    arr = _load_integers(path, delimiter=None, what=f"edge list {path}")
+    if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    arr = _parse(_io.StringIO(text), delimiter=None, skiprows=0,
-                 what=f"edge list {path}")
     if arr.shape[1] != 2:
         raise InputError(
             f"edge list {path} must have exactly 2 columns, found {arr.shape[1]}"
         )
-    if np.any(arr != np.floor(arr)):
-        raise InputError(f"edge list {path} contains non-integer node ids")
-    return arr.astype(np.int64)
+    return arr
 
 
 def load_matrix(path, header: bool = False) -> np.ndarray:
@@ -194,13 +197,11 @@ def _canonical_mask(data: bytes) -> np.ndarray | None:
 
 def load_spds(path, header: bool = False) -> np.ndarray:
     """Integer distance field; -1 marks unreachable, nothing below it."""
-    arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
-                   what=f"distance field {path}")
-    if np.any(arr != np.floor(arr)):
-        raise InputError(f"distance field {path} contains non-integer entries")
+    arr = _load_integers(path, delimiter=",", skiprows=1 if header else 0,
+                         what=f"distance field {path}")
     if np.any(arr < -1):
         raise InputError(f"distance field {path} contains values below -1")
-    return arr.astype(np.int64)
+    return arr
 
 
 # Matrices are formatted in blocks of whole rows holding about this many
@@ -459,9 +460,8 @@ def write_dataset(directory, dataset: SynthDataset) -> None:
 def load_dataset(directory):
     """Load a dataset directory back as ``(graph, features, labels, meta)``."""
     directory = Path(directory)
-    labels_arr = _loadtxt(directory / "labels.csv", delimiter=None,
-                          skiprows=0, what="labels")
-    labels = labels_arr.astype(np.int64).ravel()
+    labels = _load_integers(directory / "labels.csv", delimiter=None,
+                            what="labels").ravel()
     features = load_matrix(directory / "features.csv")
     if features.shape[0] != labels.size:
         raise InputError(

@@ -9,6 +9,9 @@
   each step (no distance weighting, no channel mixing);
 * ``zero``: leave missing entries at zero.
 
+``ImputationConfig`` holds every setting of a run and the only defaults;
+it checks ``alpha`` only for the methods that read it.
+
 ``run_pipeline`` masks a fully observed matrix under several seeds,
 runs each requested method, scores recovery against the held-out truth,
 and aggregates across seeds. Wall-clock timings are recorded only when
@@ -18,12 +21,13 @@ byte-identical by default.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import SpdsMatrix, compute_spds
+from .confidence import SpdsMatrix, check_alpha, compute_spds
 from .diffusion import fp_baseline, impute_stage1
 from .errors import InputError
 from .graph import Graph
@@ -39,9 +43,10 @@ PIPELINE_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ImputationConfig:
-    """Knobs for one imputation run. ``mode`` selects iterative or
-    closed-form diffusion; ``lenient_no_source`` zero-fills channels
-    with unreachable missing entries instead of erroring."""
+    """Settings of one imputation run. ``alpha`` must lie in (0, 1) for
+    ``pcfi`` and ``pcfi_stage1_only``; ``mode`` selects iterative or
+    closed-form diffusion; ``lenient_no_source`` zero-fills channels with
+    unreachable missing entries instead of erroring."""
 
     alpha: float = 0.8
     beta: float = 1e-3
@@ -56,8 +61,8 @@ class ImputationConfig:
             raise InputError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if self.method in ("pcfi", "pcfi_stage1_only") and not (0.0 < self.alpha < 1.0):
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.method in ("pcfi", "pcfi_stage1_only"):
+            check_alpha(self.alpha)
         if self.beta < 0:
             raise InputError(f"beta must be >= 0, got {self.beta}")
         if self.mode not in ("iterative", "closed_form"):
@@ -84,7 +89,6 @@ class ImputeOutcome:
     residuals: np.ndarray | None
     steps_run: int
     flagged_channels: list
-    config: ImputationConfig
 
 
 def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
@@ -92,7 +96,7 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     """Run one method on one masked feature set.
 
     A precomputed distance field may be passed to avoid recomputing it
-    across methods; it must match the mask and use ``cfg.alpha``.
+    across methods; it must match the mask.
 
     ``fs`` may be handed over in a one-item list, which is emptied: with
     no other reference left to it, the masked input is then freed once
@@ -102,30 +106,23 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         fs = fs.pop()
     if cfg.method == "zero":
         return ImputeOutcome(values=fs.values.copy(), spds=None, residuals=None,
-                             steps_run=0, flagged_channels=[], config=cfg)
+                             steps_run=0, flagged_channels=[])
     if cfg.method == "fp":
         res = fp_baseline(g, fs, steps=cfg.steps)
         return ImputeOutcome(values=res.values, spds=None, residuals=res.residuals,
                              steps_run=res.steps_run,
-                             flagged_channels=list(res.flagged_channels),
-                             config=cfg)
+                             flagged_channels=list(res.flagged_channels))
     if spds is None:
-        spds = compute_spds(g, fs.known, cfg.alpha)
-    elif spds.alpha != cfg.alpha:
-        raise InputError(
-            f"precomputed distance field uses alpha={spds.alpha}, "
-            f"config says {cfg.alpha}"
-        )
-    stage1 = impute_stage1(g, fs, spds, steps=cfg.steps, mode=cfg.mode,
+        spds = compute_spds(g, fs.known)
+    stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
                            lenient=cfg.lenient_no_source, threads=cfg.threads)
     del fs
     values = stage1.values
     if cfg.method == "pcfi":
-        values = propagate_stage2(values, spds, cfg.beta)
+        values = propagate_stage2(values, spds, cfg.alpha, cfg.beta)
     return ImputeOutcome(values=values, spds=spds, residuals=stage1.residuals,
                          steps_run=stage1.steps_run,
-                         flagged_channels=list(stage1.flagged_channels),
-                         config=cfg)
+                         flagged_channels=list(stage1.flagged_channels))
 
 
 def _make_mask(kind: str, n: int, f: int, rate: float, seed: int) -> np.ndarray:
@@ -136,16 +133,17 @@ def _make_mask(kind: str, n: int, f: int, rate: float, seed: int) -> np.ndarray:
     raise InputError(f"unknown mask kind {kind!r}")
 
 
-def run_pipeline(g: Graph, features: np.ndarray, *, mask_kind: str,
-                 mask_rate: float, seeds, methods=("pcfi", "fp", "zero"),
-                 alpha: float = 0.8, beta: float = 1e-3, steps: int = 100,
-                 mode: str = "iterative", lenient_no_source: bool = False,
-                 threads: int | None = None,
+def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
+                 mask_kind: str, mask_rate: float, seeds,
+                 methods=("pcfi", "fp", "zero"),
                  collect_timings: bool = False) -> dict:
     """Mask, impute, and score under each seed; aggregate across seeds.
 
-    Returns a JSON-ready dict: one block per seed with per-method
-    metrics, plus mean/std aggregates of the overall RMSE and cosine.
+    Each of ``methods`` runs with the settings of ``cfg`` in place of its
+    ``method``; an unknown method, or a bad ``alpha`` for a method that
+    reads it, fails before any work. Returns a JSON-ready dict: one block
+    per seed with per-method metrics, plus mean/std aggregates of the
+    overall RMSE and cosine.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != g.num_nodes:
@@ -156,9 +154,7 @@ def run_pipeline(g: Graph, features: np.ndarray, *, mask_kind: str,
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InputError("at least one seed is required")
-    for m in methods:
-        if m not in METHODS:
-            raise InputError(f"unknown method {m!r}; expected one of {METHODS}")
+    configs = {m: dataclasses.replace(cfg, method=m) for m in methods}
 
     n, f = features.shape
     per_seed = []
@@ -168,21 +164,17 @@ def run_pipeline(g: Graph, features: np.ndarray, *, mask_kind: str,
     for seed in seeds:
         known = _make_mask(mask_kind, n, f, mask_rate, seed)
         fs = apply_mask(features, known)
-        spds = compute_spds(g, known, alpha)
+        spds = compute_spds(g, known)
         block = {"seed": seed,
                  "mask": {"kind": mask_kind, "rate": mask_rate, "seed": seed,
                           "num_missing_entries": int((~known).sum())},
                  "methods": {}}
-        for method in methods:
-            cfg = ImputationConfig(alpha=alpha, beta=beta, steps=steps,
-                                   method=method, mode=mode,
-                                   lenient_no_source=lenient_no_source,
-                                   threads=threads)
+        for method, method_cfg in configs.items():
             t0 = time.perf_counter()
-            outcome = impute(g, fs, cfg, spds=spds if method not in ("fp", "zero") else None)
+            outcome = impute(g, fs, method_cfg, spds=spds)
             elapsed = time.perf_counter() - t0
             report = evaluate(features, outcome.values, known, spds,
-                              config=cfg.summary(),
+                              config=method_cfg.summary(),
                               flagged_channels=outcome.flagged_channels,
                               timings={"impute_seconds": elapsed}
                               if collect_timings else None)
@@ -205,12 +197,11 @@ def run_pipeline(g: Graph, features: np.ndarray, *, mask_kind: str,
             "spearman_distance_cosine": _agg(collected[m]["spearman"])}
         for m in methods
     }
+    settings = {k: v for k, v in cfg.summary().items() if k != "method"}
     return {
         "schema_version": PIPELINE_SCHEMA_VERSION,
         "config": {"mask_kind": mask_kind, "mask_rate": mask_rate,
-                   "seeds": seeds, "methods": list(methods), "alpha": alpha,
-                   "beta": beta, "steps": steps, "mode": mode,
-                   "lenient_no_source": lenient_no_source},
+                   "seeds": seeds, "methods": list(methods), **settings},
         "num_nodes": n,
         "num_channels": f,
         "per_seed": per_seed,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import SpdsMatrix, confidence_rows
+from .confidence import SpdsMatrix, check_alpha, confidence_rows
 from .errors import InputError
 
 __all__ = ["correlation", "propagate_stage2"]
@@ -82,15 +82,18 @@ def _centered_correlation(values: np.ndarray) -> tuple[np.ndarray, CorrelationMa
     return centered, CorrelationMatrix(r=r, means=means, stds=stds)
 
 
-def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.ndarray:
+def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
+                     beta: float) -> np.ndarray:
     """Apply the correlation-weighted inter-channel correction.
 
-    ``values`` is the fully filled matrix from the diffusion stage.
-    With ``beta == 0``, or with every entry observed (all distances 0),
-    the input is returned bit-identical. Besides ``values``, two arrays of
-    its size are alive at once: ``values - means`` and the product.
+    ``values`` is the fully filled matrix from the diffusion stage, with
+    confidences ``alpha ** S`` for ``alpha`` in (0, 1). With ``beta == 0``,
+    or with every entry observed (all distances 0), a bit-identical copy
+    is returned. Otherwise two more arrays of the input's size are alive
+    at once: ``values - means`` and the product.
     """
     values = np.asarray(values, dtype=np.float64)
+    check_alpha(alpha)
     if beta < 0:
         raise InputError(f"beta must be >= 0, got {beta}")
     if values.shape != spds.distances.shape:
@@ -98,15 +101,17 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, beta: float) -> np.nd
             f"value shape {values.shape} does not match distance field "
             f"shape {spds.distances.shape}"
         )
+    if beta == 0 or not spds.distances.any():
+        return values.copy()
     # values + beta * (1 - xi) * ((xi * (values - means)) @ R), in place with
     # the same operations in the same order, so the bits are the same; the
     # confidences xi are read in row blocks, twice, and never held whole
     t, corr = _centered_correlation(values)
-    for rows, xi in confidence_rows(spds):
+    for rows, xi in confidence_rows(spds, alpha):
         t[rows] *= xi
     out = t @ corr.r
     del t
-    for rows, xi in confidence_rows(spds):
+    for rows, xi in confidence_rows(spds, alpha):
         np.subtract(1.0, xi, out=xi)
         xi *= beta
         out[rows] *= xi

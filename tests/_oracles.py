@@ -209,7 +209,7 @@ def compute_spds_channel(g, known_column: np.ndarray) -> np.ndarray:
     return dist
 
 
-def relative_pc(spds: SpdsMatrix, i: int, j: int, d: int) -> float:
+def relative_pc(spds: SpdsMatrix, alpha: float, i: int, j: int, d: int) -> float:
     """Confidence of node ``j`` relative to node ``i`` in channel ``d``:
     ``alpha ** (S[j, d] - S[i, d])``.
 
@@ -227,11 +227,11 @@ def relative_pc(spds: SpdsMatrix, i: int, j: int, d: int) -> float:
             f"relative confidence undefined: node {i if si == -1 else j} "
             f"is unreachable in channel {d}"
         )
-    return float(spds.alpha ** (sj - si))
+    return float(alpha ** (sj - si))
 
 
-def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, beta: float,
-                             *, max_cells: int = 1_000_000) -> np.ndarray:
+def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, alpha: float,
+                             beta: float, *, max_cells: int = 1_000_000) -> np.ndarray:
     """Stage 2 with the per-node mixing matrix built explicitly. Quadratic
     in channels per node; guarded to N * F^2 <= ``max_cells`` cells."""
     values = np.asarray(values, dtype=np.float64)
@@ -248,7 +248,7 @@ def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, beta: float,
             f"node-loop reference limited to {max_cells} cells, got {n * f * f}"
         )
     corr = correlation(values)
-    xi = pseudo_confidence(spds)
+    xi = pseudo_confidence(spds, alpha)
     out = values.copy()
     for i in range(n):
         b = beta * np.outer(1.0 - xi[i], xi[i]) * corr.r

@@ -33,8 +33,7 @@ def _check(cid: str, label: str, ok: bool, detail: str) -> None:
 
 
 def _random_instance(seed: int, max_n: int = 200, f: int = 3,
-                     rate: float = 0.6, alpha: float = 0.5,
-                     kind: str = "uniform"):
+                     rate: float = 0.6, kind: str = "uniform"):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, max_n + 1))
     g = build_graph(random_connected_edges(rng, n, extra_per_node=3.0), n)
@@ -44,7 +43,7 @@ def _random_instance(seed: int, max_n: int = 200, f: int = 3,
         known = uniform_mask(n, f, rate, seed=seed)
     vals = rng.normal(size=(n, f)) * 2.0 + rng.normal()
     fs = apply_mask(vals, known)
-    spds = compute_spds(g, known, alpha)
+    spds = compute_spds(g, known)
     return g, fs, spds
 
 
@@ -58,9 +57,9 @@ def test_c01_iterative_matches_closed_form():
     for i in range(50):
         alpha = alphas[i % 3]
         kind = "structural" if i % 2 else "uniform"
-        g, fs, spds = _random_instance(seed=1000 + i, alpha=alpha, kind=kind)
-        it = impute_stage1(g, fs, spds, steps=100)
-        cf = impute_stage1(g, fs, spds, mode="closed_form")
+        g, fs, spds = _random_instance(seed=1000 + i, kind=kind)
+        it = impute_stage1(g, fs, spds, alpha, steps=100)
+        cf = impute_stage1(g, fs, spds, alpha, mode="closed_form")
         worst = max(worst, float(np.max(np.abs(it.values - cf.values))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -77,7 +76,7 @@ def test_c02_operator_structure_and_pinning():
     bits_ok = True
     for i in range(20):
         alpha = [0.1, 0.5, 0.8, 0.9][i % 4]
-        g, fs, spds = _random_instance(seed=2000 + i, max_n=80, alpha=alpha)
+        g, fs, spds = _random_instance(seed=2000 + i, max_n=80)
         for d in range(fs.num_channels):
             known = fs.known[:, d]
             op = build_channel_operator(g, spds.distances[:, d], known, alpha)
@@ -85,7 +84,7 @@ def test_c02_operator_structure_and_pinning():
             worst_row = max(worst_row, float(np.max(np.abs(dense.sum(axis=1) - 1.0))))
             onehot_ok &= np.array_equal(dense[known], np.eye(g.num_nodes)[known])
         for mode in ("iterative", "closed_form"):
-            out = impute_stage1(g, fs, spds, steps=100, mode=mode).values
+            out = impute_stage1(g, fs, spds, alpha, steps=100, mode=mode).values
             bits_ok &= np.array_equal(out[fs.known].view(np.uint64),
                                       fs.values[fs.known].view(np.uint64))
     ok = worst_row <= 1e-12 and onehot_ok and bits_ok
@@ -108,7 +107,7 @@ def test_c03_neighbor_confidence_ratios():
     while total < 100_000:
         alpha = [0.2, 0.5, 0.8][seed % 3]
         g, fs, spds = _random_instance(seed=3000 + seed, max_n=120, f=6,
-                                       rate=0.5, alpha=alpha)
+                                       rate=0.5)
         seed += 1
         und = g.edge_array()
         rows = np.concatenate([und[:, 0], und[:, 1]])
@@ -126,7 +125,7 @@ def test_c03_neighbor_confidence_ratios():
         allowed_missing = {alpha ** -1, alpha ** 0, alpha ** 1}
         allowed_source = {alpha ** 0, alpha ** 1}
         for i, j in und[:100]:
-            val = relative_pc(spds, int(i), int(j), 0)
+            val = relative_pc(spds, alpha, int(i), int(j), 0)
             allowed = allowed_source if s0[i] == 0 else allowed_missing
             if val not in allowed:
                 violations += 1
@@ -144,9 +143,9 @@ def test_c04_convex_hull_bound():
     for i in range(100):
         alpha = [0.1, 0.5, 0.9][i % 3]
         kind = "structural" if i % 2 else "uniform"
-        g, fs, spds = _random_instance(seed=4000 + i, max_n=60, alpha=alpha,
-                                       kind=kind, rate=0.5)
-        out = impute_stage1(g, fs, spds, mode="closed_form").values
+        g, fs, spds = _random_instance(seed=4000 + i, max_n=60, kind=kind,
+                                       rate=0.5)
+        out = impute_stage1(g, fs, spds, alpha, mode="closed_form").values
         for d in range(fs.num_channels):
             kn = fs.known[:, d]
             if not kn.any() or kn.all():
@@ -177,16 +176,16 @@ def test_c05_channel_mixing_oracle():
             known[int(d) % n, d] = True  # keep one source per channel
         vals = rng.normal(size=(n, f)) * 3.0
         fs = apply_mask(vals, known)
-        spds = compute_spds(g, known, alpha)
-        filled = impute_stage1(g, fs, spds, mode="closed_form").values
-        fast = propagate_stage2(filled, spds, beta)
-        slow = stage2_bruteforce_oracle(filled, spds, beta)
+        spds = compute_spds(g, known)
+        filled = impute_stage1(g, fs, spds, alpha, mode="closed_form").values
+        fast = propagate_stage2(filled, spds, alpha, beta)
+        slow = stage2_bruteforce_oracle(filled, spds, alpha, beta)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
-        identities_ok &= np.array_equal(propagate_stage2(filled, spds, 0.0),
+        identities_ok &= np.array_equal(propagate_stage2(filled, spds, alpha, 0.0),
                                         filled)
-        all_known = compute_spds(g, np.ones((n, f), dtype=bool), alpha)
+        all_known = compute_spds(g, np.ones((n, f), dtype=bool))
         identities_ok &= np.array_equal(
-            propagate_stage2(vals, all_known, beta), vals)
+            propagate_stage2(vals, all_known, alpha, beta), vals)
     ok = worst <= 1e-10 and identities_ok
     _check("C5", "channel-mixing-oracle",
            ok, f"max|vectorized-reference| {worst:.3g} <= 1e-10; "
@@ -202,14 +201,13 @@ def test_c06_constant_input_is_fixed_point():
     c = -3.75
     for i in range(10):
         alpha = [0.3, 0.5, 0.8][i % 3]
-        g, fs0, _ = _random_instance(seed=6000 + i, max_n=80, rate=0.5,
-                                     alpha=alpha)
+        g, fs0, _ = _random_instance(seed=6000 + i, max_n=80, rate=0.5)
         const = np.full_like(fs0.values, c)
         fs = apply_mask(const, fs0.known)
-        spds = compute_spds(g, fs.known, alpha)
+        spds = compute_spds(g, fs.known)
         for mode in ("iterative", "closed_form"):
-            s1 = impute_stage1(g, fs, spds, steps=100, mode=mode).values
-            full = propagate_stage2(s1, spds, 1e-3)
+            s1 = impute_stage1(g, fs, spds, alpha, steps=100, mode=mode).values
+            full = propagate_stage2(s1, spds, alpha, 1e-3)
             worst = max(worst, float(np.max(np.abs(s1 - c))),
                         float(np.max(np.abs(full - c))))
     ok = worst <= 1e-9
@@ -229,10 +227,10 @@ def _trend_fixture():
     ds = generate(SynthSpec(num_nodes=2000, num_classes=10, feature_dim=5,
                             intra_edge_prob=0.016, inter_edge_prob=0.0008,
                             gaussian_scale=0.05, seed=0))
-    report = run_pipeline(ds.graph, ds.features, mask_kind="structural",
-                          mask_rate=0.9, seeds=range(10),
-                          methods=("pcfi", "fp"), alpha=0.8, beta=1e-3,
-                          steps=100)
+    report = run_pipeline(ds.graph, ds.features,
+                          ImputationConfig(alpha=0.8, beta=1e-3, steps=100),
+                          mask_kind="structural", mask_rate=0.9, seeds=range(10),
+                          methods=("pcfi", "fp"))
     _TREND_CACHE["report"] = report
     _TREND_CACHE["seconds"] = time.perf_counter() - t0
     return report

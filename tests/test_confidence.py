@@ -9,7 +9,7 @@ from pcfi import (InputError, SpdsMatrix, UNREACHABLE, apply_mask, build_graph,
 
 from pcfi import confidence
 from pcfi import io as pio
-from pcfi.confidence import BLOCK_COLUMNS, distance_dtype
+from pcfi.confidence import BLOCK_COLUMNS, confidence_rows, distance_dtype
 
 from _oracles import (compute_spds_channel, floyd_warshall,
                       pseudo_confidence_reference, random_gnp_edges,
@@ -24,7 +24,7 @@ def test_bfs_matches_all_pairs_oracle(seed):
     g = build_graph(edges, n)
     known = uniform_mask(n, 3, 0.6, seed=seed) if n > 1 else np.ones((n, 3), bool)
     allpairs = floyd_warshall(n, edges)
-    spds = compute_spds(g, known, 0.5)
+    spds = compute_spds(g, known)
     for d in range(3):
         ref = spds_reference(allpairs, known[:, d])
         assert np.array_equal(spds.distances[:, d], ref), f"channel {d}"
@@ -35,7 +35,7 @@ def test_structural_mask_broadcasts_one_search():
     edges = random_gnp_edges(rng, 30, 0.1)
     g = build_graph(edges, 30)
     known = structural_mask(30, 5, 0.5, seed=1)
-    spds = compute_spds(g, known, 0.5)
+    spds = compute_spds(g, known)
     # every channel identical, and equal to a per-channel run
     assert np.all(spds.distances == spds.distances[:, :1])
     per = np.column_stack([
@@ -49,7 +49,7 @@ def test_sources_are_distance_zero_and_only_sources():
     edges = random_gnp_edges(rng, 25, 0.12)
     g = build_graph(edges, 25)
     known = uniform_mask(25, 4, 0.5, seed=2)
-    spds = compute_spds(g, known, 0.9)
+    spds = compute_spds(g, known)
     assert np.array_equal(spds.distances == 0, known)
 
 
@@ -65,8 +65,8 @@ def test_unreachable_in_disconnected_graph():
 
 
 def test_pseudo_confidence_values():
-    s = SpdsMatrix(distances=np.array([[0, 1], [2, UNREACHABLE]]), alpha=0.5)
-    xi = pseudo_confidence(s)
+    s = SpdsMatrix(distances=np.array([[0, 1], [2, UNREACHABLE]]))
+    xi = pseudo_confidence(s, 0.5)
     assert xi.tolist() == [[1.0, 0.5], [0.25, 0.0]]
 
 
@@ -76,7 +76,7 @@ def test_pseudo_confidence_matches_elementwise_power_bitwise(alpha):
     dist = rng.integers(-1, 2001, size=(300, 40))
     dist[:5] = np.arange(40) * 50  # every depth up to 1950
     dist[5, :3] = [UNREACHABLE, 2000, 0]
-    xi = pseudo_confidence(SpdsMatrix(distances=dist, alpha=alpha))
+    xi = pseudo_confidence(SpdsMatrix(distances=dist), alpha)
     expected = pseudo_confidence_reference(dist, alpha)
     assert xi.dtype == np.float64 and xi.shape == dist.shape
     assert xi.tobytes() == expected.tobytes()
@@ -92,49 +92,66 @@ def test_pseudo_confidence_of_huge_distances_is_bounded(deep):
     """A field may hold any distance >= -1; a power table as long as the
     largest one would not fit in memory."""
     dist = np.array([[0, deep, UNREACHABLE], [3, 1, deep - 1]])
-    xi = pseudo_confidence(SpdsMatrix(distances=dist, alpha=0.9))
+    xi = pseudo_confidence(SpdsMatrix(distances=dist), 0.9)
     assert xi.tobytes() == pseudo_confidence_reference(dist, 0.9).tobytes()
     assert xi.tolist() == [[1.0, 0.0, 0.0], [0.9 ** 3, 0.9, 0.0]]
 
 
 def test_pseudo_confidence_of_empty_and_all_unreachable():
     for dist in (np.zeros((0, 3), np.int64), np.full((4, 2), UNREACHABLE)):
-        xi = pseudo_confidence(SpdsMatrix(distances=dist, alpha=0.5))
+        xi = pseudo_confidence(SpdsMatrix(distances=dist), 0.5)
         assert xi.shape == dist.shape and np.all(xi == 0.0)
 
 
 def test_pseudo_confidence_monotone_in_distance():
-    s = SpdsMatrix(distances=np.arange(12).reshape(12, 1), alpha=0.8)
-    xi = pseudo_confidence(s)[:, 0]
+    s = SpdsMatrix(distances=np.arange(12).reshape(12, 1))
+    xi = pseudo_confidence(s, 0.8)[:, 0]
     assert np.all(np.diff(xi) < 0)
     assert xi[0] == 1.0
 
 
 def test_relative_pc_ratio_and_errors():
-    s = SpdsMatrix(distances=np.array([[0], [1], [2], [UNREACHABLE]]), alpha=0.25)
-    assert relative_pc(s, 1, 2, 0) == 0.25       # deeper neighbor
-    assert relative_pc(s, 2, 1, 0) == 4.0        # shallower neighbor
-    assert relative_pc(s, 1, 1, 0) == 1.0
+    s = SpdsMatrix(distances=np.array([[0], [1], [2], [UNREACHABLE]]))
+    assert relative_pc(s, 0.25, 1, 2, 0) == 0.25       # deeper neighbor
+    assert relative_pc(s, 0.25, 2, 1, 0) == 4.0        # shallower neighbor
+    assert relative_pc(s, 0.25, 1, 1, 0) == 1.0
     with pytest.raises(InputError, match="unreachable"):
-        relative_pc(s, 0, 3, 0)
+        relative_pc(s, 0.25, 0, 3, 0)
 
 
 def test_spds_matrix_validation():
-    with pytest.raises(InputError):
-        SpdsMatrix(distances=np.array([[-2]]), alpha=0.5)
-    with pytest.raises(InputError):
-        SpdsMatrix(distances=np.array([[0]]), alpha=1.0)
-    with pytest.raises(InputError):
-        SpdsMatrix(distances=np.array([[0]]), alpha=0.0)
+    with pytest.raises(InputError, match=">= -1"):
+        SpdsMatrix(distances=np.array([[-2]]))
+    with pytest.raises(InputError, match="2-D"):
+        SpdsMatrix(distances=np.array([0, 1]))
+    spds = SpdsMatrix(distances=np.array([[0, 1]]))
+    with pytest.raises(ValueError, match="read-only"):
+        spds.distances[0, 0] = 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_confidence_makers_reject_alpha_outside_unit_interval(alpha):
+    """The distance field holds hops only; every function that turns hops
+    into confidence checks the decay base it is given."""
+    g = build_graph([[0, 1], [1, 2]], 3)
+    known = np.array([[True], [False], [False]])
+    spds = compute_spds(g, known)
+    fs = apply_mask(np.ones((3, 1)), known)
+    for make in (lambda: pseudo_confidence(spds, alpha),
+                 lambda: next(confidence_rows(spds, alpha)),
+                 lambda: impute_stage1(g, fs, spds, alpha),
+                 lambda: propagate_stage2(np.ones((3, 1)), spds, alpha, 0.0)):
+        with pytest.raises(InputError, match="alpha must lie in"):
+            make()
 
 
 def test_spds_matrix_keeps_signed_integer_types():
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         dist = np.array([[0, 1], [UNREACHABLE, 2]], dtype=dtype)
-        assert SpdsMatrix(distances=dist, alpha=0.5).distances.dtype == dtype
+        assert SpdsMatrix(distances=dist).distances.dtype == dtype
     for other in (np.array([[0.0, 2.0]]), np.array([[0, 2]], np.uint8),
                   [[0, 2]], np.array([[True, False]])):
-        assert SpdsMatrix(distances=other, alpha=0.5).distances.dtype == np.int64
+        assert SpdsMatrix(distances=other).distances.dtype == np.int64
 
 
 def test_distance_type_holds_every_hop_count():
@@ -147,7 +164,7 @@ def test_distance_type_holds_every_hop_count():
         g = build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
         known = np.zeros((n, 1), dtype=bool)
         known[0] = True
-        dist = compute_spds(g, known, 0.5).distances
+        dist = compute_spds(g, known).distances
         assert dist.dtype == distance_dtype(n)
         assert dist[:, 0].tolist() == list(range(n))
 
@@ -160,19 +177,19 @@ def test_narrow_field_matches_its_int64_copy(tmp_path, n):
     rng = np.random.default_rng(n)
     g = build_graph(random_gnp_edges(rng, n, 2.5 / n), n)
     known = uniform_mask(n, 40, 0.8, seed=n)
-    narrow = compute_spds(g, known, 0.8)
-    wide = SpdsMatrix(distances=narrow.distances.astype(np.int64), alpha=0.8)
+    narrow = compute_spds(g, known)
+    wide = SpdsMatrix(distances=narrow.distances.astype(np.int64))
     assert narrow.distances.dtype == distance_dtype(n) != np.int64
     assert np.any(narrow.distances == UNREACHABLE)
-    assert (pseudo_confidence(narrow).tobytes()
-            == pseudo_confidence(wide).tobytes())
+    assert (pseudo_confidence(narrow, 0.8).tobytes()
+            == pseudo_confidence(wide, 0.8).tobytes())
 
     truth = rng.normal(size=(n, 40))
     fs = apply_mask(truth, known)
     outputs = []
     for spds in (narrow, wide):
-        values = impute_stage1(g, fs, spds, steps=30, lenient=True).values
-        values = propagate_stage2(values, spds, 0.05)
+        values = impute_stage1(g, fs, spds, 0.8, steps=30, lenient=True).values
+        values = propagate_stage2(values, spds, 0.8, 0.05)
         name = f"{spds.distances.dtype}"
         pio.write_json(tmp_path / f"{name}.json",
                        evaluate(truth, values, known, spds).to_dict())
@@ -185,7 +202,7 @@ def test_narrow_field_matches_its_int64_copy(tmp_path, n):
 def test_compute_spds_shape_check():
     g = build_graph([[0, 1]], 2)
     with pytest.raises(InputError):
-        compute_spds(g, np.ones((3, 2), dtype=bool), 0.5)
+        compute_spds(g, np.ones((3, 2), dtype=bool))
 
 
 def test_compute_spds_searches_each_known_set_once(monkeypatch):
@@ -209,7 +226,7 @@ def test_compute_spds_searches_each_known_set_once(monkeypatch):
         return real(adj, sources)
 
     monkeypatch.setattr(confidence, "_bfs_block", counting)
-    spds = compute_spds(g, known, 0.5)
+    spds = compute_spds(g, known)
     assert searched == [BLOCK_COLUMNS, BLOCK_COLUMNS, 3]
     allpairs = floyd_warshall(n, edges)
     for d in range(known.shape[1]):

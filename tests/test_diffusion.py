@@ -19,7 +19,7 @@ from _oracles import (dense_pinned_operator, dense_uniform_exponent_operator,
 MULTI_BLOCK = 2 * BLOCK_COLUMNS + 6
 
 
-def _instance(seed, n=None, f=3, rate=0.5, alpha=0.5, kind="uniform"):
+def _instance(seed, n=None, f=3, rate=0.5, kind="uniform"):
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(4, 40))
     edges = random_connected_edges(rng, n)
@@ -30,7 +30,7 @@ def _instance(seed, n=None, f=3, rate=0.5, alpha=0.5, kind="uniform"):
         known = structural_mask(n, f, rate, seed=seed)
     vals = rng.normal(size=(n, f))
     fs = apply_mask(vals, known)
-    spds = compute_spds(g, known, alpha)
+    spds = compute_spds(g, known)
     return g, fs, spds, edges
 
 
@@ -40,7 +40,7 @@ def _path_edges(n):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_operator_matches_dense_reference(seed):
-    g, fs, spds, edges = _instance(seed, alpha=0.3)
+    g, fs, spds, edges = _instance(seed)
     n = g.num_nodes
     for d in range(fs.num_channels):
         op = build_channel_operator(g, spds.distances[:, d], fs.known[:, d], 0.3)
@@ -54,7 +54,7 @@ def test_operator_matches_dense_reference(seed):
 def test_uniform_exponent_formulation_is_equivalent(seed):
     """Scaling every row entry by one extra factor of alpha (self-loops
     becoming alpha instead of 1) must vanish under row normalization."""
-    g, fs, spds, edges = _instance(seed, alpha=0.7)
+    g, fs, spds, edges = _instance(seed)
     n = g.num_nodes
     for d in range(fs.num_channels):
         a = dense_pinned_operator(n, edges, spds.distances[:, d],
@@ -65,7 +65,7 @@ def test_uniform_exponent_formulation_is_equivalent(seed):
 
 
 def test_operator_rows_are_stochastic_and_pinned():
-    g, fs, spds, _ = _instance(3, n=30, alpha=0.5)
+    g, fs, spds, _ = _instance(3, n=30)
     known = fs.known[:, 0]
     op = build_channel_operator(g, spds.distances[:, 0], known, 0.5)
     dense = op.toarray()
@@ -80,7 +80,7 @@ def test_two_node_hand_values():
     g = build_graph([[0, 1]], 2)
     known = np.array([[True], [False]])
     fs = apply_mask(np.array([[1.0], [0.0]]), known)
-    spds = compute_spds(g, known, 0.5)
+    spds = compute_spds(g, known)
     op = build_channel_operator(g, spds.distances[:, 0], known[:, 0], 0.5)
     x1, _ = diffuse_channel(op, fs.values, known, steps=1)
     x2, _ = diffuse_channel(op, fs.values, known, steps=2)
@@ -97,16 +97,16 @@ def test_path_midpoint_steady_state():
         g = build_graph([[0, 1], [1, 2]], 3)
         known = np.array([[True], [False], [True]])
         fs = apply_mask(np.array([[0.0], [0.0], [1.0]]), known)
-        spds = compute_spds(g, known, alpha)
-        res = impute_stage1(g, fs, spds, mode="closed_form")
+        spds = compute_spds(g, known)
+        res = impute_stage1(g, fs, spds, alpha, mode="closed_form")
         assert res.values[1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_iterative_matches_dense_oracle_iteration(seed):
-    g, fs, spds, edges = _instance(seed, f=MULTI_BLOCK, alpha=0.6)
+    g, fs, spds, edges = _instance(seed, f=MULTI_BLOCK)
     n = g.num_nodes
-    res = impute_stage1(g, fs, spds, steps=7, threads=2)
+    res = impute_stage1(g, fs, spds, 0.6, steps=7, threads=2)
     for d in range(MULTI_BLOCK):
         w = dense_pinned_operator(n, edges, spds.distances[:, d],
                                   fs.known[:, d], 0.6)
@@ -128,8 +128,8 @@ def test_deep_channels_do_not_underflow():
     known[::10, 1] = True
     rng = np.random.default_rng(3)
     fs = apply_mask(rng.normal(size=(n, 2)), known)
-    spds = compute_spds(g, known, 0.1)
-    res = impute_stage1(g, fs, spds, steps=600)
+    spds = compute_spds(g, known)
+    res = impute_stage1(g, fs, spds, 0.1, steps=600)
     assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
     for d in range(2):
         w = dense_pinned_operator(n, edges, spds.distances[:, d], known[:, d], 0.1)
@@ -141,7 +141,7 @@ def test_deep_channels_do_not_underflow():
     known = np.zeros((n, 1), dtype=bool)
     known[0] = True
     fs = apply_mask(np.ones((n, 1)), known)
-    res = impute_stage1(g, fs, compute_spds(g, known, 0.1), steps=100)
+    res = impute_stage1(g, fs, compute_spds(g, known), 0.1, steps=100)
     assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
 
 
@@ -170,43 +170,43 @@ def test_sourceless_component_stays_zero_without_warnings():
         known = np.zeros((n + m, f), dtype=bool)
         known[:n] = main_known
         fs = apply_mask(rng.normal(size=(n + m, f)), known)
-        spds = compute_spds(g, known, alpha)
+        spds = compute_spds(g, known)
         if alpha == 0.1:
             depth = spds.distances.max(axis=0) * -np.log(alpha)
             assert (depth[:2] > diffusion.MAX_DECAY).all()
             assert depth[2] < diffusion.MAX_DECAY
-        res = impute_stage1(g, fs, spds, lenient=True, threads=2, **kw)
+        res = impute_stage1(g, fs, spds, alpha, lenient=True, threads=2, **kw)
         assert res.flagged_channels == list(range(f))
         assert np.all(res.values[n:] == 0.0)
         if res.residuals is not None:
             assert np.isfinite(res.residuals).all()
         main = build_graph(main_edges, n)
         alone = impute_stage1(main, FeatureSet(values=fs.values[:n], known=main_known),
-                              compute_spds(main, main_known, alpha), **kw)
+                              compute_spds(main, main_known), alpha, **kw)
         assert np.array_equal(alone.values.view(np.uint64),
                               res.values[:n].view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_closed_form_is_iteration_fixed_point(seed):
-    g, fs, spds, _ = _instance(seed, f=2, alpha=0.5)
-    res = impute_stage1(g, fs, spds, mode="closed_form")
+    g, fs, spds, _ = _instance(seed, f=2)
+    res = impute_stage1(g, fs, spds, 0.5, mode="closed_form")
     op = build_channel_operator(g, spds.distances[:, 0], fs.known[:, 0], 0.5)
     once, _ = diffuse_channel(op, res.values[:, [0]], fs.known[:, [0]], steps=1)
     assert np.max(np.abs(once[:, 0] - res.values[:, 0])) < 1e-10
 
 
 def test_known_entries_survive_bit_identical():
-    g, fs, spds, _ = _instance(12, n=35, alpha=0.8)
-    it = impute_stage1(g, fs, spds, steps=50)
-    cf = impute_stage1(g, fs, spds, mode="closed_form")
+    g, fs, spds, _ = _instance(12, n=35)
+    it = impute_stage1(g, fs, spds, 0.8, steps=50)
+    cf = impute_stage1(g, fs, spds, 0.8, mode="closed_form")
     # a deep channel, on the explicit operator, with an observed -0.0
     n = 400
     path = build_graph(_path_edges(n), n)
     known = np.zeros((n, 1), dtype=bool)
     known[:2] = True
     deep = apply_mask(np.array([[-0.0], [1.0]] + [[0.0]] * (n - 2)), known)
-    dp = impute_stage1(path, deep, compute_spds(path, known, 0.1), steps=50)
+    dp = impute_stage1(path, deep, compute_spds(path, known), 0.1, steps=50)
     # == would accept -0.0 vs 0.0; require identical bit patterns
     for out, given in ((it.values, fs), (cf.values, fs), (dp.values, deep)):
         a = out[given.known].view(np.uint64)
@@ -215,9 +215,9 @@ def test_known_entries_survive_bit_identical():
 
 
 def test_residuals_shrink_with_more_steps():
-    g, fs, spds, _ = _instance(1, n=40, alpha=0.9)
-    r5 = impute_stage1(g, fs, spds, steps=5)
-    r60 = impute_stage1(g, fs, spds, steps=60)
+    g, fs, spds, _ = _instance(1, n=40)
+    r5 = impute_stage1(g, fs, spds, 0.9, steps=5)
+    r60 = impute_stage1(g, fs, spds, 0.9, steps=60)
     assert r60.residuals.max() < r5.residuals.max()
     assert r60.steps_run == 60
 
@@ -226,11 +226,11 @@ def test_no_source_channel_strict_raises_lenient_flags():
     g = build_graph([[0, 1], [1, 2]], 3)
     known = np.array([[True, False], [False, False], [True, False]])
     fs = apply_mask(np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]), known)
-    spds = compute_spds(g, known, 0.5)
+    spds = compute_spds(g, known)
     with pytest.raises(NoSourceError) as exc:
-        impute_stage1(g, fs, spds, steps=10)
+        impute_stage1(g, fs, spds, 0.5, steps=10)
     assert exc.value.channels == [1]
-    res = impute_stage1(g, fs, spds, steps=10, lenient=True)
+    res = impute_stage1(g, fs, spds, 0.5, steps=10, lenient=True)
     assert res.flagged_channels == [1]
     assert np.all(res.values[:, 1] == 0.0)
     assert res.values[1, 0] > 0  # healthy channel still imputed
@@ -241,10 +241,10 @@ def test_unreachable_region_strict_raises_lenient_restricts():
     g = build_graph([[0, 1], [2, 3]], 4)
     known = np.array([[True], [False], [False], [False]])
     fs = apply_mask(np.array([[3.0], [0.0], [0.0], [0.0]]), known)
-    spds = compute_spds(g, known, 0.5)
+    spds = compute_spds(g, known)
     with pytest.raises(NoSourceError):
-        impute_stage1(g, fs, spds, steps=10)
-    res = impute_stage1(g, fs, spds, steps=100, lenient=True)
+        impute_stage1(g, fs, spds, 0.5, steps=10)
+    res = impute_stage1(g, fs, spds, 0.5, steps=100, lenient=True)
     assert res.flagged_channels == [0]
     assert res.values[1, 0] == pytest.approx(3.0, abs=1e-9)
     assert res.values[2, 0] == 0.0 and res.values[3, 0] == 0.0
@@ -254,20 +254,20 @@ def test_disconnected_with_sources_everywhere_is_fine_strict():
     g = build_graph([[0, 1], [2, 3]], 4)
     known = np.array([[True], [False], [True], [False]])
     fs = apply_mask(np.array([[1.0], [0.0], [5.0], [0.0]]), known)
-    spds = compute_spds(g, known, 0.5)
-    res = impute_stage1(g, fs, spds, steps=100)
+    spds = compute_spds(g, known)
+    res = impute_stage1(g, fs, spds, 0.5, steps=100)
     assert res.flagged_channels == []
     assert res.values[1, 0] == pytest.approx(1.0, abs=1e-9)
     assert res.values[3, 0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_grouped_channels_equal_individual_runs_bitwise():
-    g, fs, spds, _ = _instance(21, n=30, f=MULTI_BLOCK, alpha=0.8)
-    full = impute_stage1(g, fs, spds, steps=40, threads=3)
+    g, fs, spds, _ = _instance(21, n=30, f=MULTI_BLOCK)
+    full = impute_stage1(g, fs, spds, 0.8, steps=40, threads=3)
     for d in range(MULTI_BLOCK):
         fd = FeatureSet(values=fs.values[:, [d]], known=fs.known[:, [d]])
-        sd = SpdsMatrix(distances=spds.distances[:, [d]], alpha=0.8)
-        rd = impute_stage1(g, fd, sd, steps=40)
+        sd = SpdsMatrix(distances=spds.distances[:, [d]])
+        rd = impute_stage1(g, fd, sd, 0.8, steps=40)
         assert np.array_equal(
             rd.values[:, 0].view(np.uint64), full.values[:, d].view(np.uint64)
         )
@@ -277,20 +277,20 @@ def test_grouped_channels_equal_individual_runs_bitwise():
 def test_thread_count_does_not_change_bits():
     """Both the fused kernel (a pool task per column block) and the
     explicit operator of deep channels (a task per missing pattern)."""
-    fused = _instance(22, n=60, f=MULTI_BLOCK, alpha=0.8)[:3]
+    fused = (*_instance(22, n=60, f=MULTI_BLOCK)[:3], 0.8)
     n = 400
     path = build_graph(_path_edges(n), n)
     known = np.zeros((n, 12), dtype=bool)
     for d in range(12):
         known[(d % 4) * 3, d] = True  # four patterns, each 390+ hops deep
-    deep_spds = compute_spds(path, known, 0.1)
+    deep_spds = compute_spds(path, known)
     assert (deep_spds.distances.max(axis=0) * -np.log(0.1) > diffusion.MAX_DECAY).all()
     deep = (path, apply_mask(np.random.default_rng(22).normal(size=(n, 12)), known),
-            deep_spds)
-    for g, fs, spds in (fused, deep):
-        seq = impute_stage1(g, fs, spds, steps=30, threads=1)
+            deep_spds, 0.1)
+    for g, fs, spds, alpha in (fused, deep):
+        seq = impute_stage1(g, fs, spds, alpha, steps=30, threads=1)
         for threads in (2, 3, 4):
-            par = impute_stage1(g, fs, spds, steps=30, threads=threads)
+            par = impute_stage1(g, fs, spds, alpha, steps=30, threads=threads)
             assert np.array_equal(seq.values.view(np.uint64),
                                   par.values.view(np.uint64))
             assert np.array_equal(seq.residuals, par.residuals)
@@ -313,12 +313,12 @@ def test_resolve_threads_env(monkeypatch):
 def test_validation_errors():
     g, fs, spds, _ = _instance(2, n=10)
     with pytest.raises(InputError, match="steps"):
-        impute_stage1(g, fs, spds, steps=0)
+        impute_stage1(g, fs, spds, 0.5, steps=0)
     with pytest.raises(InputError, match="mode"):
-        impute_stage1(g, fs, spds, mode="magic")
-    wrong = SpdsMatrix(distances=np.zeros((10, 3), dtype=np.int64), alpha=0.5)
+        impute_stage1(g, fs, spds, 0.5, mode="magic")
+    wrong = SpdsMatrix(distances=np.zeros((10, 3), dtype=np.int64))
     with pytest.raises(InputError, match="inconsistent"):
-        impute_stage1(g, fs, wrong)
+        impute_stage1(g, fs, wrong, 0.5)
 
 
 def test_closed_form_size_guard(monkeypatch):

@@ -480,10 +480,10 @@ def test_spds_loader_sentinel_rules(tmp_path):
     bad.write_text("0,-2\n")
     with pytest.raises(InputError, match="below -1"):
         pio.load_spds(bad)
-    frac = tmp_path / "frac.csv"
-    frac.write_text("0.5,1\n")
-    with pytest.raises(InputError, match="non-integer"):
-        pio.load_spds(frac)
+    for name, text in (("frac.csv", "0.5,1\n"), ("inf.csv", "0,inf\n")):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(InputError, match="non-integer"):
+            pio.load_spds(tmp_path / name)
 
 
 def test_edges_loader(tmp_path):
@@ -497,6 +497,10 @@ def test_edges_loader(tmp_path):
     wide.write_text("0 1 2\n")
     with pytest.raises(InputError, match="2 columns"):
         pio.load_edges(wide)
+    frac = tmp_path / "f.tsv"
+    frac.write_text("0 1\n1 2.5\n")
+    with pytest.raises(InputError, match="non-integer"):
+        pio.load_edges(frac)
 
 
 def test_header_skipping(tmp_path):
@@ -557,6 +561,16 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(labels, ds.labels)
     assert np.allclose(feats, ds.features, rtol=1e-8)
     assert meta["spec"]["seed"] == 3
+
+
+def test_dataset_loader_rejects_non_integer_labels(tmp_path):
+    ds = generate(SynthSpec(num_nodes=60, num_classes=3, feature_dim=2,
+                            intra_edge_prob=0.1, inter_edge_prob=0.01, seed=1))
+    pio.write_dataset(tmp_path / "ds", ds)
+    labels = tmp_path / "ds" / "labels.csv"
+    labels.write_text("1.5\n" + labels.read_text().split("\n", 1)[1])
+    with pytest.raises(InputError, match="non-integer"):
+        pio.load_dataset(tmp_path / "ds")
 
 
 def _write_inputs(tmp_path, n=40, f=3, seed=0, rate=0.5):
@@ -702,6 +716,13 @@ def test_cli_eval_accepts_precomputed_distance_field(tmp_path):
                  str(out), "--mask", str(mpath), "--edges", str(epath),
                  "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    # no confidence is made, so eval takes no decay base
+    assert json.loads(r1.read_text())["config"] == {}
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "eval", "--truth", str(fpath), "--imputed", str(out),
+              "--mask", str(mpath), "--edges", str(epath), "--alpha", "0.5",
+              "--report", str(r2)])
+    assert exc.value.code == 2
 
 
 def test_cli_stdout_mode(tmp_path, capsys):
@@ -800,6 +821,34 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["impute", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_cli_alpha_validity_depends_on_the_method_alone(tmp_path):
+    """The distance field holds hop counts only: methods that read no alpha
+    take any, with or without --spds-out, and the field written is the one
+    a pcfi run writes. pcfi and pcfi_stage1_only refuse alpha outside
+    (0, 1), in impute and in pipeline."""
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=9)
+    impute = ["--quiet", "impute", "--edges", str(epath), "--features",
+              str(fpath), "--mask", str(mpath)]
+    pcfi_spds, fp_spds = tmp_path / "pcfi_spds.csv", tmp_path / "fp_spds.csv"
+    assert main(impute + ["--out", str(tmp_path / "pcfi.csv"),
+                          "--spds-out", str(pcfi_spds)]) == 0
+    assert main(impute + ["--method", "fp", "--alpha", "1.5", "--out",
+                          str(tmp_path / "fp.csv"), "--spds-out", str(fp_spds)]) == 0
+    assert fp_spds.read_bytes() == pcfi_spds.read_bytes()
+    for method in ("pcfi", "pcfi_stage1_only"):
+        assert main(impute + ["--method", method, "--alpha", "1.5",
+                              "--out", str(tmp_path / "o.csv")]) == 2
+
+    pipeline_args = ["--quiet", "pipeline", "--edges", str(epath), "--features",
+                     str(fpath), "--mask-type", "uniform", "--rate", "0.5",
+                     "--alpha", "1.5", "--out", str(tmp_path / "pipe.json")]
+    assert main(pipeline_args + ["--methods", "fp,zero"]) == 0
+    rep = json.loads((tmp_path / "pipe.json").read_text())
+    assert set(rep["aggregates"]) == {"fp", "zero"}
+    for methods in ("fp,pcfi", "pcfi_stage1_only"):
+        assert main(pipeline_args + ["--methods", methods]) == 2
 
 
 def test_cli_strict_vs_lenient_no_source(tmp_path):

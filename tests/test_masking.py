@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import select_reference
-from pcfi import (InputError, apply_mask, build_graph, run_pipeline,
-                  structural_mask, uniform_mask)
+from pcfi import (ImputationConfig, InputError, apply_mask, build_graph,
+                  run_pipeline, structural_mask, uniform_mask)
 from pcfi.masking import FeatureSet, _select
 
 
@@ -56,7 +56,7 @@ def test_mask_rate_bounds():
     with pytest.raises(InputError):
         uniform_mask(10, 2, -0.1, seed=0)
     with pytest.raises(InputError, match="mask kind"):
-        run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)),
+        run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
                      mask_kind="diagonal", mask_rate=0.5, seeds=[0])
 
 

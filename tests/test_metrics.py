@@ -72,7 +72,7 @@ def test_distance_buckets_and_trend():
         if d > 0:
             known[i, 1] = False
             imputed[i, 1] = 0.3 * d   # larger distance -> worse angle
-    spds = SpdsMatrix(distances=dist, alpha=0.5)
+    spds = SpdsMatrix(distances=dist)
     rep = evaluate(truth, imputed, known, spds)
     assert set(rep.distance_buckets) == {1, 2, 3}
     assert all(rep.distance_buckets[k]["count"] == 3 for k in (1, 2, 3))
@@ -88,7 +88,7 @@ def test_unreachable_nodes_not_bucketed():
     imputed = truth * 0.9
     known = np.array([[False], [False], [True]])
     dist = np.array([[-1], [-1], [0]])
-    rep = evaluate(truth, imputed, known, SpdsMatrix(distances=dist, alpha=0.5))
+    rep = evaluate(truth, imputed, known, SpdsMatrix(distances=dist))
     assert rep.num_unbucketed_nodes == 2
     assert rep.distance_buckets == {}
     assert rep.spearman_distance_cosine is None
@@ -118,7 +118,7 @@ def test_shape_mismatch_rejected():
         evaluate(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2), dtype=bool))
     with pytest.raises(InputError):
         evaluate(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2), dtype=bool),
-                 SpdsMatrix(distances=np.zeros((3, 2), dtype=np.int64), alpha=0.5))
+                 SpdsMatrix(distances=np.zeros((3, 2), dtype=np.int64)))
 
 
 @pytest.mark.parametrize("ys", [

@@ -48,8 +48,8 @@ def test_hand_computed_correction():
     # centered source channel value 3 - 2 = 1, xi_source = 1, R = 1
     # correction = 0.1 * (1 - 0.5) * (1 * 1 * 1) = 0.05
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    s = SpdsMatrix(distances=np.array([[0, 0], [0, 0], [0, 1]]), alpha=0.5)
-    out = propagate_stage2(x, s, 0.1)
+    s = SpdsMatrix(distances=np.array([[0, 0], [0, 0], [0, 1]]))
+    out = propagate_stage2(x, s, 0.5, 0.1)
     assert out[2, 1] == pytest.approx(3.05, abs=1e-15)
     assert out[2, 0] == 3.0
     assert np.array_equal(out[:2], x[:2])
@@ -63,9 +63,9 @@ def test_vectorized_matches_node_loop(seed):
     x = rng.normal(size=(n, f)) * 3.0
     dist = rng.integers(0, 5, size=(n, f))
     dist[rng.random((n, f)) < 0.1] = -1
-    s = SpdsMatrix(distances=dist, alpha=0.7)
-    a = propagate_stage2(x, s, 0.05)
-    b = stage2_bruteforce_oracle(x, s, 0.05)
+    s = SpdsMatrix(distances=dist)
+    a = propagate_stage2(x, s, 0.7, 0.05)
+    b = stage2_bruteforce_oracle(x, s, 0.7, 0.05)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -78,7 +78,7 @@ def _stage2_instance(seed):
     x[:, 4] = 1.25
     dist = rng.integers(0, 7, size=(n, f))
     dist[rng.random((n, f)) < 0.1] = -1
-    return x, SpdsMatrix(distances=dist, alpha=0.7)
+    return x, SpdsMatrix(distances=dist)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -87,9 +87,9 @@ def test_stage2_matches_whole_matrix_expression_bitwise(seed):
     corr = correlation(x)
     assert np.all(corr.r[4] == 0.0) and np.all(corr.r[:, 4] == 0.0)
     expected = stage2_expression(
-        x, pseudo_confidence_reference(s.distances, s.alpha), corr.means,
+        x, pseudo_confidence_reference(s.distances, 0.7), corr.means,
         corr.r, 0.05)
-    assert propagate_stage2(x, s, 0.05).tobytes() == expected.tobytes()
+    assert propagate_stage2(x, s, 0.7, 0.05).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("block_values", [1, 7, 9 * 13])
@@ -102,9 +102,9 @@ def test_stage2_in_row_blocks_matches_whole_matrix_expression_bitwise(
     x, s = _stage2_instance(11)
     corr = correlation(x)
     expected = stage2_expression(
-        x, pseudo_confidence_reference(s.distances, s.alpha), corr.means,
+        x, pseudo_confidence_reference(s.distances, 0.7), corr.means,
         corr.r, 0.05)
-    assert propagate_stage2(x, s, 0.05).tobytes() == expected.tobytes()
+    assert propagate_stage2(x, s, 0.7, 0.05).tobytes() == expected.tobytes()
 
 
 def test_stage2_allocation_peak_is_two_matrices_and_two_correlations():
@@ -115,11 +115,11 @@ def test_stage2_allocation_peak_is_two_matrices_and_two_correlations():
     n, f = 40_000, 16
     x = rng.normal(size=(n, f))
     dist = rng.integers(-1, 6, size=(n, f)).astype(np.int16)
-    s = SpdsMatrix(distances=dist, alpha=0.8)
+    s = SpdsMatrix(distances=dist)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = propagate_stage2(x, s, 0.01)
+        out = propagate_stage2(x, s, 0.8, 0.01)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -132,7 +132,7 @@ def test_stage2_allocation_peak_is_two_matrices_and_two_correlations():
 def test_stage2_leaves_its_inputs_unmodified():
     x, s = _stage2_instance(7)
     x_bits, dist_bits = x.tobytes(), s.distances.tobytes()
-    out = propagate_stage2(x, s, 0.3)
+    out = propagate_stage2(x, s, 0.7, 0.3)
     assert not np.shares_memory(out, x)
     assert x.tobytes() == x_bits
     assert s.distances.tobytes() == dist_bits
@@ -141,17 +141,21 @@ def test_stage2_leaves_its_inputs_unmodified():
 def test_beta_zero_is_identity_exact():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 4))
-    s = SpdsMatrix(distances=rng.integers(0, 4, size=(20, 4)), alpha=0.5)
-    out = propagate_stage2(x, s, 0.0)
+    x[3, 1] = -0.0
+    s = SpdsMatrix(distances=rng.integers(0, 4, size=(20, 4)))
+    out = propagate_stage2(x, s, 0.5, 0.0)
     assert out.tobytes() == x.tobytes()
+    assert not np.shares_memory(out, x)
 
 
 def test_all_observed_is_identity_exact():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(15, 3))
-    s = SpdsMatrix(distances=np.zeros((15, 3), dtype=np.int64), alpha=0.5)
-    out = propagate_stage2(x, s, 0.7)
-    assert np.array_equal(out, x)
+    x[4, 2] = -0.0
+    s = SpdsMatrix(distances=np.zeros((15, 3), dtype=np.int64))
+    out = propagate_stage2(x, s, 0.5, 0.7)
+    assert out.tobytes() == x.tobytes()
+    assert not np.shares_memory(out, x)
 
 
 def test_unreachable_entries_get_no_inflow():
@@ -159,9 +163,9 @@ def test_unreachable_entries_get_no_inflow():
     # the full correction but contribute nothing as sources
     x = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 3.0]])
     dist = np.array([[0, 0], [0, 0], [-1, 0]])
-    s = SpdsMatrix(distances=dist, alpha=0.5)
-    out = propagate_stage2(x, s, 0.1)
-    loop = stage2_bruteforce_oracle(x, s, 0.1)
+    s = SpdsMatrix(distances=dist)
+    out = propagate_stage2(x, s, 0.5, 0.1)
+    loop = stage2_bruteforce_oracle(x, s, 0.5, 0.1)
     assert np.max(np.abs(out - loop)) < 1e-14
     # sources (distance 0 everywhere else) are untouched
     assert np.array_equal(out[:2], x[:2])
@@ -176,8 +180,8 @@ def test_correction_direction_follows_correlation():
     dist = np.zeros((40, 2), dtype=np.int64)
     hi = int(np.argmax(x[:, 0]))
     dist[hi, 1] = 3
-    s = SpdsMatrix(distances=dist, alpha=0.5)
-    out = propagate_stage2(x, s, 0.01)
+    s = SpdsMatrix(distances=dist)
+    out = propagate_stage2(x, s, 0.5, 0.01)
     assert out[hi, 1] > x[hi, 1]
 
 
@@ -188,9 +192,9 @@ def test_stage2_after_stage1_smoke():
     known = uniform_mask(n, 3, 0.4, seed=9)
     vals = rng.normal(size=(n, 3))
     fs = apply_mask(vals, known)
-    spds = compute_spds(g, known, 0.8)
-    s1 = impute_stage1(g, fs, spds, steps=60)
-    out = propagate_stage2(s1.values, spds, 1e-3)
+    spds = compute_spds(g, known)
+    s1 = impute_stage1(g, fs, spds, 0.8, steps=60)
+    out = propagate_stage2(s1.values, spds, 0.8, 1e-3)
     assert out.shape == (n, 3)
     # observed entries keep their values (xi = 1 -> zero correction)
     assert np.array_equal(out[known], fs.values[known])
@@ -198,13 +202,13 @@ def test_stage2_after_stage1_smoke():
 
 def test_shape_and_beta_validation():
     x = np.zeros((4, 2))
-    s = SpdsMatrix(distances=np.zeros((4, 3), dtype=np.int64), alpha=0.5)
+    s = SpdsMatrix(distances=np.zeros((4, 3), dtype=np.int64))
     with pytest.raises(InputError):
-        propagate_stage2(x, s, 0.1)
-    s2 = SpdsMatrix(distances=np.zeros((4, 2), dtype=np.int64), alpha=0.5)
+        propagate_stage2(x, s, 0.5, 0.1)
+    s2 = SpdsMatrix(distances=np.zeros((4, 2), dtype=np.int64))
     with pytest.raises(InputError):
-        propagate_stage2(x, s2, -0.1)
+        propagate_stage2(x, s2, 0.5, -0.1)
     with pytest.raises(InputError, match="cells"):
         stage2_bruteforce_oracle(np.zeros((200, 80)),
-                         SpdsMatrix(distances=np.zeros((200, 80), dtype=np.int64),
-                                    alpha=0.5), 0.1, max_cells=1000)
+                                 SpdsMatrix(distances=np.zeros((200, 80), dtype=np.int64)),
+                                 0.5, 0.1, max_cells=1000)
