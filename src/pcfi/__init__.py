@@ -11,8 +11,8 @@ the file-based workflow.
 
 from .confidence import (UNREACHABLE, SpdsMatrix, compute_spds, multi_source_bfs,
                          pseudo_confidence)
-from .diffusion import (DiffusionResult, build_channel_operator, closed_form_channel,
-                        diffuse_channel, fp_baseline, impute_stage1, resolve_threads)
+from .diffusion import (build_channel_operator, closed_form_channel, diffuse_channel,
+                        fp_baseline, impute_stage1, resolve_threads)
 from .errors import InputError, NoSourceError, NumericalError, PcfiError
 from .graph import (Graph, build_graph, connected_components, extract_largest_component,
                     induced_subgraph)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UNREACHABLE", "SpdsMatrix", "compute_spds", "multi_source_bfs",
     "pseudo_confidence",
-    "DiffusionResult", "build_channel_operator", "closed_form_channel",
+    "build_channel_operator", "closed_form_channel",
     "diffuse_channel", "fp_baseline", "impute_stage1", "resolve_threads",
     "InputError", "NoSourceError", "NumericalError", "PcfiError",
     "Graph", "build_graph", "connected_components", "extract_largest_component",

@@ -121,8 +121,7 @@ def cmd_impute(args) -> int:
             "num_missing_entries": num_missing,
             "flagged_channels": outcome.flagged_channels,
             "steps_run": outcome.steps_run,
-            "residuals": (None if residuals is None
-                          else [float(r) for r in residuals]),
+            "residuals": residuals,
             "max_residual": (float(residuals.max())
                              if residuals is not None and residuals.size
                              else None),

@@ -51,6 +51,11 @@ F-ordered, and mixing the two layouts slows every elementwise step of
 the loop. Columns never mix inside a product and each block is
 internally sequential, so results are byte-identical for any thread
 count and any grouping of channels.
+
+:func:`impute_stage1` and :func:`fp_baseline` return an
+:class:`ImputeOutcome`, the one result type of every method, which
+:func:`pcfi.pipeline.impute` hands on unchanged or with stage 2's
+values in place of stage 1's.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .graph import Graph
 from .masking import FeatureSet
 
 __all__ = [
-    "DiffusionResult",
+    "ImputeOutcome",
     "build_channel_operator",
     "diffuse_channel",
     "closed_form_channel",
@@ -88,28 +93,32 @@ MAX_DENSE_UNKNOWNS = 2000
 
 
 @dataclass(frozen=True)
-class DiffusionResult:
-    """Imputed matrix plus bookkeeping.
+class ImputeOutcome:
+    """The result of one method run: the filled matrix plus bookkeeping.
 
     Attributes
     ----------
     values : ndarray, shape (N, F)
         Matrix with missing entries filled; observed entries are the
         input bits unchanged.
+    spds : SpdsMatrix or None
+        The distance field the run was weighted by; None for ``fp`` and
+        ``zero``.
     residuals : ndarray of shape (F,), or None
         Max absolute change of the final iteration per channel; None in
-        closed-form mode.
+        closed-form mode and for ``zero``.
+    steps_run : int
+        Iterations performed (0 in closed-form mode and for ``zero``).
     flagged_channels : list of int
         Channels zero-filled (fully or partially) because no source was
         reachable; empty unless lenient mode intervened.
-    steps_run : int
-        Iterations performed (0 in closed-form mode).
     """
 
     values: np.ndarray
+    spds: SpdsMatrix | None
     residuals: np.ndarray | None
-    flagged_channels: list[int]
     steps_run: int
+    flagged_channels: list[int]
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -210,7 +219,7 @@ def closed_form_channel(op: sparse.csr_array, x0: np.ndarray,
 
 def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
                   steps: int = 100, mode: str = "iterative",
-                  lenient: bool = False, threads: int | None = None) -> DiffusionResult:
+                  lenient: bool = False, threads: int | None = None) -> ImputeOutcome:
     """Fill missing entries channel-wise by confidence-weighted diffusion,
     with confidences ``alpha ** S`` for ``alpha`` in (0, 1).
 
@@ -223,7 +232,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     ``mode`` is "iterative" (``steps`` applications of the operator) or
     "closed_form" (direct solve). ``threads`` parallelizes over column
     blocks (closed form: over missing patterns); output bits do not
-    depend on it.
+    depend on it. The outcome's ``spds`` is the field passed in.
     """
     check_alpha(alpha)
     if mode not in ("iterative", "closed_form"):
@@ -250,8 +259,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     steps_run = steps if mode == "iterative" else 0
     residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
     if n == 0 or f == 0:
-        return DiffusionResult(values=out, residuals=residuals,
-                               flagged_channels=[], steps_run=steps_run)
+        return ImputeOutcome(values=out, spds=spds, residuals=residuals,
+                             steps_run=steps_run, flagged_channels=[])
 
     has_source = fs.known.any(axis=0)
     unhealthy = ~has_source | (spds.distances == UNREACHABLE).any(axis=0)
@@ -283,8 +292,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     if explicit.any():
         _diffuse_per_pattern(g, fs, spds, alpha, np.flatnonzero(explicit), out,
                              residuals, steps=steps, mode=mode, nthreads=nthreads)
-    return DiffusionResult(values=out, residuals=residuals,
-                           flagged_channels=flagged, steps_run=steps_run)
+    return ImputeOutcome(values=out, spds=spds, residuals=residuals,
+                         steps_run=steps_run, flagged_channels=flagged)
 
 
 def _run(fn, items, nthreads: int) -> None:
@@ -359,13 +368,13 @@ def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: floa
     _run(run_group, groups, nthreads)
 
 
-def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResult:
+def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> ImputeOutcome:
     """Baseline diffusion with the symmetric normalized adjacency.
 
     The operator is ``D^{-1/2} (A + I) D^{-1/2}`` with self-loop degrees;
     each step multiplies and then resets observed entries to their input
     bits. Regions with no observed node in a channel simply stay zero
-    (no flagging)."""
+    (no flagging), and the outcome carries no distance field."""
     if fs.num_nodes != g.num_nodes:
         raise InputError(
             f"features have {fs.num_nodes} rows but graph has {g.num_nodes} nodes"
@@ -375,5 +384,5 @@ def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> DiffusionResul
     op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]
 
     x, residuals = diffuse_channel(op, fs.values, fs.known, steps)
-    return DiffusionResult(values=x, residuals=residuals, flagged_channels=[],
-                           steps_run=steps)
+    return ImputeOutcome(values=x, spds=None, residuals=residuals, steps_run=steps,
+                         flagged_channels=[])

@@ -7,6 +7,9 @@ Conventions shared by the library and the command line:
 * matrices are comma-separated with no header row (pass ``header=True``
   to skip one); masks must contain only 0/1 entries; distance fields are
   integers with -1 marking unreachable entries;
+* edge lists, distance fields and label files are parsed as integers,
+  so an entry such as ``4.0`` is refused and ids above 2**53 keep every
+  digit;
 * each float of a matrix is written as the bytes of Python's
   ``"%.9g" % x`` (9 significant digits), with ``-0`` written as ``0``, so
   identical arrays always serialize to identical bytes;
@@ -73,35 +76,41 @@ def _output(path):
         yield lambda data: sys.stdout.write(data.decode("ascii"))
 
 
-def _parse(source, *, delimiter, skiprows: int, what: str) -> np.ndarray:
+def _parse(source, *, delimiter, skiprows: int, what: str,
+           dtype=np.float64) -> np.ndarray:
     try:
         return np.loadtxt(source, delimiter=delimiter, skiprows=skiprows,
-                          ndmin=2, dtype=np.float64)
-    except ValueError as exc:
+                          ndmin=2, dtype=dtype)
+    except (ValueError, DeprecationWarning) as exc:
         raise InputError(f"could not parse {what}: {exc}") from exc
 
 
-def _loadtxt(path, *, delimiter, skiprows: int, what: str) -> np.ndarray:
+def _loadtxt(path, *, delimiter, skiprows: int, what: str,
+             dtype=np.float64) -> np.ndarray:
     """Parse from the open file (or stdin for '-'): a text copy in memory
     would take 4 bytes per character on top of the array."""
     if str(path) == "-":
         return _parse(sys.stdin, delimiter=delimiter, skiprows=skiprows,
-                      what=what)
+                      what=what, dtype=dtype)
     with open(path) as fh:
-        return _parse(fh, delimiter=delimiter, skiprows=skiprows, what=what)
+        return _parse(fh, delimiter=delimiter, skiprows=skiprows, what=what,
+                      dtype=dtype)
 
 
 def _load_integers(path, *, delimiter, skiprows: int = 0, what: str) -> np.ndarray:
-    """Integer matrix (int64) of a text file; an entry that is not a whole
-    number is an error. Input with no rows gives an empty array."""
+    """Integer matrix (int64) of a text file, each entry parsed as an
+    integer, so ids above 2**53 keep every digit; an entry such as
+    ``4.0``, ``1.5`` or ``inf`` is an error. Input with no rows gives an
+    empty array."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        arr = _loadtxt(path, delimiter=delimiter, skiprows=skiprows, what=what)
-    whole = np.isfinite(arr) & (arr == np.floor(arr))
-    if not whole.all():
-        raise InputError(f"{what} contains non-integer entries, such as "
-                         f"{arr[~whole].flat[0]!r}")
-    return arr.astype(np.int64)
+        # numpy < 2 parses an entry such as "4.0" through a float, with
+        # this warning; as an error it fails the parse as numpy >= 2 does
+        warnings.filterwarnings("error", "loadtxt\\(\\): Parsing an integer via a float",
+                                DeprecationWarning)
+        return _loadtxt(path, delimiter=delimiter, skiprows=skiprows,
+                        what=f"{what} as integers (non-integer entries are refused)",
+                        dtype=np.int64)
 
 
 def load_edges(path) -> np.ndarray:

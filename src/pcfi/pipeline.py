@@ -9,6 +9,10 @@
   each step (no distance weighting, no channel mixing);
 * ``zero``: leave missing entries at zero.
 
+Every method returns an ``ImputeOutcome`` (defined in
+:mod:`pcfi.diffusion`): ``fp`` and ``pcfi_stage1_only`` hand on the
+diffusion's own outcome, ``pcfi`` the same with stage 2's values.
+
 ``ImputationConfig`` holds every setting of a run and the only defaults;
 it checks ``alpha`` only for the methods that read it.
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import SpdsMatrix, check_alpha, compute_spds
-from .diffusion import fp_baseline, impute_stage1
+from .diffusion import ImputeOutcome, fp_baseline, impute_stage1
 from .errors import InputError
 from .graph import Graph
 from .masking import FeatureSet, apply_mask, structural_mask, uniform_mask
@@ -76,21 +80,6 @@ class ImputationConfig:
                 "lenient_no_source": self.lenient_no_source}
 
 
-@dataclass(frozen=True)
-class ImputeOutcome:
-    """Imputed values plus the intermediates a caller may want to
-    inspect or serialize: the distance field and the diffusion's
-    per-channel ``residuals`` (None for ``zero`` and in closed-form
-    mode) and ``steps_run``. The diffused matrix itself is not kept, so
-    that only ``values`` holds an array of the input's size."""
-
-    values: np.ndarray
-    spds: SpdsMatrix | None
-    residuals: np.ndarray | None
-    steps_run: int
-    flagged_channels: list
-
-
 def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
            spds: SpdsMatrix | None = None) -> ImputeOutcome:
     """Run one method on one masked feature set.
@@ -108,21 +97,16 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         return ImputeOutcome(values=fs.values.copy(), spds=None, residuals=None,
                              steps_run=0, flagged_channels=[])
     if cfg.method == "fp":
-        res = fp_baseline(g, fs, steps=cfg.steps)
-        return ImputeOutcome(values=res.values, spds=None, residuals=res.residuals,
-                             steps_run=res.steps_run,
-                             flagged_channels=list(res.flagged_channels))
+        return fp_baseline(g, fs, steps=cfg.steps)
     if spds is None:
         spds = compute_spds(g, fs.known)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
                            lenient=cfg.lenient_no_source, threads=cfg.threads)
     del fs
-    values = stage1.values
-    if cfg.method == "pcfi":
-        values = propagate_stage2(values, spds, cfg.alpha, cfg.beta)
-    return ImputeOutcome(values=values, spds=spds, residuals=stage1.residuals,
-                         steps_run=stage1.steps_run,
-                         flagged_channels=list(stage1.flagged_channels))
+    if cfg.method == "pcfi_stage1_only":
+        return stage1
+    return dataclasses.replace(
+        stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
 
 
 def _make_mask(kind: str, n: int, f: int, rate: float, seed: int) -> np.ndarray:
@@ -140,10 +124,12 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     """Mask, impute, and score under each seed; aggregate across seeds.
 
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
-    ``method``; an unknown method, or a bad ``alpha`` for a method that
-    reads it, fails before any work. Returns a JSON-ready dict: one block
-    per seed with per-method metrics, plus mean/std aggregates of the
-    overall RMSE and cosine.
+    ``method``; an empty list, an unknown method, or a bad ``alpha`` for
+    a method that reads it, fails before any work. Returns a JSON-ready
+    dict: one block per seed with per-method metrics, plus the mean/std
+    over those blocks of each method's overall RMSE, mean cosine and
+    distance-cosine Spearman correlation (seeds where it is None are
+    skipped).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != g.num_nodes:
@@ -154,13 +140,13 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InputError("at least one seed is required")
+    methods = list(methods)
+    if not methods:
+        raise InputError("at least one method is required")
     configs = {m: dataclasses.replace(cfg, method=m) for m in methods}
 
     n, f = features.shape
     per_seed = []
-    collected: dict[str, dict[str, list]] = {
-        m: {"rmse": [], "cosine_mean": [], "spearman": []} for m in methods
-    }
     for seed in seeds:
         known = _make_mask(mask_kind, n, f, mask_rate, seed)
         fs = apply_mask(features, known)
@@ -179,24 +165,19 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
                               timings={"impute_seconds": elapsed}
                               if collect_timings else None)
             block["methods"][method] = report.to_dict(per_node=False)
-            collected[method]["rmse"].append(report.rmse)
-            collected[method]["cosine_mean"].append(report.cosine_mean)
-            collected[method]["spearman"].append(report.spearman_distance_cosine)
         per_seed.append(block)
 
-    def _agg(xs):
-        vals = [x for x in xs if x is not None]
+    def _agg(method, key):
+        vals = [x for block in per_seed
+                if (x := block["methods"][method][key]) is not None]
         if not vals:
             return {"mean": None, "std": None}
         return {"mean": float(np.mean(vals)),
                 "std": float(np.std(vals))}
 
-    aggregates = {
-        m: {"rmse": _agg(collected[m]["rmse"]),
-            "cosine_mean": _agg(collected[m]["cosine_mean"]),
-            "spearman_distance_cosine": _agg(collected[m]["spearman"])}
-        for m in methods
-    }
+    aggregates = {m: {key: _agg(m, key) for key in
+                      ("rmse", "cosine_mean", "spearman_distance_cosine")}
+                  for m in methods}
     settings = {k: v for k, v in cfg.summary().items() if k != "method"}
     return {
         "schema_version": PIPELINE_SCHEMA_VERSION,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -480,7 +481,8 @@ def test_spds_loader_sentinel_rules(tmp_path):
     bad.write_text("0,-2\n")
     with pytest.raises(InputError, match="below -1"):
         pio.load_spds(bad)
-    for name, text in (("frac.csv", "0.5,1\n"), ("inf.csv", "0,inf\n")):
+    for name, text in (("frac.csv", "0.5,1\n"), ("inf.csv", "0,inf\n"),
+                       ("whole.csv", "0,4.0\n")):
         (tmp_path / name).write_text(text)
         with pytest.raises(InputError, match="non-integer"):
             pio.load_spds(tmp_path / name)
@@ -497,10 +499,43 @@ def test_edges_loader(tmp_path):
     wide.write_text("0 1 2\n")
     with pytest.raises(InputError, match="2 columns"):
         pio.load_edges(wide)
-    frac = tmp_path / "f.tsv"
-    frac.write_text("0 1\n1 2.5\n")
+    for text in ("0 1\n1 2.5\n", "0 1\n1 4.0\n"):
+        frac = tmp_path / "f.tsv"
+        frac.write_text(text)
+        with pytest.raises(InputError, match="non-integer"):
+            pio.load_edges(frac)
+
+
+def test_integer_via_float_warning_of_older_numpy_is_an_input_error(tmp_path,
+                                                                     monkeypatch):
+    """numpy < 2 parses "4.0" as an integer through a float, warning
+    instead of failing; the integer reader turns that into an error."""
+    def loadtxt_of_numpy_1(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([[0, 4]])
+
+    path = tmp_path / "e.tsv"
+    path.write_text("0 4.0\n")
+    monkeypatch.setattr(pio.np, "loadtxt", loadtxt_of_numpy_1)
     with pytest.raises(InputError, match="non-integer"):
-        pio.load_edges(frac)
+        pio.load_edges(path)
+
+
+def test_integers_above_2_53_keep_every_digit(tmp_path, caplog):
+    """Ids are parsed as integers, not through float64, which would turn
+    9007199254740993 into ...992 and name the wrong id in the error."""
+    epath, fpath, mpath = _write_inputs(tmp_path)
+    big = tmp_path / "big.tsv"
+    big.write_text("1\t9007199254740993\n")
+    assert pio.load_edges(big).tolist() == [[1, 9007199254740993]]
+    with pytest.raises(InputError, match="9007199254740993"):
+        build_graph(pio.load_edges(big), 40)
+    with caplog.at_level("ERROR", logger="pcfi"):
+        assert main(["--quiet", "impute", "--edges", str(big), "--features",
+                     str(fpath), "--mask", str(mpath),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+    assert "9007199254740993" in caplog.text
 
 
 def test_header_skipping(tmp_path):
@@ -568,9 +603,11 @@ def test_dataset_loader_rejects_non_integer_labels(tmp_path):
                             intra_edge_prob=0.1, inter_edge_prob=0.01, seed=1))
     pio.write_dataset(tmp_path / "ds", ds)
     labels = tmp_path / "ds" / "labels.csv"
-    labels.write_text("1.5\n" + labels.read_text().split("\n", 1)[1])
-    with pytest.raises(InputError, match="non-integer"):
-        pio.load_dataset(tmp_path / "ds")
+    rest = labels.read_text().split("\n", 1)[1]
+    for label in ("1.5", "1.0"):
+        labels.write_text(label + "\n" + rest)
+        with pytest.raises(InputError, match="non-integer"):
+            pio.load_dataset(tmp_path / "ds")
 
 
 def _write_inputs(tmp_path, n=40, f=3, seed=0, rate=0.5):
@@ -893,6 +930,18 @@ def test_cli_synth_and_pipeline(tmp_path):
     # timings stay out of the report unless asked for
     blk = rep["per_seed"][0]["methods"]["pcfi"]
     assert blk["timings"] is None
+
+
+def test_cli_pipeline_refuses_an_empty_method_list(tmp_path):
+    ds_dir = tmp_path / "ds"
+    assert main(["--quiet", "synth", "--num-nodes", "60", "--num-classes", "2",
+                 "--feature-dim", "2", "--intra", "0.2", "--inter", "0.02",
+                 "--seed", "1", "--out", str(ds_dir)]) == 0
+    rpath = tmp_path / "pipe.json"
+    assert main(["--quiet", "pipeline", "--dataset", str(ds_dir),
+                 "--mask-type", "uniform", "--rate", "0.5",
+                 "--methods", ",", "--out", str(rpath)]) == 2
+    assert not rpath.exists()
 
 
 def test_cli_pipeline_timings_flag(tmp_path):
