@@ -21,8 +21,7 @@ from .metrics import EvalReport, evaluate, rmse
 from .pipeline import ImputationConfig, ImputeOutcome, impute, run_pipeline
 from .propagation import correlation, propagate_stage2
 from .synth import (SynthDataset, SynthSpec, class_homophily, equidistant_means,
-                    feature_homophily, generate, generate_features, generate_graph,
-                    generate_labels, sbm_edges)
+                    feature_homophily, generate, generate_labels, sbm_edges)
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "ImputationConfig", "ImputeOutcome", "impute", "run_pipeline",
     "correlation", "propagate_stage2",
     "SynthDataset", "SynthSpec", "class_homophily", "equidistant_means",
-    "feature_homophily", "generate", "generate_features", "generate_graph",
-    "generate_labels", "sbm_edges",
+    "feature_homophily", "generate", "generate_labels", "sbm_edges",
     "__version__",
 ]

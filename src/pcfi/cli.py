@@ -169,8 +169,7 @@ def cmd_synth(args) -> int:
                      feature_dim=args.feature_dim, intra_edge_prob=args.intra,
                      inter_edge_prob=args.inter,
                      gaussian_scale=args.gaussian_scale, seed=args.seed,
-                     largest_component=not args.keep_all_components,
-                     strict_equidistance=args.strict_equidistance)
+                     largest_component=not args.keep_all_components)
     dataset = generate(spec)
     pio.write_dataset(args.out, dataset)
     log.info("wrote dataset with %d nodes / %d edges to %s "
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep-all-components", action="store_true",
                    help="do not restrict to the largest component")
-    p.add_argument("--strict-equidistance", action="store_true",
-                   help="error out if exact equidistant class means do not fit")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

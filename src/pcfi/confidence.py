@@ -188,6 +188,13 @@ def check_alpha(alpha: float) -> None:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def check_beta(beta: float) -> None:
+    """Raise :class:`InputError` unless ``beta`` is finite and >= 0: a nan
+    or inf ``beta`` would turn observed entries into nan in stage 2."""
+    if not (0.0 <= beta < np.inf):
+        raise InputError(f"beta must be finite and >= 0, got {beta}")
+
+
 def alpha_powers(alpha: float, distances: np.ndarray) -> np.ndarray:
     """``alpha ** distances`` for an integer distance array, 0 where it is
     ``UNREACHABLE``: ``np.power`` runs once per distance value and the

@@ -32,6 +32,7 @@ Conventions shared by the library and the command line:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io as _io
 import json
 import sys
@@ -452,18 +453,8 @@ def write_dataset(directory, dataset: SynthDataset) -> None:
     write_matrix(directory / "features.csv", dataset.features)
     _write_integers(directory / "labels.csv",
                     np.asarray(dataset.labels, dtype=np.int64), " ")
-    meta = {"spec": {
-                "num_nodes": dataset.spec.num_nodes,
-                "num_classes": dataset.spec.num_classes,
-                "feature_dim": dataset.spec.feature_dim,
-                "intra_edge_prob": dataset.spec.intra_edge_prob,
-                "inter_edge_prob": dataset.spec.inter_edge_prob,
-                "gaussian_scale": dataset.spec.gaussian_scale,
-                "seed": dataset.spec.seed,
-                "largest_component": dataset.spec.largest_component,
-            },
-            **dataset.meta}
-    write_json(directory / "meta.json", meta)
+    write_json(directory / "meta.json",
+               {"spec": dataclasses.asdict(dataset.spec), **dataset.meta})
 
 
 def load_dataset(directory):

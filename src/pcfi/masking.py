@@ -93,6 +93,14 @@ def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray
     return chosen
 
 
+def _check_shape(num_nodes: int, num_channels: int) -> None:
+    """Refuse a negative dimension. Each is checked on its own: the
+    product of two negatives is positive."""
+    if num_nodes < 0 or num_channels < 0:
+        raise InputError(f"mask shape must be non-negative, got "
+                         f"({num_nodes}, {num_channels})")
+
+
 def _missing_count(rate: float, total: int) -> int:
     """``round(rate * total)``, halves rounded up."""
     if not (0.0 < rate < 1.0):
@@ -107,8 +115,10 @@ def structural_mask(num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If the rounded count would remove every row.
+        If a dimension is negative, or the rounded count would remove
+        every row.
     """
+    _check_shape(num_nodes, num_channels)
     n_missing = _missing_count(rate, num_nodes)
     if num_nodes > 0 and n_missing >= num_nodes:
         raise InputError(
@@ -130,8 +140,10 @@ def uniform_mask(num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If the rounded count would remove every entry.
+        If a dimension is negative, or the rounded count would remove
+        every entry.
     """
+    _check_shape(num_nodes, num_channels)
     total = num_nodes * num_channels
     n_missing = _missing_count(rate, total)
     if total > 0 and n_missing >= total:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import SpdsMatrix, check_alpha, compute_spds
+from .confidence import SpdsMatrix, check_alpha, check_beta, compute_spds
 from .diffusion import ImputeOutcome, fp_baseline, impute_stage1
 from .errors import InputError
 from .graph import Graph
@@ -67,8 +67,7 @@ class ImputationConfig:
             )
         if self.method in ("pcfi", "pcfi_stage1_only"):
             check_alpha(self.alpha)
-        if self.beta < 0:
-            raise InputError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
         if self.mode not in ("iterative", "closed_form"):
             raise InputError(f"unknown diffusion mode {self.mode!r}")
         if self.mode == "iterative" and self.steps < 1:
@@ -124,12 +123,12 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     """Mask, impute, and score under each seed; aggregate across seeds.
 
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
-    ``method``; an empty list, an unknown method, or a bad ``alpha`` for
-    a method that reads it, fails before any work. Returns a JSON-ready
-    dict: one block per seed with per-method metrics, plus the mean/std
-    over those blocks of each method's overall RMSE, mean cosine and
-    distance-cosine Spearman correlation (seeds where it is None are
-    skipped).
+    ``method``; an empty list, a method listed twice, an unknown method,
+    or a bad ``alpha`` for a method that reads it, fails before any work.
+    Returns a JSON-ready dict: one block per seed with per-method
+    metrics, plus the mean/std over those blocks of each method's overall
+    RMSE, mean cosine and distance-cosine Spearman correlation (seeds
+    where it is None are skipped).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != g.num_nodes:
@@ -143,6 +142,9 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     methods = list(methods)
     if not methods:
         raise InputError("at least one method is required")
+    for m in methods:
+        if methods.count(m) > 1:
+            raise InputError(f"method {m!r} is listed more than once")
     configs = {m: dataclasses.replace(cfg, method=m) for m in methods}
 
     n, f = features.shape

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import SpdsMatrix, check_alpha, confidence_rows
+from .confidence import SpdsMatrix, check_alpha, check_beta, confidence_rows
 from .errors import InputError
 
 __all__ = ["correlation", "propagate_stage2"]
@@ -87,15 +87,15 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
     """Apply the correlation-weighted inter-channel correction.
 
     ``values`` is the fully filled matrix from the diffusion stage, with
-    confidences ``alpha ** S`` for ``alpha`` in (0, 1). With ``beta == 0``,
-    or with every entry observed (all distances 0), a bit-identical copy
-    is returned. Otherwise two more arrays of the input's size are alive
-    at once: ``values - means`` and the product.
+    confidences ``alpha ** S`` for ``alpha`` in (0, 1); ``beta`` must be
+    finite and >= 0. With ``beta == 0``, or with every entry observed
+    (all distances 0), a bit-identical copy is returned. Otherwise two
+    more arrays of the input's size are alive at once: ``values - means``
+    and the product.
     """
     values = np.asarray(values, dtype=np.float64)
     check_alpha(alpha)
-    if beta < 0:
-        raise InputError(f"beta must be >= 0, got {beta}")
+    check_beta(beta)
     if values.shape != spds.distances.shape:
         raise InputError(
             f"value shape {values.shape} does not match distance field "

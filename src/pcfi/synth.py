@@ -1,12 +1,15 @@
 """Synthetic attributed graphs with planted class structure.
 
+:func:`generate` is the one generator: it turns a :class:`SynthSpec`
+into a :class:`SynthDataset` (graph, features, labels and metadata).
 Nodes get balanced class labels; edges are drawn independently with one
 probability inside a class and another across classes (a stochastic
 block model with two tiers). Features are Gaussian around per-class
 mean vectors that are pairwise equidistant whenever the embedding
 dimension allows an exact regular simplex (``classes - 1 <= channels``);
 otherwise means are picked greedily to maximize the minimum pairwise
-distance and the achieved spread is recorded in the metadata.
+distance. The metadata records which construction was used
+(``means_kind``) and the achieved spread.
 
 The noise covariance couples channels: diagonal ``scale**2`` with
 off-diagonal entries at one tenth of that, so channels are genuinely
@@ -33,8 +36,6 @@ __all__ = [
     "SynthSpec",
     "SynthDataset",
     "generate",
-    "generate_graph",
-    "generate_features",
     "generate_labels",
     "sbm_edges",
     "equidistant_means",
@@ -49,11 +50,11 @@ class SynthSpec:
 
     ``intra_edge_prob``/``inter_edge_prob`` are the edge probabilities
     within/between classes; ``gaussian_scale`` is the per-channel noise
-    standard deviation around the class mean. ``largest_component``
-    restricts the output to the largest connected component (labels and
-    features are restricted consistently). ``strict_equidistance``
-    errors out instead of falling back when an exact simplex does not
-    fit.
+    standard deviation around the class mean, finite and >= 0.
+    ``largest_component`` restricts the output to the largest connected
+    component (labels and features are restricted consistently).
+    ``io.write_dataset`` records every field under ``spec`` in
+    ``meta.json``.
     """
 
     num_nodes: int = 5000
@@ -64,7 +65,6 @@ class SynthSpec:
     gaussian_scale: float = 0.1
     seed: int = 0
     largest_component: bool = True
-    strict_equidistance: bool = False
 
     def __post_init__(self):
         if self.num_nodes < 1:
@@ -79,8 +79,10 @@ class SynthSpec:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise InputError(f"{name} must lie in [0, 1], got {p}")
-        if self.gaussian_scale < 0:
-            raise InputError(f"gaussian_scale must be >= 0, got {self.gaussian_scale}")
+        if not (0.0 <= self.gaussian_scale < np.inf):
+            raise InputError(
+                f"gaussian_scale must be finite and >= 0, got {self.gaussian_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -145,16 +147,19 @@ def _helmert_rows(c: int) -> np.ndarray:
     return h
 
 
+# the max-min fallback picks class means from this many random unit vectors
+_MEANS_POOL = 512
+
+
 def equidistant_means(num_classes: int, feature_dim: int,
-                      rng: np.random.Generator, *, strict: bool = False,
-                      pool_size: int = 512):
+                      rng: np.random.Generator):
     """Class mean vectors, as spread out as the dimension allows.
 
     When ``num_classes - 1 <= feature_dim`` the means are the vertices
     of a regular simplex with unit pairwise distance (exact). Otherwise
     a greedy farthest-point pass over a random unit-sphere pool
     maximizes the minimum pairwise distance, and the result is rescaled
-    so that minimum is 1; ``strict`` raises instead of falling back.
+    so that minimum is 1.
 
     Returns ``(means, info)`` where ``info`` records the construction
     and the achieved min/max pairwise distance.
@@ -171,12 +176,7 @@ def equidistant_means(num_classes: int, feature_dim: int,
         info = {"means_kind": "simplex",
                 "means_min_distance": 1.0, "means_max_distance": 1.0}
         return means, info
-    if strict:
-        raise InputError(
-            f"exact equidistant means need feature_dim >= num_classes - 1 "
-            f"({c - 1}), got {f}"
-        )
-    pool = _normals(rng, (pool_size, f))
+    pool = _normals(rng, (_MEANS_POOL, f))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     chosen = [0]
     dist_to_chosen = np.linalg.norm(pool - pool[0], axis=1)
@@ -263,49 +263,6 @@ def _warn_fragmentation(spec: SynthSpec) -> None:
         )
 
 
-def generate_graph(spec: SynthSpec):
-    """Graph and class labels only, without features.
-
-    Draws labels and edges exactly as :func:`generate` does, so for a
-    given spec the returned structure matches the full dataset's.
-    Returns ``(Graph, labels)``, restricted to the largest connected
-    component when ``spec.largest_component`` is set.
-    """
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    labels = generate_labels(spec.num_nodes, spec.num_classes, rng)
-    _warn_fragmentation(spec)
-    edges = sbm_edges(labels, spec.intra_edge_prob, spec.inter_edge_prob, rng)
-    g = build_graph(edges, spec.num_nodes)
-    if spec.largest_component:
-        g, keep, _ = extract_largest_component(g)
-        labels = labels[keep]
-    return g, labels
-
-
-def generate_features(labels: np.ndarray, feature_dim: int,
-                      gaussian_scale: float, seed: int = 0, *,
-                      strict_equidistance: bool = False) -> np.ndarray:
-    """Gaussian class-structured features for an existing label vector.
-
-    Class count is inferred as ``labels.max() + 1``; means and noise are
-    drawn from a fresh stream keyed by ``seed`` (independent of
-    :func:`generate`'s stream)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size == 0:
-        raise InputError(f"labels must be a non-empty vector, got shape {labels.shape}")
-    if labels.min() < 0:
-        raise InputError("labels must be non-negative")
-    if feature_dim < 1:
-        raise InputError(f"feature_dim must be >= 1, got {feature_dim}")
-    if gaussian_scale < 0:
-        raise InputError(f"gaussian_scale must be >= 0, got {gaussian_scale}")
-    num_classes = int(labels.max()) + 1
-    rng = np.random.Generator(np.random.PCG64(seed))
-    means, _ = equidistant_means(num_classes, feature_dim, rng,
-                                 strict=strict_equidistance)
-    return sample_features(labels, means, gaussian_scale, rng)
-
-
 def generate(spec: SynthSpec) -> SynthDataset:
     """Produce one dataset from ``spec`` (see module docstring for the
     draw order that makes this reproducible)."""
@@ -314,8 +271,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     _warn_fragmentation(spec)
     edges = sbm_edges(labels, spec.intra_edge_prob, spec.inter_edge_prob, rng)
     g = build_graph(edges, spec.num_nodes)
-    means, means_info = equidistant_means(spec.num_classes, spec.feature_dim,
-                                          rng, strict=spec.strict_equidistance)
+    means, means_info = equidistant_means(spec.num_classes, spec.feature_dim, rng)
     features = sample_features(labels, means, spec.gaussian_scale, rng)
 
     meta = {"num_nodes_generated": spec.num_nodes,

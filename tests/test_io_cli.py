@@ -1001,6 +1001,34 @@ def test_cli_mask_rejects_rate_one(tmp_path):
                  "--out", str(tmp_path / "m.csv")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["structural", "uniform"])
+@pytest.mark.parametrize("n, f", [("-3", "2"), ("3", "-2"), ("-3", "-2")])
+def test_cli_mask_rejects_a_negative_dimension(tmp_path, kind, n, f):
+    out = tmp_path / "m.csv"
+    assert main(["--quiet", "mask", "--type", kind, "--rate", "0.5",
+                 "--num-nodes", n, "--num-channels", f, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_cli_impute_rejects_a_non_finite_beta(tmp_path, beta):
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=7)
+    out = tmp_path / "o.csv"
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                 str(fpath), "--mask", str(mpath), "--beta", beta,
+                 "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+
+
+def test_cli_pipeline_rejects_a_method_listed_twice(tmp_path):
+    epath, fpath, _ = _write_inputs(tmp_path, seed=7)
+    out = tmp_path / "pipe.json"
+    assert main(["--quiet", "pipeline", "--edges", str(epath), "--features",
+                 str(fpath), "--mask-type", "uniform", "--rate", "0.5",
+                 "--methods", "fp,fp", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_stage1_only_method(tmp_path):
     epath, fpath, mpath = _write_inputs(tmp_path, seed=6)
     o1 = tmp_path / "s1.csv"

@@ -60,6 +60,13 @@ def test_mask_rate_bounds():
                      mask_kind="diagonal", mask_rate=0.5, seeds=[0])
 
 
+@pytest.mark.parametrize("make", [structural_mask, uniform_mask])
+@pytest.mark.parametrize("n, f", [(-3, 2), (3, -2), (-3, -2)])
+def test_masks_refuse_a_negative_dimension(make, n, f):
+    with pytest.raises(InputError, match="non-negative"):
+        make(n, f, 0.5, seed=0)
+
+
 def test_mask_refuses_to_remove_everything():
     # 0.96 * 10 rounds to 10 rows: nothing left to diffuse from
     with pytest.raises(InputError, match="removes all"):

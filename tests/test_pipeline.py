@@ -103,6 +103,24 @@ def test_pipeline_refuses_an_empty_method_list_before_masking(monkeypatch):
                          mask_kind="uniform", mask_rate=0.5, seeds=[0], methods=methods)
 
 
+def test_pipeline_refuses_a_method_listed_twice_before_masking(monkeypatch):
+    def no_mask(*args):
+        raise AssertionError("masked before the methods were checked")
+
+    monkeypatch.setattr(pipeline, "_make_mask", no_mask)
+    with pytest.raises(InputError, match="'fp' is listed more than once"):
+        run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
+                     mask_kind="uniform", mask_rate=0.5, seeds=[0],
+                     methods=["fp", "zero", "fp"])
+
+
+@pytest.mark.parametrize("method", ["pcfi", "fp", "zero"])
+def test_config_refuses_a_negative_or_non_finite_beta(method):
+    for beta in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="beta must be finite"):
+            ImputationConfig(method=method, beta=beta)
+
+
 def test_pipeline_reports_every_method_of_an_iterator():
     g = build_graph([(i, i + 1) for i in range(9)], 10)
     rep = run_pipeline(g, np.random.default_rng(0).normal(size=(10, 2)),

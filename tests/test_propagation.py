@@ -206,8 +206,9 @@ def test_shape_and_beta_validation():
     with pytest.raises(InputError):
         propagate_stage2(x, s, 0.5, 0.1)
     s2 = SpdsMatrix(distances=np.zeros((4, 2), dtype=np.int64))
-    with pytest.raises(InputError):
-        propagate_stage2(x, s2, 0.5, -0.1)
+    for beta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="beta"):
+            propagate_stage2(x, s2, 0.5, beta)
     with pytest.raises(InputError, match="cells"):
         stage2_bruteforce_oracle(np.zeros((200, 80)),
                                  SpdsMatrix(distances=np.zeros((200, 80), dtype=np.int64)),

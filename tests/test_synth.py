@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from _oracles import (feature_homophily_reference, random_gnp_edges,
                       sbm_edges_reference)
 from pcfi import (InputError, SynthSpec, build_graph, class_homophily,
                   connected_components, equidistant_means, feature_homophily,
-                  generate, generate_features, generate_graph, generate_labels,
-                  sbm_edges, synth)
+                  generate, generate_labels, sbm_edges, synth)
+from pcfi.io import write_dataset
 
 
 def test_generation_is_deterministic():
@@ -99,8 +101,6 @@ def test_maxmin_fallback_when_simplex_does_not_fit():
     assert means.shape == (10, 5)
     assert info["means_min_distance"] == pytest.approx(1.0, abs=1e-12)
     assert info["means_max_distance"] >= 1.0
-    with pytest.raises(InputError, match="equidistant"):
-        equidistant_means(10, 5, rng, strict=True)
 
 
 def test_default_spec_uses_fallback_means_and_reports_spread():
@@ -131,36 +131,21 @@ def test_fragmentation_warning():
 def test_disconnected_classes_warn_even_when_dense():
     # intra=1 gives huge expected degree, yet inter=0 guarantees >= 2 components
     with pytest.warns(UserWarning, match="fragmented"):
-        generate_graph(SynthSpec(num_nodes=40, num_classes=2, feature_dim=2,
-                                 intra_edge_prob=1.0, inter_edge_prob=0.0, seed=0,
-                                 largest_component=False))
+        generate(SynthSpec(num_nodes=40, num_classes=2, feature_dim=2,
+                           intra_edge_prob=1.0, inter_edge_prob=0.0, seed=0,
+                           largest_component=False))
 
 
-def test_generate_graph_matches_generate_structure():
-    spec = SynthSpec(num_nodes=300, num_classes=3, feature_dim=2,
-                     intra_edge_prob=0.03, inter_edge_prob=0.004, seed=9)
-    ds = generate(spec)
-    g, labels = generate_graph(spec)
-    assert np.array_equal(g.indptr, ds.graph.indptr)
-    assert np.array_equal(g.indices, ds.graph.indices)
-    assert np.array_equal(labels, ds.labels)
-
-
-def test_generate_features_deterministic_and_class_structured():
-    labels = np.repeat(np.arange(3), 50)
-    a = generate_features(labels, 4, 0.01, seed=2)
-    b = generate_features(labels, 4, 0.01, seed=2)
-    assert np.array_equal(a, b)
-    assert a.shape == (150, 4)
-    # tiny noise: same-class rows nearly coincide, distinct classes sit
-    # near unit distance apart
-    same = np.linalg.norm(a[0] - a[1])
-    cross = np.linalg.norm(a[0] - a[50])
-    assert same < 0.1 < cross
-    with pytest.raises(InputError):
-        generate_features(labels, 0, 0.1)
-    with pytest.raises(InputError, match="equidistant"):
-        generate_features(np.arange(10), 5, 0.1, strict_equidistance=True)
+def test_written_meta_spec_is_the_spec(tmp_path):
+    spec = SynthSpec(num_nodes=60, num_classes=3, feature_dim=2,
+                     intra_edge_prob=0.3, inter_edge_prob=0.05,
+                     gaussian_scale=0.25, seed=3, largest_component=False)
+    write_dataset(tmp_path, generate(spec))
+    written = json.loads((tmp_path / "meta.json").read_text())["spec"]
+    assert written == {"num_nodes": 60, "num_classes": 3, "feature_dim": 2,
+                       "intra_edge_prob": 0.3, "inter_edge_prob": 0.05,
+                       "gaussian_scale": 0.25, "seed": 3,
+                       "largest_component": False}
 
 
 def test_spec_validation():
@@ -170,8 +155,9 @@ def test_spec_validation():
         SynthSpec(num_nodes=10, num_classes=11)
     with pytest.raises(InputError):
         SynthSpec(intra_edge_prob=1.5)
-    with pytest.raises(InputError):
-        SynthSpec(gaussian_scale=-1.0)
+    for scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="gaussian_scale"):
+            SynthSpec(gaussian_scale=scale)
 
 
 def test_homophily_helpers_validate():
