@@ -99,6 +99,11 @@ def cmd_impute(args) -> int:
         log.info("ignoring values at %d masked entries", ignored)
     num_missing = known.size - np.count_nonzero(known)
     cfg = _impute_config(args, args.method)
+    if args.spds_out is None or cfg.method not in ("fp", "zero"):
+        # the masked input then holds the mask's last reference, so the mask
+        # is freed with it after stage 1; fp and zero give no distance field,
+        # so --spds-out computes theirs from this mask
+        del known
     outcome = impute(g, masked, cfg)
     pio.write_matrix(args.out, outcome.values)
 

@@ -45,8 +45,10 @@ __all__ = [
 UNREACHABLE = -1
 # Channels per dense block in the sparse products here and in stage 1.
 BLOCK_COLUMNS = 32
-# Values per row block of a whole-field confidence lookup.
-ROW_BLOCK_VALUES = 1 << 16
+# Values per row block of a whole-field confidence lookup, and so per row
+# block of stage 2's products with the channel correlation. Smaller blocks
+# make that product a short GEMM that repacks the F x F matrix every call.
+ROW_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,19 @@ def pseudo_confidence(spds: SpdsMatrix, alpha: float) -> np.ndarray:
     return out
 
 
-def confidence_rows(spds: SpdsMatrix, alpha: float):
-    """``(rows, alpha ** S[rows])`` for consecutive row slices ``rows`` of
-    about ``ROW_BLOCK_VALUES`` entries each; every block is a new array.
-    ``alpha`` must lie in (0, 1)."""
-    check_alpha(alpha)
-    n, f = spds.distances.shape
+def row_blocks(n: int, f: int):
+    """Consecutive row slices of an ``n`` x ``f`` array, each of about
+    ``ROW_BLOCK_VALUES`` entries and at least one row."""
     step = max(1, ROW_BLOCK_VALUES // max(f, 1))
     for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+        yield slice(lo, lo + step)
+
+
+def confidence_rows(spds: SpdsMatrix, alpha: float):
+    """``(rows, alpha ** S[rows])`` for the ``row_blocks`` of the field;
+    every block is a new array. ``alpha`` must lie in (0, 1)."""
+    check_alpha(alpha)
+    for rows in row_blocks(*spds.distances.shape):
         yield rows, alpha_powers(alpha, spds.distances[rows])
 
 

@@ -101,6 +101,12 @@ def _check_shape(num_nodes: int, num_channels: int) -> None:
                          f"({num_nodes}, {num_channels})")
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, which the PCG64 stream cannot take."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _missing_count(rate: float, total: int) -> int:
     """``round(rate * total)``, halves rounded up."""
     if not (0.0 < rate < 1.0):
@@ -115,10 +121,11 @@ def structural_mask(num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If a dimension is negative, or the rounded count would remove
-        every row.
+        If a dimension or the seed is negative, or the rounded count
+        would remove every row.
     """
     _check_shape(num_nodes, num_channels)
+    check_seed(seed)
     n_missing = _missing_count(rate, num_nodes)
     if num_nodes > 0 and n_missing >= num_nodes:
         raise InputError(
@@ -140,10 +147,11 @@ def uniform_mask(num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If a dimension is negative, or the rounded count would remove
-        every entry.
+        If a dimension or the seed is negative, or the rounded count
+        would remove every entry.
     """
     _check_shape(num_nodes, num_channels)
+    check_seed(seed)
     total = num_nodes * num_channels
     n_missing = _missing_count(rate, total)
     if total > 0 and n_missing >= total:

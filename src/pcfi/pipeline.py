@@ -35,7 +35,8 @@ from .confidence import SpdsMatrix, check_alpha, check_beta, compute_spds
 from .diffusion import ImputeOutcome, fp_baseline, impute_stage1
 from .errors import InputError
 from .graph import Graph
-from .masking import FeatureSet, apply_mask, structural_mask, uniform_mask
+from .masking import (FeatureSet, apply_mask, check_seed, structural_mask,
+                      uniform_mask)
 from .metrics import evaluate
 from .propagation import propagate_stage2
 
@@ -88,7 +89,7 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
 
     ``fs`` may be handed over in a one-item list, which is emptied: with
     no other reference left to it, the masked input is then freed once
-    stage 1 has read it, before stage 2 allocates two arrays of its size.
+    stage 1 has read it, before stage 2 allocates an array of its size.
     """
     if isinstance(fs, list):
         fs = fs.pop()
@@ -124,7 +125,8 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
 
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
     ``method``; an empty list, a method listed twice, an unknown method,
-    or a bad ``alpha`` for a method that reads it, fails before any work.
+    or a bad ``alpha`` for a method that reads it, fails before any work,
+    as does a negative seed or a seed listed twice.
     Returns a JSON-ready dict: one block per seed with per-method
     metrics, plus the mean/std over those blocks of each method's overall
     RMSE, mean cosine and distance-cosine Spearman correlation (seeds
@@ -139,6 +141,10 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InputError("at least one seed is required")
+    for seed in seeds:
+        check_seed(seed)
+        if seeds.count(seed) > 1:
+            raise InputError(f"seed {seed} is listed more than once")
     methods = list(methods)
     if not methods:
         raise InputError("at least one method is required")

@@ -15,7 +15,8 @@ correction scales with the deviation of the source channel from its
 mean. ``beta`` is small so corrections stay gentle.
 
 The per-node form above is quadratic in channels per node; the
-whole-matrix equivalent used here is::
+whole-matrix equivalent used here, evaluated one block of rows at a
+time, is::
 
     x_new = x + beta * (1 - xi) * ((xi * (x - mean)) @ R)
 """
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import SpdsMatrix, check_alpha, check_beta, confidence_rows
+from .confidence import (SpdsMatrix, check_alpha, check_beta, confidence_rows,
+                         row_blocks)
 from .errors import InputError
 
 __all__ = ["correlation", "propagate_stage2"]
@@ -61,23 +63,27 @@ def correlation(values: np.ndarray) -> CorrelationMatrix:
 
 
 def _centered_correlation(values: np.ndarray) -> tuple[np.ndarray, CorrelationMatrix]:
-    """``values - means`` as a new array the caller may overwrite, and the
-    correlation of ``values`` computed from it."""
+    """``values - means`` as a new array the caller may overwrite (stage 2
+    turns it into its result), and the correlation of ``values`` computed
+    from it."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise InputError(f"value matrix must be 2-D, got shape {values.shape}")
-    n = values.shape[0]
+    n, f = values.shape
     if n < 2:
         raise InputError(f"correlation needs at least 2 rows, got {n}")
     means = values.mean(axis=0)
     centered = values - means
-    # cov / (n - 1) / outer(stds, stds), each step in place
+    # cov / (n - 1) / outer(stds, stds), each step in place; the outer
+    # product is built one row block at a time, never as a whole F x F array
     r = centered.T @ centered
     r /= n - 1
     stds = np.sqrt(np.diag(r).copy())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r /= np.outer(stds, stds)
-    r[~np.isfinite(r)] = 0.0
+    for rows in row_blocks(f, f):
+        block = r[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block /= np.outer(stds[rows], stds)
+        block[~np.isfinite(block)] = 0.0
     np.fill_diagonal(r, 0.0)
     return centered, CorrelationMatrix(r=r, means=means, stds=stds)
 
@@ -89,9 +95,16 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
     ``values`` is the fully filled matrix from the diffusion stage, with
     confidences ``alpha ** S`` for ``alpha`` in (0, 1); ``beta`` must be
     finite and >= 0. With ``beta == 0``, or with every entry observed
-    (all distances 0), a bit-identical copy is returned. Otherwise two
-    more arrays of the input's size are alive at once: ``values - means``
-    and the product.
+    (all distances 0), a bit-identical copy is returned.
+
+    Otherwise the rows are corrected in the blocks of
+    ``confidence.row_blocks``, and each block's rows are, bit for bit,
+    ``values + beta * (1 - xi) * ((xi * (values - means)) @ R)`` evaluated
+    on those rows alone, with the whole matrix's ``means`` and ``R``. When
+    one block covers the matrix these are the whole-matrix bits; across
+    blocks, BLAS may round a block's product differently in the last bits.
+    One array of the input's size is alive besides the input: it holds
+    ``values - means`` and becomes the result, block by block.
     """
     values = np.asarray(values, dtype=np.float64)
     check_alpha(alpha)
@@ -103,17 +116,13 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
         )
     if beta == 0 or not spds.distances.any():
         return values.copy()
-    # values + beta * (1 - xi) * ((xi * (values - means)) @ R), in place with
-    # the same operations in the same order, so the bits are the same; the
-    # confidences xi are read in row blocks, twice, and never held whole
-    t, corr = _centered_correlation(values)
+    out, corr = _centered_correlation(values)
     for rows, xi in confidence_rows(spds, alpha):
-        t[rows] *= xi
-    out = t @ corr.r
-    del t
-    for rows, xi in confidence_rows(spds, alpha):
+        block = out[rows]
+        block *= xi
+        product = block @ corr.r
         np.subtract(1.0, xi, out=xi)
         xi *= beta
-        out[rows] *= xi
-    out += values
+        product *= xi
+        np.add(product, values[rows], out=block)
     return out

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import Graph, build_graph, extract_largest_component
+from .masking import check_seed
 
 __all__ = [
     "SynthSpec",
@@ -50,7 +51,8 @@ class SynthSpec:
 
     ``intra_edge_prob``/``inter_edge_prob`` are the edge probabilities
     within/between classes; ``gaussian_scale`` is the per-channel noise
-    standard deviation around the class mean, finite and >= 0.
+    standard deviation around the class mean, finite and >= 0; ``seed``
+    must be >= 0.
     ``largest_component`` restricts the output to the largest connected
     component (labels and features are restricted consistently).
     ``io.write_dataset`` records every field under ``spec`` in
@@ -83,6 +85,7 @@ class SynthSpec:
             raise InputError(
                 f"gaussian_scale must be finite and >= 0, got {self.gaussian_scale}"
             )
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

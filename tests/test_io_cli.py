@@ -702,6 +702,34 @@ def test_cli_impute_frees_masked_input_before_stage2(tmp_path, monkeypatch):
     assert out.read_bytes() == kept.read_bytes()
 
 
+@pytest.mark.parametrize("method, spds_out, freed", [
+    ("pcfi", False, True), ("pcfi", True, True), ("fp", False, True),
+    ("fp", True, False), ("zero", True, False)])
+def test_cli_impute_frees_the_mask_unless_the_distance_field_needs_it(
+        tmp_path, monkeypatch, method, spds_out, freed):
+    """The impute command drops its mask once the missing entries are
+    counted, so the mask goes with the masked input after stage 1; only
+    --spds-out with fp or zero, which compute no distance field, keeps it."""
+    epath, fpath, mpath = _write_inputs(tmp_path)
+    alive_after_impute = []
+
+    def recording_impute(g, fs, cfg):
+        mask = weakref.ref(fs[0].known)
+        outcome = real_impute(g, fs, cfg)
+        alive_after_impute.append(mask() is not None)
+        return outcome
+
+    real_impute = cli.impute
+    monkeypatch.setattr(cli, "impute", recording_impute)
+    out, spds = tmp_path / "o.csv", tmp_path / "spds.csv"
+    args = ["--quiet", "impute", "--edges", str(epath), "--features", str(fpath),
+            "--mask", str(mpath), "--method", method, "--out", str(out)]
+    assert main(args + (["--spds-out", str(spds)] if spds_out else [])) == 0
+    assert alive_after_impute == [not freed]
+    if spds_out:
+        assert np.array_equal(pio.load_spds(spds) == 0, pio.load_mask(mpath))
+
+
 def test_impute_takes_the_feature_set_out_of_a_list(tmp_path):
     epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
     g = build_graph(pio.load_edges(epath), 40)
@@ -1026,6 +1054,28 @@ def test_cli_pipeline_rejects_a_method_listed_twice(tmp_path):
     assert main(["--quiet", "pipeline", "--edges", str(epath), "--features",
                  str(fpath), "--mask-type", "uniform", "--rate", "0.5",
                  "--methods", "fp,fp", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_synth_and_mask_reject_a_negative_seed(tmp_path):
+    data = tmp_path / "data"
+    assert main(["--quiet", "synth", "--num-nodes", "30", "--seed", "-1",
+                 "--out", str(data)]) == 2
+    assert not data.exists()
+    out = tmp_path / "m.csv"
+    assert main(["--quiet", "mask", "--type", "uniform", "--rate", "0.5",
+                 "--seed", "-1", "--num-nodes", "5", "--num-channels", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["-1", "0,0", "1,0,1"])
+def test_cli_pipeline_rejects_a_negative_or_repeated_seed(tmp_path, seeds):
+    epath, fpath, _ = _write_inputs(tmp_path, seed=7)
+    out = tmp_path / "pipe.json"
+    assert main(["--quiet", "pipeline", "--edges", str(epath), "--features",
+                 str(fpath), "--mask-type", "uniform", "--rate", "0.5",
+                 f"--seeds={seeds}", "--out", str(out)]) == 2
     assert not out.exists()
 
 

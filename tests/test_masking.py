@@ -67,6 +67,12 @@ def test_masks_refuse_a_negative_dimension(make, n, f):
         make(n, f, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("make", [structural_mask, uniform_mask])
+def test_masks_refuse_a_negative_seed(make):
+    with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+        make(3, 2, 0.5, seed=-1)
+
+
 def test_mask_refuses_to_remove_everything():
     # 0.96 * 10 rounds to 10 rows: nothing left to diffuse from
     with pytest.raises(InputError, match="removes all"):

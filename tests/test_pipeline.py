@@ -114,6 +114,21 @@ def test_pipeline_refuses_a_method_listed_twice_before_masking(monkeypatch):
                      methods=["fp", "zero", "fp"])
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([0, -1], "seed must be a non-negative integer, got -1"),
+    ([0, 1, 0], "seed 0 is listed more than once"),
+], ids=["negative", "repeated"])
+def test_pipeline_refuses_a_negative_or_repeated_seed_before_masking(
+        monkeypatch, seeds, message):
+    def no_mask(*args):
+        raise AssertionError("masked before the seeds were checked")
+
+    monkeypatch.setattr(pipeline, "_make_mask", no_mask)
+    with pytest.raises(InputError, match=message):
+        run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
+                     mask_kind="uniform", mask_rate=0.5, seeds=seeds)
+
+
 @pytest.mark.parametrize("method", ["pcfi", "fp", "zero"])
 def test_config_refuses_a_negative_or_non_finite_beta(method):
     for beta in (-1e-3, float("nan"), float("inf")):

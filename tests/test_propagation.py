@@ -81,6 +81,18 @@ def _stage2_instance(seed):
     return x, SpdsMatrix(distances=dist)
 
 
+@pytest.mark.parametrize("block_values", [1, 9 * 4])
+def test_correlation_in_row_blocks_matches_one_block_bitwise(monkeypatch,
+                                                            block_values):
+    """R is divided by the outer product of the stds one row block at a
+    time: rows of one and of four (9 is no multiple of 4) give the bits
+    of one block."""
+    x, _ = _stage2_instance(5)
+    whole = correlation(x)
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
+    assert correlation(x).r.tobytes() == whole.r.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_stage2_matches_whole_matrix_expression_bitwise(seed):
     x, s = _stage2_instance(seed)
@@ -95,22 +107,36 @@ def test_stage2_matches_whole_matrix_expression_bitwise(seed):
 @pytest.mark.parametrize("block_values", [1, 7, 9 * 13])
 def test_stage2_in_row_blocks_matches_whole_matrix_expression_bitwise(
         monkeypatch, block_values):
-    """Confidences are read in row blocks of one row, of one row when a
-    block holds fewer values than a row, and of 13 rows (60 is no multiple
-    of 13); the bits are those of the whole-matrix expression."""
+    """Stage 2 runs in row blocks of one row, of one row when a block holds
+    fewer values than a row, and of 13 rows (60 is no multiple of 13).
+    Each block's rows have the bits of the whole-matrix expression
+    evaluated on those rows, with the whole matrix's means and R; the
+    whole result lies within 1e-15 relative of the expression on the whole
+    matrix, whose product BLAS may round differently in the last bits."""
     monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
     x, s = _stage2_instance(11)
+    n, f = x.shape
     corr = correlation(x)
-    expected = stage2_expression(
-        x, pseudo_confidence_reference(s.distances, 0.7), corr.means,
-        corr.r, 0.05)
-    assert propagate_stage2(x, s, 0.7, 0.05).tobytes() == expected.tobytes()
+    xi = pseudo_confidence_reference(s.distances, 0.7)
+    out = propagate_stage2(x, s, 0.7, 0.05)
+    rows_per_block = max(1, block_values // f)
+    for lo in range(0, n, rows_per_block):
+        rows = slice(lo, lo + rows_per_block)
+        expected = stage2_expression(x[rows], xi[rows], corr.means, corr.r, 0.05)
+        assert out[rows].tobytes() == expected.tobytes(), rows
+    whole = stage2_expression(x, xi, corr.means, corr.r, 0.05)
+    assert np.all(np.abs(out - whole) <= 1e-15 * np.abs(whole))
 
 
-def test_stage2_allocation_peak_is_two_matrices_and_two_correlations():
-    """Stage 2 allocates ``values - means`` and the product, each N x F,
-    and F x F arrays for the correlation; the confidences are never held
-    whole. A third N x F array (the whole xi) would exceed the bound."""
+def test_stage2_allocation_peak_is_two_matrices_and_two_correlations(monkeypatch):
+    """Stage 2 allocates one N x F array, ``values - means``, which becomes
+    the result, F x F arrays for the correlation, and per row block the
+    confidences, their product with R and the temporaries of the
+    confidence lookup; the confidences are never held whole. With blocks
+    far smaller than the matrix, a second N x F array (the whole product,
+    or the whole xi) would exceed the bound."""
+    block_values = 1 << 14
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
     rng = np.random.default_rng(4)
     n, f = 40_000, 16
     x = rng.normal(size=(n, f))
@@ -123,10 +149,35 @@ def test_stage2_allocation_peak_is_two_matrices_and_two_correlations():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    slack = 1 << 20  # row blocks of the confidences and their indices
-    assert peak <= 2 * x.nbytes + 2 * f * f * 8 + slack, peak
-    assert peak > 2 * x.nbytes  # the bound is not loose by an N x F array
+    blocks = 6 * block_values * 8  # a few float64 row blocks, 0.8 MB here
+    assert peak <= x.nbytes + 2 * f * f * 8 + blocks, peak
+    assert blocks < x.nbytes / 6
+    assert peak > x.nbytes  # the result itself is counted
     assert out.shape == x.shape
+
+
+def test_stage2_across_block_boundaries(monkeypatch):
+    """Twelve full blocks of 64 rows and a partial block of 7: the result
+    matches the per-node oracle, is a new array, and leaves the input and
+    the distance field as they were."""
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", 9 * 64)
+    rng = np.random.default_rng(21)
+    n, f = 775, 9
+    x = rng.normal(size=(n, f)) * 2.0 + 0.5
+    dist = rng.integers(0, 7, size=(n, f))
+    dist[rng.random((n, f)) < 0.1] = -1
+    s = SpdsMatrix(distances=dist)
+    x_bits, dist_bits = x.tobytes(), s.distances.tobytes()
+    out = propagate_stage2(x, s, 0.7, 0.05)
+    assert np.max(np.abs(out - stage2_bruteforce_oracle(x, s, 0.7, 0.05))) < 1e-12
+    assert not np.shares_memory(out, x)
+    assert x.tobytes() == x_bits
+    assert s.distances.tobytes() == dist_bits
+    observed = SpdsMatrix(distances=np.zeros((n, f), dtype=np.int64))
+    for spds, beta in ((s, 0.0), (observed, 0.7)):
+        copy = propagate_stage2(x, spds, 0.7, beta)
+        assert copy.tobytes() == x_bits
+        assert not np.shares_memory(copy, x)
 
 
 def test_stage2_leaves_its_inputs_unmodified():

@@ -160,6 +160,11 @@ def test_spec_validation():
             SynthSpec(gaussian_scale=scale)
 
 
+def test_spec_refuses_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+        SynthSpec(num_nodes=30, seed=-1)
+
+
 def test_homophily_helpers_validate():
     from pcfi import build_graph
     g = build_graph([], 3)
