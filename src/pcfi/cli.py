@@ -23,7 +23,7 @@ from . import io as pio
 from .confidence import compute_spds, SpdsMatrix
 from .errors import InputError, NumericalError
 from .graph import build_graph, extract_largest_component
-from .masking import apply_mask, structural_mask, uniform_mask
+from .masking import FeatureSet, structural_mask, uniform_mask
 from .metrics import evaluate
 from .pipeline import ImputationConfig, METHODS, impute, run_pipeline
 from .synth import SynthSpec, generate
@@ -90,10 +90,14 @@ def cmd_impute(args) -> int:
     values, known = _load_features_mask(args)
     n, f = values.shape
     g = _graph_for(args, n)
-    # handed to impute in a list that it empties, so that neither the raw nor
-    # the masked matrix stays alive through stage 2
-    masked = [apply_mask(values, known)]
-    ignored = np.count_nonzero(np.logical_and(values, ~known))
+    # one matrix from load to write: the missing entries are zeroed in place
+    # and the set is handed to impute in a list that it empties, so stage 1
+    # writes into this matrix and stage 2 corrects it in place
+    missing = ~known
+    ignored = np.count_nonzero(np.logical_and(values, missing))
+    np.copyto(values, 0.0, where=missing)
+    del missing
+    masked = [FeatureSet(values, known)]
     del values
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)

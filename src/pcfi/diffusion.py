@@ -219,7 +219,8 @@ def closed_form_channel(op: sparse.csr_array, x0: np.ndarray,
 
 def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
                   steps: int = 100, mode: str = "iterative",
-                  lenient: bool = False, threads: int | None = None) -> ImputeOutcome:
+                  lenient: bool = False, threads: int | None = None,
+                  overwrite: bool = False) -> ImputeOutcome:
     """Fill missing entries channel-wise by confidence-weighted diffusion,
     with confidences ``alpha ** S`` for ``alpha`` in (0, 1).
 
@@ -233,6 +234,12 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     "closed_form" (direct solve). ``threads`` parallelizes over column
     blocks (closed form: over missing patterns); output bits do not
     depend on it. The outcome's ``spds`` is the field passed in.
+
+    The result is written into a copy of ``fs.values``, or, with
+    ``overwrite=True``, into ``fs.values`` itself, for a caller that gives
+    ``fs`` up: each column block reads its own columns once, at its start,
+    and writes them back at its end, so blocks stay independent on the
+    pool. ``fs.known`` is left as it is.
     """
     check_alpha(alpha)
     if mode not in ("iterative", "closed_form"):
@@ -255,7 +262,11 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
         )
 
     n, f = fs.values.shape
-    out = fs.values.copy()
+    out = fs.values if overwrite else fs.values.copy()
+    try:
+        out.setflags(write=True)  # FeatureSet hands its arrays out read-only
+    except ValueError:  # memory the array does not own and may not write
+        out = out.copy()
     steps_run = steps if mode == "iterative" else 0
     residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
     if n == 0 or f == 0:

@@ -33,6 +33,10 @@ __all__ = ["FeatureSet", "structural_mask", "uniform_mask", "apply_mask"]
 class FeatureSet:
     """Node feature matrix with an observedness mask.
 
+    Both arrays are made read-only. A set handed over to
+    :func:`pcfi.pipeline.impute` in a list is given up: the pcfi methods
+    write their result into its ``values``.
+
     Attributes
     ----------
     values : ndarray of float64, shape (N, F)

@@ -87,11 +87,14 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     A precomputed distance field may be passed to avoid recomputing it
     across methods; it must match the mask.
 
-    ``fs`` may be handed over in a one-item list, which is emptied: with
-    no other reference left to it, the masked input is then freed once
-    stage 1 has read it, before stage 2 allocates an array of its size.
+    ``fs`` may be handed over in a one-item list, which is emptied: the
+    pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
+    that same array in place, so the masked input becomes the result and
+    no second array of its size is made. Passed directly, ``fs`` is left
+    as it is and stage 1 works on a copy.
     """
-    if isinstance(fs, list):
+    handed_over = isinstance(fs, list)
+    if handed_over:
         fs = fs.pop()
     if cfg.method == "zero":
         return ImputeOutcome(values=fs.values.copy(), spds=None, residuals=None,
@@ -101,7 +104,8 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     if spds is None:
         spds = compute_spds(g, fs.known)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
-                           lenient=cfg.lenient_no_source, threads=cfg.threads)
+                           lenient=cfg.lenient_no_source, threads=cfg.threads,
+                           overwrite=handed_over)
     del fs
     if cfg.method == "pcfi_stage1_only":
         return stage1

@@ -33,6 +33,10 @@ from .errors import InputError
 
 __all__ = ["correlation", "propagate_stage2"]
 
+# Columns of R summed by one product in ``correlation``: a strip is
+# GRAM_STRIP x F floats, far less than a second F x F array.
+GRAM_STRIP = 256
+
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -54,18 +58,18 @@ def correlation(values: np.ndarray) -> CorrelationMatrix:
     Zero-variance channels yield zero rows/columns instead of NaN; the
     diagonal is zeroed because a channel never propagates into itself.
 
+    The Gram matrix of ``c = values - means`` is summed over the
+    ``confidence.row_blocks`` of ``c``, its upper triangle in strips of
+    ``GRAM_STRIP`` columns, and then mirrored, so no array of the input's
+    size is made: one F x F array, one strip product and one row block.
+    For a fixed block size the bits repeat; against the whole ``c.T @ c``
+    the sums run in another order, so R may differ in the last bits.
+
     Raises
     ------
     InputError
         If fewer than 2 rows (correlation undefined).
     """
-    return _centered_correlation(values)[1]
-
-
-def _centered_correlation(values: np.ndarray) -> tuple[np.ndarray, CorrelationMatrix]:
-    """``values - means`` as a new array the caller may overwrite (stage 2
-    turns it into its result), and the correlation of ``values`` computed
-    from it."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise InputError(f"value matrix must be 2-D, got shape {values.shape}")
@@ -73,10 +77,19 @@ def _centered_correlation(values: np.ndarray) -> tuple[np.ndarray, CorrelationMa
     if n < 2:
         raise InputError(f"correlation needs at least 2 rows, got {n}")
     means = values.mean(axis=0)
-    centered = values - means
+    r = np.zeros((f, f))
+    for rows in row_blocks(n, f):
+        c = values[rows] - means
+        for lo in range(0, f, GRAM_STRIP):
+            r[lo:lo + GRAM_STRIP, lo:] += c[:, lo:lo + GRAM_STRIP].T @ c[:, lo:]
+    for lo in range(0, f, GRAM_STRIP):
+        hi = lo + GRAM_STRIP
+        r[hi:, lo:hi] = r[lo:hi, hi:].T
+        square = r[lo:hi, lo:hi]
+        lower = np.tri(len(square), k=-1, dtype=bool)
+        square[lower] = square.T[lower]
     # cov / (n - 1) / outer(stds, stds), each step in place; the outer
     # product is built one row block at a time, never as a whole F x F array
-    r = centered.T @ centered
     r /= n - 1
     stds = np.sqrt(np.diag(r).copy())
     for rows in row_blocks(f, f):
@@ -85,26 +98,27 @@ def _centered_correlation(values: np.ndarray) -> tuple[np.ndarray, CorrelationMa
             block /= np.outer(stds[rows], stds)
         block[~np.isfinite(block)] = 0.0
     np.fill_diagonal(r, 0.0)
-    return centered, CorrelationMatrix(r=r, means=means, stds=stds)
+    return CorrelationMatrix(r=r, means=means, stds=stds)
 
 
 def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
                      beta: float) -> np.ndarray:
-    """Apply the correlation-weighted inter-channel correction.
+    """Apply the correlation-weighted inter-channel correction to
+    ``values`` in place, and return it.
 
     ``values`` is the fully filled matrix from the diffusion stage, with
     confidences ``alpha ** S`` for ``alpha`` in (0, 1); ``beta`` must be
-    finite and >= 0. With ``beta == 0``, or with every entry observed
-    (all distances 0), a bit-identical copy is returned.
+    finite and >= 0. The caller gives the matrix up: a float64 array is
+    overwritten (any other is converted to a new array first), so it must
+    be writable. With ``beta == 0``, or with every entry observed (all
+    distances 0), it is returned unchanged.
 
-    Otherwise the rows are corrected in the blocks of
-    ``confidence.row_blocks``, and each block's rows are, bit for bit,
+    Otherwise ``R`` and ``means`` come from :func:`correlation` of the whole
+    matrix, and then the rows are corrected in the blocks of
+    ``confidence.row_blocks``: each block's rows become, bit for bit,
     ``values + beta * (1 - xi) * ((xi * (values - means)) @ R)`` evaluated
-    on those rows alone, with the whole matrix's ``means`` and ``R``. When
-    one block covers the matrix these are the whole-matrix bits; across
-    blocks, BLAS may round a block's product differently in the last bits.
-    One array of the input's size is alive besides the input: it holds
-    ``values - means`` and becomes the result, block by block.
+    on those rows alone. Besides ``values`` and ``R``, only a few row
+    blocks are alive at a time.
     """
     values = np.asarray(values, dtype=np.float64)
     check_alpha(alpha)
@@ -115,14 +129,16 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
             f"shape {spds.distances.shape}"
         )
     if beta == 0 or not spds.distances.any():
-        return values.copy()
-    out, corr = _centered_correlation(values)
+        return values
+    if not values.flags.writeable:
+        raise InputError("stage 2 overwrites its value matrix, which is read-only")
+    corr = correlation(values)
     for rows, xi in confidence_rows(spds, alpha):
-        block = out[rows]
-        block *= xi
-        product = block @ corr.r
+        c = values[rows] - corr.means
+        c *= xi
+        product = c @ corr.r
         np.subtract(1.0, xi, out=xi)
         xi *= beta
         product *= xi
-        np.add(product, values[rows], out=block)
-    return out
+        values[rows] += product
+    return values

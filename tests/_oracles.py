@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 from scipy import sparse
 
-from pcfi import InputError, SpdsMatrix, correlation, pseudo_confidence
+from pcfi import InputError, SpdsMatrix, pseudo_confidence
 
 INF = float("inf")
 
@@ -230,6 +230,21 @@ def relative_pc(spds: SpdsMatrix, alpha: float, i: int, j: int, d: int) -> float
     return float(alpha ** (sj - si))
 
 
+def correlation_reference(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, means)``: the Pearson correlation from the whole ``c.T @ c``
+    with ``c = values - means``, zero for zero-variance channels and on the
+    diagonal, as stage 2 first computed it."""
+    means = values.mean(axis=0)
+    c = values - means
+    cov = (c.T @ c) / (len(values) - 1)
+    stds = np.sqrt(np.diag(cov))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = cov / np.outer(stds, stds)
+    r[~np.isfinite(r)] = 0.0
+    np.fill_diagonal(r, 0.0)
+    return r, means
+
+
 def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, alpha: float,
                              beta: float, *, max_cells: int = 1_000_000) -> np.ndarray:
     """Stage 2 with the per-node mixing matrix built explicitly. Quadratic
@@ -247,13 +262,13 @@ def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, alpha: float,
         raise InputError(
             f"node-loop reference limited to {max_cells} cells, got {n * f * f}"
         )
-    corr = correlation(values)
+    r, means = correlation_reference(values)
     xi = pseudo_confidence(spds, alpha)
     out = values.copy()
     for i in range(n):
-        b = beta * np.outer(1.0 - xi[i], xi[i]) * corr.r
+        b = beta * np.outer(1.0 - xi[i], xi[i]) * r
         np.fill_diagonal(b, 0.0)
-        out[i] += b @ (values[i] - corr.means)
+        out[i] += b @ (values[i] - means)
     return out
 
 

@@ -178,14 +178,14 @@ def test_c05_channel_mixing_oracle():
         fs = apply_mask(vals, known)
         spds = compute_spds(g, known)
         filled = impute_stage1(g, fs, spds, alpha, mode="closed_form").values
-        fast = propagate_stage2(filled, spds, alpha, beta)
+        fast = propagate_stage2(filled.copy(), spds, alpha, beta)
         slow = stage2_bruteforce_oracle(filled, spds, alpha, beta)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
-        identities_ok &= np.array_equal(propagate_stage2(filled, spds, alpha, 0.0),
-                                        filled)
+        identities_ok &= np.array_equal(
+            propagate_stage2(filled.copy(), spds, alpha, 0.0), filled)
         all_known = compute_spds(g, np.ones((n, f), dtype=bool))
         identities_ok &= np.array_equal(
-            propagate_stage2(vals, all_known, alpha, beta), vals)
+            propagate_stage2(vals.copy(), all_known, alpha, beta), vals)
     ok = worst <= 1e-10 and identities_ok
     _check("C5", "channel-mixing-oracle",
            ok, f"max|vectorized-reference| {worst:.3g} <= 1e-10; "
@@ -207,7 +207,7 @@ def test_c06_constant_input_is_fixed_point():
         spds = compute_spds(g, fs.known)
         for mode in ("iterative", "closed_form"):
             s1 = impute_stage1(g, fs, spds, alpha, steps=100, mode=mode).values
-            full = propagate_stage2(s1, spds, alpha, 1e-3)
+            full = propagate_stage2(s1.copy(), spds, alpha, 1e-3)
             worst = max(worst, float(np.max(np.abs(s1 - c))),
                         float(np.max(np.abs(full - c))))
     ok = worst <= 1e-9

@@ -11,8 +11,9 @@ import pcfi
 
 # scipy.stats costs about 0.9 s to import; scipy.sparse.linalg (pulled
 # in by scipy.sparse.csgraph) and scipy.special (used only by synth) about
-# 0.1 s each
-HEAVY = ("scipy.stats", "scipy.sparse.linalg", "scipy.special")
+# 0.1 s each; scipy.linalg (its BLAS wrappers) about 0.08 s and 6.5 MB,
+# which stage 2's numpy-only Gram matrix does without
+HEAVY = ("scipy.stats", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
 def test_cli_import_skips_heavy_scipy_modules():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcfi import InputError, SynthSpec, build_graph, generate
-from pcfi import cli
+from pcfi import cli, confidence, propagation
 from pcfi import io as pio
 from pcfi import pipeline
 from pcfi.cli import main
@@ -672,34 +672,44 @@ def test_cli_impute_counts_ignored_values(tmp_path, caplog):
     assert f"ignoring values at {expected} masked entries" in caplog.text
 
 
-def test_cli_impute_frees_masked_input_before_stage2(tmp_path, monkeypatch):
-    """The impute command hands the masked matrix to ``impute`` in a list
-    that it empties, so nothing holds it once stage 1 is done."""
-    epath, fpath, mpath = _write_inputs(tmp_path)
-    masked = []
-    alive_in_stage2 = []
+@pytest.mark.parametrize("method", ["pcfi", "pcfi_stage1_only"])
+def test_cli_impute_carries_one_matrix_from_load_to_write(tmp_path, monkeypatch,
+                                                          method):
+    """The impute command masks the loaded matrix in place and hands it to
+    ``impute`` in a list that it empties: stage 1 writes into it, stage 2
+    corrects it in place, and that same array is written out."""
+    epath, fpath, mpath = _write_inputs(tmp_path, f=40)
+    loaded, in_stage2, written = [], [], []
 
-    def recording_apply_mask(values, known):
-        fs = pipeline.apply_mask(values, known)
-        masked.append(weakref.ref(fs.values))
-        return fs
+    def recording_load(*args, **kwargs):
+        loaded.append(real_load(*args, **kwargs))
+        return loaded[-1]
 
-    def checking_stage2(*args, **kwargs):
-        alive_in_stage2.append(masked[0]() is not None)
-        return real_stage2(*args, **kwargs)
+    def recording_stage2(values, *args, **kwargs):
+        in_stage2.append(values)
+        return real_stage2(values, *args, **kwargs)
 
-    real_stage2 = pipeline.propagate_stage2
-    monkeypatch.setattr(cli, "apply_mask", recording_apply_mask)
-    monkeypatch.setattr(pipeline, "propagate_stage2", checking_stage2)
+    def recording_write(path, values):
+        written.append(values)
+        return real_write(path, values)
+
+    real_load, real_stage2, real_write = (pio.load_matrix, pipeline.propagate_stage2,
+                                          pio.write_matrix)
+    monkeypatch.setattr(pio, "load_matrix", recording_load)
+    monkeypatch.setattr(pipeline, "propagate_stage2", recording_stage2)
+    monkeypatch.setattr(pio, "write_matrix", recording_write)
     out = tmp_path / "o.csv"
     assert main(["--quiet", "impute", "--edges", str(epath), "--features",
-                 str(fpath), "--mask", str(mpath), "--out", str(out)]) == 0
-    assert alive_in_stage2 == [False]
+                 str(fpath), "--mask", str(mpath), "--method", method,
+                 "--out", str(out)]) == 0
+    assert len(loaded) == len(written) == 1
+    assert written[0] is loaded[0]
+    assert in_stage2 == ([loaded[0]] if method == "pcfi" else [])
     monkeypatch.undo()
-    kept = tmp_path / "kept.csv"
-    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
-                 str(fpath), "--mask", str(mpath), "--out", str(kept)]) == 0
-    assert out.read_bytes() == kept.read_bytes()
+    g = build_graph(pio.load_edges(epath), 40)
+    fs = pipeline.apply_mask(pio.load_matrix(fpath), pio.load_mask(mpath))
+    copied = pipeline.impute(g, fs, pipeline.ImputationConfig(method=method))
+    assert written[0].tobytes() == copied.values.tobytes()
 
 
 @pytest.mark.parametrize("method, spds_out, freed", [
@@ -733,12 +743,13 @@ def test_cli_impute_frees_the_mask_unless_the_distance_field_needs_it(
 def test_impute_takes_the_feature_set_out_of_a_list(tmp_path):
     epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
     g = build_graph(pio.load_edges(epath), 40)
-    fs = pipeline.apply_mask(pio.load_matrix(fpath), pio.load_mask(mpath))
+    feats, known = pio.load_matrix(fpath), pio.load_mask(mpath)
     for method in pipeline.METHODS:
         cfg = pipeline.ImputationConfig(method=method)
-        handed = [fs]
+        handed = [pipeline.apply_mask(feats, known)]
         from_list = pipeline.impute(g, handed, cfg)
         assert handed == []
+        fs = pipeline.apply_mask(feats, known)
         assert (from_list.values.tobytes()
                 == pipeline.impute(g, fs, cfg).values.tobytes())
 
@@ -818,16 +829,33 @@ def test_readme_library_example_runs():
     assert np.isfinite(rmse) and np.isfinite(cosine)
 
 
-def _run_cli(args, stdin: bytes = b"") -> bytes:
+def _run_cli(args, stdin: bytes = b"", **env_vars) -> bytes:
     """Run the command line in a child process, so it reads and writes the
-    interpreter's own stdin and stdout; returns the stdout bytes."""
+    interpreter's own stdin and stdout, with ``env_vars`` added to its
+    environment; returns the stdout bytes."""
     src = str(Path(pio.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     proc = subprocess.run([sys.executable, "-m", "pcfi.cli", "--quiet", *args],
                           input=stdin, env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
+
+
+def test_cli_impute_output_does_not_depend_on_blas_threads(tmp_path):
+    """Stage 2 on 2000 x 300 values spans three row blocks, and its Gram
+    two column strips; one and two BLAS threads write the same bytes."""
+    n, f = 2000, 300
+    assert n * f > 2 * confidence.ROW_BLOCK_VALUES and f > propagation.GRAM_STRIP
+    epath, fpath, mpath = _write_inputs(tmp_path, n=n, f=f, seed=8)
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}.csv"
+        _run_cli(["impute", "--edges", str(epath), "--features", str(fpath),
+                  "--mask", str(mpath), "--out", str(out)],
+                 OPENBLAS_NUM_THREADS=blas_threads)
+        outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_features_from_stdin_match_file(tmp_path):

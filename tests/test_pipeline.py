@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pcfi import (ImputationConfig, ImputeOutcome, InputError, apply_mask, build_graph,
-                  compute_spds, fp_baseline, impute, impute_stage1, propagate_stage2,
-                  run_pipeline)
-from pcfi import diffusion, pipeline
+from pcfi import (FeatureSet, ImputationConfig, ImputeOutcome, InputError, apply_mask,
+                  build_graph, compute_spds, fp_baseline, impute, impute_stage1,
+                  propagate_stage2, run_pipeline)
+from pcfi import confidence, diffusion, pipeline
+
+from _oracles import random_connected_edges
 
 
 def _instance(lenient):
@@ -143,3 +147,117 @@ def test_pipeline_reports_every_method_of_an_iterator():
                        seeds=[0], methods=iter(("pcfi", "fp")))
     assert rep["config"]["methods"] == ["pcfi", "fp"]
     assert list(rep["aggregates"]) == list(rep["per_seed"][0]["methods"]) == ["pcfi", "fp"]
+
+
+def _handover_instance(case):
+    """Graph, values, mask and settings that send stage 1 down one path:
+    fused channels in three column blocks; deep channels on a 400-node
+    path, which take the explicit operator beside shallow fused ones; the
+    closed form; and a lenient run on two components, with one channel
+    unreachable in the smaller one and one with no observed entry."""
+    rng = np.random.default_rng(31)
+    if case == "deep":
+        n, f = 400, 12
+        g = build_graph([(i, i + 1) for i in range(n - 1)], n)
+        known = np.zeros((n, f), dtype=bool)
+        for d in range(8):
+            known[(d % 4) * 3, d] = True  # four patterns, 390+ hops deep
+        known[::10, 8:] = True
+        return g, rng.normal(size=(n, f)), known, {"alpha": 0.1}
+    n, f = 60, 70 if case == "fused" else 40
+    g = build_graph(random_connected_edges(rng, n), n)
+    known = rng.random((n, f)) < 0.5
+    known[0] = True
+    if case == "closed_form":
+        return g, rng.normal(size=(n, f)), known, {"mode": "closed_form"}
+    if case == "lenient":
+        edges = np.concatenate([random_connected_edges(rng, 40),
+                                40 + random_connected_edges(rng, 20)])
+        g = build_graph(edges, n)
+        known[40:, 3] = False
+        known[:, 5] = False
+        return g, rng.normal(size=(n, f)), known, {"lenient_no_source": True}
+    return g, rng.normal(size=(n, f)), known, {}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", ["fused", "deep", "closed_form", "lenient"])
+@pytest.mark.parametrize("method", ["pcfi", "pcfi_stage1_only"])
+def test_handed_over_feature_set_gives_the_bits_of_a_copy(method, case, threads):
+    """Handed over in a list, the masked values are overwritten by stage 1
+    and then by stage 2, and the outcome holds that same array, with the
+    bits, residuals and flags of a run on a copy; the mask is kept."""
+    g, values, known, settings = _handover_instance(case)
+    cfg = ImputationConfig(method=method, steps=20, threads=threads, **settings)
+    spds = compute_spds(g, known)
+    copied = impute(g, apply_mask(values, known), cfg, spds=spds)
+    fs = apply_mask(values, known)
+    handed = impute(g, [fs], cfg, spds=spds)
+    assert handed.values is fs.values
+    assert _same(handed.values, copied.values)
+    assert _same(handed.residuals, copied.residuals)
+    assert handed.steps_run == copied.steps_run
+    assert handed.flagged_channels == copied.flagged_channels
+    assert handed.flagged_channels == ([3, 5] if case == "lenient" else [])
+    assert fs.known.tobytes() == known.tobytes()
+
+
+def test_handed_over_read_only_memory_is_copied_not_written():
+    """A set over memory its array may not make writable (here a bytes
+    object) is worked on as a copy, with the same bits."""
+    g, values, known, _ = _handover_instance("fused")
+    masked = np.where(known, values, 0.0)
+    fs = FeatureSet(np.frombuffer(masked.tobytes()).reshape(masked.shape), known)
+    cfg = ImputationConfig(steps=20)
+    handed = impute(g, [fs], cfg)
+    assert handed.values is not fs.values
+    assert fs.values.tobytes() == masked.tobytes()
+    assert _same(handed.values, impute(g, apply_mask(values, known), cfg).values)
+
+
+def test_pipeline_keeps_its_truth_and_its_reused_masked_set(monkeypatch):
+    """``run_pipeline`` runs every method on one masked set per seed, so
+    no method may write into it, nor into the truth it scores against."""
+    masked = []
+
+    def recording_apply_mask(values, known):
+        fs = real_apply_mask(values, known)
+        masked.append((fs, fs.values.tobytes(), fs.known.tobytes()))
+        return fs
+
+    real_apply_mask = pipeline.apply_mask
+    monkeypatch.setattr(pipeline, "apply_mask", recording_apply_mask)
+    g, values, _, _ = _handover_instance("fused")
+    truth_bits = values.tobytes()
+    run_pipeline(g, values, ImputationConfig(steps=20), mask_kind="uniform",
+                 mask_rate=0.5, seeds=[0, 1],
+                 methods=("pcfi", "pcfi_stage1_only", "fp", "zero"))
+    assert values.tobytes() == truth_bits
+    assert len(masked) == 2
+    for fs, value_bits, known_bits in masked:
+        assert fs.values.tobytes() == value_bits
+        assert fs.known.tobytes() == known_bits
+
+
+def test_handed_over_impute_allocates_less_than_one_matrix(monkeypatch):
+    """With the distance field given, a handed-over ``pcfi`` run allocates
+    the arrays of one 32-column block in stage 1 (a sixteenth of the
+    matrix each) and R and a few row blocks in stage 2, never a second
+    array of the matrix's size."""
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", 1 << 14)
+    rng = np.random.default_rng(12)
+    n, f = 2000, 512
+    g = build_graph(random_connected_edges(rng, n), n)
+    known = rng.random((n, f)) < 0.5
+    handed = [apply_mask(rng.normal(size=(n, f)), known)]
+    spds = compute_spds(g, known)
+    cfg = ImputationConfig(method="pcfi", steps=5, threads=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        outcome = impute(g, handed, cfg, spds=spds)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert outcome.values.shape == (n, f)
+    assert peak < n * f * 8, peak

@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcfi import confidence
+from pcfi import confidence, propagation
 from pcfi import (InputError, SpdsMatrix, apply_mask, build_graph,
                   compute_spds, correlation, impute_stage1, propagate_stage2,
                   uniform_mask)
 
-from _oracles import (pseudo_confidence_reference, random_connected_edges,
-                      stage2_bruteforce_oracle, stage2_expression)
+from _oracles import (correlation_reference, pseudo_confidence_reference,
+                      random_connected_edges, stage2_bruteforce_oracle,
+                      stage2_expression)
 
 
 def test_correlation_basics():
@@ -49,7 +50,7 @@ def test_hand_computed_correction():
     # correction = 0.1 * (1 - 0.5) * (1 * 1 * 1) = 0.05
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     s = SpdsMatrix(distances=np.array([[0, 0], [0, 0], [0, 1]]))
-    out = propagate_stage2(x, s, 0.5, 0.1)
+    out = propagate_stage2(x.copy(), s, 0.5, 0.1)
     assert out[2, 1] == pytest.approx(3.05, abs=1e-15)
     assert out[2, 0] == 3.0
     assert np.array_equal(out[:2], x[:2])
@@ -64,7 +65,7 @@ def test_vectorized_matches_node_loop(seed):
     dist = rng.integers(0, 5, size=(n, f))
     dist[rng.random((n, f)) < 0.1] = -1
     s = SpdsMatrix(distances=dist)
-    a = propagate_stage2(x, s, 0.7, 0.05)
+    a = propagate_stage2(x.copy(), s, 0.7, 0.05)
     b = stage2_bruteforce_oracle(x, s, 0.7, 0.05)
     assert np.max(np.abs(a - b)) < 1e-12
 
@@ -81,16 +82,24 @@ def _stage2_instance(seed):
     return x, SpdsMatrix(distances=dist)
 
 
-@pytest.mark.parametrize("block_values", [1, 9 * 4])
-def test_correlation_in_row_blocks_matches_one_block_bitwise(monkeypatch,
-                                                            block_values):
-    """R is divided by the outer product of the stds one row block at a
-    time: rows of one and of four (9 is no multiple of 4) give the bits
-    of one block."""
-    x, _ = _stage2_instance(5)
-    whole = correlation(x)
+@pytest.mark.parametrize("block_values", [1, 9 * 7, 1 << 18])
+@pytest.mark.parametrize("strip", [2, 256])
+def test_correlation_in_row_blocks_is_repeatable_and_near_the_whole_gram(
+        monkeypatch, block_values, strip):
+    """The Gram matrix is summed over row blocks of one row, of seven rows
+    (60 is no multiple of 7) and of the whole matrix, in column strips of
+    2 (9 is odd) and of 256. R is symmetric bit for bit, its bits repeat,
+    and it lies within 2e-15 * max|R| of the correlation from the whole
+    ``c.T @ c``, whose sums of 60 terms run in another order."""
     monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
-    assert correlation(x).r.tobytes() == whole.r.tobytes()
+    monkeypatch.setattr(propagation, "GRAM_STRIP", strip)
+    x, _ = _stage2_instance(5)
+    r = correlation(x).r
+    assert r.tobytes() == correlation(x).r.tobytes()
+    assert r.tobytes() == r.T.copy().tobytes()
+    whole, _ = correlation_reference(x)
+    assert np.all(r[4] == 0.0) and np.all(np.diag(r) == 0.0)
+    assert np.max(np.abs(r - whole)) <= 2e-15 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -118,7 +127,7 @@ def test_stage2_in_row_blocks_matches_whole_matrix_expression_bitwise(
     n, f = x.shape
     corr = correlation(x)
     xi = pseudo_confidence_reference(s.distances, 0.7)
-    out = propagate_stage2(x, s, 0.7, 0.05)
+    out = propagate_stage2(x.copy(), s, 0.7, 0.05)
     rows_per_block = max(1, block_values // f)
     for lo in range(0, n, rows_per_block):
         rows = slice(lo, lo + rows_per_block)
@@ -128,17 +137,18 @@ def test_stage2_in_row_blocks_matches_whole_matrix_expression_bitwise(
     assert np.all(np.abs(out - whole) <= 1e-15 * np.abs(whole))
 
 
-def test_stage2_allocation_peak_is_two_matrices_and_two_correlations(monkeypatch):
-    """Stage 2 allocates one N x F array, ``values - means``, which becomes
-    the result, F x F arrays for the correlation, and per row block the
-    confidences, their product with R and the temporaries of the
-    confidence lookup; the confidences are never held whole. With blocks
-    far smaller than the matrix, a second N x F array (the whole product,
-    or the whole xi) would exceed the bound."""
+def test_stage2_allocation_peak_is_one_correlation_a_strip_and_row_blocks(
+        monkeypatch):
+    """Stage 2 corrects its input in place. It allocates one F x F array
+    for R, one Gram strip of ``GRAM_STRIP`` x F values, and per row block
+    the centred rows, the confidences, their product with R and the
+    temporaries of the confidence lookup. With F wider than a strip and
+    blocks far smaller than the matrix, an array of the input's size, or
+    a second F x F array, would exceed the bound."""
     block_values = 1 << 14
     monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
     rng = np.random.default_rng(4)
-    n, f = 40_000, 16
+    n, f = 3000, 600
     x = rng.normal(size=(n, f))
     dist = rng.integers(-1, 6, size=(n, f)).astype(np.int16)
     s = SpdsMatrix(distances=dist)
@@ -149,18 +159,23 @@ def test_stage2_allocation_peak_is_two_matrices_and_two_correlations(monkeypatch
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    correlations = f * f * 8
+    strip = propagation.GRAM_STRIP * f * 8
     blocks = 6 * block_values * 8  # a few float64 row blocks, 0.8 MB here
-    assert peak <= x.nbytes + 2 * f * f * 8 + blocks, peak
-    assert blocks < x.nbytes / 6
-    assert peak > x.nbytes  # the result itself is counted
-    assert out.shape == x.shape
+    bound = correlations + strip + blocks
+    assert peak <= bound, peak
+    assert strip < correlations and bound < min(x.nbytes, 2 * correlations)
+    assert out is x
 
 
 def test_stage2_across_block_boundaries(monkeypatch):
-    """Twelve full blocks of 64 rows and a partial block of 7: the result
-    matches the per-node oracle, is a new array, and leaves the input and
-    the distance field as they were."""
+    """Twelve full blocks of 64 rows and a partial block of 7, and Gram
+    strips of 4, 4 and 1 columns: the result matches the per-node oracle
+    and is the input array, corrected in place; the distance field is
+    left as it was. With beta 0 or an all-observed field the input comes
+    back with its bits unchanged."""
     monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", 9 * 64)
+    monkeypatch.setattr(propagation, "GRAM_STRIP", 4)
     rng = np.random.default_rng(21)
     n, f = 775, 9
     x = rng.normal(size=(n, f)) * 2.0 + 0.5
@@ -168,45 +183,56 @@ def test_stage2_across_block_boundaries(monkeypatch):
     dist[rng.random((n, f)) < 0.1] = -1
     s = SpdsMatrix(distances=dist)
     x_bits, dist_bits = x.tobytes(), s.distances.tobytes()
-    out = propagate_stage2(x, s, 0.7, 0.05)
-    assert np.max(np.abs(out - stage2_bruteforce_oracle(x, s, 0.7, 0.05))) < 1e-12
-    assert not np.shares_memory(out, x)
-    assert x.tobytes() == x_bits
+    expected = stage2_bruteforce_oracle(x, s, 0.7, 0.05)
+    values = x.copy()
+    out = propagate_stage2(values, s, 0.7, 0.05)
+    assert out is values
+    assert np.max(np.abs(out - expected)) < 1e-12
     assert s.distances.tobytes() == dist_bits
     observed = SpdsMatrix(distances=np.zeros((n, f), dtype=np.int64))
     for spds, beta in ((s, 0.0), (observed, 0.7)):
-        copy = propagate_stage2(x, spds, 0.7, beta)
-        assert copy.tobytes() == x_bits
-        assert not np.shares_memory(copy, x)
+        values = x.copy()
+        assert propagate_stage2(values, spds, 0.7, beta) is values
+        assert values.tobytes() == x_bits
 
 
-def test_stage2_leaves_its_inputs_unmodified():
+def test_stage2_corrects_its_input_in_place():
     x, s = _stage2_instance(7)
-    x_bits, dist_bits = x.tobytes(), s.distances.tobytes()
+    dist_bits = s.distances.tobytes()
+    expected = stage2_bruteforce_oracle(x, s, 0.7, 0.3)
     out = propagate_stage2(x, s, 0.7, 0.3)
-    assert not np.shares_memory(out, x)
-    assert x.tobytes() == x_bits
+    assert out is x
+    assert np.max(np.abs(out - expected)) < 1e-12
     assert s.distances.tobytes() == dist_bits
+
+
+def test_stage2_refuses_a_read_only_matrix():
+    x, s = _stage2_instance(8)
+    x.setflags(write=False)
+    with pytest.raises(InputError, match="read-only"):
+        propagate_stage2(x, s, 0.7, 0.3)
 
 
 def test_beta_zero_is_identity_exact():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 4))
     x[3, 1] = -0.0
+    x_bits = x.tobytes()
     s = SpdsMatrix(distances=rng.integers(0, 4, size=(20, 4)))
     out = propagate_stage2(x, s, 0.5, 0.0)
-    assert out.tobytes() == x.tobytes()
-    assert not np.shares_memory(out, x)
+    assert out is x
+    assert out.tobytes() == x_bits
 
 
 def test_all_observed_is_identity_exact():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(15, 3))
     x[4, 2] = -0.0
+    x_bits = x.tobytes()
     s = SpdsMatrix(distances=np.zeros((15, 3), dtype=np.int64))
     out = propagate_stage2(x, s, 0.5, 0.7)
-    assert out.tobytes() == x.tobytes()
-    assert not np.shares_memory(out, x)
+    assert out is x
+    assert out.tobytes() == x_bits
 
 
 def test_unreachable_entries_get_no_inflow():
@@ -215,7 +241,7 @@ def test_unreachable_entries_get_no_inflow():
     x = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 3.0]])
     dist = np.array([[0, 0], [0, 0], [-1, 0]])
     s = SpdsMatrix(distances=dist)
-    out = propagate_stage2(x, s, 0.5, 0.1)
+    out = propagate_stage2(x.copy(), s, 0.5, 0.1)
     loop = stage2_bruteforce_oracle(x, s, 0.5, 0.1)
     assert np.max(np.abs(out - loop)) < 1e-14
     # sources (distance 0 everywhere else) are untouched
@@ -232,7 +258,7 @@ def test_correction_direction_follows_correlation():
     hi = int(np.argmax(x[:, 0]))
     dist[hi, 1] = 3
     s = SpdsMatrix(distances=dist)
-    out = propagate_stage2(x, s, 0.5, 0.01)
+    out = propagate_stage2(x.copy(), s, 0.5, 0.01)
     assert out[hi, 1] > x[hi, 1]
 
 
