@@ -21,10 +21,11 @@ import numpy as np
 
 from . import io as pio
 from .confidence import compute_spds, SpdsMatrix
+from .diffusion import MODES
 from .errors import InputError, NumericalError
 from .graph import build_graph, extract_largest_component
-from .masking import FeatureSet, structural_mask, uniform_mask
-from .metrics import evaluate
+from .masking import MASK_KINDS, FeatureSet, check_mask_shape, make_mask
+from .metrics import check_shapes, evaluate
 from .pipeline import ImputationConfig, METHODS, impute, run_pipeline
 from .synth import SynthSpec, generate
 
@@ -42,16 +43,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     except ValueError:
         raise InputError(f"{what} must be a comma-separated list of integers, "
                          f"got {text!r}") from None
-
-
-def _load_features_mask(args) -> tuple[np.ndarray, np.ndarray]:
-    values = pio.load_matrix(args.features, header=args.header)
-    known = pio.load_mask(args.mask, header=args.header)
-    if known.shape != values.shape:
-        raise InputError(
-            f"mask shape {known.shape} does not match feature shape {values.shape}"
-        )
-    return values, known
 
 
 def _graph_for(args, num_nodes: int):
@@ -76,10 +67,7 @@ def cmd_mask(args) -> int:
         raise InputError(
             "provide --features-file, or both --num-nodes and --num-channels"
         )
-    if args.type == "structural":
-        known = structural_mask(n, f, args.rate, args.seed)
-    else:
-        known = uniform_mask(n, f, args.rate, args.seed)
+    known = make_mask(args.type, n, f, args.rate, args.seed)
     pio.write_mask(args.out, known)
     log.info("wrote %dx%d %s mask (rate=%g, seed=%d) to %s",
              n, f, args.type, args.rate, args.seed, args.out)
@@ -87,7 +75,10 @@ def cmd_mask(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    values, known = _load_features_mask(args)
+    cfg = _impute_config(args, args.method)
+    values = pio.load_matrix(args.features, header=args.header)
+    known = pio.load_mask(args.mask, header=args.header)
+    check_mask_shape(values, known)
     n, f = values.shape
     g = _graph_for(args, n)
     # one matrix from load to write: the missing entries are zeroed in place
@@ -102,7 +93,6 @@ def cmd_impute(args) -> int:
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)
     num_missing = known.size - np.count_nonzero(known)
-    cfg = _impute_config(args, args.method)
     if args.spds_out is None or cfg.method not in ("fp", "zero"):
         # the masked input then holds the mask's last reference, so the mask
         # is freed with it after stage 1; fp and zero give no distance field,
@@ -144,26 +134,13 @@ def cmd_eval(args) -> int:
     truth = pio.load_matrix(args.truth, header=args.header)
     imputed = pio.load_matrix(args.imputed, header=args.header)
     known = pio.load_mask(args.mask, header=args.header)
-    if truth.shape != imputed.shape or truth.shape != known.shape:
-        raise InputError(
-            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
-            f"mask {known.shape}"
-        )
+    check_shapes(truth, imputed, known)
     spds = None
     if args.spds is not None:
-        distances = pio.load_spds(args.spds, header=args.header)
-        if distances.shape != truth.shape:
-            raise InputError(
-                f"distance field shape {distances.shape} does not match "
-                f"feature shape {truth.shape}"
-            )
-        if not np.array_equal(distances == 0, known):
-            raise InputError("distance field inconsistent with mask: distance 0 "
-                             "must hold exactly at observed entries")
-        spds = SpdsMatrix(distances=distances)
+        # evaluate checks the field against the mask
+        spds = SpdsMatrix(distances=pio.load_spds(args.spds, header=args.header))
     elif args.edges is not None:
-        g = _graph_for(args, truth.shape[0])
-        spds = compute_spds(g, known)
+        spds = compute_spds(_graph_for(args, truth.shape[0]), known)
     report = evaluate(truth, imputed, known, spds)
     pio.write_json(args.report, report.to_dict())
     if report.rmse is not None:
@@ -189,6 +166,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    seeds = _parse_int_list(args.seeds, "--seeds")
+    methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+    # run_pipeline sets each run's method; zero checks no alpha
+    cfg = _impute_config(args, "zero")
     if args.dataset is not None:
         g, features, _labels, _meta = pio.load_dataset(args.dataset)
     elif args.edges is not None and args.features is not None:
@@ -202,11 +183,8 @@ def cmd_pipeline(args) -> int:
             log.info("restricted to largest component: %d of %d nodes",
                      keep.size, features.shape[0])
             features = features[keep]
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    # run_pipeline sets each run's method; zero checks none of the settings
     report = run_pipeline(
-        g, features, _impute_config(args, "zero"), mask_kind=args.mask_type,
+        g, features, cfg, mask_kind=args.mask_type,
         mask_rate=args.rate, seeds=seeds, methods=methods,
         collect_timings=args.timings,
     )
@@ -225,13 +203,13 @@ def _add_common_impute_args(p: argparse.ArgumentParser) -> None:
                    help="inter-channel correction strength (default %(default)s)")
     p.add_argument("--k", type=int, default=ImputationConfig.steps,
                    help="diffusion steps K (default %(default)s)")
-    p.add_argument("--mode", choices=["iterative", "closed_form"],
+    p.add_argument("--mode", choices=MODES,
                    default=ImputationConfig.mode, help="diffusion solver")
     p.add_argument("--lenient-no-source", action="store_true",
                    help="zero-fill channels whose missing entries cannot reach "
                         "an observed value instead of erroring")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads over column blocks "
+                   help="worker threads over column blocks, >= 0 "
                         "(0 = all cpus; default: PCFI_THREADS or 1)")
 
 
@@ -247,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mask", help="generate a 0/1 observedness mask")
-    p.add_argument("--type", choices=["structural", "uniform"], required=True,
+    p.add_argument("--type", choices=MASK_KINDS, required=True,
                    help="remove whole rows (structural) or single entries "
                         "(uniform)")
     p.add_argument("--rate", type=float, required=True,
@@ -313,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", help="edge list (with --features)")
     p.add_argument("--features", help="fully observed feature CSV")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--mask-type", choices=["structural", "uniform"],
-                   required=True)
+    p.add_argument("--mask-type", choices=MASK_KINDS, required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seeds", default="0",
                    help="comma-separated mask seeds (default 0)")

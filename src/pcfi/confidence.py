@@ -76,6 +76,16 @@ class SpdsMatrix:
         distances.setflags(write=False)
         object.__setattr__(self, "distances", distances)
 
+    def check_mask(self, known: np.ndarray) -> None:
+        """Raise :class:`InputError` unless the field is 0 exactly at the
+        observed entries of ``known``, where ``alpha ** S`` is 1."""
+        if self.distances.shape != known.shape:
+            raise InputError(f"distance field shape {self.distances.shape} "
+                             f"does not match feature shape {known.shape}")
+        if not np.array_equal(self.distances == 0, known):
+            raise InputError("distance field inconsistent with mask: distance 0 "
+                             "must hold exactly at observed entries")
+
 
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Hop distance from every node to the nearest of ``sources``.

@@ -84,6 +84,8 @@ __all__ = [
     "resolve_threads",
 ]
 
+MODES = ("iterative", "closed_form")
+
 # Largest max(S) * ln(1/alpha) the fused kernel takes. alpha ** S then stays
 # above e**-600 (about 1e-261), so C and C * X are normal floats for any
 # |X| above about 1e-47 and lose no precision.
@@ -140,6 +142,21 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
+def check_schedule(mode: str, steps: int) -> None:
+    """Raise :class:`InputError` unless ``mode`` is one of ``MODES`` and,
+    when iterating, ``steps`` is at least 1."""
+    if mode not in MODES:
+        raise InputError(f"unknown diffusion mode {mode!r}")
+    if mode == "iterative" and steps < 1:
+        raise InputError(f"steps must be >= 1, got {steps}")
+
+
+def _check_rows(g: Graph, fs: FeatureSet) -> None:
+    if fs.num_nodes != g.num_nodes:
+        raise InputError(f"features have {fs.num_nodes} rows but graph has "
+                         f"{g.num_nodes} nodes")
+
+
 def build_channel_operator(g: Graph, dist_col: np.ndarray, known_col: np.ndarray,
                            alpha: float) -> sparse.csr_array:
     """The pinned operator of one channel, in node order.
@@ -174,10 +191,9 @@ def diffuse_channel(op: sparse.csr_array, x0: np.ndarray, known: np.ndarray,
 
     ``x0`` and ``known`` have one row per node and one column per
     channel. Returns ``(values, residuals)``, where ``residuals`` is the
-    max absolute change of the last step per column.
+    max absolute change of the last step per column. ``x0`` is only read.
     """
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
+    check_schedule("iterative", steps)
     # one indexed store of the pinned entries per step: a masked copy
     # would pass over the whole block
     pinned = np.flatnonzero(known)
@@ -187,7 +203,9 @@ def diffuse_channel(op: sparse.csr_array, x0: np.ndarray, known: np.ndarray,
         prev = x
         x = op @ x  # a new C-ordered array, so ravel() is a view of it
         x.ravel()[pinned] = values
-    return x, np.abs(x - prev).max(axis=0, initial=0.0)
+    # no N x F temporary: the change overwrites prev, unless it is x0
+    change = np.subtract(prev, x, out=None if prev is x0 else prev)
+    return x, np.abs(change, out=change).max(axis=0, initial=0.0)
 
 
 def closed_form_channel(op: sparse.csr_array, x0: np.ndarray,
@@ -233,7 +251,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     ``mode`` is "iterative" (``steps`` applications of the operator) or
     "closed_form" (direct solve). ``threads`` parallelizes over column
     blocks (closed form: over missing patterns); output bits do not
-    depend on it. The outcome's ``spds`` is the field passed in.
+    depend on it. ``spds`` must agree with ``fs.known``
+    (:meth:`SpdsMatrix.check_mask`); the outcome's ``spds`` is that field.
 
     The result is written into a copy of ``fs.values``, or, with
     ``overwrite=True``, into ``fs.values`` itself, for a caller that gives
@@ -242,24 +261,9 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     pool. ``fs.known`` is left as it is.
     """
     check_alpha(alpha)
-    if mode not in ("iterative", "closed_form"):
-        raise InputError(f"unknown diffusion mode {mode!r}")
-    if mode == "iterative" and steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    if fs.num_nodes != g.num_nodes:
-        raise InputError(
-            f"features have {fs.num_nodes} rows but graph has {g.num_nodes} nodes"
-        )
-    if spds.distances.shape != fs.values.shape:
-        raise InputError(
-            f"distance field shape {spds.distances.shape} does not match "
-            f"feature shape {fs.values.shape}"
-        )
-    if not np.array_equal(spds.distances == 0, fs.known):
-        raise InputError(
-            "distance field inconsistent with mask: distance 0 must hold "
-            "exactly at observed entries"
-        )
+    check_schedule(mode, steps)
+    _check_rows(g, fs)
+    spds.check_mask(fs.known)
 
     n, f = fs.values.shape
     out = fs.values if overwrite else fs.values.copy()
@@ -386,10 +390,7 @@ def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> ImputeOutcome:
     each step multiplies and then resets observed entries to their input
     bits. Regions with no observed node in a channel simply stay zero
     (no flagging), and the outcome carries no distance field."""
-    if fs.num_nodes != g.num_nodes:
-        raise InputError(
-            f"features have {fs.num_nodes} rows but graph has {g.num_nodes} nodes"
-        )
+    _check_rows(g, fs)
     op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]

@@ -28,6 +28,8 @@ from .errors import InputError
 
 __all__ = ["FeatureSet", "structural_mask", "uniform_mask", "apply_mask"]
 
+MASK_KINDS = ("structural", "uniform")
+
 
 @dataclass(frozen=True)
 class FeatureSet:
@@ -35,7 +37,7 @@ class FeatureSet:
 
     Both arrays are made read-only. A set handed over to
     :func:`pcfi.pipeline.impute` in a list is given up: the pcfi methods
-    write their result into its ``values``.
+    write their result into its ``values``, and ``zero`` returns them.
 
     Attributes
     ----------
@@ -53,10 +55,7 @@ class FeatureSet:
         known = np.ascontiguousarray(self.known, dtype=bool)
         if values.ndim != 2:
             raise InputError(f"feature matrix must be 2-D, got shape {values.shape}")
-        if known.shape != values.shape:
-            raise InputError(
-                f"mask shape {known.shape} does not match feature shape {values.shape}"
-            )
+        check_mask_shape(values, known)
         if not np.isfinite(values).all():
             raise InputError("feature matrix contains non-finite entries")
         if np.logical_and(values, ~known).any():
@@ -80,6 +79,14 @@ class FeatureSet:
         if self.num_channels == 0:
             return True
         return bool((self.known == self.known[:, :1]).all())
+
+
+def check_mask_shape(values: np.ndarray, known: np.ndarray) -> None:
+    """Raise :class:`InputError` unless the mask has the features' shape."""
+    if known.shape != values.shape:
+        raise InputError(
+            f"mask shape {known.shape} does not match feature shape {values.shape}"
+        )
 
 
 def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray:
@@ -169,13 +176,22 @@ def uniform_mask(num_nodes: int, num_channels: int, rate: float,
     return known.reshape(num_nodes, num_channels)
 
 
+def make_mask(kind: str, num_nodes: int, num_channels: int, rate: float,
+              seed: int) -> np.ndarray:
+    """The known-mask of ``kind``, one of ``MASK_KINDS``: a
+    :func:`structural_mask` or a :func:`uniform_mask`."""
+    # called by name, not from a table, so a rebinding of them here is seen
+    if kind == "structural":
+        return structural_mask(num_nodes, num_channels, rate, seed)
+    if kind == "uniform":
+        return uniform_mask(num_nodes, num_channels, rate, seed)
+    raise InputError(f"unknown mask kind {kind!r}")
+
+
 def apply_mask(values: np.ndarray, known: np.ndarray) -> FeatureSet:
     """Zero the unknown entries of ``values`` and wrap in a FeatureSet."""
     values = np.asarray(values, dtype=np.float64)
     known = np.asarray(known, dtype=bool)
-    if known.shape != values.shape:
-        raise InputError(
-            f"mask shape {known.shape} does not match feature shape {values.shape}"
-        )
+    check_mask_shape(values, known)
     masked = np.where(known, values, 0.0)
     return FeatureSet(values=masked, known=known)

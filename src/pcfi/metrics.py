@@ -36,8 +36,17 @@ def rmse(truth: np.ndarray, imputed: np.ndarray, over: np.ndarray) -> float:
         )
     if not over.any():
         raise InputError("rmse undefined over an empty selection")
-    diff = truth[over] - imputed[over]
-    return float(np.sqrt(np.mean(diff * diff)))
+    diff = truth[over]
+    diff -= imputed[over]
+    diff *= diff
+    return float(np.sqrt(np.mean(diff)))
+
+
+def check_shapes(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray) -> None:
+    """Raise :class:`InputError` unless the three arrays have one shape."""
+    if truth.shape != imputed.shape or truth.shape != known.shape:
+        raise InputError(f"shape mismatch: truth {truth.shape}, imputed "
+                         f"{imputed.shape}, mask {known.shape}")
 
 
 @dataclass(frozen=True)
@@ -128,31 +137,24 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
              timings: dict | None = None) -> EvalReport:
     """Score ``imputed`` against ``truth`` on the entries missing per
     ``known``. Distance buckets and the distance/cosine trend are
-    included when ``spds`` is given."""
+    included when ``spds`` is given; it must be 0 exactly at the observed
+    entries (:meth:`SpdsMatrix.check_mask`)."""
     truth = np.asarray(truth, dtype=np.float64)
     imputed = np.asarray(imputed, dtype=np.float64)
     known = np.asarray(known, dtype=bool)
-    if truth.shape != imputed.shape or truth.shape != known.shape:
-        raise InputError(
-            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
-            f"mask {known.shape}"
-        )
-    if spds is not None and spds.distances.shape != truth.shape:
-        raise InputError(
-            f"distance field shape {spds.distances.shape} does not match "
-            f"feature shape {truth.shape}"
-        )
+    check_shapes(truth, imputed, known)
+    if spds is not None:
+        spds.check_mask(known)
     n, f = truth.shape
     missing = ~known
-    diff = truth - imputed
-
-    overall = None
-    if missing.any():
-        overall = float(np.sqrt(np.mean(diff[missing] ** 2)))
+    overall = rmse(truth, imputed, missing) if missing.any() else None
 
     per_channel = np.full(f, np.nan)
     counts = missing.sum(axis=0)
-    sq = np.where(missing, diff * diff, 0.0).sum(axis=0)
+    sq = truth - imputed
+    sq *= sq
+    sq[known] = 0.0
+    sq = sq.sum(axis=0)
     has = counts > 0
     per_channel[has] = np.sqrt(sq[has] / counts[has])
 
@@ -176,13 +178,12 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
             sel = keyable & (keys == k)
             node_ids = eval_nodes[sel]
             sub_missing = missing[node_ids]
-            sub_diff = diff[node_ids]
             bucket_cos = cosines[sel]
             buckets[int(k)] = {
                 "count": int(sel.sum()),
                 "cosine_mean": (float(np.nanmean(bucket_cos))
                                 if np.isfinite(bucket_cos).any() else None),
-                "rmse": (float(np.sqrt(np.mean(sub_diff[sub_missing] ** 2)))
+                "rmse": (rmse(truth[node_ids], imputed[node_ids], sub_missing)
                          if sub_missing.any() else None),
             }
         ys = np.array([v["cosine_mean"] for _, v in sorted(buckets.items())

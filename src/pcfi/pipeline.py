@@ -14,7 +14,7 @@ Every method returns an ``ImputeOutcome`` (defined in
 diffusion's own outcome, ``pcfi`` the same with stage 2's values.
 
 ``ImputationConfig`` holds every setting of a run and the only defaults;
-it checks ``alpha`` only for the methods that read it.
+it checks each when made, ``alpha`` only for the methods that read it.
 
 ``run_pipeline`` masks a fully observed matrix under several seeds,
 runs each requested method, scores recovery against the held-out truth,
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import SpdsMatrix, check_alpha, check_beta, compute_spds
-from .diffusion import ImputeOutcome, fp_baseline, impute_stage1
+from .diffusion import (ImputeOutcome, check_schedule, fp_baseline, impute_stage1,
+                        resolve_threads)
 from .errors import InputError
 from .graph import Graph
-from .masking import (FeatureSet, apply_mask, check_seed, structural_mask,
-                      uniform_mask)
+from .masking import FeatureSet, apply_mask, check_seed, make_mask
 from .metrics import evaluate
 from .propagation import propagate_stage2
 
@@ -51,7 +51,8 @@ class ImputationConfig:
     """Settings of one imputation run. ``alpha`` must lie in (0, 1) for
     ``pcfi`` and ``pcfi_stage1_only``; ``mode`` selects iterative or
     closed-form diffusion; ``lenient_no_source`` zero-fills channels with
-    unreachable missing entries instead of erroring."""
+    unreachable missing entries instead of erroring; ``threads`` is
+    checked for every method."""
 
     alpha: float = 0.8
     beta: float = 1e-3
@@ -69,10 +70,8 @@ class ImputationConfig:
         if self.method in ("pcfi", "pcfi_stage1_only"):
             check_alpha(self.alpha)
         check_beta(self.beta)
-        if self.mode not in ("iterative", "closed_form"):
-            raise InputError(f"unknown diffusion mode {self.mode!r}")
-        if self.mode == "iterative" and self.steps < 1:
-            raise InputError(f"steps must be >= 1, got {self.steps}")
+        check_schedule(self.mode, self.steps)
+        resolve_threads(self.threads)
 
     def summary(self) -> dict:
         return {"method": self.method, "alpha": self.alpha, "beta": self.beta,
@@ -90,14 +89,16 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     ``fs`` may be handed over in a one-item list, which is emptied: the
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
     that same array in place, so the masked input becomes the result and
-    no second array of its size is made. Passed directly, ``fs`` is left
-    as it is and stage 1 works on a copy.
+    no second array of its size is made, and ``zero`` returns ``fs.values``
+    itself. Passed directly, ``fs`` is left as it is and stage 1 and
+    ``zero`` work on a copy.
     """
     handed_over = isinstance(fs, list)
     if handed_over:
         fs = fs.pop()
     if cfg.method == "zero":
-        return ImputeOutcome(values=fs.values.copy(), spds=None, residuals=None,
+        values = fs.values if handed_over else fs.values.copy()
+        return ImputeOutcome(values=values, spds=None, residuals=None,
                              steps_run=0, flagged_channels=[])
     if cfg.method == "fp":
         return fp_baseline(g, fs, steps=cfg.steps)
@@ -111,14 +112,6 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         return stage1
     return dataclasses.replace(
         stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
-
-
-def _make_mask(kind: str, n: int, f: int, rate: float, seed: int) -> np.ndarray:
-    if kind == "structural":
-        return structural_mask(n, f, rate, seed)
-    if kind == "uniform":
-        return uniform_mask(n, f, rate, seed)
-    raise InputError(f"unknown mask kind {kind!r}")
 
 
 def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
@@ -160,7 +153,7 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     n, f = features.shape
     per_seed = []
     for seed in seeds:
-        known = _make_mask(mask_kind, n, f, mask_rate, seed)
+        known = make_mask(mask_kind, n, f, mask_rate, seed)
         fs = apply_mask(features, known)
         spds = compute_spds(g, known)
         block = {"seed": seed,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,40 @@ def test_fp_baseline_matches_dense_reference():
     assert np.max(np.abs(res.values - x)) < 1e-12
     assert np.array_equal(res.values[known].view(np.uint64),
                           fs.values[known].view(np.uint64))
+
+
+def test_diffuse_channel_one_step_only_reads_its_input():
+    """With one step the previous iterate is the input itself, so the change
+    goes into a new array: a read-only input is neither written nor refused."""
+    g, fs, _, _ = _instance(31, n=30, f=4)
+    op = g.self_loop_adjacency()
+    bits = fs.values.tobytes()
+    assert not fs.values.flags.writeable
+    x, residuals = diffuse_channel(op, fs.values, fs.known, steps=1)
+    assert fs.values.tobytes() == bits
+    want = op @ fs.values
+    want[fs.known] = fs.values[fs.known]
+    assert np.array_equal(x, want)
+    assert np.array_equal(residuals, np.abs(want - fs.values).max(axis=0))
+
+
+def test_diffuse_channel_keeps_two_iterates_alive():
+    """Besides its input, the pinned loop holds the last two iterates and
+    the pinned values; the last change is taken in place, with no N x F
+    temporary (taking ``np.abs(x - prev)`` makes two)."""
+    rng = np.random.default_rng(32)
+    n, f = 3000, 64
+    g = build_graph(random_connected_edges(rng, n), n)
+    fs = apply_mask(rng.normal(size=(n, f)), rng.random((n, f)) < 0.1)
+    op = g.self_loop_adjacency()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        diffuse_channel(op, fs.values, fs.known, steps=3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * f * 8, peak
 
 
 def test_fp_baseline_empty_channel_stays_zero():

@@ -16,6 +16,26 @@ def test_rmse_hand_value():
         rmse(truth, imputed, np.zeros_like(over))
 
 
+def test_evaluate_scores_overall_and_buckets_with_rmse():
+    """The overall and per-bucket RMSE are ``rmse`` over the same entries,
+    with the bits of ``sqrt(mean((truth - imputed)[missing] ** 2))``."""
+    rng = np.random.default_rng(5)
+    n, f = 40, 6
+    truth, imputed = rng.normal(size=(n, f)), rng.normal(size=(n, f))
+    known = rng.random((n, f)) < 0.3
+    known[0] = True
+    dist = np.where(known, 0, rng.integers(1, 6, size=(n, f)))
+    rep = evaluate(truth, imputed, known, SpdsMatrix(dist))
+    diff = truth - imputed
+    assert rep.rmse == float(np.sqrt(np.mean(diff[~known] ** 2)))
+    assert rep.rmse == rmse(truth, imputed, ~known)
+    keys = dist.max(axis=1)
+    assert len(rep.distance_buckets) > 2
+    for k, bucket in rep.distance_buckets.items():
+        rows = (keys == k) & (~known).any(axis=1)
+        assert bucket["rmse"] == float(np.sqrt(np.mean(diff[rows][~known[rows]] ** 2)))
+
+
 def test_evaluate_overall_and_per_channel():
     truth = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     imputed = truth.copy()

@@ -100,7 +100,7 @@ def test_pipeline_refuses_an_empty_method_list_before_masking(monkeypatch):
     def no_mask(*args):
         raise AssertionError("masked before the methods were checked")
 
-    monkeypatch.setattr(pipeline, "_make_mask", no_mask)
+    monkeypatch.setattr(pipeline, "make_mask", no_mask)
     for methods in ([], iter(())):
         with pytest.raises(InputError, match="at least one method"):
             run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
@@ -111,7 +111,7 @@ def test_pipeline_refuses_a_method_listed_twice_before_masking(monkeypatch):
     def no_mask(*args):
         raise AssertionError("masked before the methods were checked")
 
-    monkeypatch.setattr(pipeline, "_make_mask", no_mask)
+    monkeypatch.setattr(pipeline, "make_mask", no_mask)
     with pytest.raises(InputError, match="'fp' is listed more than once"):
         run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
                      mask_kind="uniform", mask_rate=0.5, seeds=[0],
@@ -127,7 +127,7 @@ def test_pipeline_refuses_a_negative_or_repeated_seed_before_masking(
     def no_mask(*args):
         raise AssertionError("masked before the seeds were checked")
 
-    monkeypatch.setattr(pipeline, "_make_mask", no_mask)
+    monkeypatch.setattr(pipeline, "make_mask", no_mask)
     with pytest.raises(InputError, match=message):
         run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
                      mask_kind="uniform", mask_rate=0.5, seeds=seeds)
@@ -200,6 +200,16 @@ def test_handed_over_feature_set_gives_the_bits_of_a_copy(method, case, threads)
     assert handed.flagged_channels == copied.flagged_channels
     assert handed.flagged_channels == ([3, 5] if case == "lenient" else [])
     assert fs.known.tobytes() == known.tobytes()
+
+
+def test_zero_returns_the_handed_over_values():
+    """Handed over, the masked values are the ``zero`` outcome itself, with
+    no copy; passed directly, they are copied (see above)."""
+    g, values, known, _ = _handover_instance("fused")
+    fs = apply_mask(values, known)
+    handed = impute(g, [fs], ImputationConfig(method="zero"))
+    assert handed.values is fs.values
+    assert _same(handed.values, apply_mask(values, known).values)
 
 
 def test_handed_over_read_only_memory_is_copied_not_written():
