@@ -26,7 +26,7 @@ from .errors import InputError, NumericalError
 from .graph import build_graph, extract_largest_component
 from .masking import MASK_KINDS, FeatureSet, check_mask_shape, make_mask
 from .metrics import check_shapes, evaluate
-from .pipeline import ImputationConfig, METHODS, impute, run_pipeline
+from .pipeline import ImputationConfig, METHODS, impute, plan_runs, run_pipeline
 from .synth import SynthSpec, generate
 
 log = logging.getLogger("pcfi")
@@ -170,6 +170,7 @@ def cmd_pipeline(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     # run_pipeline sets each run's method; zero checks no alpha
     cfg = _impute_config(args, "zero")
+    plan_runs(cfg, seeds, methods)  # refuses bad settings before a file is read
     if args.dataset is not None:
         g, features, _labels, _meta = pio.load_dataset(args.dataset)
     elif args.edges is not None and args.features is not None:
@@ -209,8 +210,9 @@ def _add_common_impute_args(p: argparse.ArgumentParser) -> None:
                    help="zero-fill channels whose missing entries cannot reach "
                         "an observed value instead of erroring")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads over column blocks, >= 0 "
-                        "(0 = all cpus; default: PCFI_THREADS or 1)")
+                   help="threads over column blocks, the calling one "
+                        "included, >= 0 (0 = all cpus; default: "
+                        "PCFI_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

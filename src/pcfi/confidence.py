@@ -16,13 +16,14 @@ channel-wise diffusion.
 
 The search runs once per distinct known set, ``BLOCK_COLUMNS`` sets at
 a time; each block is a C-contiguous copy of its columns of the mask.
-The field is stored in the narrowest signed integer type that holds
-every hop count of the graph (int16 up to 32767 nodes), a quarter of
-int64 or less. Confidences are read from a table of ``alpha ** k``, one
-``np.power`` per distance value (unless the table would outgrow the
-field), which holds the bits the elementwise power gives; a whole field
-is read in row blocks, because ``np.take`` turns a narrow index array
-into an ``intp`` copy of it.
+The search counts hops in a type wide enough for any hop count of the
+graph; the field it returns is stored in the narrowest signed integer
+type that holds the deepest hop it found (int8 below 128 hops, whatever
+the node count), an eighth of int64. Confidences are read from a table
+of ``alpha ** k``, one ``np.power`` per distance value (unless the table
+would outgrow the field), which holds the bits the elementwise power
+gives; a whole field is read in row blocks, because ``np.take`` turns a
+narrow index array into an ``intp`` copy of it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class SpdsMatrix:
     distances : ndarray of a signed integer type, shape (N, F)
         Hop counts; ``UNREACHABLE`` (-1) where no source is reachable. A
         signed integer array keeps its type (``compute_spds`` gives the
-        narrowest one for the graph); any other input becomes int64.
+        narrowest one for its deepest hop); any other input becomes int64.
     """
 
     distances: np.ndarray
@@ -90,8 +91,8 @@ class SpdsMatrix:
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Hop distance from every node to the nearest of ``sources``.
 
-    Returns distances in the graph's distance type (see
-    :func:`distance_dtype`) with ``UNREACHABLE`` where no source can be
+    Returns distances in the narrowest type that holds the largest (see
+    :func:`distance_dtype`), with ``UNREACHABLE`` where no source can be
     reached; an empty source set yields all ``UNREACHABLE``.
     """
     known = np.zeros((g.num_nodes, 1), dtype=bool)
@@ -116,11 +117,12 @@ def compute_spds(g: Graph, known: np.ndarray) -> SpdsMatrix:
     return SpdsMatrix(distances=_hop_distances(g, known))
 
 
-def distance_dtype(num_nodes: int) -> np.dtype:
+def distance_dtype(largest: int) -> np.dtype:
     """Narrowest signed integer type holding ``UNREACHABLE`` and every hop
-    count of a graph with ``num_nodes`` nodes (at most ``num_nodes - 1``)."""
+    count up to ``largest``; a graph with ``n`` nodes has none above
+    ``n - 1``, so ``distance_dtype(n)`` holds all of its hop counts."""
     for dtype in (np.int8, np.int16, np.int32):
-        if num_nodes <= np.iinfo(dtype).max:
+        if largest <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(np.int64)
 
@@ -130,7 +132,7 @@ def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
     column of ``known`` (N x F bool), run once per distinct column."""
     n, f = known.shape
     if n == 0 or f == 0:
-        return np.empty((n, f), dtype=distance_dtype(n))
+        return np.empty((n, f), dtype=distance_dtype(0))
     adj = g.self_loop_adjacency(bool)
     first, inverse = distinct_columns(known)
     # one column per distinct known set, searched in C-contiguous blocks and
@@ -141,6 +143,9 @@ def _hop_distances(g: Graph, known: np.ndarray) -> np.ndarray:
     for lo in range(0, first.size, BLOCK_COLUMNS):
         hi = lo + BLOCK_COLUMNS
         dist[:, lo:hi] = _bfs_block(adj, known.take(first[lo:hi], axis=1))
+    # narrowed to the deepest hop while one column per known set, so the
+    # gather makes no full-size copy of the wide type
+    dist = dist.astype(distance_dtype(int(dist.max(initial=0))), copy=False)
     return dist.take(inverse, axis=1)
 
 

@@ -36,19 +36,22 @@ of every channel at once is::
     X <- ((A + I) (C * X)) / ((A + I) C),   observed entries re-pinned.
 
 The kernel carries ``Y = C * X``: each step is one sparse product with
-``A + I``, a multiply by ``C / ((A + I) C)`` (0 on pinned rows) and the
-addition of the pinned values; the last step divides by ``(A + I) C``.
+``A + I``, a multiply by ``C / ((A + I) C)`` and a store of the pinned
+values over their entries; the last step divides by ``(A + I) C``.
+When every channel of a block has the same known set, as under a
+structural mask, ``C`` and ``(A + I) C`` are one column that broadcasts.
 Rows that reach no source have ``C = 0`` and stay exactly 0.
 ``alpha ** S`` would underflow on deep nodes, so a channel whose
 ``max(S) * ln(1 / alpha)`` exceeds ``MAX_DECAY`` goes through its
 explicit operator instead, whose ratio weights never underflow.
 
 Channels run in blocks of ``BLOCK_COLUMNS`` columns (explicit operator:
-one block per missing pattern), on a thread pool when asked. Each block
-works on C-contiguous copies of its columns of the values, the mask and
-the distance field: a column selection of a C-ordered matrix is
-F-ordered, and mixing the two layouts slows every elementwise step of
-the loop. Columns never mix inside a product and each block is
+one block per missing pattern); with ``threads`` N, the calling thread
+and N - 1 pool threads each take the next block until none is left.
+Each block works on C-contiguous copies of its columns of the values,
+the mask and the distance field: a column selection of a C-ordered
+matrix is F-ordered, and mixing the two layouts slows every elementwise
+step of the loop. Columns never mix inside a product and each block is
 internally sequential, so results are byte-identical for any thread
 count and any grouping of channels.
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -184,27 +188,29 @@ def build_channel_operator(g: Graph, dist_col: np.ndarray, known_col: np.ndarray
     return op
 
 
-def diffuse_channel(op: sparse.csr_array, x0: np.ndarray, known: np.ndarray,
-                    steps: int = 100):
+def diffuse_channel(op: sparse.csr_array, x0: np.ndarray | list[np.ndarray],
+                    known: np.ndarray, steps: int = 100):
     """Run ``steps`` iterations of ``x = op @ x`` from ``x0``, setting the
     entries where ``known`` holds back to their ``x0`` bits after each.
 
     ``x0`` and ``known`` have one row per node and one column per
     channel. Returns ``(values, residuals)``, where ``residuals`` is the
-    max absolute change of the last step per column. ``x0`` is only read.
+    max absolute change of the last step per column. ``x0`` is only read;
+    handed over in a one-item list, which is emptied, it is let go after
+    the first product.
     """
     check_schedule("iterative", steps)
+    x = x0.pop() if isinstance(x0, list) else x0
     # one indexed store of the pinned entries per step: a masked copy
     # would pass over the whole block
     pinned = np.flatnonzero(known)
-    values = x0.ravel()[pinned]
-    x = x0
+    values = x.ravel()[pinned]
     for _ in range(steps):
         prev = x
         x = op @ x  # a new C-ordered array, so ravel() is a view of it
         x.ravel()[pinned] = values
-    # no N x F temporary: the change overwrites prev, unless it is x0
-    change = np.subtract(prev, x, out=None if prev is x0 else prev)
+    # no N x F temporary: the change overwrites prev, unless it is the input
+    change = np.subtract(prev, x, out=None if steps == 1 else prev)
     return x, np.abs(change, out=change).max(axis=0, initial=0.0)
 
 
@@ -312,12 +318,31 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
 
 
 def _run(fn, items, nthreads: int) -> None:
-    if nthreads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(fn, items))
-    else:
-        for item in items:
+    """Call ``fn`` on every item: the calling thread and ``nthreads - 1``
+    pool threads each take the next item until none is left. Buffers that
+    the caller frees go back to the main allocator arena, which later
+    stages allocate from. An error raised by ``fn`` on any thread is
+    raised here, once every thread has stopped."""
+    todo = iter(items)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
             fn(item)
+
+    helpers = min(nthreads, len(items)) - 1
+    if helpers < 1:
+        drain()
+        return
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
 
 
 def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
@@ -326,25 +351,31 @@ def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
     values and the max change of the last step per channel."""
     # C-contiguous copies, so every elementwise step below runs on arrays of
     # one layout (column selections of a C-ordered matrix are F-ordered)
-    x0 = fs.values.take(cols, axis=1)  # observed values, 0 elsewhere
+    y = fs.values.take(cols, axis=1)  # observed values, 0 elsewhere
     pinned = np.flatnonzero(fs.known.take(cols, axis=1))
-    values = x0.ravel()[pinned]
-    scale = alpha_powers(alpha, spds.distances.take(cols, axis=1))
+    values = y.ravel()[pinned]
+    dist = spds.distances.take(cols, axis=1)
+    if (dist == dist[:, :1]).all():
+        # one known set for the whole block: one column of confidences
+        # broadcasts over every channel
+        dist = dist[:, :1]
+    scale = alpha_powers(alpha, dist)
     den = ai @ scale
     # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
     den[scale == 0.0] = np.inf
-    scale /= den
-    scale.ravel()[pinned] = 0.0
+    scale /= den  # pinned entries are stored over, so their scale is unused
 
-    # five block-sized arrays stay alive: x0, scale, den, and y before and
-    # after each product
-    prev = y = x0
+    # the input is read only by the first product, so only steps == 1 keeps
+    # it as the previous iterate. y feeds nothing but the next product, which
+    # starts every sum at +0.0, so the sign of a zero in y (a pinned -0.0, or
+    # a product that underflows) never reaches an output
+    prev = y if steps == 1 else None
     for step in range(1, steps):
         y = ai @ y
         if step == steps - 1:
             prev = _unscale(y.copy(), den, pinned, values)
         y *= scale
-        y += x0
+        y.ravel()[pinned] = values
     del scale
     x = _unscale(ai @ y, den, pinned, values)
     prev -= x
@@ -375,6 +406,8 @@ def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: floa
         op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], alpha)
         x0 = fs.values.take(cols, axis=1)
         if mode == "iterative":
+            # handed over, so the copy is freed after the first product
+            x0 = [x0]
             out[:, cols], residuals[cols] = diffuse_channel(
                 op, x0, fs.known.take(cols, axis=1), steps)
         else:
@@ -383,18 +416,26 @@ def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: floa
     _run(run_group, groups, nthreads)
 
 
-def fp_baseline(g: Graph, fs: FeatureSet, *, steps: int = 100) -> ImputeOutcome:
+def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
+                steps: int = 100) -> ImputeOutcome:
     """Baseline diffusion with the symmetric normalized adjacency.
 
     The operator is ``D^{-1/2} (A + I) D^{-1/2}`` with self-loop degrees;
     each step multiplies and then resets observed entries to their input
     bits. Regions with no observed node in a channel simply stay zero
-    (no flagging), and the outcome carries no distance field."""
+    (no flagging), and the outcome carries no distance field.
+
+    ``fs`` is only read. Handed over in a one-item list, which is emptied,
+    its values are let go after the first step."""
+    if isinstance(fs, list):
+        fs = fs.pop()
     _check_rows(g, fs)
     op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]
 
-    x, residuals = diffuse_channel(op, fs.values, fs.known, steps)
+    known, x0 = fs.known, [fs.values]
+    del fs
+    x, residuals = diffuse_channel(op, x0, known, steps)
     return ImputeOutcome(values=x, spds=None, residuals=residuals, steps_run=steps,
                          flagged_channels=[])

@@ -89,10 +89,13 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     ``fs`` may be handed over in a one-item list, which is emptied: the
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
     that same array in place, so the masked input becomes the result and
-    no second array of its size is made, and ``zero`` returns ``fs.values``
-    itself. Passed directly, ``fs`` is left as it is and stage 1 and
-    ``zero`` work on a copy.
+    no second array of its size is made, ``zero`` returns ``fs.values``
+    itself, and ``fp`` lets them go after its first step. Passed directly,
+    ``fs`` is left as it is and stage 1 and ``zero`` work on a copy.
     """
+    if cfg.method == "fp":
+        # passed on as given, so that a handed-over set is not held here
+        return fp_baseline(g, fs, steps=cfg.steps)
     handed_over = isinstance(fs, list)
     if handed_over:
         fs = fs.pop()
@@ -100,8 +103,6 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         values = fs.values if handed_over else fs.values.copy()
         return ImputeOutcome(values=values, spds=None, residuals=None,
                              steps_run=0, flagged_channels=[])
-    if cfg.method == "fp":
-        return fp_baseline(g, fs, steps=cfg.steps)
     if spds is None:
         spds = compute_spds(g, fs.known)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
@@ -114,27 +115,11 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
 
 
-def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
-                 mask_kind: str, mask_rate: float, seeds,
-                 methods=("pcfi", "fp", "zero"),
-                 collect_timings: bool = False) -> dict:
-    """Mask, impute, and score under each seed; aggregate across seeds.
-
-    Each of ``methods`` runs with the settings of ``cfg`` in place of its
-    ``method``; an empty list, a method listed twice, an unknown method,
-    or a bad ``alpha`` for a method that reads it, fails before any work,
-    as does a negative seed or a seed listed twice.
-    Returns a JSON-ready dict: one block per seed with per-method
-    metrics, plus the mean/std over those blocks of each method's overall
-    RMSE, mean cosine and distance-cosine Spearman correlation (seeds
-    where it is None are skipped).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != g.num_nodes:
-        raise InputError(
-            f"feature shape {features.shape} does not match graph with "
-            f"{g.num_nodes} nodes"
-        )
+def plan_runs(cfg: ImputationConfig, seeds, methods) -> tuple[list[int], dict]:
+    """The mask seeds as a list and, for each of ``methods``, ``cfg`` with
+    that method. Raises :class:`InputError` for an empty list, a negative
+    seed, a seed or method listed twice, an unknown method, or a bad
+    ``alpha`` for a method that reads it."""
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InputError("at least one seed is required")
@@ -148,8 +133,30 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     for m in methods:
         if methods.count(m) > 1:
             raise InputError(f"method {m!r} is listed more than once")
-    configs = {m: dataclasses.replace(cfg, method=m) for m in methods}
+    return seeds, {m: dataclasses.replace(cfg, method=m) for m in methods}
 
+
+def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
+                 mask_kind: str, mask_rate: float, seeds,
+                 methods=("pcfi", "fp", "zero"),
+                 collect_timings: bool = False) -> dict:
+    """Mask, impute, and score under each seed; aggregate across seeds.
+
+    Each of ``methods`` runs with the settings of ``cfg`` in place of its
+    ``method``; the seeds and methods are checked by :func:`plan_runs`
+    before any work.
+    Returns a JSON-ready dict: one block per seed with per-method
+    metrics, plus the mean/std over those blocks of each method's overall
+    RMSE, mean cosine and distance-cosine Spearman correlation (seeds
+    where it is None are skipped).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != g.num_nodes:
+        raise InputError(
+            f"feature shape {features.shape} does not match graph with "
+            f"{g.num_nodes} nodes"
+        )
+    seeds, configs = plan_runs(cfg, seeds, methods)
     n, f = features.shape
     per_seed = []
     for seed in seeds:
@@ -169,8 +176,10 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
                               flagged_channels=outcome.flagged_channels,
                               timings={"impute_seconds": elapsed}
                               if collect_timings else None)
+            del outcome  # before the next method makes its own
             block["methods"][method] = report.to_dict(per_node=False)
         per_seed.append(block)
+        del known, fs, spds, report  # before the next seed's are made
 
     def _agg(method, key):
         vals = [x for block in per_seed
@@ -182,14 +191,15 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
 
     aggregates = {m: {key: _agg(m, key) for key in
                       ("rmse", "cosine_mean", "spearman_distance_cosine")}
-                  for m in methods}
+                  for m in configs}
     settings = {k: v for k, v in cfg.summary().items() if k != "method"}
     return {
         "schema_version": PIPELINE_SCHEMA_VERSION,
         "config": {"mask_kind": mask_kind, "mask_rate": mask_rate,
-                   "seeds": seeds, "methods": list(methods), **settings},
+                   "seeds": seeds, "methods": list(configs), **settings},
         "num_nodes": n,
         "num_channels": f,
         "per_seed": per_seed,
         "aggregates": aggregates,
     }
+

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from pcfi import InputError, SpdsMatrix, pseudo_confidence
+from pcfi.confidence import alpha_powers
 
 INF = float("inf")
 
@@ -367,3 +368,35 @@ def feature_homophily_reference(g, features: np.ndarray) -> float:
                          "zero-norm features")
     cos = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
     return float(cos.mean())
+
+
+def fused_block_reference(ai, fs, spds: SpdsMatrix, alpha: float,
+                          cols: np.ndarray, steps: int):
+    """The fused stage-1 loop on the channels ``cols`` as first written: a
+    confidence column per channel, the block's input kept and added back
+    after every step. Returns ``(values, residuals)``."""
+    def unscale(t, den, pinned, values):
+        t /= den
+        t.ravel()[pinned] = values
+        return t
+
+    x0 = fs.values.take(cols, axis=1)  # observed values, 0 elsewhere
+    pinned = np.flatnonzero(fs.known.take(cols, axis=1))
+    values = x0.ravel()[pinned]
+    scale = alpha_powers(alpha, spds.distances.take(cols, axis=1))
+    den = ai @ scale
+    den[scale == 0.0] = np.inf
+    scale /= den
+    scale.ravel()[pinned] = 0.0
+
+    prev = y = x0
+    for step in range(1, steps):
+        y = ai @ y
+        if step == steps - 1:
+            prev = unscale(y.copy(), den, pinned, values)
+        y *= scale
+        y += x0
+    del scale
+    x = unscale(ai @ y, den, pinned, values)
+    prev -= x
+    return x, np.abs(prev, out=prev).max(axis=0)

@@ -155,31 +155,54 @@ def test_spds_matrix_keeps_signed_integer_types():
 
 
 def test_distance_type_holds_every_hop_count():
-    for n, dtype in [(0, np.int8), (127, np.int8), (128, np.int16),
-                     (32767, np.int16), (32768, np.int32),
-                     (2**31 - 1, np.int32), (2**31, np.int64)]:
-        assert distance_dtype(n) == dtype, n
-    # a path's far end is n - 1 hops away
-    for n in (127, 128):
+    for largest, dtype in [(0, np.int8), (127, np.int8), (128, np.int16),
+                           (32767, np.int16), (32768, np.int32),
+                           (2**31 - 1, np.int32), (2**31, np.int64)]:
+        assert distance_dtype(largest) == dtype, largest
+    # the field is as wide as its deepest hop, not as the node count: a
+    # path's far end is n - 1 hops away
+    for n, dtype in [(128, np.int8), (129, np.int16), (200, np.int16)]:
         g = build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
         known = np.zeros((n, 1), dtype=bool)
         known[0] = True
         dist = compute_spds(g, known).distances
-        assert dist.dtype == distance_dtype(n)
+        assert dist.dtype == dtype, n
         assert dist[:, 0].tolist() == list(range(n))
+        # a source in the middle halves the depth
+        known = np.roll(known, n // 2, axis=0)
+        assert compute_spds(g, known).distances.dtype == distance_dtype(n - 1 - n // 2)
+    rng = np.random.default_rng(3)
+    g = build_graph(random_gnp_edges(rng, 300, 2.5 / 300), 300)
+    assert compute_spds(g, uniform_mask(300, 4, 0.8, seed=3)).distances.dtype == np.int8
 
 
-@pytest.mark.parametrize("n", [100, 300])
-def test_narrow_field_matches_its_int64_copy(tmp_path, n):
-    """Confidences, both stages, the evaluation report and the written
-    field are the same from the searched field (int8 for 100 nodes, int16
-    for 300) as from an int64 copy of it, unreachable entries included."""
+def _narrow_instance(kind: str, n: int):
+    """A 300-node random graph, whose deepest hop fits int8, or a 200-node
+    path whose channel 0 has one source at its end, plus ten isolated
+    nodes, whose deepest hop does not."""
     rng = np.random.default_rng(n)
-    g = build_graph(random_gnp_edges(rng, n, 2.5 / n), n)
     known = uniform_mask(n, 40, 0.8, seed=n)
+    if kind == "random":
+        return rng, build_graph(random_gnp_edges(rng, n, 2.5 / n), n), known
+    edges = np.column_stack([np.arange(n - 11), np.arange(1, n - 10)])
+    known[:, 0] = False
+    known[0, 0] = True
+    return rng, build_graph(edges, n), known
+
+
+@pytest.mark.parametrize("kind, n, dtype", [("random", 300, np.int8),
+                                            ("path", 200, np.int16)],
+                         ids=["random300", "path200"])
+def test_narrow_field_matches_its_int64_copy(tmp_path, kind, n, dtype):
+    """Confidences, both stages, the evaluation report and the written
+    field are the same from the searched field (int8 for the random
+    graph, int16 for the path) as from an int64 copy of it, unreachable
+    entries included."""
+    rng, g, known = _narrow_instance(kind, n)
     narrow = compute_spds(g, known)
     wide = SpdsMatrix(distances=narrow.distances.astype(np.int64))
-    assert narrow.distances.dtype == distance_dtype(n) != np.int64
+    assert narrow.distances.dtype == dtype
+    assert narrow.distances.dtype == distance_dtype(int(narrow.distances.max()))
     assert np.any(narrow.distances == UNREACHABLE)
     assert (pseudo_confidence(narrow, 0.8).tobytes()
             == pseudo_confidence(wide, 0.8).tobytes())

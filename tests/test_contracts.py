@@ -268,7 +268,14 @@ def test_cli_pipeline_refuses_a_bad_thread_count_for_methods_without_a_pool(
       "--seeds", "0,x"], "--seeds must be a comma-separated list of integers"),
     (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
       "--k", "0"], "steps must be >= 1, got 0"),
-], ids=["impute-alpha", "impute-threads", "pipeline-seeds", "pipeline-steps"])
+    (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
+      "--methods", "pcfi", "--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+    (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
+      "--seeds", "0,0"], "seed 0 is listed more than once"),
+    (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
+      "--methods", "pcfi,pcfi"], "method 'pcfi' is listed more than once"),
+], ids=["impute-alpha", "impute-threads", "pipeline-seeds", "pipeline-steps",
+        "pipeline-alpha", "pipeline-repeated-seed", "pipeline-repeated-method"])
 def test_cli_refuses_settings_before_reading_a_file(tmp_path, caplog, monkeypatch,
                                                     argv, message):
     monkeypatch.chdir(tmp_path)

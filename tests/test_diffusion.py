@@ -1,10 +1,12 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcfi import (FeatureSet, InputError, NoSourceError, SpdsMatrix,
-                  apply_mask, build_channel_operator, build_graph,
+from pcfi import (FeatureSet, InputError, NoSourceError, NumericalError,
+                  SpdsMatrix, apply_mask, build_channel_operator, build_graph,
                   closed_form_channel, compute_spds, diffuse_channel,
                   fp_baseline, impute_stage1, resolve_threads,
                   structural_mask, uniform_mask)
@@ -13,8 +15,8 @@ from pcfi import diffusion
 from pcfi.confidence import BLOCK_COLUMNS
 
 from _oracles import (dense_pinned_operator, dense_uniform_exponent_operator,
-                      floyd_warshall, iterate_dense, random_connected_edges,
-                      spds_reference)
+                      floyd_warshall, fused_block_reference, iterate_dense,
+                      random_connected_edges, spds_reference)
 
 
 # enough channels for three column blocks
@@ -277,8 +279,9 @@ def test_grouped_channels_equal_individual_runs_bitwise():
 
 
 def test_thread_count_does_not_change_bits():
-    """Both the fused kernel (a pool task per column block) and the
-    explicit operator of deep channels (a task per missing pattern)."""
+    """The fused kernel (a pool task per column block) under a uniform and
+    a structural mask, and the explicit operator of deep channels (a task
+    per missing pattern)."""
     fused = (*_instance(22, n=60, f=MULTI_BLOCK)[:3], 0.8)
     n = 400
     path = build_graph(_path_edges(n), n)
@@ -289,13 +292,144 @@ def test_thread_count_does_not_change_bits():
     assert (deep_spds.distances.max(axis=0) * -np.log(0.1) > diffusion.MAX_DECAY).all()
     deep = (path, apply_mask(np.random.default_rng(22).normal(size=(n, 12)), known),
             deep_spds, 0.1)
-    for g, fs, spds, alpha in (fused, deep):
+    structural = (*_instance(23, n=60, f=MULTI_BLOCK, kind="structural")[:3], 0.8)
+    for g, fs, spds, alpha in (fused, structural, deep):
         seq = impute_stage1(g, fs, spds, alpha, steps=30, threads=1)
         for threads in (2, 3, 4):
             par = impute_stage1(g, fs, spds, alpha, steps=30, threads=threads)
             assert np.array_equal(seq.values.view(np.uint64),
                                   par.values.view(np.uint64))
             assert np.array_equal(seq.residuals, par.residuals)
+
+
+def _block_case(case):
+    """A graph, feature set and field for one column block of the fused
+    kernel, plus its alpha and steps."""
+    rng = np.random.default_rng(40)
+    n, f = 80, BLOCK_COLUMNS
+    edges = random_connected_edges(rng, n)
+    if case.startswith("unreachable"):
+        # nodes 70..79 form a component where some channels observe nothing
+        edges = np.concatenate([random_connected_edges(rng, 70),
+                                70 + random_connected_edges(rng, 10)])
+    g = build_graph(edges, n)
+    values = rng.normal(size=(n, f))
+    if case in ("structural", "one-step", "unreachable-structural"):
+        known = structural_mask(n, f, 0.7, seed=40)
+    elif case == "mixed":
+        # three known sets shared by 10, 10 and 8 channels, four of their own
+        known = np.repeat(uniform_mask(n, 3, 0.7, seed=40), [10, 10, 8], axis=1)
+        known = np.concatenate([known, uniform_mask(n, 4, 0.7, seed=41)], axis=1)
+    else:
+        known = uniform_mask(n, f, 0.7, seed=40)
+    if case == "unreachable-structural":
+        known[70:] = False
+    elif case == "unreachable-uniform":
+        known[70:, ::2] = False
+    values[~known] = 0.0
+    if case == "negative-zero":
+        values[known & (rng.random((n, f)) < 0.3)] = -0.0
+        values[~known & (rng.random((n, f)) < 0.5)] = -0.0
+    fs = FeatureSet(values=values, known=known)
+    return g, fs, compute_spds(g, known), 0.8, 1 if case == "one-step" else 25
+
+
+BLOCK_CASES = ["structural", "mixed", "uniform", "one-step",
+               "unreachable-structural", "unreachable-uniform", "negative-zero"]
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_fused_block_matches_the_loop_as_first_written(case):
+    """The block kernel re-pins instead of adding its input back, and uses
+    one confidence column when every channel shares a known set; neither
+    changes a bit of the values or the residuals."""
+    g, fs, spds, alpha, steps = _block_case(case)
+    shared = (spds.distances == spds.distances[:, :1]).all()
+    assert shared == (case in ("structural", "one-step", "unreachable-structural"))
+    if case.startswith("unreachable"):
+        assert (spds.distances == diffusion.UNREACHABLE).any()
+    if case == "negative-zero":
+        assert np.signbit(fs.values[fs.known & (fs.values == 0)]).any()
+        assert np.signbit(fs.values[~fs.known]).any()
+    ai = g.self_loop_adjacency()
+    cols = np.arange(fs.num_channels)
+    want = fused_block_reference(ai, fs, spds, alpha, cols, steps)
+    got = diffusion._diffuse_block(ai, fs, spds, alpha, cols, steps)
+    for w, x in zip(want, got):
+        assert w.shape == x.shape
+        assert w.tobytes() == x.tobytes()
+    # so does a block of scattered columns
+    cols = cols[::3]
+    want = fused_block_reference(ai, fs, spds, alpha, cols, steps)
+    got = diffusion._diffuse_block(ai, fs, spds, alpha, cols, steps)
+    assert want[0].tobytes() == got[0].tobytes()
+    assert want[1].tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_an_error_in_a_block_propagates(monkeypatch, where):
+    """The calling thread runs blocks beside the pool; an error raised in a
+    block on either one reaches the caller of ``impute_stage1``."""
+    g, fs, spds, _ = _instance(24, n=40, f=MULTI_BLOCK)
+    caller = threading.get_ident()
+    # the first two blocks wait for each other, so each thread holds one
+    both_started = threading.Barrier(2, timeout=10)
+    real = diffusion._diffuse_block
+    calls = []
+
+    def failing_block(ai, fs, spds, alpha, cols, steps):
+        first_two = cols[0] < 2 * BLOCK_COLUMNS
+        if first_two:
+            both_started.wait()
+        on_caller = threading.get_ident() == caller
+        calls.append((first_two, on_caller))
+        if first_two and on_caller == (where == "caller"):
+            raise NumericalError(f"block on the {where} failed")
+        return real(ai, fs, spds, alpha, cols, steps)
+
+    monkeypatch.setattr(diffusion, "_diffuse_block", failing_block)
+    with pytest.raises(NumericalError, match=f"block on the {where} failed"):
+        impute_stage1(g, fs, spds, 0.8, steps=5, threads=2)
+    threads_of_first_two = sorted(on_caller for first_two, on_caller in calls
+                                  if first_two)
+    assert threads_of_first_two == [False, True]
+    assert len(calls) == 3  # the third block still ran; the pool is joined
+
+
+def test_every_block_runs_once_under_many_threads():
+    """More threads than cores, switching often, share one iterator of
+    items: each item is taken exactly once."""
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        diffusion._run(ran.append, list(range(5000)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(5000))
+
+
+def test_structural_stage1_allocates_three_block_arrays(monkeypatch):
+    """Under a structural mask every channel shares one known set, so a
+    block holds one column of confidences and one of denominators, and no
+    copy of its input once the first step is taken: its two iterates and
+    the copy of the last one are the only block-sized arrays."""
+    rng = np.random.default_rng(33)
+    n, f = 3000, 2 * BLOCK_COLUMNS
+    g = build_graph(random_connected_edges(rng, n), n)
+    known = structural_mask(n, f, 0.9, seed=33)
+    fs = apply_mask(rng.normal(size=(n, f)), known)
+    spds = compute_spds(g, known)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = impute_stage1(g, fs, spds, 0.8, steps=5, threads=1, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.values is fs.values
+    block = n * BLOCK_COLUMNS * 8
+    assert peak < 4 * block, peak / block
 
 
 def test_resolve_threads_env(monkeypatch):

@@ -212,6 +212,72 @@ def test_zero_returns_the_handed_over_values():
     assert _same(handed.values, apply_mask(values, known).values)
 
 
+@pytest.mark.parametrize("steps", [1, 20])
+@pytest.mark.parametrize("case", ["fused", "deep"])
+def test_fp_reads_a_handed_over_set_without_writing_it(case, steps):
+    """Handed over, ``fp`` empties the list and gives the bits of a run on
+    the set passed directly; the masked values are never written, also
+    when the one step's change is taken against them."""
+    g, values, known, _ = _handover_instance(case)
+    cfg = ImputationConfig(method="fp", steps=steps)
+    fs = apply_mask(values, known)
+    bits = fs.values.tobytes()
+    direct = impute(g, fs, cfg)
+    handed = [fs]
+    outcome = impute(g, handed, cfg)
+    assert handed == []
+    assert fs.values.tobytes() == bits
+    assert _same(outcome.values, direct.values)
+    assert _same(outcome.residuals, direct.residuals)
+
+
+def test_fp_lets_a_handed_over_set_go_after_its_first_step():
+    """After its first step a handed-over ``fp`` run holds its last two
+    iterates and no reference to its input, so it allocates little more
+    than one array of the matrix's size; keeping the input costs two."""
+    rng = np.random.default_rng(13)
+    n, f = 3000, 64
+    g = build_graph(random_connected_edges(rng, n), n)
+    known = rng.random((n, f)) < 0.1
+    tracemalloc.start()  # before the input is made, so that its release counts
+    try:
+        handed = [apply_mask(rng.normal(size=(n, f)), known)]
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        outcome = impute(g, handed, ImputationConfig(method="fp", steps=5))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert outcome.values.shape == (n, f)
+    assert peak < 1.8 * n * f * 8, peak / (n * f * 8)
+
+
+def test_pipeline_frees_a_seed_before_it_masks_the_next(monkeypatch):
+    """When the second seed's distance field is computed, the first seed's
+    mask, masked set, field and outcomes are gone: no more memory is in
+    use than when the first seed's was."""
+    rng = np.random.default_rng(14)
+    n, f = 2000, 64
+    g = build_graph(random_connected_edges(rng, n), n)
+    features = rng.normal(size=(n, f))
+    in_use = []
+
+    def recording_compute_spds(g, known):
+        in_use.append(tracemalloc.get_traced_memory()[0])
+        return real_compute_spds(g, known)
+
+    real_compute_spds = pipeline.compute_spds
+    monkeypatch.setattr(pipeline, "compute_spds", recording_compute_spds)
+    tracemalloc.start()
+    try:
+        run_pipeline(g, features, ImputationConfig(steps=5), mask_kind="uniform",
+                     mask_rate=0.5, seeds=[0, 1], methods=("pcfi", "fp", "zero"))
+    finally:
+        tracemalloc.stop()
+    assert len(in_use) == 2
+    assert in_use[1] - in_use[0] < 0.1 * n * f * 8, (in_use[1] - in_use[0]) / (n * f * 8)
+
+
 def test_handed_over_read_only_memory_is_copied_not_written():
     """A set over memory its array may not make writable (here a bytes
     object) is worked on as a copy, with the same bits."""
