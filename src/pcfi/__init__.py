@@ -7,37 +7,25 @@ information through the correlation structure of the filled matrix.
 See :mod:`pcfi.diffusion` and :mod:`pcfi.propagation` for the math,
 :mod:`pcfi.pipeline` for end-to-end runs, and the ``pcfi`` command for
 the file-based workflow.
+
+The package exports the ``__all__`` of each of its layer modules, where
+every public name is declared; :mod:`pcfi.io` is imported on its own.
 """
 
-from .confidence import (UNREACHABLE, SpdsMatrix, compute_spds, multi_source_bfs,
-                         pseudo_confidence)
-from .diffusion import (build_channel_operator, closed_form_channel, diffuse_channel,
-                        fp_baseline, impute_stage1, resolve_threads)
-from .errors import InputError, NoSourceError, NumericalError, PcfiError
-from .graph import (Graph, build_graph, connected_components, extract_largest_component,
-                    induced_subgraph)
-from .masking import FeatureSet, apply_mask, structural_mask, uniform_mask
-from .metrics import EvalReport, evaluate, rmse
-from .pipeline import ImputationConfig, ImputeOutcome, impute, run_pipeline
-from .propagation import correlation, propagate_stage2
-from .synth import (SynthDataset, SynthSpec, class_homophily, equidistant_means,
-                    feature_homophily, generate, generate_labels, sbm_edges)
+from . import (confidence, diffusion, errors, graph, masking, metrics, pipeline,
+               propagation, synth)
+from .confidence import *  # noqa: F401,F403
+from .diffusion import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .masking import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .pipeline import *  # noqa: F401,F403
+from .propagation import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "UNREACHABLE", "SpdsMatrix", "compute_spds", "multi_source_bfs",
-    "pseudo_confidence",
-    "build_channel_operator", "closed_form_channel",
-    "diffuse_channel", "fp_baseline", "impute_stage1", "resolve_threads",
-    "InputError", "NoSourceError", "NumericalError", "PcfiError",
-    "Graph", "build_graph", "connected_components", "extract_largest_component",
-    "induced_subgraph",
-    "FeatureSet", "apply_mask", "structural_mask", "uniform_mask",
-    "EvalReport", "evaluate", "rmse",
-    "ImputationConfig", "ImputeOutcome", "impute", "run_pipeline",
-    "correlation", "propagate_stage2",
-    "SynthDataset", "SynthSpec", "class_homophily", "equidistant_means",
-    "feature_homophily", "generate", "generate_labels", "sbm_edges",
-    "__version__",
-]
+__all__ = [name for module in (confidence, diffusion, errors, graph, masking, metrics,
+                               pipeline, propagation, synth)
+           for name in module.__all__] + ["__version__"]

@@ -24,7 +24,8 @@ from .confidence import compute_spds, SpdsMatrix
 from .diffusion import MODES
 from .errors import InputError, NumericalError
 from .graph import build_graph, extract_largest_component
-from .masking import MASK_KINDS, FeatureSet, check_mask_shape, make_mask
+from .masking import (MASK_KINDS, FeatureSet, check_mask_settings, check_mask_shape,
+                      make_mask)
 from .metrics import check_shapes, evaluate
 from .pipeline import ImputationConfig, METHODS, impute, plan_runs, run_pipeline
 from .synth import SynthSpec, generate
@@ -59,6 +60,7 @@ def _impute_config(args, method: str) -> ImputationConfig:
 
 
 def cmd_mask(args) -> int:
+    check_mask_settings(args.type, args.rate, args.seed)
     if args.features_file is not None:
         n, f = pio.load_matrix_shape(args.features_file, header=args.header)
     elif args.num_nodes is not None and args.num_channels is not None:
@@ -93,18 +95,11 @@ def cmd_impute(args) -> int:
     if ignored:
         log.info("ignoring values at %d masked entries", ignored)
     num_missing = known.size - np.count_nonzero(known)
-    if args.spds_out is None or cfg.method not in ("fp", "zero"):
-        # the masked input then holds the mask's last reference, so the mask
-        # is freed with it after stage 1; fp and zero give no distance field,
-        # so --spds-out computes theirs from this mask
-        del known
-    outcome = impute(g, masked, cfg)
+    spds = None if args.spds_out is None else compute_spds(g, known)
+    del known  # the masked input holds the last reference, freed after stage 1
+    outcome = impute(g, masked, cfg, spds=spds)
     pio.write_matrix(args.out, outcome.values)
-
-    spds = outcome.spds
-    if args.spds_out is not None:
-        if spds is None:
-            spds = compute_spds(g, known)
+    if spds is not None:
         pio.write_spds(args.spds_out, spds.distances)
 
     report_path = args.report
@@ -170,7 +165,7 @@ def cmd_pipeline(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     # run_pipeline sets each run's method; zero checks no alpha
     cfg = _impute_config(args, "zero")
-    plan_runs(cfg, seeds, methods)  # refuses bad settings before a file is read
+    plan_runs(cfg, args.mask_type, args.rate, seeds, methods)  # before a file is read
     if args.dataset is not None:
         g, features, _labels, _meta = pio.load_dataset(args.dataset)
     elif args.edges is not None and args.features is not None:

@@ -102,14 +102,14 @@ MAX_DENSE_UNKNOWNS = 2000
 class ImputeOutcome:
     """The result of one method run: the filled matrix plus bookkeeping.
 
+    It carries no distance field: a caller that needs the field computes
+    it and passes it into :func:`pcfi.pipeline.impute`.
+
     Attributes
     ----------
     values : ndarray, shape (N, F)
         Matrix with missing entries filled; observed entries are the
         input bits unchanged.
-    spds : SpdsMatrix or None
-        The distance field the run was weighted by; None for ``fp`` and
-        ``zero``.
     residuals : ndarray of shape (F,), or None
         Max absolute change of the final iteration per channel; None in
         closed-form mode and for ``zero``.
@@ -121,7 +121,6 @@ class ImputeOutcome:
     """
 
     values: np.ndarray
-    spds: SpdsMatrix | None
     residuals: np.ndarray | None
     steps_run: int
     flagged_channels: list[int]
@@ -258,7 +257,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     "closed_form" (direct solve). ``threads`` parallelizes over column
     blocks (closed form: over missing patterns); output bits do not
     depend on it. ``spds`` must agree with ``fs.known``
-    (:meth:`SpdsMatrix.check_mask`); the outcome's ``spds`` is that field.
+    (:meth:`SpdsMatrix.check_mask`).
 
     The result is written into a copy of ``fs.values``, or, with
     ``overwrite=True``, into ``fs.values`` itself, for a caller that gives
@@ -280,8 +279,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     steps_run = steps if mode == "iterative" else 0
     residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
     if n == 0 or f == 0:
-        return ImputeOutcome(values=out, spds=spds, residuals=residuals,
-                             steps_run=steps_run, flagged_channels=[])
+        return ImputeOutcome(values=out, residuals=residuals, steps_run=steps_run,
+                             flagged_channels=[])
 
     has_source = fs.known.any(axis=0)
     unhealthy = ~has_source | (spds.distances == UNREACHABLE).any(axis=0)
@@ -313,8 +312,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     if explicit.any():
         _diffuse_per_pattern(g, fs, spds, alpha, np.flatnonzero(explicit), out,
                              residuals, steps=steps, mode=mode, nthreads=nthreads)
-    return ImputeOutcome(values=out, spds=spds, residuals=residuals,
-                         steps_run=steps_run, flagged_channels=flagged)
+    return ImputeOutcome(values=out, residuals=residuals, steps_run=steps_run,
+                         flagged_channels=flagged)
 
 
 def _run(fn, items, nthreads: int) -> None:
@@ -423,7 +422,7 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
     The operator is ``D^{-1/2} (A + I) D^{-1/2}`` with self-loop degrees;
     each step multiplies and then resets observed entries to their input
     bits. Regions with no observed node in a channel simply stay zero
-    (no flagging), and the outcome carries no distance field.
+    (no flagging).
 
     ``fs`` is only read. Handed over in a one-item list, which is emptied,
     its values are let go after the first step."""
@@ -437,5 +436,5 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
     known, x0 = fs.known, [fs.values]
     del fs
     x, residuals = diffuse_channel(op, x0, known, steps)
-    return ImputeOutcome(values=x, spds=None, residuals=residuals, steps_run=steps,
+    return ImputeOutcome(values=x, residuals=residuals, steps_run=steps,
                          flagged_channels=[])

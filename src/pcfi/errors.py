@@ -6,6 +6,8 @@ The CLI maps these onto exit codes: ``InputError`` -> 2, I/O failures
 
 from __future__ import annotations
 
+__all__ = ["PcfiError", "InputError", "NoSourceError", "NumericalError"]
+
 
 class PcfiError(Exception):
     """Base class for all toolkit errors."""

@@ -80,8 +80,10 @@ def _output(path):
 def _parse(source, *, delimiter, skiprows: int, what: str,
            dtype=np.float64) -> np.ndarray:
     try:
-        return np.loadtxt(source, delimiter=delimiter, skiprows=skiprows,
-                          ndmin=2, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(source, delimiter=delimiter, skiprows=skiprows,
+                              ndmin=2, dtype=dtype)
     except (ValueError, DeprecationWarning) as exc:
         raise InputError(f"could not parse {what}: {exc}") from exc
 
@@ -104,7 +106,6 @@ def _load_integers(path, *, delimiter, skiprows: int = 0, what: str) -> np.ndarr
     ``4.0``, ``1.5`` or ``inf`` is an error. Input with no rows gives an
     empty array."""
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         # numpy < 2 parses an entry such as "4.0" through a float, with
         # this warning; as an error it fails the parse as numpy >= 2 does
         warnings.filterwarnings("error", "loadtxt\\(\\): Parsing an integer via a float",
@@ -127,10 +128,17 @@ def load_edges(path) -> np.ndarray:
     return arr
 
 
+def _check_rows(num_rows: int, path) -> None:
+    if num_rows == 0:
+        raise InputError(f"matrix {path} has no rows")
+
+
 def load_matrix(path, header: bool = False) -> np.ndarray:
-    """Comma-separated float matrix; all entries must be finite."""
+    """Comma-separated float matrix with at least one row; all entries
+    must be finite."""
     arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
                    what=f"matrix {path}")
+    _check_rows(arr.shape[0], path)
     if not np.isfinite(arr).all():
         raise InputError(f"matrix {path} contains non-finite entries")
     return arr
@@ -155,8 +163,7 @@ def load_matrix_shape(path, header: bool = False) -> tuple[int, int]:
     lines = [line.partition(b"#")[0]
              for line in data.splitlines()[1 if header else 0:]]
     commas = [line.count(b",") for line in lines if line]
-    if not commas:
-        raise InputError(f"matrix {path} has no rows")
+    _check_rows(len(commas), path)
     for row, count in enumerate(commas):
         if count != commas[0]:
             raise InputError(f"matrix {path} is ragged: row {row + 1} has "

@@ -73,13 +73,6 @@ class FeatureSet:
     def num_channels(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def is_structural(self) -> bool:
-        """True when every channel has the same known set (row-wise mask)."""
-        if self.num_channels == 0:
-            return True
-        return bool((self.known == self.known[:, :1]).all())
-
 
 def check_mask_shape(values: np.ndarray, known: np.ndarray) -> None:
     """Raise :class:`InputError` unless the mask has the features' shape."""
@@ -118,10 +111,19 @@ def check_seed(seed: int) -> None:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
 
 
-def _missing_count(rate: float, total: int) -> int:
-    """``round(rate * total)``, halves rounded up."""
+def check_mask_settings(kind: str, rate: float, seed: int) -> None:
+    """Raise :class:`InputError` unless ``kind`` is one of ``MASK_KINDS``,
+    ``rate`` lies in (0, 1) and ``seed`` is non-negative: the settings of
+    a mask, checked before the shape that it is drawn for is known."""
+    if kind not in MASK_KINDS:
+        raise InputError(f"unknown mask kind {kind!r}")
     if not (0.0 < rate < 1.0):
         raise InputError(f"mask rate must lie in (0, 1), got {rate}")
+    check_seed(seed)
+
+
+def _missing_count(rate: float, total: int) -> int:
+    """``round(rate * total)``, halves rounded up."""
     return int(np.floor(rate * total + 0.5))
 
 
@@ -132,11 +134,11 @@ def structural_mask(num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If a dimension or the seed is negative, or the rounded count
-        would remove every row.
+        If a dimension or the seed is negative, the rate lies outside
+        (0, 1), or the rounded count would remove every row.
     """
+    check_mask_settings("structural", rate, seed)
     _check_shape(num_nodes, num_channels)
-    check_seed(seed)
     n_missing = _missing_count(rate, num_nodes)
     if num_nodes > 0 and n_missing >= num_nodes:
         raise InputError(
@@ -158,11 +160,11 @@ def uniform_mask(num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If a dimension or the seed is negative, or the rounded count
-        would remove every entry.
+        If a dimension or the seed is negative, the rate lies outside
+        (0, 1), or the rounded count would remove every entry.
     """
+    check_mask_settings("uniform", rate, seed)
     _check_shape(num_nodes, num_channels)
-    check_seed(seed)
     total = num_nodes * num_channels
     n_missing = _missing_count(rate, total)
     if total > 0 and n_missing >= total:
@@ -180,12 +182,11 @@ def make_mask(kind: str, num_nodes: int, num_channels: int, rate: float,
               seed: int) -> np.ndarray:
     """The known-mask of ``kind``, one of ``MASK_KINDS``: a
     :func:`structural_mask` or a :func:`uniform_mask`."""
+    check_mask_settings(kind, rate, seed)
     # called by name, not from a table, so a rebinding of them here is seen
     if kind == "structural":
         return structural_mask(num_nodes, num_channels, rate, seed)
-    if kind == "uniform":
-        return uniform_mask(num_nodes, num_channels, rate, seed)
-    raise InputError(f"unknown mask kind {kind!r}")
+    return uniform_mask(num_nodes, num_channels, rate, seed)
 
 
 def apply_mask(values: np.ndarray, known: np.ndarray) -> FeatureSet:

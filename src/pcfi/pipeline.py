@@ -36,11 +36,11 @@ from .diffusion import (ImputeOutcome, check_schedule, fp_baseline, impute_stage
                         resolve_threads)
 from .errors import InputError
 from .graph import Graph
-from .masking import FeatureSet, apply_mask, check_seed, make_mask
+from .masking import FeatureSet, apply_mask, check_mask_settings, make_mask
 from .metrics import evaluate
 from .propagation import propagate_stage2
 
-__all__ = ["ImputationConfig", "ImputeOutcome", "impute", "run_pipeline"]
+__all__ = ["ImputationConfig", "impute", "run_pipeline"]
 
 METHODS = ("pcfi", "pcfi_stage1_only", "fp", "zero")
 PIPELINE_SCHEMA_VERSION = 1
@@ -84,7 +84,8 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     """Run one method on one masked feature set.
 
     A precomputed distance field may be passed to avoid recomputing it
-    across methods; it must match the mask.
+    across methods; it must match the mask, and ``fp`` and ``zero`` do not
+    read it.
 
     ``fs`` may be handed over in a one-item list, which is emptied: the
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
@@ -101,8 +102,8 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         fs = fs.pop()
     if cfg.method == "zero":
         values = fs.values if handed_over else fs.values.copy()
-        return ImputeOutcome(values=values, spds=None, residuals=None,
-                             steps_run=0, flagged_channels=[])
+        return ImputeOutcome(values=values, residuals=None, steps_run=0,
+                             flagged_channels=[])
     if spds is None:
         spds = compute_spds(g, fs.known)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
@@ -115,16 +116,18 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
 
 
-def plan_runs(cfg: ImputationConfig, seeds, methods) -> tuple[list[int], dict]:
+def plan_runs(cfg: ImputationConfig, mask_kind: str, mask_rate: float, seeds,
+              methods) -> tuple[list[int], dict]:
     """The mask seeds as a list and, for each of ``methods``, ``cfg`` with
-    that method. Raises :class:`InputError` for an empty list, a negative
-    seed, a seed or method listed twice, an unknown method, or a bad
-    ``alpha`` for a method that reads it."""
+    that method. Raises :class:`InputError` for an empty list, mask
+    settings that :func:`pcfi.masking.check_mask_settings` refuses, a seed
+    or method listed twice, an unknown method, or a bad ``alpha`` for a
+    method that reads it."""
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InputError("at least one seed is required")
     for seed in seeds:
-        check_seed(seed)
+        check_mask_settings(mask_kind, mask_rate, seed)
         if seeds.count(seed) > 1:
             raise InputError(f"seed {seed} is listed more than once")
     methods = list(methods)
@@ -143,8 +146,8 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     """Mask, impute, and score under each seed; aggregate across seeds.
 
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
-    ``method``; the seeds and methods are checked by :func:`plan_runs`
-    before any work.
+    ``method``; the mask settings, seeds and methods are checked by
+    :func:`plan_runs` before any work.
     Returns a JSON-ready dict: one block per seed with per-method
     metrics, plus the mean/std over those blocks of each method's overall
     RMSE, mean cosine and distance-cosine Spearman correlation (seeds
@@ -156,7 +159,7 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
             f"feature shape {features.shape} does not match graph with "
             f"{g.num_nodes} nodes"
         )
-    seeds, configs = plan_runs(cfg, seeds, methods)
+    seeds, configs = plan_runs(cfg, mask_kind, mask_rate, seeds, methods)
     n, f = features.shape
     per_seed = []
     for seed in seeds:

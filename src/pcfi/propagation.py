@@ -43,13 +43,12 @@ class CorrelationMatrix:
     """Channel-by-channel Pearson correlation with zeroed diagonal.
 
     ``r`` is symmetric with zeros on the diagonal and wherever a channel
-    has zero variance; ``means`` and ``stds`` are the per-channel
-    moments used to compute it (stds with the N-1 denominator).
+    has zero variance; ``means`` are the per-channel means it was
+    computed about.
     """
 
     r: np.ndarray
     means: np.ndarray
-    stds: np.ndarray
 
 
 def correlation(values: np.ndarray) -> CorrelationMatrix:
@@ -98,7 +97,7 @@ def correlation(values: np.ndarray) -> CorrelationMatrix:
             block /= np.outer(stds[rows], stds)
         block[~np.isfinite(block)] = 0.0
     np.fill_diagonal(r, 0.0)
-    return CorrelationMatrix(r=r, means=means, stds=stds)
+    return CorrelationMatrix(r=r, means=means)
 
 
 def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,

@@ -1,8 +1,8 @@
 """Each input contract has one owner, and every entry point that takes the
 input refuses it with the owner's message: the distance field against
 the mask (``SpdsMatrix.check_mask``), the mask shape
-(``masking.check_mask_shape``), the mask kinds (``masking.make_mask``),
-the diffusion schedule (``diffusion.check_schedule``) and the thread
+(``masking.check_mask_shape``), the mask kind, rate and seed
+(``masking.check_mask_settings``), the diffusion schedule (``diffusion.check_schedule``) and the thread
 count (``ImputationConfig``). The command line refuses settings with
 exit code 2 before it reads any file, and writes no output."""
 
@@ -274,8 +274,15 @@ def test_cli_pipeline_refuses_a_bad_thread_count_for_methods_without_a_pool(
       "--seeds", "0,0"], "seed 0 is listed more than once"),
     (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
       "--methods", "pcfi,pcfi"], "method 'pcfi' is listed more than once"),
+    (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "2"],
+     "mask rate must lie in (0, 1), got 2.0"),
+    (["mask", "--type", "uniform", "--rate", "2", "--features-file", "nope.csv"],
+     "mask rate must lie in (0, 1), got 2.0"),
+    (["mask", "--type", "uniform", "--rate", "0.5", "--seed", "-1",
+      "--features-file", "nope.csv"], "seed must be a non-negative integer, got -1"),
 ], ids=["impute-alpha", "impute-threads", "pipeline-seeds", "pipeline-steps",
-        "pipeline-alpha", "pipeline-repeated-seed", "pipeline-repeated-method"])
+        "pipeline-alpha", "pipeline-repeated-seed", "pipeline-repeated-method",
+        "pipeline-rate", "mask-rate", "mask-seed"])
 def test_cli_refuses_settings_before_reading_a_file(tmp_path, caplog, monkeypatch,
                                                     argv, message):
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,9 @@
 """Start-up cost guard: the command line must not load scipy modules
 that no subcommand uses. Checked by module name, not by seconds, so the
-test does not depend on machine speed."""
+test does not depend on machine speed. And the package namespace: it is
+built from the ``__all__`` of its layer modules."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +28,16 @@ def test_cli_import_skips_heavy_scipy_modules():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+LAYERS = ("confidence", "diffusion", "errors", "graph", "masking", "metrics",
+          "pipeline", "propagation", "synth")
+
+
+def test_package_exports_each_layer_modules_names_once():
+    modules = [importlib.import_module(f"pcfi.{layer}") for layer in LAYERS]
+    assert pcfi.__all__ == [name for m in modules for name in m.__all__] + ["__version__"]
+    assert len(set(pcfi.__all__)) == len(pcfi.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(pcfi, name) is getattr(module, name), name

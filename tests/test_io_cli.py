@@ -293,19 +293,22 @@ _SHAPE_FILES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @pytest.mark.parametrize("header", [False, True])
 @pytest.mark.parametrize("name", sorted(_SHAPE_FILES))
 def test_matrix_shape_from_lines_matches_parsed_shape(tmp_path, name, header):
     """Where the matrix parser accepts a file, the shape read from its
-    lines is the parsed shape; ragged and empty files raise InputError."""
+    lines is the parsed shape; ragged and empty files raise InputError,
+    and a file with no rows is refused by the parser too."""
     text, *shapes = _SHAPE_FILES[name]
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
     expected = shapes[header]
     if expected is None:
-        with pytest.raises(InputError, match="ragged|no rows"):
+        with pytest.raises(InputError, match="ragged|no rows") as refused:
             pio.load_matrix_shape(path, header=header)
+        if "no rows" in str(refused.value):
+            with pytest.raises(InputError, match="no rows"):
+                pio.load_matrix(path, header=header)
         return
     assert pio.load_matrix_shape(path, header=header) == expected
     try:
@@ -712,20 +715,19 @@ def test_cli_impute_carries_one_matrix_from_load_to_write(tmp_path, monkeypatch,
     assert written[0].tobytes() == copied.values.tobytes()
 
 
-@pytest.mark.parametrize("method, spds_out, freed", [
-    ("pcfi", False, True), ("pcfi", True, True), ("fp", False, True),
-    ("fp", True, False), ("zero", True, False)])
-def test_cli_impute_frees_the_mask_unless_the_distance_field_needs_it(
-        tmp_path, monkeypatch, method, spds_out, freed):
+@pytest.mark.parametrize("method, spds_out", [
+    ("pcfi", False), ("pcfi", True), ("fp", False), ("fp", True), ("zero", True)])
+def test_cli_impute_frees_the_mask_in_every_case(tmp_path, monkeypatch, method,
+                                                 spds_out):
     """The impute command drops its mask once the missing entries are
-    counted, so the mask goes with the masked input after stage 1; only
-    --spds-out with fp or zero, which compute no distance field, keeps it."""
+    counted and, with --spds-out, the distance field is computed, so the
+    mask goes with the masked input after stage 1 for every method."""
     epath, fpath, mpath = _write_inputs(tmp_path)
     alive_after_impute = []
 
-    def recording_impute(g, fs, cfg):
+    def recording_impute(g, fs, cfg, spds):
         mask = weakref.ref(fs[0].known)
-        outcome = real_impute(g, fs, cfg)
+        outcome = real_impute(g, fs, cfg, spds=spds)
         alive_after_impute.append(mask() is not None)
         return outcome
 
@@ -735,9 +737,47 @@ def test_cli_impute_frees_the_mask_unless_the_distance_field_needs_it(
     args = ["--quiet", "impute", "--edges", str(epath), "--features", str(fpath),
             "--mask", str(mpath), "--method", method, "--out", str(out)]
     assert main(args + (["--spds-out", str(spds)] if spds_out else [])) == 0
-    assert alive_after_impute == [not freed]
+    assert alive_after_impute == [False]
     if spds_out:
         assert np.array_equal(pio.load_spds(spds) == 0, pio.load_mask(mpath))
+
+
+def test_cli_spds_out_is_the_same_field_for_every_method(tmp_path):
+    """--spds-out writes the distance field of the mask, whichever method
+    runs, so every method writes the same bytes."""
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=4)
+    written = {}
+    for method in pipeline.METHODS:
+        spds = tmp_path / f"{method}_spds.csv"
+        assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                     str(fpath), "--mask", str(mpath), "--method", method,
+                     "--out", str(tmp_path / f"{method}.csv"),
+                     "--spds-out", str(spds)]) == 0
+        written[method] = spds.read_bytes()
+    assert len(set(written.values())) == 1
+    assert np.array_equal(pio.load_spds(spds) == 0, pio.load_mask(mpath))
+
+
+@pytest.mark.parametrize("command", ["impute", "eval", "pipeline"])
+def test_cli_refuses_a_features_file_with_no_rows(tmp_path, caplog, command):
+    """An empty features file exits 2 with the message that ``mask
+    --features-file`` gives for it, writes nothing and leaks no numpy
+    warning."""
+    epath, fpath, mpath = _write_inputs(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n")
+    out = tmp_path / "out"
+    argv = {"impute": ["impute", "--edges", str(epath), "--features", str(empty),
+                       "--mask", str(mpath), "--out", str(out)],
+            "eval": ["eval", "--truth", str(empty), "--imputed", str(fpath),
+                     "--mask", str(mpath), "--report", str(out)],
+            "pipeline": ["pipeline", "--edges", str(epath), "--features", str(empty),
+                         "--mask-type", "uniform", "--rate", "0.5", "--out", str(out)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", *argv[command]]) == 2
+    assert f"matrix {empty} has no rows" in caplog.text
+    assert list(tmp_path.glob("out*")) == []
 
 
 def test_impute_takes_the_feature_set_out_of_a_list(tmp_path):

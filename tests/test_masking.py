@@ -86,7 +86,6 @@ def test_apply_mask_zeroes_unknown():
     known = np.array([[True, False], [False, True]])
     fs = apply_mask(vals, known)
     assert fs.values.tolist() == [[1.0, 0.0], [0.0, 4.0]]
-    assert fs.is_structural is False
 
 
 def test_feature_set_validation():
@@ -99,13 +98,6 @@ def test_feature_set_validation():
         FeatureSet(values=np.array([[np.nan]]), known=np.array([[True]]))
     with pytest.raises(InputError, match="2-D"):
         FeatureSet(values=np.zeros(3), known=np.zeros(3, dtype=bool))
-
-
-def test_feature_set_is_structural():
-    known = np.zeros((4, 3), dtype=bool)
-    known[[0, 2], :] = True
-    fs = FeatureSet(values=np.zeros((4, 3)), known=known)
-    assert fs.is_structural
 
 
 @settings(max_examples=60, deadline=None)
