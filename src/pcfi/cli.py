@@ -114,7 +114,8 @@ def cmd_impute(args) -> int:
             "num_channels": f,
             "num_missing_entries": num_missing,
             "flagged_channels": outcome.flagged_channels,
-            "steps_run": outcome.steps_run,
+            # the closed form and zero run no iteration; the rest run cfg.steps
+            "steps_run": 0 if residuals is None else cfg.steps,
             "residuals": residuals,
             "max_residual": (float(residuals.max())
                              if residuals is not None and residuals.size

@@ -109,11 +109,7 @@ def compute_spds(g: Graph, known: np.ndarray) -> SpdsMatrix:
     level expands every frontier of a block with one sparse product.
     """
     known = np.asarray(known, dtype=bool)
-    if known.ndim != 2 or known.shape[0] != g.num_nodes:
-        raise InputError(
-            f"known mask shape {known.shape} does not match graph with "
-            f"{g.num_nodes} nodes"
-        )
+    g.check_rows(known)
     return SpdsMatrix(distances=_hop_distances(g, known))
 
 

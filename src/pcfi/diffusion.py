@@ -111,10 +111,9 @@ class ImputeOutcome:
         Matrix with missing entries filled; observed entries are the
         input bits unchanged.
     residuals : ndarray of shape (F,), or None
-        Max absolute change of the final iteration per channel; None in
-        closed-form mode and for ``zero``.
-    steps_run : int
-        Iterations performed (0 in closed-form mode and for ``zero``).
+        Max absolute change of the final iteration per channel; None
+        exactly when no iteration ran (the closed form, and ``zero``);
+        every other run makes the configured number of steps.
     flagged_channels : list of int
         Channels zero-filled (fully or partially) because no source was
         reachable; empty unless lenient mode intervened.
@@ -122,7 +121,6 @@ class ImputeOutcome:
 
     values: np.ndarray
     residuals: np.ndarray | None
-    steps_run: int
     flagged_channels: list[int]
 
 
@@ -152,12 +150,6 @@ def check_schedule(mode: str, steps: int) -> None:
         raise InputError(f"unknown diffusion mode {mode!r}")
     if mode == "iterative" and steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
-
-
-def _check_rows(g: Graph, fs: FeatureSet) -> None:
-    if fs.num_nodes != g.num_nodes:
-        raise InputError(f"features have {fs.num_nodes} rows but graph has "
-                         f"{g.num_nodes} nodes")
 
 
 def build_channel_operator(g: Graph, dist_col: np.ndarray, known_col: np.ndarray,
@@ -267,7 +259,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     """
     check_alpha(alpha)
     check_schedule(mode, steps)
-    _check_rows(g, fs)
+    g.check_rows(fs.values)
     spds.check_mask(fs.known)
 
     n, f = fs.values.shape
@@ -276,11 +268,9 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
         out.setflags(write=True)  # FeatureSet hands its arrays out read-only
     except ValueError:  # memory the array does not own and may not write
         out = out.copy()
-    steps_run = steps if mode == "iterative" else 0
     residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
     if n == 0 or f == 0:
-        return ImputeOutcome(values=out, residuals=residuals, steps_run=steps_run,
-                             flagged_channels=[])
+        return ImputeOutcome(values=out, residuals=residuals, flagged_channels=[])
 
     has_source = fs.known.any(axis=0)
     unhealthy = ~has_source | (spds.distances == UNREACHABLE).any(axis=0)
@@ -312,8 +302,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     if explicit.any():
         _diffuse_per_pattern(g, fs, spds, alpha, np.flatnonzero(explicit), out,
                              residuals, steps=steps, mode=mode, nthreads=nthreads)
-    return ImputeOutcome(values=out, residuals=residuals, steps_run=steps_run,
-                         flagged_channels=flagged)
+    return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
 
 
 def _run(fn, items, nthreads: int) -> None:
@@ -428,7 +417,7 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
     its values are let go after the first step."""
     if isinstance(fs, list):
         fs = fs.pop()
-    _check_rows(g, fs)
+    g.check_rows(fs.values)
     op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]
@@ -436,5 +425,4 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
     known, x0 = fs.known, [fs.values]
     del fs
     x, residuals = diffuse_channel(op, x0, known, steps)
-    return ImputeOutcome(values=x, residuals=residuals, steps_run=steps,
-                         flagged_channels=[])
+    return ImputeOutcome(values=x, residuals=residuals, flagged_channels=[])

@@ -61,6 +61,13 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def check_rows(self, matrix: np.ndarray) -> None:
+        """Raise :class:`InputError` unless ``matrix`` is 2-D with one row
+        per node."""
+        if matrix.ndim != 2 or matrix.shape[0] != self.num_nodes:
+            raise InputError(f"matrix shape {matrix.shape} does not match graph "
+                             f"with {self.num_nodes} nodes")
+
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 

@@ -32,7 +32,6 @@ Conventions shared by the library and the command line:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io as _io
 import json
 import sys
@@ -460,8 +459,7 @@ def write_dataset(directory, dataset: SynthDataset) -> None:
     write_matrix(directory / "features.csv", dataset.features)
     _write_integers(directory / "labels.csv",
                     np.asarray(dataset.labels, dtype=np.int64), " ")
-    write_json(directory / "meta.json",
-               {"spec": dataclasses.asdict(dataset.spec), **dataset.meta})
+    write_json(directory / "meta.json", dataset.meta)
 
 
 def load_dataset(directory):

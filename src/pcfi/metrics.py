@@ -8,11 +8,15 @@ from observed information (the largest finite distance-to-source across
 their channels), which exposes how recovery quality decays with
 distance; a Spearman rank correlation between that distance and the
 per-node cosine summarizes the trend in one number.
+
+The report holds scores only: the settings and bookkeeping of the run
+that produced ``imputed`` belong to that run's caller
+(:func:`pcfi.pipeline.run_pipeline` adds them to each method's block).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +81,6 @@ class EvalReport:
     distance_buckets: dict
     spearman_distance_cosine: float | None
     num_unbucketed_nodes: int
-    flagged_channels: list
-    config: dict = field(default_factory=dict)
-    timings: dict | None = None
 
     def to_dict(self, per_node: bool = True) -> dict:
         """JSON-ready dict; ``per_node=False`` drops the length-N
@@ -97,9 +98,6 @@ class EvalReport:
                                  sorted(self.distance_buckets.items())},
             "spearman_distance_cosine": self.spearman_distance_cosine,
             "num_unbucketed_nodes": self.num_unbucketed_nodes,
-            "flagged_channels": list(self.flagged_channels),
-            "config": dict(self.config),
-            "timings": self.timings,
         }
         if per_node:
             out["cosine_per_node"] = [None if np.isnan(v) else float(v)
@@ -132,9 +130,7 @@ def _spearman_sorted(ys: np.ndarray) -> float:
 
 
 def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
-             spds: SpdsMatrix | None = None, *, config: dict | None = None,
-             flagged_channels: list | None = None,
-             timings: dict | None = None) -> EvalReport:
+             spds: SpdsMatrix | None = None) -> EvalReport:
     """Score ``imputed`` against ``truth`` on the entries missing per
     ``known``. Distance buckets and the distance/cosine trend are
     included when ``spds`` is given; it must be 0 exactly at the observed
@@ -202,7 +198,4 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
         distance_buckets=buckets,
         spearman_distance_cosine=spearman,
         num_unbucketed_nodes=unbucketed,
-        flagged_channels=sorted(flagged_channels) if flagged_channels else [],
-        config=dict(config) if config else {},
-        timings=timings,
     )

@@ -14,11 +14,14 @@ Every method returns an ``ImputeOutcome`` (defined in
 diffusion's own outcome, ``pcfi`` the same with stage 2's values.
 
 ``ImputationConfig`` holds every setting of a run and the only defaults;
-it checks each when made, ``alpha`` only for the methods that read it.
+it checks each when made, ``alpha`` only for the methods that read it and
+the schedule that the method runs (``fp`` iterates in either mode).
 
 ``run_pipeline`` masks a fully observed matrix under several seeds,
 runs each requested method, scores recovery against the held-out truth,
-and aggregates across seeds. Wall-clock timings are recorded only when
+and aggregates across seeds. :func:`pcfi.metrics.evaluate` gives the
+scores, and each method's block adds the facts of its run (settings,
+flagged channels, timings). Wall-clock timings are recorded only when
 asked for, so that reports produced with the same inputs are
 byte-identical by default.
 """
@@ -71,6 +74,8 @@ class ImputationConfig:
             check_alpha(self.alpha)
         check_beta(self.beta)
         check_schedule(self.mode, self.steps)
+        if self.method == "fp":  # fp iterates in either mode
+            check_schedule("iterative", self.steps)
         resolve_threads(self.threads)
 
     def summary(self) -> dict:
@@ -94,16 +99,16 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     itself, and ``fp`` lets them go after its first step. Passed directly,
     ``fs`` is left as it is and stage 1 and ``zero`` work on a copy.
     """
+    handed_over = isinstance(fs, list)
+    g.check_rows((fs[0] if handed_over else fs).values)
     if cfg.method == "fp":
         # passed on as given, so that a handed-over set is not held here
         return fp_baseline(g, fs, steps=cfg.steps)
-    handed_over = isinstance(fs, list)
     if handed_over:
         fs = fs.pop()
     if cfg.method == "zero":
         values = fs.values if handed_over else fs.values.copy()
-        return ImputeOutcome(values=values, residuals=None, steps_run=0,
-                             flagged_channels=[])
+        return ImputeOutcome(values=values, residuals=None, flagged_channels=[])
     if spds is None:
         spds = compute_spds(g, fs.known)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
@@ -148,17 +153,16 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
     ``method``; the mask settings, seeds and methods are checked by
     :func:`plan_runs` before any work.
-    Returns a JSON-ready dict: one block per seed with per-method
-    metrics, plus the mean/std over those blocks of each method's overall
-    RMSE, mean cosine and distance-cosine Spearman correlation (seeds
-    where it is None are skipped).
+    Returns a JSON-ready dict: one block per seed with, per method, the
+    :class:`pcfi.metrics.EvalReport` fields (no per-node list) and the
+    run's ``config`` (:meth:`ImputationConfig.summary`),
+    ``flagged_channels`` and ``timings`` (None unless
+    ``collect_timings``), plus the mean/std over those blocks of each
+    method's overall RMSE, mean cosine and distance-cosine Spearman
+    correlation (seeds where it is None are skipped).
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != g.num_nodes:
-        raise InputError(
-            f"feature shape {features.shape} does not match graph with "
-            f"{g.num_nodes} nodes"
-        )
+    g.check_rows(features)
     seeds, configs = plan_runs(cfg, mask_kind, mask_rate, seeds, methods)
     n, f = features.shape
     per_seed = []
@@ -174,13 +178,14 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
             t0 = time.perf_counter()
             outcome = impute(g, fs, method_cfg, spds=spds)
             elapsed = time.perf_counter() - t0
-            report = evaluate(features, outcome.values, known, spds,
-                              config=method_cfg.summary(),
-                              flagged_channels=outcome.flagged_channels,
-                              timings={"impute_seconds": elapsed}
-                              if collect_timings else None)
+            report = evaluate(features, outcome.values, known, spds)
+            block["methods"][method] = {
+                **report.to_dict(per_node=False),
+                "config": method_cfg.summary(),
+                "flagged_channels": outcome.flagged_channels,
+                "timings": {"impute_seconds": elapsed} if collect_timings else None,
+            }
             del outcome  # before the next method makes its own
-            block["methods"][method] = report.to_dict(per_node=False)
         per_seed.append(block)
         del known, fs, spds, report  # before the next seed's are made
 

@@ -25,7 +25,7 @@ versions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class SynthSpec:
     must be >= 0.
     ``largest_component`` restricts the output to the largest connected
     component (labels and features are restricted consistently).
-    ``io.write_dataset`` records every field under ``spec`` in
-    ``meta.json``.
+    :func:`generate` records every field under ``meta["spec"]``.
     """
 
     num_nodes: int = 5000
@@ -90,13 +89,16 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthDataset:
-    """Generated graph, features, labels, and generation metadata."""
+    """Generated graph, features, labels, and generation metadata.
+
+    ``meta`` is what ``io.write_dataset`` writes as ``meta.json``: the
+    spec's fields under ``spec``, then the facts of the generated graph.
+    """
 
     graph: Graph
     features: np.ndarray
     labels: np.ndarray
-    spec: SynthSpec
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -277,7 +279,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     means, means_info = equidistant_means(spec.num_classes, spec.feature_dim, rng)
     features = sample_features(labels, means, spec.gaussian_scale, rng)
 
-    meta = {"num_nodes_generated": spec.num_nodes,
+    meta = {"spec": asdict(spec), "num_nodes_generated": spec.num_nodes,
             "num_edges_generated": int(g.num_edges)}
     meta.update(means_info)
 
@@ -291,5 +293,4 @@ def generate(spec: SynthSpec) -> SynthDataset:
     if g.num_edges > 0:
         meta["class_homophily"] = class_homophily(g, labels)
         meta["feature_homophily"] = feature_homophily(g, features)
-    return SynthDataset(graph=g, features=features, labels=labels,
-                        spec=spec, meta=meta)
+    return SynthDataset(graph=g, features=features, labels=labels, meta=meta)

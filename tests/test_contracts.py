@@ -1,10 +1,11 @@
 """Each input contract has one owner, and every entry point that takes the
-input refuses it with the owner's message: the distance field against
-the mask (``SpdsMatrix.check_mask``), the mask shape
-(``masking.check_mask_shape``), the mask kind, rate and seed
-(``masking.check_mask_settings``), the diffusion schedule (``diffusion.check_schedule``) and the thread
-count (``ImputationConfig``). The command line refuses settings with
-exit code 2 before it reads any file, and writes no output."""
+input refuses it with the owner's message: the row count against the
+graph (``Graph.check_rows``), the distance field against the mask
+(``SpdsMatrix.check_mask``), the mask shape (``masking.check_mask_shape``),
+the mask kind, rate and seed (``masking.check_mask_settings``), the
+diffusion schedule (``diffusion.check_schedule``) and the thread count
+(``ImputationConfig``). The command line refuses settings with exit code 2
+before it reads any file, and writes no output."""
 
 import re
 
@@ -13,7 +14,7 @@ import pytest
 
 from pcfi import (FeatureSet, ImputationConfig, InputError, SpdsMatrix, apply_mask,
                   build_graph, compute_spds, diffuse_channel, evaluate, fp_baseline,
-                  impute_stage1, run_pipeline)
+                  impute, impute_stage1, run_pipeline)
 from pcfi import io as pio
 from pcfi import masking
 from pcfi.cli import build_parser, main
@@ -182,11 +183,12 @@ BAD_MODE = ("magic", 100, "unknown diffusion mode 'magic'")
 NO_STEPS = ("iterative", 0, "steps must be >= 1, got 0")
 
 
-# the pinned loop takes no mode: it always iterates
+# the pinned loop takes no mode: it always iterates, and so does fp
 @pytest.mark.parametrize("entry, mode, steps, message", [
     ("ImputationConfig", *BAD_MODE), ("ImputationConfig", *NO_STEPS),
     ("impute_stage1", *BAD_MODE), ("impute_stage1", *NO_STEPS),
     ("diffuse_channel", *NO_STEPS),
+    ("ImputationConfig-fp", "closed_form", 0, "steps must be >= 1, got 0"),
 ])
 def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
     truth, known = _masked()
@@ -194,6 +196,8 @@ def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
     with pytest.raises(InputError, match=re.escape(message)):
         if entry == "ImputationConfig":
             ImputationConfig(mode=mode, steps=steps)
+        elif entry == "ImputationConfig-fp":
+            ImputationConfig(method="fp", mode=mode, steps=steps)
         elif entry == "impute_stage1":
             impute_stage1(_path(), fs, compute_spds(_path(), known), 0.8,
                           mode=mode, steps=steps)
@@ -201,16 +205,29 @@ def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
             diffuse_channel(_path().self_loop_adjacency(), fs.values, known, steps)
 
 
-@pytest.mark.parametrize("entry", ["impute_stage1", "fp_baseline"])
+@pytest.mark.parametrize("entry", ["impute_stage1", "fp_baseline", "compute_spds",
+                                   "run_pipeline", *(f"impute-{m}" for m in METHODS),
+                                   "impute-zero-handed-over"])
 def test_features_and_graph_of_different_sizes_are_refused_everywhere(entry):
     truth, known = _masked()
     fs = apply_mask(truth, known)
     g = _path(7)
-    with pytest.raises(InputError, match="features have 6 rows but graph has 7 nodes"):
+    with pytest.raises(InputError, match=re.escape(
+            "matrix shape (6, 2) does not match graph with 7 nodes")):
         if entry == "fp_baseline":
             fp_baseline(g, fs)
-        else:
+        elif entry == "impute_stage1":
             impute_stage1(g, fs, compute_spds(_path(), known), 0.8)
+        elif entry == "compute_spds":
+            compute_spds(g, known)
+        elif entry == "run_pipeline":
+            run_pipeline(g, truth, ImputationConfig(), mask_kind="uniform",
+                         mask_rate=0.5, seeds=[0])
+        else:
+            method = entry.split("-")[1]
+            handed_over = entry.endswith("handed-over")
+            impute(g, [fs] if handed_over else fs, ImputationConfig(method=method),
+                   spds=compute_spds(_path(), known))
 
 
 # -- the thread count --------------------------------------------------------
@@ -280,9 +297,17 @@ def test_cli_pipeline_refuses_a_bad_thread_count_for_methods_without_a_pool(
      "mask rate must lie in (0, 1), got 2.0"),
     (["mask", "--type", "uniform", "--rate", "0.5", "--seed", "-1",
       "--features-file", "nope.csv"], "seed must be a non-negative integer, got -1"),
+    # fp iterates whatever the mode
+    (["impute", "--edges", "nope.tsv", "--features", "nope.csv", "--mask",
+      "nope.csv", "--method", "fp", "--mode", "closed_form", "--k", "0"],
+     "steps must be >= 1, got 0"),
+    (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
+      "--methods", "fp", "--mode", "closed_form", "--k", "0"],
+     "steps must be >= 1, got 0"),
 ], ids=["impute-alpha", "impute-threads", "pipeline-seeds", "pipeline-steps",
         "pipeline-alpha", "pipeline-repeated-seed", "pipeline-repeated-method",
-        "pipeline-rate", "mask-rate", "mask-seed"])
+        "pipeline-rate", "mask-rate", "mask-seed", "impute-fp-closed-form",
+        "pipeline-fp-closed-form"])
 def test_cli_refuses_settings_before_reading_a_file(tmp_path, caplog, monkeypatch,
                                                     argv, message):
     monkeypatch.chdir(tmp_path)

@@ -223,7 +223,6 @@ def test_residuals_shrink_with_more_steps():
     r5 = impute_stage1(g, fs, spds, 0.9, steps=5)
     r60 = impute_stage1(g, fs, spds, 0.9, steps=60)
     assert r60.residuals.max() < r5.residuals.max()
-    assert r60.steps_run == 60
 
 
 def test_no_source_channel_strict_raises_lenient_flags():

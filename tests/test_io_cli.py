@@ -832,8 +832,8 @@ def test_cli_eval_accepts_precomputed_distance_field(tmp_path):
                  str(out), "--mask", str(mpath), "--edges", str(epath),
                  "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
-    # no confidence is made, so eval takes no decay base
-    assert json.loads(r1.read_text())["config"] == {}
+    # eval scores only: it reports no run settings, and takes no decay base
+    assert "config" not in json.loads(r1.read_text())
     with pytest.raises(SystemExit) as exc:
         main(["--quiet", "eval", "--truth", str(fpath), "--imputed", str(out),
               "--mask", str(mpath), "--edges", str(epath), "--alpha", "0.5",
@@ -1156,6 +1156,28 @@ def test_cli_stage1_only_method(tmp_path):
     rep = json.loads((tmp_path / "s1.csv.json").read_text())
     assert rep["config"]["method"] == "pcfi_stage1_only"
     assert rep["residuals"] is not None and len(rep["residuals"]) == 3
+
+
+@pytest.mark.parametrize("method, mode", [
+    ("pcfi", "iterative"), ("fp", "iterative"), ("zero", "iterative"),
+    ("pcfi", "closed_form"), ("fp", "closed_form"),
+])
+def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
+    """``steps_run`` is ``--k`` exactly when there are residuals: the
+    closed form and zero run no iteration, and fp iterates in either mode."""
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
+    out = tmp_path / "o.csv"
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                 str(fpath), "--mask", str(mpath), "--method", method,
+                 "--mode", mode, "--k", "7", "--out", str(out)]) == 0
+    rep = json.loads((tmp_path / "o.csv.json").read_text())
+    if method == "fp" or (method == "pcfi" and mode == "iterative"):
+        assert rep["steps_run"] == 7
+        assert len(rep["residuals"]) == 3 and min(rep["residuals"]) >= 0.0
+        assert rep["max_residual"] == max(rep["residuals"])
+    else:
+        assert rep["steps_run"] == 0
+        assert rep["residuals"] is None and rep["max_residual"] is None
 
 
 def test_cli_beta_zero_matches_stage1_only_bytes(tmp_path):

@@ -118,13 +118,11 @@ def test_report_dict_shape():
     truth = np.random.default_rng(0).normal(size=(6, 3))
     known = np.ones((6, 3), dtype=bool)
     known[0, 0] = False
-    rep = evaluate(truth, truth, known, config={"alpha": 0.8},
-                   flagged_channels=[2], timings=None)
+    rep = evaluate(truth, truth, known)
     d = rep.to_dict()
     assert d["schema_version"] == 1
-    assert d["flagged_channels"] == [2]
-    assert d["config"] == {"alpha": 0.8}
-    assert d["timings"] is None
+    # scores only: the run that made the imputation reports its own facts
+    assert not {"config", "flagged_channels", "timings"} & d.keys()
     assert isinstance(d["distance_buckets"], dict)
     # one cosine slot per node: node 0 evaluated, the rest null
     assert len(d["cosine_per_node"]) == 6

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from pcfi import (FeatureSet, ImputationConfig, ImputeOutcome, InputError, apply
                   build_graph, compute_spds, fp_baseline, impute, impute_stage1,
                   propagate_stage2, run_pipeline)
 from pcfi import confidence, diffusion, pipeline
+from pcfi.masking import make_mask
 
 from _oracles import random_connected_edges
 
@@ -34,28 +36,27 @@ def _same(a, b):
 @pytest.mark.parametrize("method", pipeline.METHODS)
 def test_impute_returns_the_stage_outcome_bit_for_bit(method, lenient):
     """``impute`` hands on what the stage functions return: values,
-    residuals, steps and flagged channels, bit for bit."""
+    residuals and flagged channels, bit for bit."""
     g, fs = _instance(lenient)
     cfg = ImputationConfig(method=method, steps=20, lenient_no_source=lenient)
     spds = compute_spds(g, fs.known)
     got = impute(g, fs, cfg, spds=spds)
     assert type(got) is ImputeOutcome
     if method == "zero":
-        want = (fs.values, None, 0, [])
+        want = (fs.values, None, [])
         assert got.values is not fs.values
     elif method == "fp":
         res = fp_baseline(g, fs, steps=cfg.steps)
-        want = (res.values, res.residuals, res.steps_run, res.flagged_channels)
+        want = (res.values, res.residuals, res.flagged_channels)
     else:
         res = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, lenient=lenient)
         values = res.values
         if method == "pcfi":
             values = propagate_stage2(values, spds, cfg.alpha, cfg.beta)
-        want = (values, res.residuals, res.steps_run, res.flagged_channels)
+        want = (values, res.residuals, res.flagged_channels)
     assert _same(got.values, want[0])
     assert _same(got.residuals, want[1])
-    assert got.steps_run == want[2]
-    assert got.flagged_channels == want[3]
+    assert got.flagged_channels == want[2]
     if method in ("pcfi", "pcfi_stage1_only"):
         assert got.flagged_channels == ([2] if lenient else [])
 
@@ -144,6 +145,36 @@ def test_pipeline_reports_every_method_of_an_iterator():
     assert list(rep["aggregates"]) == list(rep["per_seed"][0]["methods"]) == ["pcfi", "fp"]
 
 
+@pytest.mark.parametrize("collect_timings", [False, True])
+def test_pipeline_writes_each_methods_run_facts(collect_timings):
+    """A lenient run on a fragmented graph, not cut to its largest
+    component: each method's block holds its settings, the channels its
+    run flagged (every mask leaves some of the ten isolated nodes
+    missing, so the pcfi methods flag channels; fp and zero flag none)
+    and, when asked for, its time."""
+    rng = np.random.default_rng(5)
+    n, f = 30, 3
+    g = build_graph(random_connected_edges(rng, 20), n)  # 20..29 isolated
+    features = rng.normal(size=(n, f))
+    cfg = ImputationConfig(steps=10, lenient_no_source=True)
+    rep = run_pipeline(g, features, cfg, mask_kind="structural", mask_rate=0.9,
+                       seeds=[0, 1], methods=pipeline.METHODS,
+                       collect_timings=collect_timings)
+    for block in rep["per_seed"]:
+        known = make_mask("structural", n, f, 0.9, block["seed"])
+        for method, got in block["methods"].items():
+            method_cfg = dataclasses.replace(cfg, method=method)
+            assert got["config"] == method_cfg.summary()
+            flagged = impute(g, apply_mask(features, known), method_cfg).flagged_channels
+            assert got["flagged_channels"] == flagged
+            assert (flagged != []) == (method in ("pcfi", "pcfi_stage1_only"))
+            if collect_timings:
+                assert list(got["timings"]) == ["impute_seconds"]
+                assert got["timings"]["impute_seconds"] >= 0.0
+            else:
+                assert got["timings"] is None
+
+
 def _handover_instance(case):
     """Graph, values, mask and settings that send stage 1 down one path:
     fused channels in three column blocks; deep channels on a 400-node
@@ -191,7 +222,6 @@ def test_handed_over_feature_set_gives_the_bits_of_a_copy(method, case, threads)
     assert handed.values is fs.values
     assert _same(handed.values, copied.values)
     assert _same(handed.residuals, copied.residuals)
-    assert handed.steps_run == copied.steps_run
     assert handed.flagged_channels == copied.flagged_channels
     assert handed.flagged_channels == ([3, 5] if case == "lenient" else [])
     assert fs.known.tobytes() == known.tobytes()
