@@ -40,7 +40,6 @@ __all__ = [
     "SpdsMatrix",
     "multi_source_bfs",
     "compute_spds",
-    "pseudo_confidence",
 ]
 
 UNREACHABLE = -1
@@ -173,14 +172,6 @@ def _bfs_block(adj, sources: np.ndarray) -> np.ndarray:
         unreached ^= frontier
     dist[unreached] = UNREACHABLE
     return dist
-
-
-def pseudo_confidence(spds: SpdsMatrix, alpha: float) -> np.ndarray:
-    """``alpha ** S`` elementwise, defined as 0 at unreachable entries."""
-    out = np.empty(spds.distances.shape)
-    for rows, xi in confidence_rows(spds, alpha):
-        out[rows] = xi
-    return out
 
 
 def row_blocks(n: int, f: int):

@@ -22,7 +22,8 @@ the linear-system solution ``x_u = (I - W_uu)^{-1} W_uk x_k``.
 The explicit operator (:func:`build_channel_operator`) is built once per
 distinct missing pattern, in node order, and serves two cases:
 ``mode="closed_form"``, which solves the linear system directly, and
-deep channels (below). It is iterated by :func:`diffuse_channel`, the one
+the corner of the iterative mode where confidences would underflow
+(below). It is iterated by :func:`diffuse_channel`, the one
 pinned loop, which the FP baseline runs as well with its own operator.
 Nodes that reach no source see only other such nodes, all at distance
 ``UNREACHABLE``, so their rows average among themselves and their zeros
@@ -41,9 +42,17 @@ values over their entries; the last step divides by ``(A + I) C``.
 When every channel of a block has the same known set, as under a
 structural mask, ``C`` and ``(A + I) C`` are one column that broadcasts.
 Rows that reach no source have ``C = 0`` and stay exactly 0.
-``alpha ** S`` would underflow on deep nodes, so a channel whose
-``max(S) * ln(1 / alpha)`` exceeds ``MAX_DECAY`` goes through its
-explicit operator instead, whose ratio weights never underflow.
+
+``alpha ** S`` would underflow on deep nodes, so the kernel reads
+``C = alpha ** min(S, K + 1)`` for ``K`` steps, which gives the bits of
+the unclipped ``C``: after ``t`` steps ``Y`` is nonzero only where
+``S <= t``, a final value at ``S <= K`` reads ``C`` only at
+``S <= K + 1``, and a value at ``S > K`` is exactly +0.0 either way.
+The clip is taken in int64, as ``K + 1`` may not fit the field's type.
+Only a channel whose ``min(max(S), K + 1) * ln(1 / alpha)`` exceeds
+``MAX_DECAY`` (at K = 100, any ``alpha`` below about 0.0026 on a channel
+more than 100 hops deep) goes through its explicit operator instead,
+whose ratio weights never underflow.
 
 Channels run in blocks of ``BLOCK_COLUMNS`` columns (explicit operator:
 one block per missing pattern); with ``threads`` N, the calling thread
@@ -90,9 +99,9 @@ __all__ = [
 
 MODES = ("iterative", "closed_form")
 
-# Largest max(S) * ln(1/alpha) the fused kernel takes. alpha ** S then stays
-# above e**-600 (about 1e-261), so C and C * X are normal floats for any
-# |X| above about 1e-47 and lose no precision.
+# Largest min(max(S), K + 1) * ln(1/alpha) the fused kernel takes: C then
+# stays above e**-600 (about 1e-261), so C and C * X are normal floats for
+# any |X| above about 1e-47 and lose no precision.
 MAX_DECAY = 600.0
 # Most unknowns the closed form densifies ``I - W_uu`` for.
 MAX_DENSE_UNKNOWNS = 2000
@@ -287,7 +296,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     if mode == "closed_form":
         explicit = has_source
     else:
-        deep = spds.distances.max(axis=0) * -math.log(alpha) > MAX_DECAY
+        depth = np.minimum(spds.distances.max(axis=0), steps + 1, dtype=np.int64)
+        deep = depth * -math.log(alpha) > MAX_DECAY
         explicit = has_source & deep
         fused = np.flatnonzero(~explicit)
         if fused.size:
@@ -347,7 +357,8 @@ def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
         # one known set for the whole block: one column of confidences
         # broadcasts over every channel
         dist = dist[:, :1]
-    scale = alpha_powers(alpha, dist)
+    # clipped at K + 1 hops in int64, which holds K + 1 for any field type
+    scale = alpha_powers(alpha, np.minimum(dist, steps + 1, dtype=np.int64))
     den = ai @ scale
     # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
     den[scale == 0.0] = np.inf

@@ -15,7 +15,9 @@ diffusion's own outcome, ``pcfi`` the same with stage 2's values.
 
 ``ImputationConfig`` holds every setting of a run and the only defaults;
 it checks each when made, ``alpha`` only for the methods that read it and
-the schedule that the method runs (``fp`` iterates in either mode).
+the schedule only for the methods that run one (``fp`` iterates in either
+mode; ``zero`` runs none, so only its mode's name is checked). Its
+``summary`` reports the mode that ran.
 
 ``run_pipeline`` masks a fully observed matrix under several seeds,
 runs each requested method, scores recovery against the held-out truth,
@@ -73,14 +75,18 @@ class ImputationConfig:
         if self.method in ("pcfi", "pcfi_stage1_only"):
             check_alpha(self.alpha)
         check_beta(self.beta)
-        check_schedule(self.mode, self.steps)
+        # zero runs no schedule, so only the name of its mode is checked
+        check_schedule(self.mode, 1 if self.method == "zero" else self.steps)
         if self.method == "fp":  # fp iterates in either mode
             check_schedule("iterative", self.steps)
         resolve_threads(self.threads)
 
     def summary(self) -> dict:
+        """The settings of the run, with the mode that ran: ``fp``
+        iterates whatever ``mode`` says."""
         return {"method": self.method, "alpha": self.alpha, "beta": self.beta,
-                "steps": self.steps, "mode": self.mode,
+                "steps": self.steps,
+                "mode": "iterative" if self.method == "fp" else self.mode,
                 "lenient_no_source": self.lenient_no_source}
 
 
@@ -200,7 +206,8 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     aggregates = {m: {key: _agg(m, key) for key in
                       ("rmse", "cosine_mean", "spearman_distance_cosine")}
                   for m in configs}
-    settings = {k: v for k, v in cfg.summary().items() if k != "method"}
+    settings = {k: v for k, v in dataclasses.asdict(cfg).items()
+                if k not in ("method", "threads")}
     return {
         "schema_version": PIPELINE_SCHEMA_VERSION,
         "config": {"mask_kind": mask_kind, "mask_rate": mask_rate,

@@ -3,9 +3,7 @@
 Most of what is here is written in the most literal style possible
 (dense matrices, plain Python loops) so it shares no code path with the
 library being tested. The rest keeps earlier versions of library code,
-as first written, that a faster path must reproduce bit for bit; the
-stage-2 oracle reuses the library's channel moments and confidences and
-checks only the mixing.
+as first written, that a faster path must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from collections import deque
 import numpy as np
 from scipy import sparse
 
-from pcfi import InputError, SpdsMatrix, pseudo_confidence
+from pcfi import InputError, SpdsMatrix
 from pcfi.confidence import alpha_powers
 
 INF = float("inf")
@@ -264,7 +262,7 @@ def stage2_bruteforce_oracle(values: np.ndarray, spds: SpdsMatrix, alpha: float,
             f"node-loop reference limited to {max_cells} cells, got {n * f * f}"
         )
     r, means = correlation_reference(values)
-    xi = pseudo_confidence(spds, alpha)
+    xi = pseudo_confidence_reference(spds.distances, alpha)
     out = values.copy()
     for i in range(n):
         b = beta * np.outer(1.0 - xi[i], xi[i]) * r

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from pcfi import (InputError, SpdsMatrix, UNREACHABLE, apply_mask, build_graph,
                   compute_spds, evaluate, impute_stage1, multi_source_bfs,
-                  propagate_stage2, pseudo_confidence, structural_mask,
-                  uniform_mask)
+                  propagate_stage2, structural_mask, uniform_mask)
 
 from pcfi import confidence
 from pcfi import io as pio
-from pcfi.confidence import BLOCK_COLUMNS, confidence_rows, distance_dtype
+from pcfi.confidence import (BLOCK_COLUMNS, alpha_powers, confidence_rows,
+                             distance_dtype)
 
 from _oracles import (compute_spds_channel, floyd_warshall,
                       pseudo_confidence_reference, random_gnp_edges,
@@ -64,9 +64,10 @@ def test_unreachable_in_disconnected_graph():
     assert dist.tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
 
 
+# the pseudo-confidence alpha ** S, as stage 1 and stage 2 read it
+
 def test_pseudo_confidence_values():
-    s = SpdsMatrix(distances=np.array([[0, 1], [2, UNREACHABLE]]))
-    xi = pseudo_confidence(s, 0.5)
+    xi = alpha_powers(0.5, np.array([[0, 1], [2, UNREACHABLE]]))
     assert xi.tolist() == [[1.0, 0.5], [0.25, 0.0]]
 
 
@@ -76,7 +77,7 @@ def test_pseudo_confidence_matches_elementwise_power_bitwise(alpha):
     dist = rng.integers(-1, 2001, size=(300, 40))
     dist[:5] = np.arange(40) * 50  # every depth up to 1950
     dist[5, :3] = [UNREACHABLE, 2000, 0]
-    xi = pseudo_confidence(SpdsMatrix(distances=dist), alpha)
+    xi = alpha_powers(alpha, dist)
     expected = pseudo_confidence_reference(dist, alpha)
     assert xi.dtype == np.float64 and xi.shape == dist.shape
     assert xi.tobytes() == expected.tobytes()
@@ -92,20 +93,19 @@ def test_pseudo_confidence_of_huge_distances_is_bounded(deep):
     """A field may hold any distance >= -1; a power table as long as the
     largest one would not fit in memory."""
     dist = np.array([[0, deep, UNREACHABLE], [3, 1, deep - 1]])
-    xi = pseudo_confidence(SpdsMatrix(distances=dist), 0.9)
+    xi = alpha_powers(0.9, dist)
     assert xi.tobytes() == pseudo_confidence_reference(dist, 0.9).tobytes()
     assert xi.tolist() == [[1.0, 0.0, 0.0], [0.9 ** 3, 0.9, 0.0]]
 
 
 def test_pseudo_confidence_of_empty_and_all_unreachable():
     for dist in (np.zeros((0, 3), np.int64), np.full((4, 2), UNREACHABLE)):
-        xi = pseudo_confidence(SpdsMatrix(distances=dist), 0.5)
+        xi = alpha_powers(0.5, dist)
         assert xi.shape == dist.shape and np.all(xi == 0.0)
 
 
 def test_pseudo_confidence_monotone_in_distance():
-    s = SpdsMatrix(distances=np.arange(12).reshape(12, 1))
-    xi = pseudo_confidence(s, 0.8)[:, 0]
+    xi = alpha_powers(0.8, np.arange(12).reshape(12, 1))[:, 0]
     assert np.all(np.diff(xi) < 0)
     assert xi[0] == 1.0
 
@@ -137,8 +137,7 @@ def test_confidence_makers_reject_alpha_outside_unit_interval(alpha):
     known = np.array([[True], [False], [False]])
     spds = compute_spds(g, known)
     fs = apply_mask(np.ones((3, 1)), known)
-    for make in (lambda: pseudo_confidence(spds, alpha),
-                 lambda: next(confidence_rows(spds, alpha)),
+    for make in (lambda: next(confidence_rows(spds, alpha)),
                  lambda: impute_stage1(g, fs, spds, alpha),
                  lambda: propagate_stage2(np.ones((3, 1)), spds, alpha, 0.0)):
         with pytest.raises(InputError, match="alpha must lie in"):
@@ -204,8 +203,8 @@ def test_narrow_field_matches_its_int64_copy(tmp_path, kind, n, dtype):
     assert narrow.distances.dtype == dtype
     assert narrow.distances.dtype == distance_dtype(int(narrow.distances.max()))
     assert np.any(narrow.distances == UNREACHABLE)
-    assert (pseudo_confidence(narrow, 0.8).tobytes()
-            == pseudo_confidence(wide, 0.8).tobytes())
+    assert (alpha_powers(0.8, narrow.distances).tobytes()
+            == alpha_powers(0.8, wide.distances).tobytes())
 
     truth = rng.normal(size=(n, 40))
     fs = apply_mask(truth, known)

@@ -7,6 +7,7 @@ diffusion schedule (``diffusion.check_schedule``) and the thread count
 (``ImputationConfig``). The command line refuses settings with exit code 2
 before it reads any file, and writes no output."""
 
+import json
 import re
 
 import numpy as np
@@ -183,12 +184,14 @@ BAD_MODE = ("magic", 100, "unknown diffusion mode 'magic'")
 NO_STEPS = ("iterative", 0, "steps must be >= 1, got 0")
 
 
-# the pinned loop takes no mode: it always iterates, and so does fp
+# the pinned loop takes no mode: it always iterates, and so does fp; zero
+# runs no schedule, but its mode must be one
 @pytest.mark.parametrize("entry, mode, steps, message", [
     ("ImputationConfig", *BAD_MODE), ("ImputationConfig", *NO_STEPS),
     ("impute_stage1", *BAD_MODE), ("impute_stage1", *NO_STEPS),
     ("diffuse_channel", *NO_STEPS),
     ("ImputationConfig-fp", "closed_form", 0, "steps must be >= 1, got 0"),
+    ("ImputationConfig-fp", *BAD_MODE), ("ImputationConfig-zero", *BAD_MODE),
 ])
 def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
     truth, known = _masked()
@@ -196,13 +199,31 @@ def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
     with pytest.raises(InputError, match=re.escape(message)):
         if entry == "ImputationConfig":
             ImputationConfig(mode=mode, steps=steps)
-        elif entry == "ImputationConfig-fp":
-            ImputationConfig(method="fp", mode=mode, steps=steps)
+        elif entry.startswith("ImputationConfig-"):
+            ImputationConfig(method=entry.split("-")[1], mode=mode, steps=steps)
         elif entry == "impute_stage1":
             impute_stage1(_path(), fs, compute_spds(_path(), known), 0.8,
                           mode=mode, steps=steps)
         else:
             diffuse_channel(_path().self_loop_adjacency(), fs.values, known, steps)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("steps", [0, -3])
+def test_zero_takes_any_steps(tmp_path, mode, steps):
+    """``zero`` runs no schedule, so no step count is refused for it, in
+    the library or on the command line; its side-car runs no step."""
+    truth, known = _masked()
+    cfg = ImputationConfig(method="zero", mode=mode, steps=steps)
+    assert impute(_path(), apply_mask(truth, known), cfg).residuals is None
+    paths = _write_inputs(tmp_path)
+    out = tmp_path / "zero.csv"
+    assert main(["--quiet", "impute", "--edges", str(paths["edges"]), "--features",
+                 str(paths["truth"]), "--mask", str(paths["mask"]), "--method", "zero",
+                 "--mode", mode, "--k", str(steps), "--out", str(out)]) == 0
+    masked = np.where(known, pio.load_matrix(paths["truth"]), 0.0)
+    assert pio.load_matrix(out).tobytes() == masked.tobytes()
+    assert json.loads((tmp_path / "zero.csv.json").read_text())["steps_run"] == 0
 
 
 @pytest.mark.parametrize("entry", ["impute_stage1", "fp_baseline", "compute_spds",

@@ -120,10 +120,13 @@ def test_iterative_matches_dense_oracle_iteration(seed):
         assert abs(res.residuals[d] - np.max(np.abs(ref - prev))) < 1e-12
 
 
-def test_deep_channels_do_not_underflow():
-    """alpha ** S underflows past S = 307 at alpha 0.1. A channel that
-    deep must still match the explicit iteration, alongside a shallow
-    channel in the same call."""
+def test_deep_channels_do_not_underflow(operator_builds):
+    """alpha ** S underflows past S = 307 at alpha 0.1. K steps read no
+    confidence beyond K + 1 hops, so a channel that deep runs the fused
+    kernel with S clipped there while (K + 1) ln(1 / alpha) stays within
+    MAX_DECAY, and its explicit operator past that. Either way it must
+    match the explicit iteration, alongside a shallow channel in the same
+    call."""
     n = 400
     edges = _path_edges(n)
     g = build_graph(edges, n)
@@ -134,6 +137,7 @@ def test_deep_channels_do_not_underflow():
     fs = apply_mask(rng.normal(size=(n, 2)), known)
     spds = compute_spds(g, known)
     res = impute_stage1(g, fs, spds, 0.1, steps=600)
+    assert len(operator_builds) == 1  # the deep channel; 399 ln 10 > MAX_DECAY
     assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
     for d in range(2):
         w = dense_pinned_operator(n, edges, spds.distances[:, d], known[:, d], 0.1)
@@ -144,30 +148,108 @@ def test_deep_channels_do_not_underflow():
     g = build_graph(_path_edges(n), n)
     known = np.zeros((n, 1), dtype=bool)
     known[0] = True
-    fs = apply_mask(np.ones((n, 1)), known)
-    res = impute_stage1(g, fs, compute_spds(g, known), 0.1, steps=100)
-    assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
+    fs = apply_mask(rng.normal(size=(n, 1)), known)
+    spds = compute_spds(g, known)
+    op = build_channel_operator(g, spds.distances[:, 0], known[:, 0], 0.1)
+    explicit, _ = diffuse_channel(op, fs.values, known, 100)
+    # 101 ln 10 is within MAX_DECAY, so the fused kernel runs, clipped at
+    # 101 hops; 101 ln 1000 is not, so the explicit operator runs
+    for alpha, builds in ((0.1, 0), (0.001, 1)):
+        operator_builds.clear()
+        res = impute_stage1(g, fs, spds, alpha, steps=100)
+        assert len(operator_builds) == builds
+        assert np.isfinite(res.values).all() and np.isfinite(res.residuals).all()
+        assert np.all(res.values[spds.distances[:, 0] > 100] == 0.0)
+        if alpha == 0.1:
+            assert np.max(np.abs(res.values - explicit)) < 1e-12
+
+
+def _path_instance(n, sources, seed):
+    """A path of ``n`` nodes with one channel per list of ``sources``."""
+    g = build_graph(_path_edges(n), n)
+    known = np.zeros((n, len(sources)), dtype=bool)
+    for d, nodes in enumerate(sources):
+        known[nodes, d] = True
+    fs = apply_mask(np.random.default_rng(seed).normal(size=known.shape), known)
+    return g, fs, compute_spds(g, known)
+
+
+def test_clipped_confidences_keep_the_bits_of_the_unclipped_kernel(operator_builds):
+    """On a 2000-node path at alpha 0.8 every channel is within MAX_DECAY
+    unclipped, and three are deeper than K + 1 = 101 hops, so the clip is
+    active: stage 1 gives the bits of the kernel that reads every
+    ``alpha ** S``. A clip at K hops would change the last values that K
+    steps reach."""
+    sources = [[0], [0, 1999], [1000], list(range(0, 2000, 150))]
+    g, fs, spds = _path_instance(2000, sources, 50)
+    depth = spds.distances.max(axis=0)
+    assert (depth * -np.log(0.8) <= diffusion.MAX_DECAY).all()
+    assert (depth[:3] > 101).all() and depth[3] <= 101
+    res = impute_stage1(g, fs, spds, 0.8, steps=100)
+    assert operator_builds == []
+    want = fused_block_reference(g.self_loop_adjacency(), fs, spds, 0.8,
+                                 np.arange(fs.num_channels), 100)
+    assert res.values.tobytes() == want[0].tobytes()
+    assert res.residuals.tobytes() == want[1].tobytes()
+
+
+def test_a_channel_too_deep_unclipped_runs_fused_outside_the_corner(operator_builds):
+    """299+ hops at alpha 0.1 is past MAX_DECAY unclipped, but 31 hops is
+    not: 30 steps run on the fused kernel, match the dense iteration, and
+    leave every entry more than 30 hops from a source at +0.0."""
+    g, fs, spds = _path_instance(400, [[0], [5], [0, 100]], 51)
+    depth = spds.distances.max(axis=0)
+    assert (depth * -np.log(0.1) > diffusion.MAX_DECAY).all()
+    assert 31 * -np.log(0.1) <= diffusion.MAX_DECAY
+    res = impute_stage1(g, fs, spds, 0.1, steps=30)
+    assert operator_builds == []
+    edges = _path_edges(400)
+    for d in range(fs.num_channels):
+        w = dense_pinned_operator(400, edges, spds.distances[:, d], fs.known[:, d], 0.1)
+        ref = iterate_dense(w, fs.values[:, d], 30)
+        assert np.max(np.abs(res.values[:, d] - ref)) < 1e-12
+    far = res.values[spds.distances > 30]
+    assert far.size and not far.view(np.uint64).any()
+
+
+def test_more_steps_than_an_int8_field_holds():
+    """K + 1 = 201 does not fit the int8 field of a 120-node path: stage 1
+    runs, with the bits of the kernel that reads every ``alpha ** S``, and
+    of an int64 copy of the field."""
+    g, fs, spds = _path_instance(120, [[0], [60], [0, 119], [7, 30, 90]], 52)
+    assert spds.distances.dtype == np.int8
+    res = impute_stage1(g, fs, spds, 0.8, steps=200)
+    want = fused_block_reference(g.self_loop_adjacency(), fs, spds, 0.8,
+                                 np.arange(fs.num_channels), 200)
+    wide = impute_stage1(g, fs, SpdsMatrix(distances=spds.distances.astype(np.int64)),
+                         0.8, steps=200)
+    for got in (res, wide):
+        assert got.values.tobytes() == want[0].tobytes()
+        assert got.residuals.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.filterwarnings("error")
-def test_sourceless_component_stays_zero_without_warnings():
+def test_sourceless_component_stays_zero_without_warnings(operator_builds):
     """Rows that reach no source would divide 0 by 0; they must come out
     exactly 0, and the rest must equal a run without that component. The
-    fused kernel, deep channels and the closed form each get a case."""
+    fused kernel (shallow channels, and deep ones clipped at K + 1 hops),
+    the explicit operator and the closed form each get a case."""
     rng = np.random.default_rng(9)
     n, m = 30, 8
     edges = random_connected_edges(rng, n)
     shallow = uniform_mask(n, MULTI_BLOCK, 0.5, seed=9)
-    # channels 0 and 1 are deep at alpha 0.1 (two missing patterns);
-    # channel 2 is shallow and runs in the fused kernel alongside
+    # channels 0 and 1 are 290+ hops deep (two missing patterns): fused at
+    # alpha 0.1, explicit at 1e-9, where 31 ln(1e9) > MAX_DECAY; channel 2
+    # is shallow and runs in the fused kernel alongside
     deep = np.zeros((300, 3), dtype=bool)
     deep[0, :2] = True
     deep[5, 1] = True
     deep[::10, 2] = True
-    cases = [(edges, shallow, 0.7, {"steps": 30}),
-             (_path_edges(300), deep, 0.1, {"steps": 30}),
-             (edges, shallow, 0.7, {"mode": "closed_form"})]
-    for main_edges, main_known, alpha, kw in cases:
+    cases = [(edges, shallow, 0.7, {"steps": 30}, 0),
+             (_path_edges(300), deep, 0.1, {"steps": 30}, 0),
+             (_path_edges(300), deep, 1e-9, {"steps": 30}, 2),
+             (edges, shallow, 0.7, {"mode": "closed_form"}, None)]
+    for main_edges, main_known, alpha, kw, builds in cases:
         n, f = main_known.shape
         island = np.column_stack([np.arange(n, n + m - 1), np.arange(n + 1, n + m)])
         g = build_graph(np.concatenate([main_edges, island]), n + m)
@@ -175,11 +257,9 @@ def test_sourceless_component_stays_zero_without_warnings():
         known[:n] = main_known
         fs = apply_mask(rng.normal(size=(n + m, f)), known)
         spds = compute_spds(g, known)
-        if alpha == 0.1:
-            depth = spds.distances.max(axis=0) * -np.log(alpha)
-            assert (depth[:2] > diffusion.MAX_DECAY).all()
-            assert depth[2] < diffusion.MAX_DECAY
+        operator_builds.clear()
         res = impute_stage1(g, fs, spds, alpha, lenient=True, threads=2, **kw)
+        assert builds is None or len(operator_builds) == builds
         assert res.flagged_channels == list(range(f))
         assert np.all(res.values[n:] == 0.0)
         if res.residuals is not None:
@@ -200,19 +280,26 @@ def test_closed_form_is_iteration_fixed_point(seed):
     assert np.max(np.abs(once[:, 0] - res.values[:, 0])) < 1e-10
 
 
-def test_known_entries_survive_bit_identical():
+def test_known_entries_survive_bit_identical(operator_builds):
     g, fs, spds, _ = _instance(12, n=35)
     it = impute_stage1(g, fs, spds, 0.8, steps=50)
     cf = impute_stage1(g, fs, spds, 0.8, mode="closed_form")
-    # a deep channel, on the explicit operator, with an observed -0.0
+    # a deep channel with an observed -0.0: fused and clipped at 51 hops at
+    # alpha 0.1, on the explicit operator at 1e-6 (51 ln(1e6) > MAX_DECAY)
     n = 400
     path = build_graph(_path_edges(n), n)
     known = np.zeros((n, 1), dtype=bool)
     known[:2] = True
     deep = apply_mask(np.array([[-0.0], [1.0]] + [[0.0]] * (n - 2)), known)
-    dp = impute_stage1(path, deep, compute_spds(path, known), 0.1, steps=50)
+    deep_spds = compute_spds(path, known)
+    operator_builds.clear()
+    clipped = impute_stage1(path, deep, deep_spds, 0.1, steps=50)
+    assert operator_builds == []
+    explicit = impute_stage1(path, deep, deep_spds, 1e-6, steps=50)
+    assert len(operator_builds) == 1
     # == would accept -0.0 vs 0.0; require identical bit patterns
-    for out, given in ((it.values, fs), (cf.values, fs), (dp.values, deep)):
+    for out, given in ((it.values, fs), (cf.values, fs), (clipped.values, deep),
+                       (explicit.values, deep)):
         a = out[given.known].view(np.uint64)
         b = given.values[given.known].view(np.uint64)
         assert np.array_equal(a, b)
@@ -277,23 +364,28 @@ def test_grouped_channels_equal_individual_runs_bitwise():
         assert rd.residuals[0] == full.residuals[d]
 
 
-def test_thread_count_does_not_change_bits():
+def test_thread_count_does_not_change_bits(operator_builds):
     """The fused kernel (a pool task per column block) under a uniform and
-    a structural mask, and the explicit operator of deep channels (a task
-    per missing pattern)."""
-    fused = (*_instance(22, n=60, f=MULTI_BLOCK)[:3], 0.8)
+    a structural mask and on deep channels clipped at K + 1 hops, and the
+    explicit operator of deep channels past MAX_DECAY (a task per missing
+    pattern)."""
+    fused = (*_instance(22, n=60, f=MULTI_BLOCK)[:3], 0.8, 0)
     n = 400
     path = build_graph(_path_edges(n), n)
     known = np.zeros((n, 12), dtype=bool)
     for d in range(12):
         known[(d % 4) * 3, d] = True  # four patterns, each 390+ hops deep
     deep_spds = compute_spds(path, known)
-    assert (deep_spds.distances.max(axis=0) * -np.log(0.1) > diffusion.MAX_DECAY).all()
-    deep = (path, apply_mask(np.random.default_rng(22).normal(size=(n, 12)), known),
-            deep_spds, 0.1)
-    structural = (*_instance(23, n=60, f=MULTI_BLOCK, kind="structural")[:3], 0.8)
-    for g, fs, spds, alpha in (fused, structural, deep):
+    deep_fs = apply_mask(np.random.default_rng(22).normal(size=(n, 12)), known)
+    # 31 ln 10 is within MAX_DECAY and 31 ln(1e9) is not
+    clipped = (path, deep_fs, deep_spds, 0.1, 0)
+    deep = (path, deep_fs, deep_spds, 1e-9, 4)
+    structural = (*_instance(23, n=60, f=MULTI_BLOCK, kind="structural")[:3], 0.8, 0)
+    for g, fs, spds, alpha, builds in (fused, structural, clipped, deep):
+        operator_builds.clear()
         seq = impute_stage1(g, fs, spds, alpha, steps=30, threads=1)
+        assert len(operator_builds) == builds
+        assert np.isfinite(seq.values).all()
         for threads in (2, 3, 4):
             par = impute_stage1(g, fs, spds, alpha, steps=30, threads=threads)
             assert np.array_equal(seq.values.view(np.uint64),

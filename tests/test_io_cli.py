@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcfi import InputError, SynthSpec, build_graph, generate
+from pcfi import (ImputationConfig, InputError, SpdsMatrix, SynthSpec, apply_mask,
+                  build_graph, compute_spds, generate, impute)
 from pcfi import cli, confidence, propagation
 from pcfi import io as pio
 from pcfi import pipeline
@@ -1164,13 +1165,15 @@ def test_cli_stage1_only_method(tmp_path):
 ])
 def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
     """``steps_run`` is ``--k`` exactly when there are residuals: the
-    closed form and zero run no iteration, and fp iterates in either mode."""
+    closed form and zero run no iteration, and fp iterates in either mode,
+    which its ``config`` records."""
     epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
     out = tmp_path / "o.csv"
     assert main(["--quiet", "impute", "--edges", str(epath), "--features",
                  str(fpath), "--mask", str(mpath), "--method", method,
                  "--mode", mode, "--k", "7", "--out", str(out)]) == 0
     rep = json.loads((tmp_path / "o.csv.json").read_text())
+    assert rep["config"]["mode"] == ("iterative" if method == "fp" else mode)
     if method == "fp" or (method == "pcfi" and mode == "iterative"):
         assert rep["steps_run"] == 7
         assert len(rep["residuals"]) == 3 and min(rep["residuals"]) >= 0.0
@@ -1178,6 +1181,27 @@ def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
     else:
         assert rep["steps_run"] == 0
         assert rep["residuals"] is None and rep["max_residual"] is None
+
+
+def test_cli_runs_more_steps_than_an_int8_field_holds(tmp_path):
+    """K + 1 = 201 does not fit the int8 distance field of a 40-node graph:
+    ``--k 200`` runs, and writes the bits of a run on an int64 copy of
+    the field."""
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=9)
+    out, spds_out = tmp_path / "k200.csv", tmp_path / "spds.csv"
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features", str(fpath),
+                 "--mask", str(mpath), "--k", "200", "--out", str(out),
+                 "--spds-out", str(spds_out)]) == 0
+    known = pio.load_mask(mpath)
+    g = build_graph(pio.load_edges(epath), known.shape[0])
+    assert compute_spds(g, known).distances.dtype == np.int8
+    wide = SpdsMatrix(distances=pio.load_spds(spds_out).astype(np.int64))
+    fs = apply_mask(pio.load_matrix(fpath), known)
+    want = impute(g, fs, ImputationConfig(steps=200), spds=wide)
+    expected = tmp_path / "expected.csv"
+    pio.write_matrix(expected, want.values)
+    assert out.read_bytes() == expected.read_bytes()
+    assert json.loads((tmp_path / "k200.csv.json").read_text())["steps_run"] == 200
 
 
 def test_cli_beta_zero_matches_stage1_only_bytes(tmp_path):

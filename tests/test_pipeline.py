@@ -175,21 +175,40 @@ def test_pipeline_writes_each_methods_run_facts(collect_timings):
                 assert got["timings"] is None
 
 
+def test_pipeline_records_the_mode_each_method_ran():
+    """Under ``mode="closed_form"`` the pcfi methods solve and ``fp``
+    iterates: each method's ``config`` records the mode that ran, and the
+    report's ``config`` the mode that was asked for."""
+    rng = np.random.default_rng(6)
+    g = build_graph(random_connected_edges(rng, 30), 30)
+    cfg = ImputationConfig(steps=10, mode="closed_form")
+    rep = run_pipeline(g, rng.normal(size=(30, 3)), cfg, mask_kind="uniform",
+                       mask_rate=0.5, seeds=[0], methods=pipeline.METHODS)
+    assert rep["config"]["mode"] == "closed_form"
+    ran = {m: block["config"]["mode"]
+           for m, block in rep["per_seed"][0]["methods"].items()}
+    assert ran == {"pcfi": "closed_form", "pcfi_stage1_only": "closed_form",
+                   "fp": "iterative", "zero": "closed_form"}
+
+
 def _handover_instance(case):
     """Graph, values, mask and settings that send stage 1 down one path:
     fused channels in three column blocks; deep channels on a 400-node
-    path, which take the explicit operator beside shallow fused ones; the
-    closed form; and a lenient run on two components, with one channel
+    path beside shallow fused ones, which run fused with their hops
+    clipped at K + 1 at alpha 0.1 ("clipped") and take the explicit
+    operator at 1e-13, where 21 ln(1e13) > MAX_DECAY ("deep"); the closed
+    form; and a lenient run on two components, with one channel
     unreachable in the smaller one and one with no observed entry."""
     rng = np.random.default_rng(31)
-    if case == "deep":
+    if case in ("clipped", "deep"):
         n, f = 400, 12
         g = build_graph([(i, i + 1) for i in range(n - 1)], n)
         known = np.zeros((n, f), dtype=bool)
         for d in range(8):
             known[(d % 4) * 3, d] = True  # four patterns, 390+ hops deep
         known[::10, 8:] = True
-        return g, rng.normal(size=(n, f)), known, {"alpha": 0.1}
+        return g, rng.normal(size=(n, f)), known, {"alpha": 0.1 if case == "clipped"
+                                                   else 1e-13}
     n, f = 60, 70 if case == "fused" else 40
     g = build_graph(random_connected_edges(rng, n), n)
     known = rng.random((n, f)) < 0.5
@@ -207,9 +226,10 @@ def _handover_instance(case):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("case", ["fused", "deep", "closed_form", "lenient"])
+@pytest.mark.parametrize("case", ["fused", "clipped", "deep", "closed_form", "lenient"])
 @pytest.mark.parametrize("method", ["pcfi", "pcfi_stage1_only"])
-def test_handed_over_feature_set_gives_the_bits_of_a_copy(method, case, threads):
+def test_handed_over_feature_set_gives_the_bits_of_a_copy(method, case, threads,
+                                                          operator_builds):
     """Handed over in a list, the masked values are overwritten by stage 1
     and then by stage 2, and the outcome holds that same array, with the
     bits, residuals and flags of a run on a copy; the mask is kept."""
@@ -217,6 +237,7 @@ def test_handed_over_feature_set_gives_the_bits_of_a_copy(method, case, threads)
     cfg = ImputationConfig(method=method, steps=20, threads=threads, **settings)
     spds = compute_spds(g, known)
     copied = impute(g, apply_mask(values, known), cfg, spds=spds)
+    assert bool(operator_builds) == (case in ("deep", "closed_form"))
     fs = apply_mask(values, known)
     handed = impute(g, [fs], cfg, spds=spds)
     assert handed.values is fs.values
