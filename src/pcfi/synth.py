@@ -16,10 +16,12 @@ off-diagonal entries at one tenth of that, so channels are genuinely
 correlated and the inter-channel propagation stage has signal to use.
 
 All randomness flows through one PCG64 stream in a fixed draw order
-(label shuffle, edges, means pool if needed, noise), so a seed pins the
-dataset exactly. Normal deviates are produced by applying the inverse
-normal CDF to uniforms, which keeps streams reproducible across library
-versions.
+(label shuffle, within-class edges, between-class edges, means pool if
+needed, noise), so a seed pins the dataset exactly. Edges cost
+O(nodes + classes + edges): :func:`sbm_edges` draws the gaps between
+edges, not one uniform per node pair. Normal deviates are produced by
+applying the inverse normal CDF to uniforms, which keeps streams
+reproducible across library versions.
 """
 
 from __future__ import annotations
@@ -106,9 +108,11 @@ def _normals(rng: np.random.Generator, shape) -> np.ndarray:
     # dataset generation needs it
     from scipy.special import ndtri
 
-    # inverse-CDF transform; clip so a uniform of exactly 0 cannot hit -inf
+    # inverse-CDF transform, in place; clip so a uniform of exactly 0
+    # cannot hit -inf
     u = rng.random(shape)
-    return ndtri(np.clip(u, 1e-300, None))
+    np.clip(u, 1e-300, None, out=u)
+    return ndtri(u, out=u)
 
 
 def generate_labels(num_nodes: int, num_classes: int,
@@ -119,27 +123,67 @@ def generate_labels(num_nodes: int, num_classes: int,
     return base[order]
 
 
+def _bernoulli_positions(total: int, p: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in ``range(total)``, each kept independently with
+    probability ``p``.
+
+    The gaps between kept positions are geometric, so they are drawn
+    directly, in batches sized to cover the rest of the range with high
+    probability (one batch, nearly always)."""
+    found = []
+    last = -1  # the last position drawn
+    while p > 0.0 and last < total - 1:
+        expect = (total - 1 - last) * p
+        gaps = rng.geometric(p, int(expect + 4.0 * np.sqrt(expect)) + 16)
+        # a gap past the end ends the draw; capping it just past the end
+        # (from any start >= -1) keeps the sum in int64
+        np.minimum(gaps, total + 1, out=gaps)
+        pos = last + np.cumsum(gaps)
+        found.append(pos[:np.searchsorted(pos, total)])
+        last = pos[-1]
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def _block_cells(rows: np.ndarray, cols: np.ndarray, p: float,
+                 rng: np.random.Generator):
+    """Cells of the blocks ``rows[k] x cols[k]``, laid end to end in one
+    index space, each kept with probability ``p``: returns the block, row
+    and column of every kept cell."""
+    offsets = np.concatenate([[0], np.cumsum(rows * cols)])
+    pos = _bernoulli_positions(int(offsets[-1]), p, rng)
+    block = np.searchsorted(offsets, pos, side="right") - 1
+    row, col = np.divmod(pos - offsets[block], cols[block])
+    return block, row, col
+
+
 def sbm_edges(labels: np.ndarray, intra_p: float, inter_p: float,
               rng: np.random.Generator) -> np.ndarray:
-    """Sample undirected edges pair-by-row: each pair (i, j), i < j, is an
-    edge with probability ``intra_p`` if labels match, else ``inter_p``."""
+    """Sample undirected edges: each pair (i, j), i < j, is an edge with
+    probability ``intra_p`` if labels match, else ``inter_p``,
+    independently of every other pair.
+
+    Time and memory are O(nodes + classes + edges). The nodes are grouped
+    by class (ascending node order within each), and each tier's pairs are
+    laid out as blocks in one index space whose kept cells are drawn by
+    geometric gaps: first every class's ``n_c x n_c`` square at
+    ``intra_p`` (keeping row < column, so at most twice the pairs), then
+    one rectangle per class, its nodes by the nodes of all later classes,
+    at ``inter_p``. Returns int64 ``(E, 2)`` rows with i < j, sorted."""
     n = labels.size
-    # a draw at or above the larger probability is an edge for no label
-    # pair, so only the few below it are compared with their own p
-    p_max = max(intra_p, inter_p)
-    chunks = []
-    for i in range(n - 1):
-        draws = rng.random(n - 1 - i)
-        near = np.flatnonzero(draws < p_max)
-        j = near + i + 1
-        p = np.where(labels[j] == labels[i], intra_p, inter_p)
-        hits = j[draws[near] < p]
-        if hits.size:
-            chunks.append(np.column_stack([np.full(hits.size, i, dtype=np.int64),
-                                           hits]))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.unique(labels, return_counts=True)[1]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    block, x, y = _block_cells(sizes, sizes, intra_p, rng)
+    keep = x < y
+    first = starts[block[keep]]
+    intra_i, intra_j = order[first + x[keep]], order[first + y[keep]]
+    block, x, y = _block_cells(sizes, n - ends, inter_p, rng)
+    a, b = order[starts[block] + x], order[ends[block] + y]
+    keys = np.sort(np.concatenate([intra_i * n + intra_j,
+                                   np.minimum(a, b) * n + np.maximum(a, b)]))
+    return np.column_stack(np.divmod(keys, n))
 
 
 def _helmert_rows(c: int) -> np.ndarray:
@@ -211,8 +255,9 @@ def sample_features(labels: np.ndarray, means: np.ndarray, scale: float,
     f = means.shape[1]
     cov = scale * scale * (0.9 * np.eye(f) + 0.1 * np.ones((f, f)))
     chol = np.linalg.cholesky(cov) if scale > 0 else np.zeros((f, f))
-    z = _normals(rng, (n, f))
-    return means[labels] + z @ chol.T
+    features = _normals(rng, (n, f)) @ chol.T
+    features += means[labels]
+    return features
 
 
 def class_homophily(g: Graph, labels: np.ndarray) -> float:
@@ -234,13 +279,14 @@ def feature_homophily(g: Graph, features: np.ndarray) -> float:
     edges = g.edge_array()
     if edges.shape[0] == 0:
         raise InputError("feature homophily undefined on a graph with no edges")
+    norms = np.linalg.norm(features, axis=1)
     cos = []
     for start in range(0, edges.shape[0], _EDGE_CHUNK):
         chunk = edges[start:start + _EDGE_CHUNK]
         a = features[chunk[:, 0]]
         b = features[chunk[:, 1]]
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
+        na = norms[chunk[:, 0]]
+        nb = norms[chunk[:, 1]]
         ok = (na > 0) & (nb > 0)
         cos.append(np.sum(a * b, axis=1)[ok] / (na[ok] * nb[ok]))
     cos = np.concatenate(cos)

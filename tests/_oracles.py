@@ -139,8 +139,10 @@ def random_gnp_edges(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
 
 def sbm_edges_reference(labels: np.ndarray, intra_p: float, inter_p: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """Edge sampling as first written: one probability per remaining pair
-    of each row, compared with that row's draws."""
+    """The stochastic block model by its definition: one Bernoulli draw per
+    pair (i, j), i < j, at ``intra_p`` if the labels match, else
+    ``inter_p``. Its draws differ from ``synth.sbm_edges``', so the two
+    agree in distribution, not in bytes."""
     n = labels.size
     chunks = []
     for i in range(n - 1):

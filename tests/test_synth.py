@@ -25,20 +25,136 @@ def test_generation_is_deterministic():
     assert not np.array_equal(a.features, c.features)
 
 
+def _tier_pairs(labels: np.ndarray):
+    """Every pair (i, j), i < j, split into within- and between-class."""
+    i, j = np.triu_indices(labels.size, 1)
+    same = labels[i] == labels[j]
+    pairs = np.column_stack([i, j]).astype(np.int64)
+    return pairs[same], pairs[~same]
+
+
+def _check_structure(edges: np.ndarray, n: int):
+    assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert np.all((edges >= 0) & (edges < n))
+    keys = edges[:, 0] * n + edges[:, 1]
+    assert np.all(np.diff(keys) > 0)  # rows strictly increasing by (i, j)
+
+
+def _within_sd(count: int, pairs: int, p: float, sds: float = 5.0) -> bool:
+    return abs(count - pairs * p) <= sds * np.sqrt(pairs * p * (1 - p))
+
+
 @pytest.mark.parametrize("intra, inter", [(0.05, 0.004), (0.004, 0.05),
                                           (0.0, 0.03), (0.03, 0.0), (0.0, 0.0),
                                           (1.0, 0.01), (0.01, 1.0)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sbm_edges_match_reference_loop(intra, inter, seed):
+    # the sampler and the one-draw-per-pair loop consume the stream
+    # differently, so they agree in law: a tier at p = 0 or 1 gives the
+    # same pairs in both, and each random tier's count lies within 5 sd of
+    # its binomial mean in both
     labels = generate_labels(150, 4, np.random.Generator(np.random.PCG64(seed)))
-    rng = np.random.Generator(np.random.PCG64(seed + 10))
-    ref_rng = np.random.Generator(np.random.PCG64(seed + 10))
+    tiers = _tier_pairs(labels)
+    for sample in (sbm_edges, sbm_edges_reference):
+        edges = sample(labels, intra, inter,
+                       np.random.Generator(np.random.PCG64(seed + 10)))
+        _check_structure(edges, labels.size)
+        same = labels[edges[:, 0]] == labels[edges[:, 1]]
+        for got, pairs, p in zip((edges[same], edges[~same]), tiers, (intra, inter)):
+            if p in (0.0, 1.0):
+                assert np.array_equal(got, pairs if p else pairs[:0])
+            else:
+                assert _within_sd(len(got), len(pairs), p)
+
+
+@pytest.mark.parametrize("sample", [sbm_edges, sbm_edges_reference],
+                         ids=["sbm_edges", "reference"])
+def test_sbm_pair_frequencies_match_their_probabilities(sample):
+    # unsorted, non-contiguous, negative labels; 2400 seeds, so each of the
+    # 66 pairs' frequency has a binomial sd of 1 % at most
+    labels = np.array([5, -1, 2, 2, 5, -1, 5, 2, -1, -1, 2, 5])
+    n, seeds, intra, inter = labels.size, 2400, 0.6, 0.15
+    counts = np.zeros((n, n), dtype=np.int64)
+    for seed in range(seeds):
+        edges = sample(labels, intra, inter, np.random.Generator(np.random.PCG64(seed)))
+        _check_structure(edges, n)
+        counts[edges[:, 0], edges[:, 1]] += 1
+    assert not np.tril(counts).any()
+    i, j = np.triu_indices(n, 1)
+    p = np.where(labels[i] == labels[j], intra, inter)
+    sd = np.sqrt(seeds * p * (1 - p))
+    assert np.all(np.abs(counts[i, j] - seeds * p) <= 5 * sd)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sbm_tier_counts_at_20000_nodes(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = generate_labels(20000, 7, rng)
+    intra, inter = 0.0007, 0.00003
     edges = sbm_edges(labels, intra, inter, rng)
-    expected = sbm_edges_reference(labels, intra, inter, ref_rng)
-    assert edges.dtype == expected.dtype == np.int64
-    assert np.array_equal(edges, expected)
-    # same draws, so the stream continues where the reference leaves it
-    assert rng.random() == ref_rng.random()
+    _check_structure(edges, labels.size)
+    sizes = np.bincount(labels)
+    intra_pairs = int((sizes * (sizes - 1) // 2).sum())
+    inter_pairs = labels.size * (labels.size - 1) // 2 - intra_pairs
+    same = labels[edges[:, 0]] == labels[edges[:, 1]]
+    assert _within_sd(int(same.sum()), intra_pairs, intra)
+    assert _within_sd(int((~same).sum()), inter_pairs, inter)
+
+
+@pytest.mark.parametrize("labels", [[5, -1, 2, 2, 5, -1, 5, 2, -1], [3, 3, 3, 3],
+                                    [0, 1], [7]], ids=["3-classes", "1-class",
+                                                       "2-singletons", "1-node"])
+def test_sbm_edges_at_certain_probabilities(labels):
+    labels = np.array(labels)
+    intra_pairs, inter_pairs = _tier_pairs(labels)
+    every = np.concatenate([intra_pairs, inter_pairs])
+    every = every[np.lexsort((every[:, 1], every[:, 0]))]
+    for (intra, inter), want in [((0.0, 0.0), every[:0]), ((1.0, 0.0), intra_pairs),
+                                 ((0.0, 1.0), inter_pairs), ((1.0, 1.0), every)]:
+        edges = sbm_edges(labels, intra, inter, np.random.Generator(np.random.PCG64(0)))
+        _check_structure(edges, labels.size)
+        assert np.array_equal(edges, want), (intra, inter)
+
+
+class _GapsOfThree:
+    """Stands in for the generator: every geometric gap is 3, far shorter
+    than ``p`` implies, so each batch falls short of the range's end."""
+
+    def geometric(self, p, size):
+        return np.full(size, 3, dtype=np.int64)
+
+
+def test_bernoulli_positions_continue_after_a_short_batch():
+    # a real stream needs a second batch with probability far below 1e-9,
+    # so the continuation is driven by a stand-in
+    assert np.array_equal(synth._bernoulli_positions(1000, 0.01, _GapsOfThree()),
+                          np.arange(2, 1000, 3))
+    # a first gap past the end keeps nothing, the last position included,
+    # and the cap on such gaps keeps their sum from wrapping
+    rng = np.random.Generator(np.random.PCG64(0))
+    assert synth._bernoulli_positions(10**15, 1e-300, rng).size == 0
+
+
+GOLDEN_EDGES_40 = [
+    [0, 23], [1, 26], [2, 16], [4, 12], [4, 18], [4, 22], [5, 7], [6, 39],
+    [7, 11], [7, 20], [7, 38], [8, 28], [8, 34], [9, 19], [9, 20], [9, 30],
+    [12, 15], [12, 25], [12, 39], [13, 25], [14, 16], [14, 30], [14, 31],
+    [15, 26], [15, 29], [16, 20], [18, 35], [20, 32], [22, 36], [24, 34],
+    [25, 31], [26, 32], [26, 37], [28, 34], [29, 36], [31, 34], [32, 35],
+    [36, 39],
+]
+GOLDEN_NEXT_UNIFORM = 0.9126219336408856
+
+
+def test_sbm_edges_draw_order_is_pinned():
+    # a golden of the draw order: a change to how edges consume the stream
+    # changes every generated dataset, and must fail here on purpose
+    rng = np.random.Generator(np.random.PCG64(0))
+    labels = generate_labels(40, 3, rng)
+    edges = sbm_edges(labels, 0.15, 0.02, rng)
+    assert edges.tolist() == GOLDEN_EDGES_40
+    assert rng.random() == GOLDEN_NEXT_UNIFORM
 
 
 def test_labels_balanced():
