@@ -154,10 +154,11 @@ def cmd_synth(args) -> int:
                      largest_component=not args.keep_all_components)
     dataset = generate(spec)
     pio.write_dataset(args.out, dataset)
+    homophily = dataset.meta["class_homophily"]
     log.info("wrote dataset with %d nodes / %d edges to %s "
-             "(class homophily %.3f)", dataset.graph.num_nodes,
+             "(class homophily %s)", dataset.graph.num_nodes,
              dataset.graph.num_edges, args.out,
-             dataset.meta.get("class_homophily", float("nan")))
+             "n/a" if homophily is None else f"{homophily:.3f}")
     return EXIT_OK
 
 

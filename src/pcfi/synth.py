@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .confidence import row_blocks
 from .errors import InputError
 from .graph import Graph, build_graph, extract_largest_component
 from .masking import check_seed
@@ -42,8 +43,6 @@ __all__ = [
     "generate_labels",
     "sbm_edges",
     "equidistant_means",
-    "class_homophily",
-    "feature_homophily",
 ]
 
 
@@ -208,7 +207,8 @@ def equidistant_means(num_classes: int, feature_dim: int,
     of a regular simplex with unit pairwise distance (exact). Otherwise
     a greedy farthest-point pass over a random unit-sphere pool
     maximizes the minimum pairwise distance, and the result is rescaled
-    so that minimum is 1.
+    so that minimum is 1; :class:`InputError` if the pool cannot supply
+    ``num_classes`` distinct points.
 
     Returns ``(means, info)`` where ``info`` records the construction
     and the achieved min/max pairwise distance.
@@ -237,6 +237,11 @@ def equidistant_means(num_classes: int, feature_dim: int,
     means = pool[chosen]
     diff = means[:, None, :] - means[None, :, :]
     pair = np.linalg.norm(diff, axis=2)[np.triu_indices(c, 1)]
+    if pair.min() == 0.0:
+        # the pool ran out of distinct points: a 1-D pool has two, and
+        # more classes than pool vectors must repeat one
+        raise InputError(f"cannot place {c} distinct class means in "
+                         f"{f} dimension(s)")
     means = means / pair.min()
     pair = pair / pair.min()
     info = {"means_kind": "maxmin",
@@ -260,40 +265,26 @@ def sample_features(labels: np.ndarray, means: np.ndarray, scale: float,
     return features
 
 
-def class_homophily(g: Graph, labels: np.ndarray) -> float:
-    """Fraction of edges joining same-class endpoints."""
+def _homophily(g: Graph, labels: np.ndarray, features: np.ndarray):
+    """``(class homophily, feature homophily)`` of ``g``: the fraction of
+    edges joining same-class endpoints, and the mean cosine similarity of
+    endpoint features over the edges whose endpoints both have a nonzero
+    norm. A fact no edge defines is ``None``."""
     edges = g.edge_array()
     if edges.shape[0] == 0:
-        raise InputError("class homophily undefined on a graph with no edges")
-    return float(np.mean(labels[edges[:, 0]] == labels[edges[:, 1]]))
-
-
-# feature_homophily gathers the endpoint rows of this many edges at a time,
-# so it never holds an E x F copy of the features
-_EDGE_CHUNK = 512
-
-
-def feature_homophily(g: Graph, features: np.ndarray) -> float:
-    """Mean cosine similarity across edges; zero-norm endpoints are
-    skipped (error if every edge is skipped or there are no edges)."""
-    edges = g.edge_array()
-    if edges.shape[0] == 0:
-        raise InputError("feature homophily undefined on a graph with no edges")
+        return None, None
+    a, b = edges[:, 0], edges[:, 1]
+    same = float(np.mean(labels[a] == labels[b]))
     norms = np.linalg.norm(features, axis=1)
-    cos = []
-    for start in range(0, edges.shape[0], _EDGE_CHUNK):
-        chunk = edges[start:start + _EDGE_CHUNK]
-        a = features[chunk[:, 0]]
-        b = features[chunk[:, 1]]
-        na = norms[chunk[:, 0]]
-        nb = norms[chunk[:, 1]]
-        ok = (na > 0) & (nb > 0)
-        cos.append(np.sum(a * b, axis=1)[ok] / (na[ok] * nb[ok]))
-    cos = np.concatenate(cos)
-    if cos.size == 0:
-        raise InputError("feature homophily undefined: all edge endpoints have "
-                         "zero-norm features")
-    return float(cos.mean())
+    ok = (norms[a] > 0) & (norms[b] > 0)
+    a, b = a[ok], b[ok]
+    if a.size == 0:
+        return same, None
+    cos = np.empty(a.size)
+    for rows in row_blocks(a.size, features.shape[1]):
+        cos[rows] = np.sum(features[a[rows]] * features[b[rows]], axis=1)
+    cos /= norms[a] * norms[b]
+    return same, float(cos.mean())
 
 
 def _warn_fragmentation(spec: SynthSpec) -> None:
@@ -336,7 +327,6 @@ def generate(spec: SynthSpec) -> SynthDataset:
 
     meta["num_nodes"] = g.num_nodes
     meta["num_edges"] = int(g.num_edges)
-    if g.num_edges > 0:
-        meta["class_homophily"] = class_homophily(g, labels)
-        meta["feature_homophily"] = feature_homophily(g, features)
+    meta["class_homophily"], meta["feature_homophily"] = _homophily(
+        g, labels, features)
     return SynthDataset(graph=g, features=features, labels=labels, meta=meta)

@@ -676,6 +676,21 @@ def test_cli_impute_counts_ignored_values(tmp_path, caplog):
     assert f"ignoring values at {expected} masked entries" in caplog.text
 
 
+def test_cli_impute_refuses_nan_at_a_masked_entry(tmp_path, caplog):
+    """Masked values are parsed before they are ignored, so they must be
+    finite too."""
+    epath, fpath, mpath = tmp_path / "e.tsv", tmp_path / "f.csv", tmp_path / "m.csv"
+    epath.write_text("0\t1\n1\t2\n")
+    fpath.write_text("1,2\nnan,3\n4,5\n")
+    mpath.write_text("1,1\n0,1\n1,1\n")  # the nan is masked
+    out = tmp_path / "o.csv"
+    with caplog.at_level("ERROR", logger="pcfi"):
+        assert main(["impute", "--edges", str(epath), "--features", str(fpath),
+                     "--mask", str(mpath), "--out", str(out)]) == 2
+    assert f"matrix {fpath} contains non-finite entries" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["pcfi", "pcfi_stage1_only"])
 def test_cli_impute_carries_one_matrix_from_load_to_write(tmp_path, monkeypatch,
                                                           method):

@@ -1,13 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from _oracles import (feature_homophily_reference, random_gnp_edges,
                       sbm_edges_reference)
-from pcfi import (InputError, SynthSpec, build_graph, class_homophily,
-                  connected_components, equidistant_means, feature_homophily,
-                  generate, generate_labels, sbm_edges, synth)
+from pcfi import (InputError, SynthSpec, build_graph, confidence,
+                  connected_components, equidistant_means, generate,
+                  generate_labels, sbm_edges, synth)
+from pcfi.cli import main
 from pcfi.io import write_dataset
 
 
@@ -282,37 +284,101 @@ def test_spec_refuses_a_negative_seed():
 
 
 def test_homophily_helpers_validate():
-    from pcfi import build_graph
+    """A fact that no edge defines is None: both facts on an edgeless
+    graph, the feature fact when every endpoint has a zero norm."""
     g = build_graph([], 3)
-    with pytest.raises(InputError, match="no edges"):
-        class_homophily(g, np.zeros(3, dtype=np.int64))
+    assert synth._homophily(g, np.zeros(3, dtype=np.int64),
+                            np.ones((3, 2))) == (None, None)
     g2 = build_graph([[0, 1]], 2)
-    with pytest.raises(InputError, match="zero-norm"):
-        feature_homophily(g2, np.zeros((2, 2)))
+    assert synth._homophily(g2, np.array([0, 1]), np.zeros((2, 2))) == (0.0, None)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 @pytest.mark.parametrize("seed", range(4))
 def test_feature_homophily_matches_unchunked_oracle(monkeypatch, chunk, seed):
+    """Row blocks of ``chunk`` edges (the block size set to ``chunk`` rows
+    of F values) give the unchunked oracle's float."""
     rng = np.random.default_rng(seed)
-    n, f = 90, 1 + 13 * seed
+    n, f = 120, 1 + 13 * seed
     edges = random_gnp_edges(rng, n, 0.15)
-    if edges.shape[0] % 7 == 0:
-        edges = edges[:-1]  # leave a short last chunk
-    g = build_graph(edges, n)
-    assert g.num_edges % 7 and g.num_edges % 512 and g.num_edges > 512
     features = rng.normal(size=(n, f)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
-    features[rng.random(n) < 0.2] = 0.0  # zero-norm rows are skipped
-    monkeypatch.setattr(synth, "_EDGE_CHUNK", chunk)
-    assert feature_homophily(g, features) == feature_homophily_reference(g, features)
+    zero = rng.random(n) < 0.2
+    features[zero] = 0.0  # edges with a zero-norm endpoint are dropped
+    while np.count_nonzero(~zero[edges].any(axis=1)) % 7 == 0:
+        edges = edges[:-1]  # leave a short last block
+    kept = np.count_nonzero(~zero[edges].any(axis=1))
+    assert kept % 512 and kept > 512 and kept < edges.shape[0]
+    g = build_graph(edges, n)
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", chunk * f)
+    labels = np.zeros(n, dtype=np.int64)
+    got = synth._homophily(g, labels, features)[1]
+    assert got == feature_homophily_reference(g, features)
+
+
+@pytest.mark.parametrize("num_edges", [100, 700])
+def test_homophily_over_row_blocks_matches_an_explicit_edge_list(num_edges):
+    """At F = 2000 a row block holds 131 edges: of 100 edges one block
+    holds every kept edge, of 700 the kept edges span several."""
+    rng = np.random.default_rng(num_edges)
+    n, f = 80, 2000
+    assert confidence.ROW_BLOCK_VALUES // f == 131
+    pairs = np.sort(rng.integers(0, n, size=(3 * num_edges, 2)), axis=1)
+    pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+    pairs = pairs[rng.permutation(pairs.shape[0])[:num_edges]]  # i < j
+    labels = rng.integers(0, 3, size=n)
+    features = rng.normal(size=(n, f))
+    zero = rng.random(n) < 0.2
+    features[zero] = 0.0
+    kept = np.count_nonzero(~zero[pairs].any(axis=1))
+    assert 0 < kept < num_edges and (kept > 131) == (num_edges > 131)
+    g = build_graph(pairs, n)
+    same, cos = synth._homophily(g, labels, features)
+    assert same == np.mean(labels[pairs[:, 0]] == labels[pairs[:, 1]])
+    assert cos == feature_homophily_reference(g, features)
 
 
 def test_feature_homophily_all_zero_norm_error_matches_oracle():
+    """Where the oracle finds the feature fact undefined, it is None."""
     g = build_graph(np.array([[0, 1], [1, 2], [2, 3]]), 4)
     features = np.zeros((4, 3))
     features[[0, 2], 0] = 1.0  # every edge has one zero-norm endpoint
-    with pytest.raises(InputError) as want:
+    with pytest.raises(InputError, match="zero-norm"):
         feature_homophily_reference(g, features)
-    with pytest.raises(InputError) as got:
-        feature_homophily(g, features)
-    assert str(got.value) == str(want.value)
+    assert synth._homophily(g, np.array([0, 0, 1, 1]), features) == (2 / 3, None)
+
+
+def test_undefined_facts_are_written_as_null(tmp_path, caplog):
+    """One class without noise: every feature is zero, so the feature fact
+    is undefined; an edgeless graph leaves both facts undefined."""
+    one, edgeless = tmp_path / "one", tmp_path / "edgeless"
+    assert main(["--quiet", "synth", "--num-nodes", "50", "--num-classes", "1",
+                 "--feature-dim", "3", "--intra", "0.2", "--inter", "0",
+                 "--gaussian-scale", "0", "--out", str(one)]) == 0
+    meta = json.loads((one / "meta.json").read_text())
+    assert meta["num_edges"] > 0
+    assert meta["class_homophily"] == 1.0 and meta["feature_homophily"] is None
+    with pytest.warns(UserWarning, match="fragmented"), \
+            caplog.at_level("INFO", logger="pcfi"):
+        assert main(["synth", "--num-nodes", "30", "--num-classes", "3",
+                     "--intra", "0", "--inter", "0", "--keep-all-components",
+                     "--out", str(edgeless)]) == 0
+    assert "0 edges" in caplog.text and "(class homophily n/a)" in caplog.text
+    meta = json.loads((edgeless / "meta.json").read_text())
+    assert meta["class_homophily"] is None and meta["feature_homophily"] is None
+
+
+@pytest.mark.parametrize("nodes,classes,dim", [(60, 3, 1), (2000, 600, 5)])
+def test_cli_synth_refuses_class_means_that_cannot_be_distinct(tmp_path, caplog,
+                                                               nodes, classes,
+                                                               dim):
+    """A 1-D pool holds two distinct unit vectors, and 600 classes exhaust
+    the 512-vector pool."""
+    out = tmp_path / "data"
+    with warnings.catch_warnings(), caplog.at_level("ERROR", logger="pcfi"):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["synth", "--num-nodes", str(nodes), "--num-classes",
+                     str(classes), "--feature-dim", str(dim), "--intra", "0.1",
+                     "--inter", "0.01", "--out", str(out)]) == 2
+    assert f"cannot place {classes} distinct class means in {dim} dimension(s)" \
+        in caplog.text
+    assert not out.exists()
