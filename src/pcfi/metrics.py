@@ -105,15 +105,6 @@ class EvalReport:
         return out
 
 
-def _row_cosines(a: np.ndarray, b: np.ndarray):
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    ok = (na > 0) & (nb > 0)
-    cos = np.full(a.shape[0], np.nan)
-    cos[ok] = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
-    return cos, ok
-
-
 def _spearman_sorted(ys: np.ndarray) -> float:
     """Spearman correlation of ``ys`` against its position order, for
     keys that are already distinct and sorted: the Pearson correlation
@@ -135,27 +126,45 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
     ``known``. Distance buckets and the distance/cosine trend are
     included when ``spds`` is given; it must be 0 exactly at the observed
     entries (:meth:`SpdsMatrix.check_mask`)."""
-    truth = np.asarray(truth, dtype=np.float64)
-    imputed = np.asarray(imputed, dtype=np.float64)
+    # C order: a reduction's summation order, and so its bits, follow the
+    # layout; only inputs in another layout are copied
+    truth = np.ascontiguousarray(truth, dtype=np.float64)
+    imputed = np.ascontiguousarray(imputed, dtype=np.float64)
     known = np.asarray(known, dtype=bool)
     check_shapes(truth, imputed, known)
     if spds is not None:
         spds.check_mask(known)
     n, f = truth.shape
     missing = ~known
-    overall = rmse(truth, imputed, missing) if missing.any() else None
 
+    # the one N x F buffer: squared errors, then row products
+    buf = truth - imputed
+    buf *= buf
+    # the same squares in the same order as rmse(truth, imputed, missing)
+    overall = float(np.sqrt(np.mean(buf[missing]))) if missing.any() else None
     per_channel = np.full(f, np.nan)
     counts = missing.sum(axis=0)
-    sq = truth - imputed
-    sq *= sq
-    sq[known] = 0.0
-    sq = sq.sum(axis=0)
+    buf[known] = 0.0
+    col_sq = buf.sum(axis=0)
     has = counts > 0
-    per_channel[has] = np.sqrt(sq[has] / counts[has])
+    per_channel[has] = np.sqrt(col_sq[has] / counts[has])
 
-    eval_nodes = np.flatnonzero(missing.any(axis=1))
-    cosines, ok = _row_cosines(truth[eval_nodes], imputed[eval_nodes])
+    # Row norms and dot products, each summed along a C-contiguous row as
+    # np.linalg.norm and np.sum do. Only rows with a missing entry are
+    # multiplied; every other row is fully known and so holds zeros.
+    eval_rows = missing.any(axis=1)
+    eval_nodes = np.flatnonzero(eval_rows)
+    where = eval_rows[:, None]
+    np.multiply(truth, truth, out=buf, where=where)
+    na = np.sqrt(buf.sum(axis=1)[eval_nodes])
+    np.multiply(imputed, imputed, out=buf, where=where)
+    nb = np.sqrt(buf.sum(axis=1)[eval_nodes])
+    np.multiply(truth, imputed, out=buf, where=where)
+    dots = buf.sum(axis=1)[eval_nodes]
+    del buf
+    ok = (na > 0) & (nb > 0)
+    cosines = np.full(eval_nodes.size, np.nan)
+    cosines[ok] = dots[ok] / (na[ok] * nb[ok])
     skipped = int(eval_nodes.size - ok.sum())
     cosine_mean = float(np.nanmean(cosines)) if ok.any() else None
     cosine_per_node = np.full(n, np.nan)

@@ -14,7 +14,8 @@ import numpy as np
 from scipy import sparse
 
 from pcfi import InputError, SpdsMatrix
-from pcfi.confidence import alpha_powers
+from pcfi.confidence import UNREACHABLE, alpha_powers
+from pcfi.metrics import EvalReport, _spearman_sorted, check_shapes, rmse
 
 INF = float("inf")
 
@@ -400,3 +401,88 @@ def fused_block_reference(ai, fs, spds: SpdsMatrix, alpha: float,
     x = unscale(ai @ y, den, pinned, values)
     prev -= x
     return x, np.abs(prev, out=prev).max(axis=0)
+
+
+def _row_cosines_reference(a: np.ndarray, b: np.ndarray):
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    ok = (na > 0) & (nb > 0)
+    cos = np.full(a.shape[0], np.nan)
+    cos[ok] = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
+    return cos, ok
+
+
+def evaluate_reference(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
+                       spds: SpdsMatrix | None = None) -> EvalReport:
+    """``pcfi.metrics.evaluate`` as first written, before it scored through
+    one N x F buffer: gathered row copies for the cosines, and inputs taken
+    in whatever memory layout they come.
+
+    Score ``imputed`` against ``truth`` on the entries missing per
+    ``known``. Distance buckets and the distance/cosine trend are
+    included when ``spds`` is given; it must be 0 exactly at the observed
+    entries (:meth:`SpdsMatrix.check_mask`)."""
+    truth = np.asarray(truth, dtype=np.float64)
+    imputed = np.asarray(imputed, dtype=np.float64)
+    known = np.asarray(known, dtype=bool)
+    check_shapes(truth, imputed, known)
+    if spds is not None:
+        spds.check_mask(known)
+    n, f = truth.shape
+    missing = ~known
+    overall = rmse(truth, imputed, missing) if missing.any() else None
+
+    per_channel = np.full(f, np.nan)
+    counts = missing.sum(axis=0)
+    sq = truth - imputed
+    sq *= sq
+    sq[known] = 0.0
+    sq = sq.sum(axis=0)
+    has = counts > 0
+    per_channel[has] = np.sqrt(sq[has] / counts[has])
+
+    eval_nodes = np.flatnonzero(missing.any(axis=1))
+    cosines, ok = _row_cosines_reference(truth[eval_nodes], imputed[eval_nodes])
+    skipped = int(eval_nodes.size - ok.sum())
+    cosine_mean = float(np.nanmean(cosines)) if ok.any() else None
+    cosine_per_node = np.full(n, np.nan)
+    cosine_per_node[eval_nodes] = cosines
+
+    buckets: dict[int, dict] = {}
+    spearman = None
+    unbucketed = 0
+    if spds is not None and eval_nodes.size:
+        dist = spds.distances[eval_nodes]
+        finite = dist != UNREACHABLE
+        keyable = finite.any(axis=1)
+        unbucketed = int((~keyable).sum())
+        keys = np.where(finite, dist, -1).max(axis=1)
+        for k in np.unique(keys[keyable]):
+            sel = keyable & (keys == k)
+            node_ids = eval_nodes[sel]
+            sub_missing = missing[node_ids]
+            bucket_cos = cosines[sel]
+            buckets[int(k)] = {
+                "count": int(sel.sum()),
+                "cosine_mean": (float(np.nanmean(bucket_cos))
+                                if np.isfinite(bucket_cos).any() else None),
+                "rmse": (rmse(truth[node_ids], imputed[node_ids], sub_missing)
+                         if sub_missing.any() else None),
+            }
+        ys = np.array([v["cosine_mean"] for _, v in sorted(buckets.items())
+                       if v["cosine_mean"] is not None])
+        # rank correlation is undefined when every bucket cosine ties
+        if ys.size >= 2 and ys.max() > ys.min():
+            spearman = _spearman_sorted(ys)
+
+    return EvalReport(
+        rmse=overall,
+        rmse_per_channel=per_channel,
+        cosine_mean=cosine_mean,
+        cosine_per_node=cosine_per_node,
+        num_eval_nodes=int(eval_nodes.size),
+        num_skipped_zero_norm=skipped,
+        distance_buckets=buckets,
+        spearman_distance_cosine=spearman,
+        num_unbucketed_nodes=unbucketed,
+    )

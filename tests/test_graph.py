@@ -1,3 +1,7 @@
+import logging
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,21 +62,90 @@ def test_graph_arrays_are_read_only():
         g.indices[0] = 5
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_components_match_reachability_oracle(seed):
+def _random_case(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
-    edges = random_gnp_edges(rng, n, 0.06)
+    return n, random_gnp_edges(rng, n, 0.06)
+
+
+COMPONENT_CASES = {
+    **{str(seed): _random_case(seed) for seed in range(8)},
+    "no-nodes": (0, []),
+    "one-node": (1, []),
+    # isolated nodes before, between and after the edges
+    "isolated": (9, [[1, 2], [2, 4], [6, 7]]),
+    # 23 components: 20 pairs listed last to first, two isolated nodes and
+    # a three-node path
+    "many": (45, [[2 * i + 1, 2 * i] for i in range(20)][::-1]
+             + [[44, 42], [43, 44]]),
+}
+
+
+@pytest.mark.parametrize("case", COMPONENT_CASES.values(), ids=COMPONENT_CASES.keys())
+def test_components_match_reachability_oracle(case):
+    n, edges = case
     g = build_graph(edges, n)
     comps = connected_components(g)
     ref = components_reference(floyd_warshall(n, edges))
     # same partition and identical discovery-order numbering
     assert np.array_equal(comps.labels, ref)
-    assert comps.num_components == ref.max() + 1
+    assert comps.num_components == (ref.max() + 1 if n else 0)
+    if n == 0:
+        assert comps.largest_id == -1
+        return
     sizes = comps.sizes()
     assert sizes[comps.largest_id] == sizes.max()
     # ties resolve to the smallest component id
     assert not np.any(sizes[:comps.largest_id] == sizes.max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_components_match_csgraph(data):
+    from scipy.sparse import csgraph
+
+    n, edges = data.draw(_edge_lists(max_nodes=60))
+    g = build_graph(edges, n)
+    comps = connected_components(g)
+    count, labels = csgraph.connected_components(g.adjacency(), directed=False)
+    assert np.array_equal(comps.labels, labels)
+    assert comps.num_components == count
+    assert comps.largest_id == (int(np.bincount(labels).argmax()) if n else -1)
+
+
+def _chain(order):
+    return np.column_stack([order[:-1], order[1:]])
+
+
+def _ladder(n):
+    """Two rails of ``n // 2`` nodes (even and odd ids) joined by rungs."""
+    even = np.arange(0, n, 2)
+    return np.concatenate([_chain(even), _chain(even + 1),
+                           np.column_stack([even, even + 1])])
+
+
+ROUND_SHAPES = {
+    "path": lambda n, rng: _chain(np.arange(n)),
+    "shuffled-path": lambda n, rng: _chain(rng.permutation(n)),
+    "cycle": lambda n, rng: _chain(np.r_[np.arange(n), 0]),
+    "binary-tree": lambda n, rng: np.column_stack([np.arange(1, n),
+                                                   (np.arange(1, n) - 1) // 2]),
+    "ladder": lambda n, rng: _ladder(n),
+}
+
+
+@pytest.mark.parametrize("shape", ROUND_SHAPES.values(), ids=ROUND_SHAPES.keys())
+def test_components_take_about_log2_n_rounds(shape, caplog):
+    """Hooking each node's parent, not only the node, is what halves the
+    longest chain every round; without it a shuffled path takes thousands
+    of rounds."""
+    n = 20_000
+    g = build_graph(shape(n, np.random.default_rng(0)), n)
+    with caplog.at_level(logging.DEBUG, logger="pcfi.graph"):
+        comps = connected_components(g)
+    assert comps.num_components == 1 and not comps.labels.any()
+    rounds = int(re.search(r"in (\d+) rounds", caplog.messages[-1]).group(1))
+    assert rounds <= math.ceil(math.log2(n)) + 4
 
 
 def test_induced_subgraph_keeps_internal_edges_only():

@@ -1,33 +1,68 @@
-"""Start-up cost guard: the command line must not load scipy modules
-that no subcommand uses. Checked by module name, not by seconds, so the
-test does not depend on machine speed. And the package namespace: it is
-built from the ``__all__`` of its layer modules."""
+"""Start-up cost guard: the command line, and its runs, must not load
+scipy modules that they do not use. Checked by module name, not by
+seconds, so the test does not depend on machine speed. And the package
+namespace: it is built from the ``__all__`` of its layer modules."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pcfi
+from pcfi import SynthSpec, generate
+from pcfi.io import write_dataset
 
 # scipy.stats costs about 0.9 s to import; scipy.sparse.linalg (pulled
-# in by scipy.sparse.csgraph) and scipy.special (used only by synth) about
-# 0.1 s each; scipy.linalg (its BLAS wrappers) about 0.08 s and 6.5 MB,
-# which stage 2's numpy-only Gram matrix does without
+# in by scipy.sparse.csgraph, which graph.connected_components does
+# without) and scipy.special (used only by synth) about 0.1 s each;
+# scipy.linalg (its BLAS wrappers) about 0.08 s and 6.5 MB, which stage
+# 2's numpy-only Gram matrix does without
 HEAVY = ("scipy.stats", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
-def test_cli_import_skips_heavy_scipy_modules():
+def _heavy_loaded_after(code: str) -> list[str]:
+    """The HEAVY modules loaded once ``code`` has run in a new interpreter."""
     src = str(Path(pcfi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, pcfi.cli; "
-            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    code += f"; print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def _cli_run(*argv: str) -> str:
+    return f"import sys; from pcfi.cli import main; assert main({list(argv)!r}) == 0"
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    assert _heavy_loaded_after("import sys, pcfi.cli") == []
+
+
+def test_pipeline_run_with_largest_component_skips_heavy_scipy_modules(tmp_path):
+    spec = SynthSpec(num_nodes=300, num_classes=3, feature_dim=4, intra_edge_prob=0.01,
+                     inter_edge_prob=0.001, seed=0, largest_component=False)
+    write_dataset(tmp_path, generate(spec))
+    loaded = _heavy_loaded_after(_cli_run(
+        "--quiet", "pipeline", "--dataset", str(tmp_path), "--mask-type", "uniform",
+        "--rate", "0.5", "--out", str(tmp_path / "report.json")))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["num_nodes"] < spec.num_nodes  # the component step cut the graph
+    assert loaded == []
+
+
+def test_synth_run_with_largest_component_skips_linalg(tmp_path):
+    out = tmp_path / "data"
+    loaded = _heavy_loaded_after(_cli_run(
+        "--quiet", "synth", "--num-nodes", "300", "--num-classes", "3", "--feature-dim",
+        "4", "--intra", "0.01", "--inter", "0.001", "--seed", "0", "--out", str(out)))
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["num_components_generated"] > 1
+    # synth draws with scipy.special; it needs no linear algebra
+    assert "scipy.sparse.linalg" not in loaded and "scipy.linalg" not in loaded
 
 
 LAYERS = ("confidence", "diffusion", "errors", "graph", "masking", "metrics",

@@ -1,9 +1,17 @@
+import dataclasses
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from pcfi import InputError, SpdsMatrix, evaluate, rmse
+from pcfi import (EvalReport, InputError, SpdsMatrix, build_graph, compute_spds,
+                  evaluate, rmse)
+from pcfi.masking import make_mask
 from pcfi.metrics import _spearman_sorted
+
+from _oracles import evaluate_reference
 
 
 def test_rmse_hand_value():
@@ -163,3 +171,89 @@ def test_spearman_matches_scipy_on_random_tied_buckets():
         assert _spearman_sorted(ys) == pytest.approx(expected, abs=1e-12)
         checked += 1
     assert checked > 200
+
+
+def _scoring_case(kind, f, seed, n=3000, rate=0.6):
+    """Truth, an imputation that keeps the observed entries, the mask and
+    the distance field on a sparse random graph (some nodes unreachable).
+    Some evaluated rows have zero norm in the truth, some in the
+    imputation."""
+    rng = np.random.default_rng(seed)
+    g = build_graph(rng.integers(0, n, size=(3 * n // 2, 2)), n)
+    known = make_mask(kind, n, f, rate, seed)
+    truth = rng.normal(size=(n, f))
+    eval_nodes = np.flatnonzero((~known).any(axis=1))
+    truth[eval_nodes[:5]] = 0.0
+    blank = eval_nodes[5:10]
+    truth[blank] *= ~known[blank]
+    imputed = np.where(known, truth, truth + 0.5 * rng.normal(size=(n, f)))
+    imputed[blank] = 0.0
+    return truth, imputed, known, compute_spds(g, known)
+
+
+def _assert_same_report(got, want):
+    """Every field equal; arrays bit for bit, so NaN matches NaN."""
+    for field in dataclasses.fields(EvalReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("with_spds", [False, True], ids=["no-spds", "spds"])
+@pytest.mark.parametrize("f", [4, 16])
+@pytest.mark.parametrize("kind", ["structural", "uniform"])
+def test_evaluate_matches_first_written_oracle(kind, f, with_spds):
+    """Above 8 channels a row sum's bits depend on its summation order,
+    so F = 16 checks that norms and dots are summed as np.linalg.norm
+    and np.sum sum them."""
+    truth, imputed, known, spds = _scoring_case(kind, f, seed=f)
+    spds = spds if with_spds else None
+    report = evaluate(truth, imputed, known, spds)
+    assert report.num_skipped_zero_norm == 10
+    _assert_same_report(report, evaluate_reference(truth, imputed, known, spds))
+
+
+def test_evaluate_without_missing_entries_matches_oracle():
+    truth, imputed, known, spds = _scoring_case("uniform", 4, seed=0, n=50)
+    known[:] = True
+    spds = SpdsMatrix(np.zeros_like(spds.distances))
+    for field in (None, spds):
+        _assert_same_report(evaluate(truth, truth, known, field),
+                            evaluate_reference(truth, truth, known, field))
+
+
+def test_evaluate_scores_do_not_depend_on_memory_layout():
+    truth, imputed, known, spds = _scoring_case("uniform", 16, seed=3)
+    _assert_same_report(
+        evaluate(np.asfortranarray(truth), np.asfortranarray(imputed), known, spds),
+        evaluate(truth, imputed, known, spds))
+
+
+def test_evaluate_holds_about_two_n_by_f_arrays():
+    """Peak traced memory of one call, in N x F float64 arrays: one
+    squared-error/product buffer plus the missing entries' squares (the
+    first-written scoring held 4.0)."""
+    truth, imputed, known, spds = _scoring_case("structural", 16, seed=0,
+                                                n=18_000, rate=0.9)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(truth, imputed, known, spds)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / truth.nbytes <= 2.2
+
+
+def test_huge_values_in_a_fully_observed_row_raise_no_warning():
+    """Only rows with a missing entry are squared: 1e200 squared overflows."""
+    truth, imputed, known, _ = _scoring_case("uniform", 4, seed=1, n=200)
+    known[0] = True
+    truth[0] = imputed[0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate(truth, imputed, known)
+    assert np.isnan(report.cosine_per_node[0]) and np.isfinite(report.rmse)
