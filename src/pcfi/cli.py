@@ -46,6 +46,18 @@ def _parse_int_list(text: str, what: str) -> list[int]:
                          f"got {text!r}") from None
 
 
+def _refuse_both(args, flag: str, *alternatives: str) -> None:
+    """Refuse ``flag`` given with one of its ``alternatives``, which it
+    would otherwise silently override."""
+    def given(name):
+        return getattr(args, name[2:].replace("-", "_")) is not None
+
+    for other in alternatives:
+        if given(flag) and given(other):
+            raise InputError(f"{flag} and {other} are alternative inputs; "
+                             "give one of them")
+
+
 def _graph_for(args, num_nodes: int):
     edges = pio.load_edges(args.edges)
     return build_graph(edges, num_nodes)
@@ -61,6 +73,7 @@ def _impute_config(args, method: str) -> ImputationConfig:
 
 def cmd_mask(args) -> int:
     check_mask_settings(args.type, args.rate, args.seed)
+    _refuse_both(args, "--features-file", "--num-nodes", "--num-channels")
     if args.features_file is not None:
         n, f = pio.load_matrix_shape(args.features_file, header=args.header)
     elif args.num_nodes is not None and args.num_channels is not None:
@@ -127,6 +140,7 @@ def cmd_impute(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _refuse_both(args, "--spds", "--edges")
     truth = pio.load_matrix(args.truth, header=args.header)
     imputed = pio.load_matrix(args.imputed, header=args.header)
     known = pio.load_mask(args.mask, header=args.header)
@@ -168,6 +182,7 @@ def cmd_pipeline(args) -> int:
     # run_pipeline sets each run's method; zero checks no alpha
     cfg = _impute_config(args, "zero")
     plan_runs(cfg, args.mask_type, args.rate, seeds, methods)  # before a file is read
+    _refuse_both(args, "--dataset", "--edges", "--features")
     if args.dataset is not None:
         g, features, _labels, _meta = pio.load_dataset(args.dataset)
     elif args.edges is not None and args.features is not None:

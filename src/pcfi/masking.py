@@ -97,14 +97,6 @@ def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray
     return chosen
 
 
-def _check_shape(num_nodes: int, num_channels: int) -> None:
-    """Refuse a negative dimension. Each is checked on its own: the
-    product of two negatives is positive."""
-    if num_nodes < 0 or num_channels < 0:
-        raise InputError(f"mask shape must be non-negative, got "
-                         f"({num_nodes}, {num_channels})")
-
-
 def check_seed(seed: int) -> None:
     """Refuse a negative seed, which the PCG64 stream cannot take."""
     if seed < 0:
@@ -122,31 +114,38 @@ def check_mask_settings(kind: str, rate: float, seed: int) -> None:
     check_seed(seed)
 
 
-def _missing_count(rate: float, total: int) -> int:
-    """``round(rate * total)``, halves rounded up."""
-    return int(np.floor(rate * total + 0.5))
-
-
-def structural_mask(num_nodes: int, num_channels: int, rate: float,
-                    seed: int = 0) -> np.ndarray:
-    """Boolean known-mask with ``round(rate * N)`` whole rows set False.
+def _draw(kind: str, num_nodes: int, num_channels: int, rate: float,
+          seed: int) -> np.ndarray:
+    """The removed candidates of a ``kind`` mask: ``round(rate * P)`` of
+    the P = N rows (structural) or P = N * F entries (uniform), halves
+    rounded up, drawn by :func:`_select` from the seed's PCG64 stream.
 
     Raises
     ------
     InputError
         If a dimension or the seed is negative, the rate lies outside
-        (0, 1), or the rounded count would remove every row.
+        (0, 1), or the rounded count would remove every candidate.
     """
-    check_mask_settings("structural", rate, seed)
-    _check_shape(num_nodes, num_channels)
-    n_missing = _missing_count(rate, num_nodes)
-    if num_nodes > 0 and n_missing >= num_nodes:
-        raise InputError(
-            f"structural rate {rate} removes all {num_nodes} rows; no entries "
-            "would remain observed"
-        )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    missing_rows = _select(rng, num_nodes, n_missing)
+    check_mask_settings(kind, rate, seed)
+    # each dimension on its own: the product of two negatives is positive
+    if num_nodes < 0 or num_channels < 0:
+        raise InputError(f"mask shape must be non-negative, got "
+                         f"({num_nodes}, {num_channels})")
+    rows = kind == "structural"
+    total = num_nodes if rows else num_nodes * num_channels
+    count = int(np.floor(rate * total + 0.5))
+    if total > 0 and count >= total:
+        raise InputError(f"{kind} rate {rate} removes all {total} "
+                         f"{'rows' if rows else 'entries'}; no entries "
+                         "would remain observed")
+    return _select(np.random.Generator(np.random.PCG64(seed)), total, count)
+
+
+def structural_mask(num_nodes: int, num_channels: int, rate: float,
+                    seed: int = 0) -> np.ndarray:
+    """Boolean known-mask with ``round(rate * N)`` whole rows set False;
+    raises :class:`InputError` as :func:`_draw` does."""
+    missing_rows = _draw("structural", num_nodes, num_channels, rate, seed)
     known = np.ones((num_nodes, num_channels), dtype=bool)
     known[missing_rows] = False
     return known
@@ -155,25 +154,9 @@ def structural_mask(num_nodes: int, num_channels: int, rate: float,
 def uniform_mask(num_nodes: int, num_channels: int, rate: float,
                  seed: int = 0) -> np.ndarray:
     """Boolean known-mask with ``round(rate * N * F)`` entries set False,
-    drawn uniformly over the flattened grid.
-
-    Raises
-    ------
-    InputError
-        If a dimension or the seed is negative, the rate lies outside
-        (0, 1), or the rounded count would remove every entry.
-    """
-    check_mask_settings("uniform", rate, seed)
-    _check_shape(num_nodes, num_channels)
-    total = num_nodes * num_channels
-    n_missing = _missing_count(rate, total)
-    if total > 0 and n_missing >= total:
-        raise InputError(
-            f"uniform rate {rate} removes all {total} entries; no entries "
-            "would remain observed"
-        )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    known = _select(rng, total, n_missing)
+    drawn uniformly over the flattened grid; raises :class:`InputError`
+    as :func:`_draw` does."""
+    known = _draw("uniform", num_nodes, num_channels, rate, seed)
     np.logical_not(known, out=known)
     return known.reshape(num_nodes, num_channels)
 

@@ -9,6 +9,12 @@ their channels), which exposes how recovery quality decays with
 distance; a Spearman rank correlation between that distance and the
 per-node cosine summarizes the trend in one number.
 
+Every score comes from one N x F buffer. It holds the squared errors
+first: the global and per-bucket RMSE read their missing entries from it
+in row-major order, and the per-channel RMSE sums its columns. Then it
+holds the row products behind the cosines. A call holds about two N x F
+arrays under either mask kind.
+
 The report holds scores only: the settings and bookkeeping of the run
 that produced ``imputed`` belong to that run's caller
 (:func:`pcfi.pipeline.run_pipeline` adds them to each method's block).
@@ -23,27 +29,9 @@ import numpy as np
 from .confidence import UNREACHABLE, SpdsMatrix
 from .errors import InputError
 
-__all__ = ["EvalReport", "evaluate", "rmse"]
+__all__ = ["EvalReport", "evaluate"]
 
 SCHEMA_VERSION = 1
-
-
-def rmse(truth: np.ndarray, imputed: np.ndarray, over: np.ndarray) -> float:
-    """Root mean squared error over the True entries of ``over``."""
-    truth = np.asarray(truth, dtype=np.float64)
-    imputed = np.asarray(imputed, dtype=np.float64)
-    over = np.asarray(over, dtype=bool)
-    if truth.shape != imputed.shape or truth.shape != over.shape:
-        raise InputError(
-            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
-            f"selector {over.shape}"
-        )
-    if not over.any():
-        raise InputError("rmse undefined over an empty selection")
-    diff = truth[over]
-    diff -= imputed[over]
-    diff *= diff
-    return float(np.sqrt(np.mean(diff)))
 
 
 def check_shapes(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray) -> None:
@@ -140,8 +128,25 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
     # the one N x F buffer: squared errors, then row products
     buf = truth - imputed
     buf *= buf
-    # the same squares in the same order as rmse(truth, imputed, missing)
+    # every RMSE reads its squares in row-major order, as the overall one
+    # does; the overall one's 1-D copy is the call's largest temporary
     overall = float(np.sqrt(np.mean(buf[missing]))) if missing.any() else None
+    eval_rows = missing.any(axis=1)
+    eval_nodes = np.flatnonzero(eval_rows)
+    buckets: dict[int, dict] = {}
+    unbucketed = 0
+    if spds is not None and eval_nodes.size:
+        # each node's largest finite distance, UNREACHABLE (-1) if none is
+        keys = spds.distances.max(axis=1)[eval_nodes]
+        unbucketed = int(np.count_nonzero(keys == UNREACHABLE))
+        for k in np.unique(keys[keys != UNREACHABLE]):
+            rows = np.zeros(n, dtype=bool)
+            rows[eval_nodes[keys == k]] = True
+            buckets[int(k)] = {
+                "count": int(np.count_nonzero(rows)),
+                "rmse": float(np.sqrt(np.mean(buf[missing & rows[:, None]]))),
+            }
+
     per_channel = np.full(f, np.nan)
     counts = missing.sum(axis=0)
     buf[known] = 0.0
@@ -152,8 +157,6 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
     # Row norms and dot products, each summed along a C-contiguous row as
     # np.linalg.norm and np.sum do. Only rows with a missing entry are
     # multiplied; every other row is fully known and so holds zeros.
-    eval_rows = missing.any(axis=1)
-    eval_nodes = np.flatnonzero(eval_rows)
     where = eval_rows[:, None]
     np.multiply(truth, truth, out=buf, where=where)
     na = np.sqrt(buf.sum(axis=1)[eval_nodes])
@@ -170,32 +173,15 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
     cosine_per_node = np.full(n, np.nan)
     cosine_per_node[eval_nodes] = cosines
 
-    buckets: dict[int, dict] = {}
-    spearman = None
-    unbucketed = 0
-    if spds is not None and eval_nodes.size:
-        dist = spds.distances[eval_nodes]
-        finite = dist != UNREACHABLE
-        keyable = finite.any(axis=1)
-        unbucketed = int((~keyable).sum())
-        keys = np.where(finite, dist, -1).max(axis=1)
-        for k in np.unique(keys[keyable]):
-            sel = keyable & (keys == k)
-            node_ids = eval_nodes[sel]
-            sub_missing = missing[node_ids]
-            bucket_cos = cosines[sel]
-            buckets[int(k)] = {
-                "count": int(sel.sum()),
-                "cosine_mean": (float(np.nanmean(bucket_cos))
-                                if np.isfinite(bucket_cos).any() else None),
-                "rmse": (rmse(truth[node_ids], imputed[node_ids], sub_missing)
-                         if sub_missing.any() else None),
-            }
-        ys = np.array([v["cosine_mean"] for _, v in sorted(buckets.items())
-                       if v["cosine_mean"] is not None])
-        # rank correlation is undefined when every bucket cosine ties
-        if ys.size >= 2 and ys.max() > ys.min():
-            spearman = _spearman_sorted(ys)
+    for k, bucket in buckets.items():
+        bucket_cos = cosines[keys == k]
+        bucket["cosine_mean"] = (float(np.nanmean(bucket_cos))
+                                 if np.isfinite(bucket_cos).any() else None)
+    ys = np.array([v["cosine_mean"] for _, v in sorted(buckets.items())
+                   if v["cosine_mean"] is not None])
+    # rank correlation is undefined when every bucket cosine ties
+    spearman = (_spearman_sorted(ys) if ys.size >= 2 and ys.max() > ys.min()
+                else None)
 
     return EvalReport(
         rmse=overall,

@@ -15,7 +15,7 @@ from scipy import sparse
 
 from pcfi import InputError, SpdsMatrix
 from pcfi.confidence import UNREACHABLE, alpha_powers
-from pcfi.metrics import EvalReport, _spearman_sorted, check_shapes, rmse
+from pcfi.metrics import EvalReport, _spearman_sorted, check_shapes
 
 INF = float("inf")
 
@@ -403,6 +403,24 @@ def fused_block_reference(ai, fs, spds: SpdsMatrix, alpha: float,
     return x, np.abs(prev, out=prev).max(axis=0)
 
 
+def _rmse(truth: np.ndarray, imputed: np.ndarray, over: np.ndarray) -> float:
+    """Root mean squared error over the True entries of ``over``."""
+    truth = np.asarray(truth, dtype=np.float64)
+    imputed = np.asarray(imputed, dtype=np.float64)
+    over = np.asarray(over, dtype=bool)
+    if truth.shape != imputed.shape or truth.shape != over.shape:
+        raise InputError(
+            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
+            f"selector {over.shape}"
+        )
+    if not over.any():
+        raise InputError("rmse undefined over an empty selection")
+    diff = truth[over]
+    diff -= imputed[over]
+    diff *= diff
+    return float(np.sqrt(np.mean(diff)))
+
+
 def _row_cosines_reference(a: np.ndarray, b: np.ndarray):
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
@@ -415,8 +433,9 @@ def _row_cosines_reference(a: np.ndarray, b: np.ndarray):
 def evaluate_reference(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray,
                        spds: SpdsMatrix | None = None) -> EvalReport:
     """``pcfi.metrics.evaluate`` as first written, before it scored through
-    one N x F buffer: gathered row copies for the cosines, and inputs taken
-    in whatever memory layout they come.
+    one N x F buffer: gathered row copies for the cosines and for each
+    distance bucket's RMSE, and inputs taken in whatever memory layout
+    they come.
 
     Score ``imputed`` against ``truth`` on the entries missing per
     ``known``. Distance buckets and the distance/cosine trend are
@@ -430,7 +449,7 @@ def evaluate_reference(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray
         spds.check_mask(known)
     n, f = truth.shape
     missing = ~known
-    overall = rmse(truth, imputed, missing) if missing.any() else None
+    overall = _rmse(truth, imputed, missing) if missing.any() else None
 
     per_channel = np.full(f, np.nan)
     counts = missing.sum(axis=0)
@@ -466,7 +485,7 @@ def evaluate_reference(truth: np.ndarray, imputed: np.ndarray, known: np.ndarray
                 "count": int(sel.sum()),
                 "cosine_mean": (float(np.nanmean(bucket_cos))
                                 if np.isfinite(bucket_cos).any() else None),
-                "rmse": (rmse(truth[node_ids], imputed[node_ids], sub_missing)
+                "rmse": (_rmse(truth[node_ids], imputed[node_ids], sub_missing)
                          if sub_missing.any() else None),
             }
         ys = np.array([v["cosine_mean"] for _, v in sorted(buckets.items())

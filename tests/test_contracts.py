@@ -333,3 +333,25 @@ def test_cli_refuses_settings_before_reading_a_file(tmp_path, caplog, monkeypatc
                                                     argv, message):
     monkeypatch.chdir(tmp_path)
     _refused(caplog, argv + ["--out", "out"], message, tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, out, message", [
+    (["eval", "--truth", "nope.csv", "--imputed", "nope.csv", "--mask", "nope.csv",
+      "--spds", "nope.csv", "--edges", "nope.tsv"], "--report",
+     "--spds and --edges are alternative inputs"),
+    (["mask", "--type", "uniform", "--rate", "0.5", "--features-file", "nope.csv",
+      "--num-nodes", "5", "--num-channels", "2"], "--out",
+     "--features-file and --num-nodes are alternative inputs"),
+    (["mask", "--type", "uniform", "--rate", "0.5", "--features-file", "nope.csv",
+      "--num-channels", "2"], "--out",
+     "--features-file and --num-channels are alternative inputs"),
+    (["pipeline", "--dataset", "nope", "--edges", "nope.tsv", "--features",
+      "nope.csv", "--mask-type", "uniform", "--rate", "0.5"], "--out",
+     "--dataset and --edges are alternative inputs"),
+], ids=["eval", "mask", "mask-channels", "pipeline"])
+def test_cli_refuses_alternative_inputs_given_together(tmp_path, caplog, monkeypatch,
+                                                       argv, out, message):
+    """One of the two would be ignored; the refusal comes before any file
+    is read (the files do not exist, so a read would exit 3)."""
+    monkeypatch.chdir(tmp_path)
+    _refused(caplog, argv + [out, "out"], message, tmp_path / "out")
