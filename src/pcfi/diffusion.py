@@ -38,7 +38,9 @@ of every channel at once is::
 
 The kernel carries ``Y = C * X``: each step is one sparse product with
 ``A + I``, a multiply by ``C / ((A + I) C)`` and a store of the pinned
-values over their entries; the last step divides by ``(A + I) C``.
+values over their entries; the last step divides by ``(A + I) C``,
+which is not held through the loop but computed again after the last
+product: one more product, with the same bits.
 When every channel of a block has the same known set, as under a
 structural mask, ``C`` and ``(A + I) C`` are one column that broadcasts.
 Rows that reach no source have ``C = 0`` and stay exactly 0.
@@ -48,21 +50,27 @@ Rows that reach no source have ``C = 0`` and stay exactly 0.
 the unclipped ``C``: after ``t`` steps ``Y`` is nonzero only where
 ``S <= t``, a final value at ``S <= K`` reads ``C`` only at
 ``S <= K + 1``, and a value at ``S > K`` is exactly +0.0 either way.
-The clip is taken in int64, as ``K + 1`` may not fit the field's type.
+The clip is taken in place, in the field's own type: a type too narrow
+to hold ``K + 1`` holds no distance above it, so it needs none.
 Only a channel whose ``min(max(S), K + 1) * ln(1 / alpha)`` exceeds
 ``MAX_DECAY`` (at K = 100, any ``alpha`` below about 0.0026 on a channel
 more than 100 hops deep) goes through its explicit operator instead,
 whose ratio weights never underflow.
 
-Channels run in blocks of ``BLOCK_COLUMNS`` columns (explicit operator:
-one block per missing pattern); with ``threads`` N, the calling thread
-and N - 1 pool threads each take the next block until none is left.
-Each block works on C-contiguous copies of its columns of the values,
-the mask and the distance field: a column selection of a C-ordered
-matrix is F-ordered, and mixing the two layouts slows every elementwise
-step of the loop. Columns never mix inside a product and each block is
-internally sequential, so results are byte-identical for any thread
-count and any grouping of channels.
+Fused channels run in blocks, each a contiguous run of at most
+``BLOCK_COLUMNS`` channels that ends where an explicit channel sits
+(explicit operator: one block per missing pattern); with ``threads`` N,
+the calling thread and N - 1 pool threads each take the next block until
+none is left. A block's columns of the result are its scratch: they
+hold its input until the first product, then step K - 1's product, from
+which the last step's change is taken in place before the values are
+copied in. So besides the result a block holds its iterate, the new
+product and one of ``C / ((A + I) C)`` and ``(A + I) C``. The iterate
+and the mask and distance columns are C-contiguous copies: a column
+selection of a C-ordered matrix is F-ordered, and mixing the two layouts
+slows every elementwise step of the loop. Columns never mix inside a
+product and each block is internally sequential, so results are
+byte-identical for any thread count and any grouping of channels.
 
 :func:`impute_stage1` and :func:`fp_baseline` return an
 :class:`ImputeOutcome`, the one result type of every method, which
@@ -72,6 +80,7 @@ values in place of stage 1's.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -262,8 +271,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
 
     The result is written into a copy of ``fs.values``, or, with
     ``overwrite=True``, into ``fs.values`` itself, for a caller that gives
-    ``fs`` up: each column block reads its own columns once, at its start,
-    and writes them back at its end, so blocks stay independent on the
+    ``fs`` up: each column block reads and writes its own columns alone
+    (their input once, at its start), so blocks stay independent on the
     pool. ``fs.known`` is left as it is.
     """
     check_alpha(alpha)
@@ -299,20 +308,31 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
         depth = np.minimum(spds.distances.max(axis=0), steps + 1, dtype=np.int64)
         deep = depth * -math.log(alpha) > MAX_DECAY
         explicit = has_source & deep
-        fused = np.flatnonzero(~explicit)
-        if fused.size:
+        if not explicit.all():
             ai = g.self_loop_adjacency()
 
             def run_block(cols):
-                out[:, cols], residuals[cols] = _diffuse_block(ai, fs, spds, alpha, cols,
-                                                               steps)
+                residuals[cols] = _diffuse_block(ai, fs, spds, alpha, cols, steps,
+                                                 out[:, cols[0]:cols[-1] + 1])
 
-            _run(run_block, [fused[lo:lo + BLOCK_COLUMNS]
-                             for lo in range(0, fused.size, BLOCK_COLUMNS)], nthreads)
+            _run(run_block, _fused_blocks(explicit), nthreads)
     if explicit.any():
         _diffuse_per_pattern(g, fs, spds, alpha, np.flatnonzero(explicit), out,
                              residuals, steps=steps, mode=mode, nthreads=nthreads)
+    _release_free_heap()
     return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the system, where the C library
+    can (glibc's ``malloc_trim``). glibc keeps a free top of the heap below
+    its trim threshold, which rises to twice the largest array freed so far
+    (up to 64 MB): the blocks' arrays, freed there, would otherwise stay
+    resident after stage 1."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError):  # not glibc
+        pass
 
 
 def _run(fn, items, nthreads: int) -> None:
@@ -343,51 +363,76 @@ def _run(fn, items, nthreads: int) -> None:
             future.result()
 
 
+def _fused_blocks(explicit: np.ndarray) -> list[np.ndarray]:
+    """The channels not marked ``explicit``, as contiguous runs of at most
+    ``BLOCK_COLUMNS``: a run ends where an explicit channel sits."""
+    edge = np.concatenate(([True], explicit, [True]))
+    bounds = np.flatnonzero(edge[1:] != edge[:-1])
+    return [np.arange(lo, min(lo + BLOCK_COLUMNS, hi))
+            for start, hi in zip(bounds[::2], bounds[1::2])
+            for lo in range(start, hi, BLOCK_COLUMNS)]
+
+
 def _diffuse_block(ai, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
-                   cols: np.ndarray, steps: int):
-    """``steps`` fused iterations on the channels ``cols``; returns their
-    values and the max change of the last step per channel."""
-    # C-contiguous copies, so every elementwise step below runs on arrays of
-    # one layout (column selections of a C-ordered matrix are F-ordered)
-    y = fs.values.take(cols, axis=1)  # observed values, 0 elsewhere
+                   cols: np.ndarray, steps: int, out: np.ndarray) -> np.ndarray:
+    """``steps`` fused iterations on the channels ``cols``. ``out`` holds
+    their input values and is overwritten with their results; returns the
+    max change of the last step per channel."""
+    scale, den = _confidences(ai, spds, alpha, cols, steps)
+    scale /= den  # pinned entries are stored over, so their scale is unused
+    del den
+    # a C-contiguous copy, so every elementwise step below runs on arrays of
+    # one layout (out may be a column slice of a wider matrix)
+    y = out.copy()  # observed values, 0 elsewhere
     pinned = np.flatnonzero(fs.known.take(cols, axis=1))
     values = y.ravel()[pinned]
+
+    # y feeds nothing but the next product, which starts every sum at +0.0,
+    # so the sign of a zero in y (a pinned -0.0, or a product that
+    # underflows) never reaches an output. out keeps the input, the previous
+    # iterate when steps == 1; otherwise step K - 1's product is parked there
+    for step in range(1, steps):
+        y = ai @ y
+        if step == steps - 1:
+            out[...] = y
+        y *= scale
+        y.ravel()[pinned] = values
+    del scale
+    x = ai @ y
+    del y
+    # (A + I) C again, rather than held through the loop: the product is
+    # deterministic, so it has the same bits
+    den = _confidences(ai, spds, alpha, cols, steps)[1]
+    x /= den
+    x.ravel()[pinned] = values
+    out /= den  # at steps == 1 the input, which is 0 off its pinned entries
+    del den
+    out -= x
+    out[fs.known.take(cols, axis=1)] = 0.0  # pinned entries do not change
+    residuals = np.abs(out, out=out).max(axis=0)
+    out[...] = x
+    return residuals
+
+
+def _confidences(ai, spds: SpdsMatrix, alpha: float, cols: np.ndarray,
+                 steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Confidences ``C = alpha ** min(S, K + 1)`` of the channels ``cols``
+    and their sums ``(A + I) C``, which are inf on the rows where ``C`` is
+    0; one column of each when every channel shares one known set."""
     dist = spds.distances.take(cols, axis=1)
     if (dist == dist[:, :1]).all():
         # one known set for the whole block: one column of confidences
         # broadcasts over every channel
         dist = dist[:, :1]
-    # clipped at K + 1 hops in int64, which holds K + 1 for any field type
-    scale = alpha_powers(alpha, np.minimum(dist, steps + 1, dtype=np.int64))
-    den = ai @ scale
+    # clipped at K + 1 hops in the field's type (dist is a copy)
+    if steps + 1 <= np.iinfo(dist.dtype).max:
+        np.minimum(dist, steps + 1, out=dist)
+    c = alpha_powers(alpha, dist)
+    del dist
+    den = ai @ c
     # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
-    den[scale == 0.0] = np.inf
-    scale /= den  # pinned entries are stored over, so their scale is unused
-
-    # the input is read only by the first product, so only steps == 1 keeps
-    # it as the previous iterate. y feeds nothing but the next product, which
-    # starts every sum at +0.0, so the sign of a zero in y (a pinned -0.0, or
-    # a product that underflows) never reaches an output
-    prev = y if steps == 1 else None
-    for step in range(1, steps):
-        y = ai @ y
-        if step == steps - 1:
-            prev = _unscale(y.copy(), den, pinned, values)
-        y *= scale
-        y.ravel()[pinned] = values
-    del scale
-    x = _unscale(ai @ y, den, pinned, values)
-    prev -= x
-    return x, np.abs(prev, out=prev).max(axis=0)
-
-
-def _unscale(t: np.ndarray, den: np.ndarray, pinned: np.ndarray,
-             values: np.ndarray) -> np.ndarray:
-    """Values ``t / den`` from a C-ordered product ``t = (A + I) Y``, with
-    the entries at flat indices ``pinned`` set back to the input bits."""
-    t /= den
-    t.ravel()[pinned] = values
-    return t
+    den[c == 0.0] = np.inf
+    return c, den
 
 
 def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float,

@@ -20,17 +20,18 @@ mode; ``zero`` runs none, so only its mode's name is checked). Its
 ``summary`` reports the mode that ran.
 
 ``run_pipeline`` masks a fully observed matrix under several seeds,
-runs each requested method, scores recovery against the held-out truth,
-and aggregates across seeds. :func:`pcfi.metrics.evaluate` gives the
-scores, and each method's block adds the facts of its run (settings,
-flagged channels, timings). Wall-clock timings are recorded only when
-asked for, so that reports produced with the same inputs are
-byte-identical by default.
+runs each requested method on a masked copy of its own, scores recovery
+against the held-out truth, and aggregates across seeds.
+:func:`pcfi.metrics.evaluate` gives the scores, and each method's block
+adds the facts of its run (settings, flagged channels, timings).
+Wall-clock timings are recorded only when asked for, so that reports
+produced with the same inputs are byte-identical by default.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import time
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ from .metrics import evaluate
 from .propagation import propagate_stage2
 
 __all__ = ["ImputationConfig", "impute", "run_pipeline"]
+
+log = logging.getLogger("pcfi.pipeline")
 
 METHODS = ("pcfi", "pcfi_stage1_only", "fp", "zero")
 PIPELINE_SCHEMA_VERSION = 1
@@ -104,10 +107,14 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     no second array of its size is made, ``zero`` returns ``fs.values``
     itself, and ``fp`` lets them go after its first step. Passed directly,
     ``fs`` is left as it is and stage 1 and ``zero`` work on a copy.
+    ``fp`` has no closed form: under ``mode="closed_form"`` it iterates,
+    and a warning says so.
     """
     handed_over = isinstance(fs, list)
     g.check_rows((fs[0] if handed_over else fs).values)
     if cfg.method == "fp":
+        if cfg.mode == "closed_form":
+            log.warning("fp has no closed form: it iterates %d steps", cfg.steps)
         # passed on as given, so that a handed-over set is not held here
         return fp_baseline(g, fs, steps=cfg.steps)
     if handed_over:
@@ -158,7 +165,9 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
 
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
     ``method``; the mask settings, seeds and methods are checked by
-    :func:`plan_runs` before any work.
+    :func:`plan_runs` before any work. Each method is handed its own masked
+    copy of ``features`` (see :func:`impute`), made before its timer
+    starts; ``features`` itself is only read.
     Returns a JSON-ready dict: one block per seed with, per method, the
     :class:`pcfi.metrics.EvalReport` fields (no per-node list) and the
     run's ``config`` (:meth:`ImputationConfig.summary`),
@@ -174,13 +183,14 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     per_seed = []
     for seed in seeds:
         known = make_mask(mask_kind, n, f, mask_rate, seed)
-        fs = apply_mask(features, known)
         spds = compute_spds(g, known)
         block = {"seed": seed,
                  "mask": {"kind": mask_kind, "rate": mask_rate, "seed": seed,
                           "num_missing_entries": int((~known).sum())},
                  "methods": {}}
         for method, method_cfg in configs.items():
+            # handed over, so the copy becomes or feeds the result
+            fs = [apply_mask(features, known)]
             t0 = time.perf_counter()
             outcome = impute(g, fs, method_cfg, spds=spds)
             elapsed = time.perf_counter() - t0
@@ -193,7 +203,7 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
             }
             del outcome  # before the next method makes its own
         per_seed.append(block)
-        del known, fs, spds, report  # before the next seed's are made
+        del known, spds, report  # before the next seed's are made
 
     def _agg(method, key):
         vals = [x for block in per_seed

@@ -445,16 +445,95 @@ def test_fused_block_matches_the_loop_as_first_written(case):
     ai = g.self_loop_adjacency()
     cols = np.arange(fs.num_channels)
     want = fused_block_reference(ai, fs, spds, alpha, cols, steps)
-    got = diffusion._diffuse_block(ai, fs, spds, alpha, cols, steps)
+    out = fs.values.copy()
+    got = (out, diffusion._diffuse_block(ai, fs, spds, alpha, cols, steps, out))
     for w, x in zip(want, got):
         assert w.shape == x.shape
         assert w.tobytes() == x.tobytes()
-    # so does a block of scattered columns
+    # so does a block of scattered columns, written into a column slice of
+    # a wider matrix
     cols = cols[::3]
     want = fused_block_reference(ai, fs, spds, alpha, cols, steps)
-    got = diffusion._diffuse_block(ai, fs, spds, alpha, cols, steps)
-    assert want[0].tobytes() == got[0].tobytes()
-    assert want[1].tobytes() == got[1].tobytes()
+    wide = np.zeros((fs.num_nodes, cols.size + 2))
+    out = wide[:, 1:-1]
+    out[...] = fs.values.take(cols, axis=1)
+    residuals = diffusion._diffuse_block(ai, fs, spds, alpha, cols, steps, out)
+    assert want[0].tobytes() == out.tobytes()
+    assert want[1].tobytes() == residuals.tobytes()
+    assert not wide[:, [0, -1]].any()
+
+
+@pytest.mark.parametrize("explicit, want", [
+    ([], [(0, 32), (32, 64), (64, 70)]),
+    ([0, 69], [(1, 33), (33, 65), (65, 69)]),
+    ([3, 40], [(0, 3), (4, 36), (36, 40), (41, 70)]),
+    ([1, 2, 35], [(0, 1), (3, 35), (36, 68), (68, 70)]),
+    (list(range(70)), []),
+])
+def test_fused_blocks_are_contiguous_runs(explicit, want):
+    """A fused block is a contiguous run of at most ``BLOCK_COLUMNS``
+    channels that ends where an explicit channel sits; with none, the
+    blocks are the 32-column slices of the channels."""
+    mask = np.zeros(MULTI_BLOCK, dtype=bool)
+    mask[explicit] = True
+    got = diffusion._fused_blocks(mask)
+    assert [(int(c[0]), int(c[-1]) + 1) for c in got] == want
+    for cols in got:
+        assert np.array_equal(cols, np.arange(cols[0], cols[-1] + 1))
+
+
+def _split_runs_case():
+    """A 240-node path with eight channels: 1, 4 and 5 observe node 0 only
+    (239 hops deep), the rest observe every third node and some more. At
+    alpha 0.001 and K = 100, 101 ln 1000 > MAX_DECAY, so the deep channels
+    take the explicit operator and split the fused ones into the runs
+    [0], [2, 3] and [6, 7]; one or two steps clip them at 2 or 3 hops, so
+    every channel then runs fused."""
+    n, f = 240, 8
+    edges = _path_edges(n)
+    rng = np.random.default_rng(44)
+    known = (np.arange(n)[:, None] % 3 == np.arange(f) % 3) | (rng.random((n, f)) < 0.2)
+    deep = [1, 4, 5]
+    known[:, deep] = False
+    known[0, deep] = True
+    fs = apply_mask(rng.normal(size=(n, f)), known)
+    g = build_graph(edges, n)
+    return g, fs, compute_spds(g, known), edges
+
+
+@pytest.mark.parametrize("steps", [1, 2, 100])
+def test_fused_runs_split_by_explicit_channels_match_the_oracles(steps,
+                                                                 operator_builds):
+    """Stage 1 with explicit channels between fused ones: every fused run
+    has the bits of ``fused_block_reference`` on its columns, every channel
+    is within 1e-12 of the dense pinned iteration, and the bits are the
+    same on 1 to 3 threads, with the result written into the input or
+    into a copy."""
+    g, fs, spds, edges = _split_runs_case()
+    alpha = 0.001
+    runs = [[0], [2, 3], [6, 7]] if steps == 100 else [list(range(8))]
+    got = impute_stage1(g, fs, spds, alpha, steps=steps, threads=1)
+    assert len(operator_builds) == (1 if steps == 100 else 0)  # one pattern
+    ai = g.self_loop_adjacency()
+    for cols in runs:
+        want = fused_block_reference(ai, fs, spds, alpha, np.array(cols), steps)
+        assert want[0].tobytes() == got.values[:, cols].copy().tobytes()
+        assert want[1].tobytes() == got.residuals[cols].tobytes()
+    for d in range(fs.num_channels):
+        w = dense_pinned_operator(g.num_nodes, edges, spds.distances[:, d],
+                                  fs.known[:, d], alpha)
+        ref = iterate_dense(w, fs.values[:, d], steps)
+        prev = iterate_dense(w, fs.values[:, d], steps - 1)
+        assert np.max(np.abs(got.values[:, d] - ref)) < 1e-12, d
+        assert abs(got.residuals[d] - np.max(np.abs(ref - prev))) < 1e-12, d
+    for threads in (1, 2, 3):
+        for overwrite in (False, True):
+            copy = apply_mask(fs.values, fs.known)
+            again = impute_stage1(g, copy, spds, alpha, steps=steps,
+                                  threads=threads, overwrite=overwrite)
+            assert (again.values is copy.values) == overwrite
+            assert again.values.tobytes() == got.values.tobytes()
+            assert again.residuals.tobytes() == got.residuals.tobytes()
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
@@ -468,7 +547,7 @@ def test_an_error_in_a_block_propagates(monkeypatch, where):
     real = diffusion._diffuse_block
     calls = []
 
-    def failing_block(ai, fs, spds, alpha, cols, steps):
+    def failing_block(ai, fs, spds, alpha, cols, steps, out):
         first_two = cols[0] < 2 * BLOCK_COLUMNS
         if first_two:
             both_started.wait()
@@ -476,7 +555,7 @@ def test_an_error_in_a_block_propagates(monkeypatch, where):
         calls.append((first_two, on_caller))
         if first_two and on_caller == (where == "caller"):
             raise NumericalError(f"block on the {where} failed")
-        return real(ai, fs, spds, alpha, cols, steps)
+        return real(ai, fs, spds, alpha, cols, steps, out)
 
     monkeypatch.setattr(diffusion, "_diffuse_block", failing_block)
     with pytest.raises(NumericalError, match=f"block on the {where} failed"):
@@ -500,27 +579,46 @@ def test_every_block_runs_once_under_many_threads():
     assert sorted(ran) == list(range(5000))
 
 
-def test_structural_stage1_allocates_three_block_arrays(monkeypatch):
-    """Under a structural mask every channel shares one known set, so a
-    block holds one column of confidences and one of denominators, and no
-    copy of its input once the first step is taken: its two iterates and
-    the copy of the last one are the only block-sized arrays."""
+def _stage1_peak_in_blocks(kind, steps):
+    """Stage 1's tracemalloc peak on a handed-over 3000 x 64 set, in arrays
+    of one block's size: the result is the input, so every array counted is
+    the blocks' own."""
     rng = np.random.default_rng(33)
     n, f = 3000, 2 * BLOCK_COLUMNS
     g = build_graph(random_connected_edges(rng, n), n)
-    known = structural_mask(n, f, 0.9, seed=33)
+    mask = structural_mask if kind == "structural" else uniform_mask
+    known = mask(n, f, 0.9, seed=33)
     fs = apply_mask(rng.normal(size=(n, f)), known)
     spds = compute_spds(g, known)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = impute_stage1(g, fs, spds, 0.8, steps=5, threads=1, overwrite=True)
+        out = impute_stage1(g, fs, spds, 0.8, steps=steps, threads=1, overwrite=True)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert out.values is fs.values
-    block = n * BLOCK_COLUMNS * 8
-    assert peak < 4 * block, peak / block
+    return peak / (n * BLOCK_COLUMNS * 8)
+
+
+def test_structural_stage1_allocates_three_block_arrays():
+    """Under a structural mask every channel shares one known set, so a
+    block holds one column of confidences (or of their sums), and no copy
+    of its input once the first step is taken: the iterate and the new
+    product are its only block-sized arrays. Step K - 1's product is parked
+    in the block's output columns, not copied."""
+    for steps in (1, 5):
+        blocks = _stage1_peak_in_blocks("structural", steps)
+        assert blocks < 3, (steps, blocks)
+
+
+def test_uniform_stage1_allocates_under_four_and_a_third_block_arrays():
+    """Under a uniform mask a block's confidences are as wide as the block:
+    the iterate, the new product and one of the scale and the sums it
+    divides by, plus the pinned entries' indices and values."""
+    for steps in (1, 5):
+        blocks = _stage1_peak_in_blocks("uniform", steps)
+        assert blocks < 4.3, (steps, blocks)
 
 
 def test_resolve_threads_env(monkeypatch):

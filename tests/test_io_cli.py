@@ -1198,6 +1198,24 @@ def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
         assert rep["residuals"] is None and rep["max_residual"] is None
 
 
+def test_cli_fp_warns_once_that_it_iterates_under_closed_form(tmp_path, caplog):
+    """``fp`` has no closed form: asked for one, it logs one warning through
+    ``pcfi.pipeline`` and writes the bytes of the iterative run."""
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
+    for mode in ("iterative", "closed_form"):
+        caplog.clear()
+        assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                     str(fpath), "--mask", str(mpath), "--method", "fp", "--mode",
+                     mode, "--k", "7", "--out", str(tmp_path / f"{mode}.csv")]) == 0
+        warned = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [r.name for r in warned] == ([] if mode == "iterative"
+                                            else ["pcfi.pipeline"])
+    assert warned[0].getMessage() == "fp has no closed form: it iterates 7 steps"
+    for suffix in (".csv", ".csv.json"):
+        assert ((tmp_path / f"closed_form{suffix}").read_bytes()
+                == (tmp_path / f"iterative{suffix}").read_bytes())
+
+
 def test_cli_runs_more_steps_than_an_int8_field_holds(tmp_path):
     """K + 1 = 201 does not fit the int8 distance field of a 40-node graph:
     ``--k 200`` runs, and writes the bits of a run on an int64 copy of

@@ -337,28 +337,64 @@ def test_handed_over_read_only_memory_is_copied_not_written():
     assert _same(handed.values, impute(g, apply_mask(values, known), cfg).values)
 
 
-def test_pipeline_keeps_its_truth_and_its_reused_masked_set(monkeypatch):
-    """``run_pipeline`` runs every method on one masked set per seed, so
-    no method may write into it, nor into the truth it scores against."""
+def test_pipeline_keeps_its_truth_and_masks_a_copy_per_method(monkeypatch):
+    """``run_pipeline`` hands every method its own masked copy, made from
+    the seed's one mask, so no method reads what another wrote, and the
+    truth it scores against is never written."""
     masked = []
 
     def recording_apply_mask(values, known):
         fs = real_apply_mask(values, known)
-        masked.append((fs, fs.values.tobytes(), fs.known.tobytes()))
+        masked.append((fs.values.tobytes(), fs.known.tobytes()))
         return fs
 
     real_apply_mask = pipeline.apply_mask
     monkeypatch.setattr(pipeline, "apply_mask", recording_apply_mask)
     g, values, _, _ = _handover_instance("fused")
     truth_bits = values.tobytes()
+    methods = ("pcfi", "pcfi_stage1_only", "fp", "zero")
     run_pipeline(g, values, ImputationConfig(steps=20), mask_kind="uniform",
-                 mask_rate=0.5, seeds=[0, 1],
-                 methods=("pcfi", "pcfi_stage1_only", "fp", "zero"))
+                 mask_rate=0.5, seeds=[0, 1], methods=methods)
     assert values.tobytes() == truth_bits
-    assert len(masked) == 2
-    for fs, value_bits, known_bits in masked:
-        assert fs.values.tobytes() == value_bits
-        assert fs.known.tobytes() == known_bits
+    assert len(masked) == 2 * len(methods)
+    for seed, first in zip([0, 1], masked[::len(methods)]):
+        known = make_mask("uniform", *values.shape, 0.5, seed)
+        assert first == (np.where(known, values, 0.0).tobytes(), known.tobytes())
+        assert masked[:len(methods)] == [first] * len(methods)
+        del masked[:len(methods)]
+
+
+@pytest.mark.parametrize("collect_timings", [False, True])
+def test_pipeline_holds_fewer_than_four_matrices(monkeypatch, collect_timings):
+    """Under a structural mask, ``pcfi``, ``fp`` and ``zero`` each work in
+    their own handed-over copy: stage 1 writes into it with no second copy,
+    so with stage 2 in small row blocks the run never holds four arrays of
+    the matrix's size beyond its truth (the scoring buffer and the result
+    are two). The truth keeps its bits, and timings are still reported."""
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", 1 << 14)
+    rng = np.random.default_rng(15)
+    n, f = 3000, 2 * diffusion.BLOCK_COLUMNS
+    g = build_graph(random_connected_edges(rng, n), n)
+    features = rng.normal(size=(n, f))
+    truth_bits = features.tobytes()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = run_pipeline(g, features, ImputationConfig(steps=5, threads=1),
+                           mask_kind="structural", mask_rate=0.9, seeds=[0, 1],
+                           methods=("pcfi", "fp", "zero"),
+                           collect_timings=collect_timings)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * f * 8, peak / (n * f * 8)
+    assert features.tobytes() == truth_bits
+    for block in rep["per_seed"]:
+        for got in block["methods"].values():
+            if collect_timings:
+                assert got["timings"]["impute_seconds"] >= 0.0
+            else:
+                assert got["timings"] is None
 
 
 def test_handed_over_impute_allocates_less_than_one_matrix(monkeypatch):
