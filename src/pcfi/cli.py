@@ -27,7 +27,8 @@ from .graph import build_graph, extract_largest_component
 from .masking import (MASK_KINDS, FeatureSet, check_mask_settings, check_mask_shape,
                       make_mask)
 from .metrics import check_shapes, evaluate
-from .pipeline import ImputationConfig, METHODS, impute, plan_runs, run_pipeline
+from .pipeline import (SIDECAR_SCHEMA_VERSION, ImputationConfig, METHODS, impute,
+                       plan_runs, run_facts, run_pipeline)
 from .synth import SynthSpec, generate
 
 log = logging.getLogger("pcfi")
@@ -119,22 +120,10 @@ def cmd_impute(args) -> int:
     if report_path is None and args.out != "-":
         report_path = args.out + ".json"
     if report_path is not None:
-        residuals = outcome.residuals
-        report = {
-            "schema_version": 1,
-            "config": cfg.summary(),
-            "num_nodes": n,
-            "num_channels": f,
-            "num_missing_entries": num_missing,
-            "flagged_channels": outcome.flagged_channels,
-            # the closed form and zero run no iteration; the rest run cfg.steps
-            "steps_run": 0 if residuals is None else cfg.steps,
-            "residuals": residuals,
-            "max_residual": (float(residuals.max())
-                             if residuals is not None and residuals.size
-                             else None),
-        }
-        pio.write_json(report_path, report)
+        pio.write_json(report_path, {
+            "schema_version": SIDECAR_SCHEMA_VERSION, "num_nodes": n,
+            "num_channels": f, "num_missing_entries": num_missing,
+            **run_facts(cfg, outcome)})
     log.info("imputed %d missing entries with %s", num_missing, cfg.method)
     return EXIT_OK
 

@@ -15,9 +15,9 @@ in row-major order, and the per-channel RMSE sums its columns. Then it
 holds the row products behind the cosines. A call holds about two N x F
 arrays under either mask kind.
 
-The report holds scores only: the settings and bookkeeping of the run
-that produced ``imputed`` belong to that run's caller
-(:func:`pcfi.pipeline.run_pipeline` adds them to each method's block).
+The report holds scores only: the facts of the run that produced
+``imputed`` come from :func:`pcfi.pipeline.run_facts`. A pipeline method
+block is these scores and those facts, without this ``schema_version``.
 """
 
 from __future__ import annotations

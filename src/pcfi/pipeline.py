@@ -16,16 +16,17 @@ diffusion's own outcome, ``pcfi`` the same with stage 2's values.
 ``ImputationConfig`` holds every setting of a run and the only defaults;
 it checks each when made, ``alpha`` only for the methods that read it and
 the schedule only for the methods that run one (``fp`` iterates in either
-mode; ``zero`` runs none, so only its mode's name is checked). Its
-``summary`` reports the mode that ran.
+mode; ``zero`` runs none, so only its mode's name is checked).
+``run_facts`` writes the facts of a run (settings, flagged channels,
+residuals, steps run) for the ``pcfi impute`` side-car and each
+pipeline method block alike.
 
 ``run_pipeline`` masks a fully observed matrix under several seeds,
 runs each requested method on a masked copy of its own, scores recovery
-against the held-out truth, and aggregates across seeds.
-:func:`pcfi.metrics.evaluate` gives the scores, and each method's block
-adds the facts of its run (settings, flagged channels, timings).
-Wall-clock timings are recorded only when asked for, so that reports
-produced with the same inputs are byte-identical by default.
+against the held-out truth, and aggregates across seeds. Each method's
+block is :func:`pcfi.metrics.evaluate`'s scores, ``run_facts`` and
+timings. Wall-clock timings are recorded only when asked for, so that
+reports produced with the same inputs are byte-identical by default.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ __all__ = ["ImputationConfig", "impute", "run_pipeline"]
 log = logging.getLogger("pcfi.pipeline")
 
 METHODS = ("pcfi", "pcfi_stage1_only", "fp", "zero")
-PIPELINE_SCHEMA_VERSION = 1
+PIPELINE_SCHEMA_VERSION = 2
+SIDECAR_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,6 @@ class ImputationConfig:
         if self.method == "fp":  # fp iterates in either mode
             check_schedule("iterative", self.steps)
         resolve_threads(self.threads)
-
-    def summary(self) -> dict:
-        """The settings of the run, with the mode that ran: ``fp``
-        iterates whatever ``mode`` says."""
-        return {"method": self.method, "alpha": self.alpha, "beta": self.beta,
-                "steps": self.steps,
-                "mode": "iterative" if self.method == "fp" else self.mode,
-                "lenient_no_source": self.lenient_no_source}
 
 
 def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
@@ -134,6 +128,24 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
 
 
+def run_facts(cfg: ImputationConfig, outcome: ImputeOutcome) -> dict:
+    """The JSON-ready facts of one run: ``config`` with the mode that ran
+    (``fp`` iterates in either), ``flagged_channels``, ``residuals``,
+    ``max_residual`` and ``steps_run``, 0 exactly when no iteration ran."""
+    residuals = outcome.residuals
+    iterated = residuals is not None
+    return {
+        "config": {"method": cfg.method, "alpha": cfg.alpha, "beta": cfg.beta,
+                   "steps": cfg.steps, "lenient_no_source": cfg.lenient_no_source,
+                   "mode": "iterative" if cfg.method == "fp" else cfg.mode},
+        "flagged_channels": outcome.flagged_channels,
+        "steps_run": cfg.steps if iterated else 0,
+        "residuals": residuals.tolist() if iterated else None,
+        "max_residual": (float(residuals.max()) if iterated and residuals.size
+                         else None),
+    }
+
+
 def plan_runs(cfg: ImputationConfig, mask_kind: str, mask_rate: float, seeds,
               methods) -> tuple[list[int], dict]:
     """The mask seeds as a list and, for each of ``methods``, ``cfg`` with
@@ -169,12 +181,11 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     copy of ``features`` (see :func:`impute`), made before its timer
     starts; ``features`` itself is only read.
     Returns a JSON-ready dict: one block per seed with, per method, the
-    :class:`pcfi.metrics.EvalReport` fields (no per-node list) and the
-    run's ``config`` (:meth:`ImputationConfig.summary`),
-    ``flagged_channels`` and ``timings`` (None unless
-    ``collect_timings``), plus the mean/std over those blocks of each
-    method's overall RMSE, mean cosine and distance-cosine Spearman
-    correlation (seeds where it is None are skipped).
+    :class:`pcfi.metrics.EvalReport` fields (no per-node list and no
+    ``schema_version``), the :func:`run_facts` of the run and ``timings``
+    (None unless ``collect_timings``), plus the mean/std over those blocks
+    of each method's overall RMSE, mean cosine and distance-cosine
+    Spearman correlation (seeds where it is None are skipped).
     """
     features = np.asarray(features, dtype=np.float64)
     g.check_rows(features)
@@ -195,12 +206,11 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
             outcome = impute(g, fs, method_cfg, spds=spds)
             elapsed = time.perf_counter() - t0
             report = evaluate(features, outcome.values, known, spds)
+            scores = report.to_dict(per_node=False)
+            del scores["schema_version"]  # the report's own is at its top
             block["methods"][method] = {
-                **report.to_dict(per_node=False),
-                "config": method_cfg.summary(),
-                "flagged_channels": outcome.flagged_channels,
-                "timings": {"impute_seconds": elapsed} if collect_timings else None,
-            }
+                **scores, **run_facts(method_cfg, outcome),
+                "timings": {"impute_seconds": elapsed} if collect_timings else None}
             del outcome  # before the next method makes its own
         per_seed.append(block)
         del known, spds, report  # before the next seed's are made

@@ -1031,7 +1031,7 @@ def test_cli_synth_and_pipeline(tmp_path):
                  "--seeds", "0,1", "--methods", "pcfi,fp,zero",
                  "--out", str(rpath)]) == 0
     rep = json.loads(rpath.read_text())
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert len(rep["per_seed"]) == 2
     assert set(rep["aggregates"]) == {"pcfi", "fp", "zero"}
     # one mask per seed, shared by every method
@@ -1196,6 +1196,35 @@ def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
     else:
         assert rep["steps_run"] == 0
         assert rep["residuals"] is None and rep["max_residual"] is None
+
+
+@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
+def test_cli_sidecar_facts_equal_the_pipeline_blocks(tmp_path, mode):
+    """``pcfi impute`` under the mask that ``pcfi pipeline --no-lcc`` draws
+    for seed 0 reports, apart from the input's shape and its schema
+    version, exactly the facts of that method's pipeline block."""
+    epath, fpath, _ = _write_inputs(tmp_path)
+    mpath = tmp_path / "mask0.csv"
+    assert main(["--quiet", "mask", "--features-file", str(fpath), "--type",
+                 "uniform", "--rate", "0.5", "--seed", "0", "--out", str(mpath)]) == 0
+    common = ["--edges", str(epath), "--mode", mode, "--k", "7"]
+    rpath = tmp_path / "pipe.json"
+    assert main(["--quiet", "pipeline", *common, "--features", str(fpath),
+                 "--no-lcc", "--mask-type", "uniform", "--rate", "0.5", "--seeds",
+                 "0", "--methods", ",".join(pipeline.METHODS),
+                 "--out", str(rpath)]) == 0
+    blocks = json.loads(rpath.read_text())["per_seed"][0]["methods"]
+    for method in pipeline.METHODS:
+        out = tmp_path / f"{method}.csv"
+        assert main(["--quiet", "impute", *common, "--features", str(fpath),
+                     "--mask", str(mpath), "--method", method,
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / f"{method}.csv.json").read_text())
+        facts = {k: v for k, v in sidecar.items() if k not in (
+            "schema_version", "num_nodes", "num_channels", "num_missing_entries")}
+        assert facts == {k: blocks[method][k] for k in facts}
+        assert set(facts) == {"config", "flagged_channels", "steps_run",
+                              "residuals", "max_residual"}
 
 
 def test_cli_fp_warns_once_that_it_iterates_under_closed_form(tmp_path, caplog):

@@ -148,31 +148,49 @@ def test_pipeline_reports_every_method_of_an_iterator():
 @pytest.mark.parametrize("collect_timings", [False, True])
 def test_pipeline_writes_each_methods_run_facts(collect_timings):
     """A lenient run on a fragmented graph, not cut to its largest
-    component: each method's block holds its settings, the channels its
-    run flagged (every mask leaves some of the ten isolated nodes
-    missing, so the pcfi methods flag channels; fp and zero flag none)
-    and, when asked for, its time."""
+    component, in either mode: each method's block holds its settings with
+    the mode that ran, the channels its run flagged (every mask leaves some
+    of the ten isolated nodes missing, so the pcfi methods flag channels;
+    fp and zero flag none), its residuals with their maximum and the steps
+    that made them (none for zero and the closed form), when asked for its
+    time, and no schema version of its own."""
     rng = np.random.default_rng(5)
     n, f = 30, 3
     g = build_graph(random_connected_edges(rng, 20), n)  # 20..29 isolated
     features = rng.normal(size=(n, f))
-    cfg = ImputationConfig(steps=10, lenient_no_source=True)
-    rep = run_pipeline(g, features, cfg, mask_kind="structural", mask_rate=0.9,
-                       seeds=[0, 1], methods=pipeline.METHODS,
-                       collect_timings=collect_timings)
-    for block in rep["per_seed"]:
-        known = make_mask("structural", n, f, 0.9, block["seed"])
-        for method, got in block["methods"].items():
-            method_cfg = dataclasses.replace(cfg, method=method)
-            assert got["config"] == method_cfg.summary()
-            flagged = impute(g, apply_mask(features, known), method_cfg).flagged_channels
-            assert got["flagged_channels"] == flagged
-            assert (flagged != []) == (method in ("pcfi", "pcfi_stage1_only"))
-            if collect_timings:
-                assert list(got["timings"]) == ["impute_seconds"]
-                assert got["timings"]["impute_seconds"] >= 0.0
-            else:
-                assert got["timings"] is None
+    for mode in ("iterative", "closed_form"):
+        cfg = ImputationConfig(steps=10, mode=mode, lenient_no_source=True)
+        rep = run_pipeline(g, features, cfg, mask_kind="structural", mask_rate=0.9,
+                           seeds=[0, 1], methods=pipeline.METHODS,
+                           collect_timings=collect_timings)
+        ran = {"pcfi": mode, "pcfi_stage1_only": mode, "fp": "iterative",
+               "zero": mode}
+        for block in rep["per_seed"]:
+            known = make_mask("structural", n, f, 0.9, block["seed"])
+            for method, got in block["methods"].items():
+                assert got["config"] == {"method": method, "alpha": 0.8, "beta": 1e-3,
+                                         "steps": 10, "mode": ran[method],
+                                         "lenient_no_source": True}
+                outcome = impute(g, apply_mask(features, known),
+                                 dataclasses.replace(cfg, method=method))
+                assert got["flagged_channels"] == outcome.flagged_channels
+                assert (outcome.flagged_channels != []) == (
+                    method in ("pcfi", "pcfi_stage1_only"))
+                iterated = method != "zero" and ran[method] == "iterative"
+                assert (outcome.residuals is not None) == iterated
+                if iterated:
+                    assert got["steps_run"] == 10
+                    assert _same(np.array(got["residuals"]), outcome.residuals)
+                    assert got["max_residual"] == outcome.residuals.max()
+                else:
+                    assert got["steps_run"] == 0
+                    assert got["residuals"] is None and got["max_residual"] is None
+                assert "schema_version" not in got
+                if collect_timings:
+                    assert list(got["timings"]) == ["impute_seconds"]
+                    assert got["timings"]["impute_seconds"] >= 0.0
+                else:
+                    assert got["timings"] is None
 
 
 def test_pipeline_records_the_mode_each_method_ran():
