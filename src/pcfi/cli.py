@@ -28,7 +28,7 @@ from .masking import (MASK_KINDS, FeatureSet, check_mask_settings, check_mask_sh
                       make_mask)
 from .metrics import check_shapes, evaluate
 from .pipeline import (SIDECAR_SCHEMA_VERSION, ImputationConfig, METHODS, impute,
-                       plan_runs, run_facts, run_pipeline)
+                       plan_runs, ran_config, run_facts, run_pipeline)
 from .synth import SynthSpec, generate
 
 log = logging.getLogger("pcfi")
@@ -91,7 +91,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    cfg = _impute_config(args, args.method)
+    cfg = ran_config(_impute_config(args, args.method))
     values = pio.load_matrix(args.features, header=args.header)
     known = pio.load_mask(args.mask, header=args.header)
     check_mask_shape(values, known)

@@ -58,19 +58,20 @@ more than 100 hops deep) goes through its explicit operator instead,
 whose ratio weights never underflow.
 
 Fused channels run in blocks, each a contiguous run of at most
-``BLOCK_COLUMNS`` channels that ends where an explicit channel sits
-(explicit operator: one block per missing pattern); with ``threads`` N,
-the calling thread and N - 1 pool threads each take the next block until
-none is left. A block's columns of the result are its scratch: they
-hold its input until the first product, then step K - 1's product, from
-which the last step's change is taken in place before the values are
-copied in. So besides the result a block holds its iterate, the new
-product and one of ``C / ((A + I) C)`` and ``(A + I) C``. The iterate
-and the mask and distance columns are C-contiguous copies: a column
-selection of a C-ordered matrix is F-ordered, and mixing the two layouts
-slows every elementwise step of the loop. Columns never mix inside a
-product and each block is internally sequential, so results are
-byte-identical for any thread count and any grouping of channels.
+``BLOCK_COLUMNS`` channels that ends where an explicit channel sits.
+One task list holds a task per missing pattern of the explicit channels,
+then the blocks; with ``threads`` N, the calling thread and N - 1 pool
+threads each take the next task until none is left. A block's columns of
+the result are its scratch: they hold its input until the first product,
+then step K - 1's product, from which the last step's change is taken in
+place before the values are copied in. So besides the result a block
+holds its iterate, the new product and one of ``C / ((A + I) C)`` and
+``(A + I) C``. The iterate and the mask and distance columns are
+C-contiguous copies: a column selection of a C-ordered matrix is
+F-ordered, and mixing the two layouts slows every elementwise step of
+the loop. Columns never mix inside a product, and each task is
+sequential and writes only its own columns, so results are
+byte-identical for any thread count, task order and grouping of channels.
 
 :func:`impute_stage1` and :func:`fp_baseline` return an
 :class:`ImputeOutcome`, the one result type of every method, which
@@ -264,16 +265,17 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     :class:`NoSourceError` is raised naming the channels.
 
     ``mode`` is "iterative" (``steps`` applications of the operator) or
-    "closed_form" (direct solve). ``threads`` parallelizes over column
-    blocks (closed form: over missing patterns); output bits do not
-    depend on it. ``spds`` must agree with ``fs.known``
-    (:meth:`SpdsMatrix.check_mask`).
+    "closed_form" (direct solve). ``threads`` spreads one task list over
+    a pool: a task per missing pattern of the explicit channels (in the
+    closed form, every channel with a source), then the fused column
+    blocks; output bits do not depend on it. ``spds`` must agree with
+    ``fs.known`` (:meth:`SpdsMatrix.check_mask`).
 
     The result is written into a copy of ``fs.values``, or, with
     ``overwrite=True``, into ``fs.values`` itself, for a caller that gives
-    ``fs`` up: each column block reads and writes its own columns alone
-    (their input once, at its start), so blocks stay independent on the
-    pool. ``fs.known`` is left as it is.
+    ``fs`` up: each task reads and writes its own columns alone (their
+    input once, at its start), so tasks stay independent on the pool.
+    ``fs.known`` is left as it is.
     """
     check_alpha(alpha)
     check_schedule(mode, steps)
@@ -301,24 +303,34 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
             channels=flagged,
         )
 
-    nthreads = resolve_threads(threads)
     if mode == "closed_form":
-        explicit = has_source
+        explicit, blocks = has_source, []
     else:
         depth = np.minimum(spds.distances.max(axis=0), steps + 1, dtype=np.int64)
-        deep = depth * -math.log(alpha) > MAX_DECAY
-        explicit = has_source & deep
-        if not explicit.all():
-            ai = g.self_loop_adjacency()
+        explicit = has_source & (depth * -math.log(alpha) > MAX_DECAY)
+        blocks = _fused_blocks(explicit)
+    ai = g.self_loop_adjacency() if blocks else None
+    channels = np.flatnonzero(explicit)
+    first, inverse = distinct_columns(fs.known[:, channels])
+    patterns = [channels[inverse == gi] for gi in range(first.size)]
 
-            def run_block(cols):
-                residuals[cols] = _diffuse_block(ai, fs, spds, alpha, cols, steps,
-                                                 out[:, cols[0]:cols[-1] + 1])
+    def run_pattern(cols):
+        dist_col = spds.distances[:, cols[0]]
+        op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], alpha)
+        if mode == "closed_form":
+            out[:, cols] = closed_form_channel(op, fs.values.take(cols, axis=1),
+                                               dist_col > 0)
+        else:
+            # handed over, so the copy is freed after the first product
+            out[:, cols], residuals[cols] = diffuse_channel(
+                op, [fs.values.take(cols, axis=1)], fs.known.take(cols, axis=1), steps)
 
-            _run(run_block, _fused_blocks(explicit), nthreads)
-    if explicit.any():
-        _diffuse_per_pattern(g, fs, spds, alpha, np.flatnonzero(explicit), out,
-                             residuals, steps=steps, mode=mode, nthreads=nthreads)
+    def run_block(cols):
+        residuals[cols] = _diffuse_block(ai, fs, spds, alpha, cols, steps,
+                                         out[:, cols[0]:cols[-1] + 1])
+
+    tasks = [(run_pattern, c) for c in patterns] + [(run_block, c) for c in blocks]
+    _run(lambda task: task[0](task[1]), tasks, resolve_threads(threads))
     _release_free_heap()
     return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
 
@@ -433,31 +445,6 @@ def _confidences(ai, spds: SpdsMatrix, alpha: float, cols: np.ndarray,
     # rows that reach no source: C = 0, so scale and values stay 0, with no 0/0
     den[c == 0.0] = np.inf
     return c, den
-
-
-def _diffuse_per_pattern(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float,
-                         channels: np.ndarray, out: np.ndarray,
-                         residuals: np.ndarray | None, *, steps: int, mode: str,
-                         nthreads: int) -> None:
-    """Diffuse ``channels`` (each with a source) through one explicit
-    operator per distinct missing pattern; writes ``out`` and, when
-    iterating, ``residuals``."""
-    first, inverse = distinct_columns(fs.known[:, channels])
-    groups = [channels[inverse == gi] for gi in range(first.size)]
-
-    def run_group(cols):
-        dist_col = spds.distances[:, cols[0]]
-        op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], alpha)
-        x0 = fs.values.take(cols, axis=1)
-        if mode == "iterative":
-            # handed over, so the copy is freed after the first product
-            x0 = [x0]
-            out[:, cols], residuals[cols] = diffuse_channel(
-                op, x0, fs.known.take(cols, axis=1), steps)
-        else:
-            out[:, cols] = closed_form_channel(op, x0, dist_col > 0)
-
-    _run(run_group, groups, nthreads)
 
 
 def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,

@@ -101,14 +101,12 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     no second array of its size is made, ``zero`` returns ``fs.values``
     itself, and ``fp`` lets them go after its first step. Passed directly,
     ``fs`` is left as it is and stage 1 and ``zero`` work on a copy.
-    ``fp`` has no closed form: under ``mode="closed_form"`` it iterates,
-    and a warning says so.
+    ``fp`` has no closed form: it iterates (see :func:`ran_config`).
     """
     handed_over = isinstance(fs, list)
     g.check_rows((fs[0] if handed_over else fs).values)
     if cfg.method == "fp":
-        if cfg.mode == "closed_form":
-            log.warning("fp has no closed form: it iterates %d steps", cfg.steps)
+        ran_config(cfg)  # warns when asked for the closed form
         # passed on as given, so that a handed-over set is not held here
         return fp_baseline(g, fs, steps=cfg.steps)
     if handed_over:
@@ -128,16 +126,25 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
 
 
+def ran_config(cfg: ImputationConfig) -> ImputationConfig:
+    """``cfg`` with the mode that runs: ``fp`` has no closed form, so it
+    iterates, and a warning says so when ``cfg`` asks for the closed form."""
+    if cfg.method != "fp" or cfg.mode == "iterative":
+        return cfg
+    log.warning("fp has no closed form: it iterates %d steps", cfg.steps)
+    return dataclasses.replace(cfg, mode="iterative")
+
+
 def run_facts(cfg: ImputationConfig, outcome: ImputeOutcome) -> dict:
-    """The JSON-ready facts of one run: ``config`` with the mode that ran
-    (``fp`` iterates in either), ``flagged_channels``, ``residuals``,
+    """The JSON-ready facts of one run of ``cfg``, as :func:`ran_config`
+    gives it: ``config``, ``flagged_channels``, ``residuals``,
     ``max_residual`` and ``steps_run``, 0 exactly when no iteration ran."""
     residuals = outcome.residuals
     iterated = residuals is not None
     return {
         "config": {"method": cfg.method, "alpha": cfg.alpha, "beta": cfg.beta,
                    "steps": cfg.steps, "lenient_no_source": cfg.lenient_no_source,
-                   "mode": "iterative" if cfg.method == "fp" else cfg.mode},
+                   "mode": cfg.mode},
         "flagged_channels": outcome.flagged_channels,
         "steps_run": cfg.steps if iterated else 0,
         "residuals": residuals.tolist() if iterated else None,
@@ -176,7 +183,8 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     """Mask, impute, and score under each seed; aggregate across seeds.
 
     Each of ``methods`` runs with the settings of ``cfg`` in place of its
-    ``method``; the mask settings, seeds and methods are checked by
+    ``method``, in the mode that runs (:func:`ran_config`, which warns once
+    for the whole run); the mask settings, seeds and methods are checked by
     :func:`plan_runs` before any work. Each method is handed its own masked
     copy of ``features`` (see :func:`impute`), made before its timer
     starts; ``features`` itself is only read.
@@ -190,6 +198,7 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     features = np.asarray(features, dtype=np.float64)
     g.check_rows(features)
     seeds, configs = plan_runs(cfg, mask_kind, mask_rate, seeds, methods)
+    configs = {m: ran_config(c) for m, c in configs.items()}
     n, f = features.shape
     per_seed = []
     for seed in seeds:

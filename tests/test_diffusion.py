@@ -536,6 +536,44 @@ def test_fused_runs_split_by_explicit_channels_match_the_oracles(steps,
             assert again.residuals.tobytes() == got.residuals.tobytes()
 
 
+@pytest.mark.parametrize("mode, tasks, builds", [
+    # one deep pattern (channels 1, 4 and 5), then the runs [0], [2, 3], [6, 7]
+    ("iterative", 4, 1),
+    # the deep pattern and one pattern per other channel, nothing fused
+    ("closed_form", 6, 6),
+])
+def test_pattern_groups_and_fused_runs_share_one_pool(monkeypatch, mode, tasks,
+                                                      builds, operator_builds):
+    """Stage 1 hands its explicit pattern groups and its fused runs to one
+    ``_run`` call, and its bits (and residuals) are the same on 1 to 3
+    threads, with the result written into the input or into a copy."""
+    g, fs, spds, _ = _split_runs_case()
+    calls = []
+    real = diffusion._run
+
+    def counted(fn, items, nthreads):
+        calls.append(len(items))
+        return real(fn, items, nthreads)
+
+    monkeypatch.setattr(diffusion, "_run", counted)
+    first = None
+    for threads in (1, 2, 3):
+        for overwrite in (False, True):
+            calls.clear()
+            operator_builds.clear()
+            copy = apply_mask(fs.values, fs.known)
+            got = impute_stage1(g, copy, spds, 0.001, steps=100, mode=mode,
+                                threads=threads, overwrite=overwrite)
+            assert calls == [tasks]
+            assert len(operator_builds) == builds
+            assert (got.values is copy.values) == overwrite
+            assert (got.residuals is None) == (mode == "closed_form")
+            first = first or got
+            assert got.values.tobytes() == first.values.tobytes()
+            if got.residuals is not None:
+                assert got.residuals.tobytes() == first.residuals.tobytes()
+
+
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_an_error_in_a_block_propagates(monkeypatch, where):
     """The calling thread runs blocks beside the pool; an error raised in a

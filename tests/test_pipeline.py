@@ -209,6 +209,20 @@ def test_pipeline_records_the_mode_each_method_ran():
                    "fp": "iterative", "zero": "closed_form"}
 
 
+@pytest.mark.parametrize("mode, warnings", [("iterative", 0), ("closed_form", 1)])
+def test_pipeline_warns_once_that_fp_iterates(caplog, mode, warnings):
+    """``fp`` has no closed form: a closed-form pipeline over three seeds
+    logs that once, not once per seed, and an iterative one not at all."""
+    rng = np.random.default_rng(7)
+    g = build_graph(random_connected_edges(rng, 30), 30)
+    caplog.set_level("WARNING", logger="pcfi.pipeline")
+    run_pipeline(g, rng.normal(size=(30, 3)), ImputationConfig(steps=10, mode=mode),
+                 mask_kind="uniform", mask_rate=0.5, seeds=[0, 1, 2],
+                 methods=["fp", "zero"])
+    warned = [r.getMessage() for r in caplog.records if r.name == "pcfi.pipeline"]
+    assert warned == ["fp has no closed form: it iterates 10 steps"] * warnings
+
+
 def _handover_instance(case):
     """Graph, values, mask and settings that send stage 1 down one path:
     fused channels in three column blocks; deep channels on a 400-node
