@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 import numpy as np
@@ -59,6 +60,28 @@ def _refuse_both(args, flag: str, *alternatives: str) -> None:
                              "give one of them")
 
 
+def _impute_report_path(args) -> str | None:
+    """The side-car path of ``impute``: ``--report``, else ``<out>.json``
+    unless ``--out -``. Raises :class:`InputError` if two outputs are both
+    stdout or resolve to one file, where the later would replace the
+    earlier."""
+    report = args.report
+    if report is None and args.out != "-":
+        report = args.out + ".json"
+    seen = {}
+    for flag, path in (("--out", args.out), ("--spds-out", args.spds_out),
+                       ("--report" if args.report is not None
+                        else "the default --report", report)):
+        if path is None:
+            continue
+        target = path if path == "-" else os.path.realpath(path)
+        if target in seen:
+            raise InputError(f"{seen[target]} and {flag} both write to {path}; "
+                             "give each its own destination")
+        seen[target] = flag
+    return report
+
+
 def _graph_for(args, num_nodes: int):
     edges = pio.load_edges(args.edges)
     return build_graph(edges, num_nodes)
@@ -92,6 +115,7 @@ def cmd_mask(args) -> int:
 
 def cmd_impute(args) -> int:
     cfg = ran_config(_impute_config(args, args.method))
+    report_path = _impute_report_path(args)
     values = pio.load_matrix(args.features, header=args.header)
     known = pio.load_mask(args.mask, header=args.header)
     check_mask_shape(values, known)
@@ -115,10 +139,6 @@ def cmd_impute(args) -> int:
     pio.write_matrix(args.out, outcome.values)
     if spds is not None:
         pio.write_spds(args.spds_out, spds.distances)
-
-    report_path = args.report
-    if report_path is None and args.out != "-":
-        report_path = args.out + ".json"
     if report_path is not None:
         pio.write_json(report_path, {
             "schema_version": SIDECAR_SCHEMA_VERSION, "num_nodes": n,

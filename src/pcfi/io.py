@@ -20,8 +20,9 @@ Conventions shared by the library and the command line:
   ``write_mask`` writes a mask) is read from its bytes; any other mask
   input, stdin and ``--header`` files included, goes through
   ``np.loadtxt``, which gives the same mask for canonical files;
-* the shape of a matrix alone (``pcfi mask --features-file``) is read
-  from its lines without parsing a value;
+* the shape of a matrix alone (``pcfi mask --features-file``) is counted
+  line by line from the stream the parser would read, without parsing a
+  value or holding the file;
 * rows and JSON reports are written as bytes, to stdout's binary
   buffer for ``-``;
 * a path of ``-`` reads from stdin or writes to stdout;
@@ -76,48 +77,45 @@ def _output(path):
         yield lambda data: sys.stdout.write(data.decode("ascii"))
 
 
-def _parse(source, *, delimiter, skiprows: int, what: str,
+@contextlib.contextmanager
+def _input(path):
+    """Yield ``path`` open as text, the stream ``np.loadtxt`` parses with no
+    text copy in memory; '-' is stdin, left open."""
+    if str(path) == "-":
+        yield sys.stdin
+    else:
+        with open(path) as fh:
+            yield fh
+
+
+def _parse(source, *, delimiter, what: str, skiprows: int = 0,
            dtype=np.float64) -> np.ndarray:
+    """One ``np.loadtxt`` call; an int64 ``dtype`` parses each entry as an
+    integer and refuses one such as ``4.0``, ``1.5`` or ``inf``."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy < 2 parses an integer entry such as "4.0" through a float,
+            # with this warning; as an error it fails as in numpy >= 2
+            warnings.filterwarnings("error", "loadtxt\\(\\): Parsing an integer via a float",
+                                    DeprecationWarning)
             return np.loadtxt(source, delimiter=delimiter, skiprows=skiprows,
                               ndmin=2, dtype=dtype)
     except (ValueError, DeprecationWarning) as exc:
-        raise InputError(f"could not parse {what}: {exc}") from exc
+        refused = (" as integers (non-integer entries are refused)"
+                   if dtype == np.int64 else "")
+        raise InputError(f"could not parse {what}{refused}: {exc}") from exc
 
 
-def _loadtxt(path, *, delimiter, skiprows: int, what: str,
-             dtype=np.float64) -> np.ndarray:
-    """Parse from the open file (or stdin for '-'): a text copy in memory
-    would take 4 bytes per character on top of the array."""
-    if str(path) == "-":
-        return _parse(sys.stdin, delimiter=delimiter, skiprows=skiprows,
-                      what=what, dtype=dtype)
-    with open(path) as fh:
-        return _parse(fh, delimiter=delimiter, skiprows=skiprows, what=what,
-                      dtype=dtype)
-
-
-def _load_integers(path, *, delimiter, skiprows: int = 0, what: str) -> np.ndarray:
-    """Integer matrix (int64) of a text file, each entry parsed as an
-    integer, so ids above 2**53 keep every digit; an entry such as
-    ``4.0``, ``1.5`` or ``inf`` is an error. Input with no rows gives an
-    empty array."""
-    with warnings.catch_warnings():
-        # numpy < 2 parses an entry such as "4.0" through a float, with
-        # this warning; as an error it fails the parse as numpy >= 2 does
-        warnings.filterwarnings("error", "loadtxt\\(\\): Parsing an integer via a float",
-                                DeprecationWarning)
-        return _loadtxt(path, delimiter=delimiter, skiprows=skiprows,
-                        what=f"{what} as integers (non-integer entries are refused)",
-                        dtype=np.int64)
+def _loadtxt(path, **parse) -> np.ndarray:
+    with _input(path) as fh:
+        return _parse(fh, **parse)
 
 
 def load_edges(path) -> np.ndarray:
     """Edge pairs as an (E, 2) int64 array; blank/comment-only input
     gives an empty list."""
-    arr = _load_integers(path, delimiter=None, what=f"edge list {path}")
+    arr = _loadtxt(path, delimiter=None, what=f"edge list {path}", dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.shape[1] != 2:
@@ -135,8 +133,7 @@ def _check_rows(num_rows: int, path) -> None:
 def load_matrix(path, header: bool = False) -> np.ndarray:
     """Comma-separated float matrix with at least one row; all entries
     must be finite."""
-    arr = _loadtxt(path, delimiter=",", skiprows=1 if header else 0,
-                   what=f"matrix {path}")
+    arr = _loadtxt(path, delimiter=",", skiprows=int(header), what=f"matrix {path}")
     _check_rows(arr.shape[0], path)
     if not np.isfinite(arr).all():
         raise InputError(f"matrix {path} contains non-finite entries")
@@ -144,30 +141,35 @@ def load_matrix(path, header: bool = False) -> np.ndarray:
 
 
 def load_matrix_shape(path, header: bool = False) -> tuple[int, int]:
-    """Rows and columns of a comma-separated matrix, read from its lines
+    """Rows and columns of a comma-separated matrix, counted line by line
     without parsing a value: rows are the lines that keep any text once a
     ``#`` comment is cut off, columns one more than a row's commas.
 
     Raises
     ------
     InputError
-        If the file has no rows, or rows of different widths.
+        If the input has no rows, rows of different widths, or text that
+        does not decode.
     """
-    if str(path) == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    # the line ends of open(path) in text mode: \n, \r\n and \r
-    lines = [line.partition(b"#")[0]
-             for line in data.splitlines()[1 if header else 0:]]
-    commas = [line.count(b",") for line in lines if line]
-    _check_rows(len(commas), path)
-    for row, count in enumerate(commas):
-        if count != commas[0]:
-            raise InputError(f"matrix {path} is ragged: row {row + 1} has "
-                             f"{count + 1} columns, row 1 has {commas[0] + 1}")
-    return len(commas), commas[0] + 1
+    rows = width = 0
+    try:
+        with _input(path) as fh:
+            # stdin splits lines at \n alone; \r ends one too, as in a file
+            lines = (row for line in fh for row in line.rstrip("\n").split("\r"))
+            if header:
+                next(lines, None)
+            for line in lines:
+                if line := line.partition("#")[0]:
+                    rows += 1
+                    columns = line.count(",") + 1
+                    width = width or columns  # the first row's
+                    if columns != width:
+                        raise InputError(f"matrix {path} is ragged: row {rows} has "
+                                         f"{columns} columns, row 1 has {width}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"could not read matrix {path}: {exc}") from exc
+    _check_rows(rows, path)
+    return rows, width
 
 
 def load_mask(path, header: bool = False) -> np.ndarray:
@@ -175,18 +177,16 @@ def load_mask(path, header: bool = False) -> np.ndarray:
 
     A file is read once; a canonical header-less one is decoded from its
     bytes, anything else (and stdin) goes through ``np.loadtxt``."""
-    skiprows = 1 if header else 0
-    if str(path) == "-":
-        source = sys.stdin
+    if str(path) == "-" or header:
+        arr = _loadtxt(path, delimiter=",", skiprows=int(header), what=f"mask {path}")
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-        mask = None if header else _canonical_mask(data)
-        if mask is not None:
+        if (mask := _canonical_mask(data)) is not None:
             return mask
         # the decoding and newline handling of open(path) in text mode
-        source = _io.TextIOWrapper(_io.BytesIO(data))
-    arr = _parse(source, delimiter=",", skiprows=skiprows, what=f"mask {path}")
+        arr = _parse(_io.TextIOWrapper(_io.BytesIO(data)), delimiter=",",
+                     what=f"mask {path}")
     if not np.isin(arr, (0.0, 1.0)).all():
         bad = arr[~np.isin(arr, (0.0, 1.0))].flat[0]
         raise InputError(f"mask {path} must contain only 0 and 1, found {bad!r}")
@@ -213,8 +213,8 @@ def _canonical_mask(data: bytes) -> np.ndarray | None:
 
 def load_spds(path, header: bool = False) -> np.ndarray:
     """Integer distance field; -1 marks unreachable, nothing below it."""
-    arr = _load_integers(path, delimiter=",", skiprows=1 if header else 0,
-                         what=f"distance field {path}")
+    arr = _loadtxt(path, delimiter=",", skiprows=int(header),
+                   what=f"distance field {path}", dtype=np.int64)
     if np.any(arr < -1):
         raise InputError(f"distance field {path} contains values below -1")
     return arr
@@ -465,8 +465,8 @@ def write_dataset(directory, dataset: SynthDataset) -> None:
 def load_dataset(directory):
     """Load a dataset directory back as ``(graph, features, labels, meta)``."""
     directory = Path(directory)
-    labels = _load_integers(directory / "labels.csv", delimiter=None,
-                            what="labels").ravel()
+    labels = _loadtxt(directory / "labels.csv", delimiter=None, what="labels",
+                      dtype=np.int64).ravel()
     features = load_matrix(directory / "features.csv")
     if features.shape[0] != labels.size:
         raise InputError(

@@ -135,16 +135,21 @@ def ran_config(cfg: ImputationConfig) -> ImputationConfig:
     return dataclasses.replace(cfg, mode="iterative")
 
 
+def _settings(cfg: ImputationConfig) -> dict:
+    """The settings a report shows: every field of ``cfg`` but ``threads``,
+    which must not change a report's bytes."""
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "threads"}
+
+
 def run_facts(cfg: ImputationConfig, outcome: ImputeOutcome) -> dict:
     """The JSON-ready facts of one run of ``cfg``, as :func:`ran_config`
-    gives it: ``config``, ``flagged_channels``, ``residuals``,
-    ``max_residual`` and ``steps_run``, 0 exactly when no iteration ran."""
+    gives it: ``config`` (its settings), ``flagged_channels``,
+    ``residuals``, ``max_residual`` and ``steps_run``, 0 exactly when no
+    iteration ran."""
     residuals = outcome.residuals
     iterated = residuals is not None
     return {
-        "config": {"method": cfg.method, "alpha": cfg.alpha, "beta": cfg.beta,
-                   "steps": cfg.steps, "lenient_no_source": cfg.lenient_no_source,
-                   "mode": cfg.mode},
+        "config": _settings(cfg),
         "flagged_channels": outcome.flagged_channels,
         "steps_run": cfg.steps if iterated else 0,
         "residuals": residuals.tolist() if iterated else None,
@@ -235,8 +240,8 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     aggregates = {m: {key: _agg(m, key) for key in
                       ("rmse", "cosine_mean", "spearman_distance_cosine")}
                   for m in configs}
-    settings = {k: v for k, v in dataclasses.asdict(cfg).items()
-                if k not in ("method", "threads")}
+    settings = _settings(cfg)
+    del settings["method"]  # each method block names its own
     return {
         "schema_version": PIPELINE_SCHEMA_VERSION,
         "config": {"mask_kind": mask_kind, "mask_rate": mask_rate,

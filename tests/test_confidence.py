@@ -227,6 +227,12 @@ def test_compute_spds_shape_check():
         compute_spds(g, np.ones((3, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("n, f", [(0, 3), (4, 0)])
+def test_compute_spds_of_no_nodes_or_no_channels(n, f):
+    spds = compute_spds(build_graph([], n), np.zeros((n, f), dtype=bool))
+    assert spds.distances.shape == (n, f)
+
+
 def test_compute_spds_searches_each_known_set_once(monkeypatch):
     """Channels sharing a known set share one search, and more distinct
     sets than one block holds, in shuffled order, each land in their own

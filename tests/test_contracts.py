@@ -4,8 +4,9 @@ graph (``Graph.check_rows``), the distance field against the mask
 (``SpdsMatrix.check_mask``), the mask shape (``masking.check_mask_shape``),
 the mask kind, rate and seed (``masking.check_mask_settings``), the
 diffusion schedule (``diffusion.check_schedule``) and the thread count
-(``ImputationConfig``). The command line refuses settings with exit code 2
-before it reads any file, and writes no output."""
+(``ImputationConfig``). The command line refuses settings, alternative
+inputs given together and two ``impute`` outputs aimed at one destination
+with exit code 2 before it reads any file, and writes no output."""
 
 import json
 import re
@@ -355,3 +356,36 @@ def test_cli_refuses_alternative_inputs_given_together(tmp_path, caplog, monkeyp
     is read (the files do not exist, so a read would exit 3)."""
     monkeypatch.chdir(tmp_path)
     _refused(caplog, argv + [out, "out"], message, tmp_path / "out")
+
+
+_IMPUTE = ["impute", "--edges", "nope.tsv", "--features", "nope.csv", "--mask", "nope.csv"]
+
+
+@pytest.mark.parametrize("outputs, message", [
+    (["--out", "x.csv", "--spds-out", "x.csv"], "--out and --spds-out both write to x.csv"),
+    (["--out", "x.csv", "--spds-out", "./sub/../x.csv"],
+     "--out and --spds-out both write to ./sub/../x.csv"),
+    (["--out", "y.csv", "--spds-out", "y.csv.json"],
+     "--spds-out and the default --report both write to y.csv.json"),
+    (["--out", "x.csv", "--report", "x.csv"], "--out and --report both write to x.csv"),
+    (["--out", "x.csv", "--spds-out", "s.csv", "--report", "s.csv"],
+     "--spds-out and --report both write to s.csv"),
+    (["--out", "-", "--spds-out", "-"], "--out and --spds-out both write to -"),
+    (["--out", "-", "--report", "-"], "--out and --report both write to -"),
+    (["--out", "-", "--spds-out", "-", "--report", "-"],
+     "--out and --spds-out both write to -"),
+], ids=["out-spds", "out-spds-resolved", "spds-default-sidecar", "out-report",
+        "spds-report", "stdout-spds", "stdout-report", "stdout-all"])
+def test_cli_impute_refuses_two_outputs_for_one_destination(tmp_path, caplog, capsys,
+                                                            monkeypatch, outputs,
+                                                            message):
+    """The later output would replace the earlier, or run into it on
+    stdout; the refusal comes before any file is read (the inputs do not
+    exist, so a read would exit 3)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    caplog.clear()
+    assert main(["--quiet", *_IMPUTE, *outputs]) == 2
+    assert message in caplog.text
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]

@@ -684,6 +684,26 @@ def test_validation_errors():
         impute_stage1(g, fs, wrong, 0.5)
 
 
+@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
+@pytest.mark.parametrize("n, f", [(4, 0), (0, 3)])
+def test_stage1_of_no_channels_or_no_nodes_returns_the_empty_set(n, f, mode):
+    g = build_graph(_path_edges(n) if n else [], n)
+    fs = apply_mask(np.zeros((n, f)), np.zeros((n, f), dtype=bool))
+    out = impute_stage1(g, fs, compute_spds(g, fs.known), 0.5, mode=mode)
+    assert out.values.shape == (n, f) and out.flagged_channels == []
+    assert (out.residuals is None) == (mode == "closed_form")
+
+
+def test_channel_operator_and_closed_form_refusals():
+    g = build_graph(_path_edges(3), 3)
+    with pytest.raises(InputError, match=r"must both have shape \(3,\)"):
+        build_channel_operator(g, np.zeros(2, dtype=np.int64), np.ones(3, dtype=bool), 0.5)
+    # I - W_uu is zero when W is the identity and every row is solved
+    identity = build_graph([], 3).self_loop_adjacency()
+    with pytest.raises(NumericalError, match="singular"):
+        closed_form_channel(identity, np.zeros((3, 1)), np.ones(3, dtype=bool))
+
+
 def test_closed_form_size_guard(monkeypatch):
     g, fs, spds, _ = _instance(5, n=30, f=1)
     op = build_channel_operator(g, spds.distances[:, 0], fs.known[:, 0], 0.5)

@@ -36,6 +36,13 @@ def test_build_rejects_out_of_range_ids():
         build_graph([[-1, 0]], 3)
 
 
+def test_build_refuses_a_negative_size_and_edges_that_are_not_pairs():
+    with pytest.raises(InputError, match="num_nodes must be non-negative, got -1"):
+        build_graph([], -1)
+    with pytest.raises(InputError, match="sequence of .node, node. pairs"):
+        build_graph([[0, 1, 2]], 3)
+
+
 def test_neighbors_sorted_and_symmetric():
     rng = np.random.default_rng(7)
     edges = random_gnp_edges(rng, 25, 0.2)

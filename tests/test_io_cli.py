@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import locale
 import os
 import re
 import subprocess
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcfi import (ImputationConfig, InputError, SpdsMatrix, SynthSpec, apply_mask,
-                  build_graph, compute_spds, generate, impute)
+from pcfi import (ImputationConfig, InputError, NumericalError, SpdsMatrix, SynthSpec,
+                  apply_mask, build_graph, compute_spds, generate, impute)
 from pcfi import cli, confidence, propagation
 from pcfi import io as pio
 from pcfi import pipeline
@@ -258,6 +259,11 @@ def test_write_spds_makes_no_int64_copy(tmp_path):
             == (tmp_path / "wide.csv").read_bytes())
 
 
+def test_write_spds_of_a_float_field_writes_its_integers(tmp_path):
+    pio.write_spds(tmp_path / "s.csv", np.array([[0.0, -1.0], [12.0, 3.0]]))
+    assert (tmp_path / "s.csv").read_bytes() == b"0,-1\n12,3\n"
+
+
 def test_matrix_to_stdout_keeps_the_order_of_text_before_and_after(monkeypatch):
     """Rows go to stdout's binary buffer, after the text already written
     to stdout and before the text written next."""
@@ -323,6 +329,57 @@ def test_matrix_shape_from_lines_matches_parsed_shape(tmp_path, name, header):
 def test_matrix_shape_from_stdin(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,2\n3,4\n5,6\n")))
     assert pio.load_matrix_shape("-") == (3, 2)
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("name", sorted(_SHAPE_FILES))
+def test_matrix_shape_from_stdin_ends_lines_as_a_file_does(tmp_path, monkeypatch,
+                                                            name, header):
+    """stdin splits lines at \\n alone, as on POSIX; \\r and \\r\\n still end
+    a line there, so stdin gives the shape (or refusal) of the same file."""
+    data = _SHAPE_FILES[name][0].encode()
+    path = tmp_path / "x.csv"
+    path.write_bytes(data)
+
+    def shape(source):
+        try:
+            return pio.load_matrix_shape(source, header=header)
+        except InputError as exc:
+            return str(exc).replace(str(source), "")
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
+    assert shape("-") == shape(path)
+
+
+def test_matrix_shape_holds_one_line_at_a_time(tmp_path):
+    """The shape is counted over the open stream; a reader that split a
+    copy of the whole file would hold about twice the file."""
+    path = tmp_path / "big.csv"
+    pio.write_matrix(path, np.random.default_rng(0).normal(size=(700, 1000)))
+    assert path.stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        shape = pio.load_matrix_shape(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shape == (700, 1000)
+    assert peak < 1 << 20, peak
+
+
+def test_matrix_shape_of_undecodable_text_is_an_input_error(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"1,2\n\xff,4\n")
+    try:
+        b"\xff".decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        pass
+    else:
+        pytest.skip("the locale's encoding decodes every byte")
+    with pytest.raises(InputError, match="could not read matrix"):
+        pio.load_matrix_shape(path)
+    with pytest.raises(InputError, match="could not parse matrix"):
+        pio.load_matrix(path)
 
 
 def test_cli_mask_reads_shape_without_parsing_values(tmp_path, monkeypatch):
@@ -612,6 +669,17 @@ def test_dataset_loader_rejects_non_integer_labels(tmp_path):
         labels.write_text(label + "\n" + rest)
         with pytest.raises(InputError, match="non-integer"):
             pio.load_dataset(tmp_path / "ds")
+
+
+def test_dataset_loader_rejects_labels_and_features_of_different_rows(tmp_path):
+    ds = generate(SynthSpec(num_nodes=60, num_classes=3, feature_dim=2,
+                            intra_edge_prob=0.1, inter_edge_prob=0.01, seed=1))
+    pio.write_dataset(tmp_path / "ds", ds)
+    labels = tmp_path / "ds" / "labels.csv"
+    labels.write_text(labels.read_text() + "0\n")
+    with pytest.raises(InputError, match=f"features have {ds.graph.num_nodes} rows "
+                                         f"but labels have {ds.graph.num_nodes + 1}"):
+        pio.load_dataset(tmp_path / "ds")
 
 
 def _write_inputs(tmp_path, n=40, f=3, seed=0, rate=0.5):
@@ -943,7 +1011,7 @@ def test_cli_stdout_bytes_match_file_across_blocks(tmp_path):
     assert _run_cli(impute_args + ["--out", "-"]) == out.read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     epath, fpath, mpath = _write_inputs(tmp_path, seed=5)
     # 2: invalid input (mask with a 2 in it)
     bad = tmp_path / "bad.csv"
@@ -970,6 +1038,16 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["impute", "--bogus"])
     assert exc.value.code == 2
+
+    # 4: a numerical failure
+    def singular(*args, **kwargs):
+        raise NumericalError("linear system is singular")
+
+    monkeypatch.setattr(cli, "impute", singular)
+    assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                 str(fpath), "--mask", str(mpath), "--out",
+                 str(tmp_path / "o4.csv")]) == 4
+    assert not (tmp_path / "o4.csv").exists()
 
 
 def test_cli_alpha_validity_depends_on_the_method_alone(tmp_path):
@@ -1073,6 +1151,26 @@ def test_cli_pipeline_timings_flag(tmp_path):
 def test_cli_mask_requires_shape_or_features(tmp_path):
     assert main(["--quiet", "mask", "--type", "uniform", "--rate", "0.2",
                  "--out", str(tmp_path / "m.csv")]) == 2
+
+
+def test_cli_pipeline_requires_a_dataset_or_edges_and_features(tmp_path, caplog):
+    assert main(["--quiet", "pipeline", "--edges", str(tmp_path / "nope.tsv"),
+                 "--mask-type", "uniform", "--rate", "0.5",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "provide --dataset, or both --edges and --features" in caplog.text
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_pipeline_runs_on_the_largest_component(tmp_path, caplog):
+    pio.write_edges(tmp_path / "e.tsv", np.array([[0, 1], [1, 2], [3, 4]]))
+    pio.write_matrix(tmp_path / "f.csv", np.arange(10.0).reshape(5, 2))
+    with caplog.at_level("INFO", logger="pcfi"):
+        assert main(["pipeline", "--edges", str(tmp_path / "e.tsv"),
+                     "--features", str(tmp_path / "f.csv"), "--mask-type", "uniform",
+                     "--rate", "0.5", "--methods", "zero",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert "restricted to largest component: 3 of 5 nodes" in caplog.text
+    assert json.loads((tmp_path / "r.json").read_text())["num_nodes"] == 3
 
 
 def test_cli_structural_mask_zeroes_whole_rows(tmp_path):

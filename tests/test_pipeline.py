@@ -117,7 +117,8 @@ def test_pipeline_refuses_a_method_listed_twice_before_masking(monkeypatch):
 @pytest.mark.parametrize("seeds, message", [
     ([0, -1], "seed must be a non-negative integer, got -1"),
     ([0, 1, 0], "seed 0 is listed more than once"),
-], ids=["negative", "repeated"])
+    ([], "at least one seed is required"),
+], ids=["negative", "repeated", "none"])
 def test_pipeline_refuses_a_negative_or_repeated_seed_before_masking(
         monkeypatch, seeds, message):
     def no_mask(*args):
@@ -127,6 +128,11 @@ def test_pipeline_refuses_a_negative_or_repeated_seed_before_masking(
     with pytest.raises(InputError, match=message):
         run_pipeline(build_graph([[0, 1]], 2), np.ones((2, 1)), ImputationConfig(),
                      mask_kind="uniform", mask_rate=0.5, seeds=seeds)
+
+
+def test_config_refuses_an_unknown_method():
+    with pytest.raises(InputError, match="unknown method 'nope'"):
+        ImputationConfig(method="nope")
 
 
 @pytest.mark.parametrize("method", ["pcfi", "fp", "zero"])

@@ -43,6 +43,11 @@ def test_correlation_needs_two_rows():
         correlation(np.ones((1, 3)))
 
 
+def test_correlation_refuses_a_1d_array():
+    with pytest.raises(InputError, match=r"must be 2-D, got shape \(3,\)"):
+        correlation(np.ones(3))
+
+
 def test_hand_computed_correction():
     # perfectly correlated channels, one uncertain entry at node 2 channel 1
     # (distance 1, alpha=0.5 -> xi=0.5), beta = 0.1:

@@ -273,6 +273,8 @@ def test_spec_validation():
         SynthSpec(num_nodes=10, num_classes=11)
     with pytest.raises(InputError):
         SynthSpec(intra_edge_prob=1.5)
+    with pytest.raises(InputError, match="feature_dim must be >= 1, got 0"):
+        SynthSpec(feature_dim=0)
     for scale in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InputError, match="gaussian_scale"):
             SynthSpec(gaussian_scale=scale)
