@@ -8,7 +8,9 @@ chains all of it over several seeds and methods.
 Data goes to the path named by ``--out`` (``--report`` for eval); ``-``
 streams the primary output to stdout. Logs go to stderr. Exit codes:
 0 success, 2 invalid input or arguments, 3 file-system errors, 4
-numerical failures.
+numerical failures. Outputs are checked before any input is read: two
+aimed at one destination exit 2, and one whose directory does not exist
+exits 3 (``synth`` creates its directory).
 """
 
 from __future__ import annotations
@@ -60,18 +62,14 @@ def _refuse_both(args, flag: str, *alternatives: str) -> None:
                              "give one of them")
 
 
-def _impute_report_path(args) -> str | None:
-    """The side-car path of ``impute``: ``--report``, else ``<out>.json``
-    unless ``--out -``. Raises :class:`InputError` if two outputs are both
-    stdout or resolve to one file, where the later would replace the
-    earlier."""
-    report = args.report
-    if report is None and args.out != "-":
-        report = args.out + ".json"
+def _check_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Check each ``(flag, path)`` output before any input is read.
+    Raises :class:`InputError` if two are both stdout or resolve to one
+    file, where the later would replace the earlier, and
+    :class:`FileNotFoundError` if a file's directory does not exist, so
+    that no run ends with some outputs written and the rest refused."""
     seen = {}
-    for flag, path in (("--out", args.out), ("--spds-out", args.spds_out),
-                       ("--report" if args.report is not None
-                        else "the default --report", report)):
+    for flag, path in outputs:
         if path is None:
             continue
         target = path if path == "-" else os.path.realpath(path)
@@ -79,7 +77,10 @@ def _impute_report_path(args) -> str | None:
             raise InputError(f"{seen[target]} and {flag} both write to {path}; "
                              "give each its own destination")
         seen[target] = flag
-    return report
+        # the directory as written: realpath drops "missing/.." unchecked
+        directory = os.path.dirname(path) or "."
+        if path != "-" and not os.path.isdir(directory):
+            raise FileNotFoundError(f"{flag} {path}: no directory {directory}")
 
 
 def _graph_for(args, num_nodes: int):
@@ -98,6 +99,7 @@ def _impute_config(args, method: str) -> ImputationConfig:
 def cmd_mask(args) -> int:
     check_mask_settings(args.type, args.rate, args.seed)
     _refuse_both(args, "--features-file", "--num-nodes", "--num-channels")
+    _check_outputs(("--out", args.out))
     if args.features_file is not None:
         n, f = pio.load_matrix_shape(args.features_file, header=args.header)
     elif args.num_nodes is not None and args.num_channels is not None:
@@ -115,7 +117,13 @@ def cmd_mask(args) -> int:
 
 def cmd_impute(args) -> int:
     cfg = ran_config(_impute_config(args, args.method))
-    report_path = _impute_report_path(args)
+    # the side-car: --report, else <out>.json unless --out -
+    report_path = args.report
+    if report_path is None and args.out != "-":
+        report_path = args.out + ".json"
+    _check_outputs(("--out", args.out), ("--spds-out", args.spds_out),
+                   ("--report" if args.report is not None
+                    else "the default --report", report_path))
     values = pio.load_matrix(args.features, header=args.header)
     known = pio.load_mask(args.mask, header=args.header)
     check_mask_shape(values, known)
@@ -150,6 +158,7 @@ def cmd_impute(args) -> int:
 
 def cmd_eval(args) -> int:
     _refuse_both(args, "--spds", "--edges")
+    _check_outputs(("--report", args.report))
     truth = pio.load_matrix(args.truth, header=args.header)
     imputed = pio.load_matrix(args.imputed, header=args.header)
     known = pio.load_mask(args.mask, header=args.header)
@@ -192,6 +201,7 @@ def cmd_pipeline(args) -> int:
     cfg = _impute_config(args, "zero")
     plan_runs(cfg, args.mask_type, args.rate, seeds, methods)  # before a file is read
     _refuse_both(args, "--dataset", "--edges", "--features")
+    _check_outputs(("--out", args.out))
     if args.dataset is not None:
         g, features, _labels, _meta = pio.load_dataset(args.dataset)
     elif args.edges is not None and args.features is not None:

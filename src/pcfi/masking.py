@@ -123,18 +123,20 @@ def _draw(kind: str, num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If a dimension or the seed is negative, the rate lies outside
-        (0, 1), or the rounded count would remove every candidate.
+        If a dimension is below 1, the seed is negative, the
+        rate lies outside (0, 1), or the rounded count would remove every
+        candidate.
     """
     check_mask_settings(kind, rate, seed)
-    # each dimension on its own: the product of two negatives is positive
-    if num_nodes < 0 or num_channels < 0:
-        raise InputError(f"mask shape must be non-negative, got "
+    # each dimension on its own: the product of two negatives is positive,
+    # and every reader refuses a matrix of no rows or no channels
+    if num_nodes < 1 or num_channels < 1:
+        raise InputError(f"each mask dimension must be at least 1, got "
                          f"({num_nodes}, {num_channels})")
     rows = kind == "structural"
     total = num_nodes if rows else num_nodes * num_channels
     count = int(np.floor(rate * total + 0.5))
-    if total > 0 and count >= total:
+    if count >= total:
         raise InputError(f"{kind} rate {rate} removes all {total} "
                          f"{'rows' if rows else 'entries'}; no entries "
                          "would remain observed")

@@ -1,7 +1,13 @@
 """Shared pytest wiring: the acceptance suite records one line per
 criterion and this hook prints them after the run summary (outside
 capture), so every invocation ends with the checklist. The
-``operator_builds`` fixture tells which path stage 1 took."""
+``operator_builds`` fixture tells which path stage 1 took, and
+:func:`run_cli` runs the command line in a child process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +41,17 @@ def operator_builds(monkeypatch):
 
     monkeypatch.setattr(diffusion, "build_channel_operator", counted)
     return calls
+
+
+def run_cli(args, stdin: bytes = b"", **env_vars) -> subprocess.CompletedProcess:
+    """Run ``pcfi --quiet args`` in a child process, so it reads and writes
+    the interpreter's own stdin and stdout, with ``env_vars`` added to its
+    environment; asserts that it exits 0 and returns the completed
+    process, its output as bytes."""
+    src = str(Path(diffusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
+    proc = subprocess.run([sys.executable, "-m", "pcfi.cli", "--quiet", *args],
+                          input=stdin, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc

@@ -7,9 +7,6 @@ Run just this module with full output:
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -22,7 +19,7 @@ from pcfi import (apply_mask, build_channel_operator, build_graph,
                   ImputationConfig, SynthSpec)
 from pcfi import io as pio
 
-from conftest import record_acceptance
+from conftest import record_acceptance, run_cli
 from _oracles import random_connected_edges, stage2_bruteforce_oracle
 
 
@@ -317,16 +314,11 @@ def test_c10_byte_identical_outputs(tmp_path):
 
     def run(tag: str, threads: str):
         out = tmp_path / f"out_{tag}.csv"
-        env = dict(os.environ, PCFI_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pcfi.cli", "--quiet", "impute",
-             "--edges", str(tmp_path / "edges.tsv"),
-             "--features", str(tmp_path / "x.csv"),
-             "--mask", str(tmp_path / "mask.csv"),
-             "--out", str(out),
-             "--spds-out", str(tmp_path / f"spds_{tag}.csv")],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_cli(["impute", "--edges", str(tmp_path / "edges.tsv"),
+                 "--features", str(tmp_path / "x.csv"),
+                 "--mask", str(tmp_path / "mask.csv"), "--out", str(out),
+                 "--spds-out", str(tmp_path / f"spds_{tag}.csv")],
+                PCFI_THREADS=threads)
         return (out.read_bytes(),
                 (tmp_path / f"spds_{tag}.csv").read_bytes(),
                 (tmp_path / f"out_{tag}.csv.json").read_bytes())

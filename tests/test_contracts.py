@@ -6,9 +6,11 @@ the mask kind, rate and seed (``masking.check_mask_settings``), the
 diffusion schedule (``diffusion.check_schedule``) and the thread count
 (``ImputationConfig``). The command line refuses settings, alternative
 inputs given together and two ``impute`` outputs aimed at one destination
-with exit code 2 before it reads any file, and writes no output."""
+with exit code 2 before it reads any file, and an output whose directory
+does not exist with exit code 3; it writes no output."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -334,6 +336,7 @@ def test_cli_refuses_settings_before_reading_a_file(tmp_path, caplog, monkeypatc
                                                     argv, message):
     monkeypatch.chdir(tmp_path)
     _refused(caplog, argv + ["--out", "out"], message, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []  # no side-car either
 
 
 @pytest.mark.parametrize("argv, out, message", [
@@ -389,3 +392,40 @@ def test_cli_impute_refuses_two_outputs_for_one_destination(tmp_path, caplog, ca
     assert message in caplog.text
     assert capsys.readouterr().out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+_INPUTS = ["--edges", "edges.tsv", "--features", "truth.csv"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["impute", *_INPUTS, "--mask", "mask.csv", "--out", "ok.csv",
+      "--spds-out", "missing/s.csv"], "--spds-out"),
+    (["impute", *_INPUTS, "--mask", "mask.csv", "--out", "ok.csv",
+      "--spds-out", "missing/../s.csv"], "--spds-out"),
+    (["impute", *_INPUTS, "--mask", "mask.csv", "--out", "ok.csv",
+      "--report", "missing/r.json"], "--report"),
+    (["impute", *_INPUTS, "--mask", "mask.csv", "--out", "missing/o.csv"], "--out"),
+    (["mask", "--type", "uniform", "--rate", "0.5", "--features-file", "truth.csv",
+      "--out", "missing/m.csv"], "--out"),
+    (["eval", "--truth", "truth.csv", "--imputed", "truth.csv", "--mask", "mask.csv",
+      "--edges", "edges.tsv", "--report", "missing/r.json"], "--report"),
+    (["pipeline", *_INPUTS, "--mask-type", "uniform", "--rate", "0.5",
+      "--out", "missing/r.json"], "--out"),
+], ids=["impute-spds", "impute-spds-dotdot", "impute-report", "impute-out", "mask", "eval", "pipeline"])
+def test_cli_refuses_an_output_in_a_missing_directory_before_any_work(
+        tmp_path, caplog, monkeypatch, argv, flag):
+    """Exit 3 before any input is read, naming the flag, so that no run
+    writes some outputs and then fails on the rest."""
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    written, read = sorted(tmp_path.iterdir()), []
+    for name in ("load_matrix", "load_matrix_shape", "load_mask", "load_edges"):
+        def recorded(*args, real=getattr(pio, name), **kwargs):
+            read.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pio, name, recorded)
+    assert main(["--quiet", *argv]) == 3
+    path = argv[argv.index(flag) + 1]
+    assert f"{flag} {path}: no directory {os.path.dirname(path)}" in caplog.text
+    assert read == []
+    assert sorted(tmp_path.iterdir()) == written  # ok.csv is not written

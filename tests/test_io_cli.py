@@ -25,6 +25,7 @@ from pcfi import pipeline
 from pcfi.cli import main
 
 from _oracles import load_mask_reference
+from conftest import run_cli
 
 
 def test_matrix_round_trip(tmp_path):
@@ -405,6 +406,23 @@ def test_cli_mask_reads_shape_without_parsing_values(tmp_path, monkeypatch):
         assert main(["--quiet", "mask", "--type", "uniform", "--rate", "0.5",
                      "--features-file", str(bad), "--out",
                      str(tmp_path / "m.csv")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["structural", "uniform"])
+def test_cli_mask_from_a_file_a_crlf_stdin_or_flags_agree(tmp_path, kind):
+    """``mask --features-file`` draws the mask of the file's shape, from
+    the file or from a CRLF copy of it on the interpreter's own stdin."""
+    fpath = tmp_path / "x.csv"
+    pio.write_matrix(fpath, np.random.default_rng(1).normal(size=(37, 11)))
+    mask = ["mask", "--type", kind, "--rate", "0.9", "--seed", "1"]
+    outs = [tmp_path / f"{name}.csv" for name in ("flags", "file", "stdin")]
+    assert main(["--quiet", *mask, "--num-nodes", "37", "--num-channels", "11",
+                 "--out", str(outs[0])]) == 0
+    assert main(["--quiet", *mask, "--features-file", str(fpath),
+                 "--out", str(outs[1])]) == 0
+    run_cli([*mask, "--features-file", "-", "--out", str(outs[2])],
+            stdin=fpath.read_bytes().replace(b"\n", b"\r\n"))
+    assert len({out.read_bytes() for out in outs}) == 1
 
 
 def test_mask_loader_rejects_non_binary(tmp_path):
@@ -844,12 +862,11 @@ def test_cli_spds_out_is_the_same_field_for_every_method(tmp_path):
 
 @pytest.mark.parametrize("command", ["impute", "eval", "pipeline"])
 def test_cli_refuses_a_features_file_with_no_rows(tmp_path, caplog, command):
-    """An empty features file exits 2 with the message that ``mask
-    --features-file`` gives for it, writes nothing and leaks no numpy
-    warning."""
+    """An empty features file, or one of a blank line, exits 2 with the
+    message that ``mask --features-file`` gives for it, writes nothing and
+    leaks no numpy warning."""
     epath, fpath, mpath = _write_inputs(tmp_path)
     empty = tmp_path / "empty.csv"
-    empty.write_text("\n")
     out = tmp_path / "out"
     argv = {"impute": ["impute", "--edges", str(epath), "--features", str(empty),
                        "--mask", str(mpath), "--out", str(out)],
@@ -857,11 +874,14 @@ def test_cli_refuses_a_features_file_with_no_rows(tmp_path, caplog, command):
                      "--mask", str(mpath), "--report", str(out)],
             "pipeline": ["pipeline", "--edges", str(epath), "--features", str(empty),
                          "--mask-type", "uniform", "--rate", "0.5", "--out", str(out)]}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["--quiet", *argv[command]]) == 2
-    assert f"matrix {empty} has no rows" in caplog.text
-    assert list(tmp_path.glob("out*")) == []
+    for text in ("", "\n"):
+        empty.write_text(text)
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--quiet", *argv[command]]) == 2
+        assert f"matrix {empty} has no rows" in caplog.text
+        assert list(tmp_path.glob("out*")) == []
 
 
 def test_impute_takes_the_feature_set_out_of_a_list(tmp_path):
@@ -953,19 +973,6 @@ def test_readme_library_example_runs():
     assert np.isfinite(rmse) and np.isfinite(cosine)
 
 
-def _run_cli(args, stdin: bytes = b"", **env_vars) -> bytes:
-    """Run the command line in a child process, so it reads and writes the
-    interpreter's own stdin and stdout, with ``env_vars`` added to its
-    environment; returns the stdout bytes."""
-    src = str(Path(pio.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
-    proc = subprocess.run([sys.executable, "-m", "pcfi.cli", "--quiet", *args],
-                          input=stdin, env=env, capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout
-
-
 def test_cli_impute_output_does_not_depend_on_blas_threads(tmp_path):
     """Stage 2 on 2000 x 300 values spans three row blocks, and its Gram
     two column strips; one and two BLAS threads write the same bytes."""
@@ -975,9 +982,9 @@ def test_cli_impute_output_does_not_depend_on_blas_threads(tmp_path):
     outputs = []
     for blas_threads in ("1", "2"):
         out = tmp_path / f"blas{blas_threads}.csv"
-        _run_cli(["impute", "--edges", str(epath), "--features", str(fpath),
-                  "--mask", str(mpath), "--out", str(out)],
-                 OPENBLAS_NUM_THREADS=blas_threads)
+        run_cli(["impute", "--edges", str(epath), "--features", str(fpath),
+                 "--mask", str(mpath), "--out", str(out)],
+                OPENBLAS_NUM_THREADS=blas_threads)
         outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
     assert outputs[0] == outputs[1]
 
@@ -989,8 +996,8 @@ def test_cli_features_from_stdin_match_file(tmp_path):
                  str(fpath), "--mask", str(mpath), "--out",
                  str(from_file)]) == 0
     from_stdin = tmp_path / "stdin.csv"
-    _run_cli(["impute", "--edges", str(epath), "--features", "-", "--mask",
-              str(mpath), "--out", str(from_stdin)], stdin=fpath.read_bytes())
+    run_cli(["impute", "--edges", str(epath), "--features", "-", "--mask",
+             str(mpath), "--out", str(from_stdin)], stdin=fpath.read_bytes())
     assert from_stdin.read_bytes() == from_file.read_bytes()
 
 
@@ -1002,13 +1009,77 @@ def test_cli_stdout_bytes_match_file_across_blocks(tmp_path):
     mask_args = ["mask", "--type", "uniform", "--rate", "0.5", "--seed", "2",
                  "--num-nodes", str(n), "--num-channels", str(f)]
     mpath = tmp_path / "mask2.csv"
-    _run_cli(mask_args + ["--out", str(mpath)])
-    assert _run_cli(mask_args + ["--out", "-"]) == mpath.read_bytes()
+    run_cli(mask_args + ["--out", str(mpath)])
+    assert run_cli(mask_args + ["--out", "-"]).stdout == mpath.read_bytes()
     impute_args = ["impute", "--edges", str(epath), "--features", str(fpath),
                    "--mask", str(mpath)]
     out = tmp_path / "out.csv"
-    _run_cli(impute_args + ["--out", str(out)])
-    assert _run_cli(impute_args + ["--out", "-"]) == out.read_bytes()
+    run_cli(impute_args + ["--out", str(out)])
+    assert run_cli(impute_args + ["--out", "-"]).stdout == out.read_bytes()
+
+
+def _path_inputs(tmp_path, n, columns, observed):
+    """A path of ``n`` nodes whose channel d holds ``columns[d](i)`` at node
+    i, observed where ``observed[d](i)`` holds."""
+    i = np.arange(n)
+    paths = [tmp_path / name for name in ("path.tsv", "path.csv", "path_mask.csv")]
+    pio.write_edges(paths[0], np.stack([i[:-1], i[1:]], axis=1))
+    pio.write_matrix(paths[1], np.round(np.stack([c(i) for c in columns], axis=1), 3))
+    pio.write_mask(paths[2], np.stack([o(i) for o in observed], axis=1))
+    return paths
+
+
+@pytest.mark.parametrize("case, settings, threads, builds", [
+    ("blocks", [], (None, 1, 2), 0),
+    ("blocks", ["--method", "pcfi_stage1_only"], (1, 2), 0),
+    ("structural", [], (1, 2, 3), 0),
+    ("path", ["--alpha", "0.1"], (1, 2), 0),
+    ("path", ["--alpha", "0.001"], (1, 2), 1),
+    ("mixed", ["--alpha", "0.001"], (1, 2, 3), 1),
+    ("short-path", ["--mode", "closed_form"], (1, 2), 1),
+], ids=["blocks", "blocks-stage1", "structural", "path-clipped", "path-explicit",
+        "mixed", "short-path-closed-form"])
+def test_cli_impute_bytes_do_not_depend_on_the_thread_count(
+        tmp_path, monkeypatch, operator_builds, case, settings, threads, builds):
+    """``pcfi impute`` writes the same matrix and side-car on each thread
+    count (None: no --threads, so PCFI_THREADS or 1), with stage 1 building
+    ``builds`` explicit operators per run: stage 2 over 1200 x 400 values,
+    more than one row block and two Gram strips; a structural mask, whose
+    blocks share one confidence column; a 3000-node path observed at node
+    0, which runs the fused kernel with hops clipped at K + 1 at alpha 0.1
+    and the explicit operator at alpha 0.001; explicit channels (observed
+    at node 0) that split fused ones (every tenth node) into runs; and the
+    closed form on a 1500-node path."""
+    monkeypatch.delenv("PCFI_THREADS", raising=False)
+    if case == "blocks":
+        n, f = 1200, 400
+        assert n * f > confidence.ROW_BLOCK_VALUES and f > propagation.GRAM_STRIP
+        inputs = _write_inputs(tmp_path, n=n, f=f, seed=10)
+    elif case == "structural":
+        inputs = _write_inputs(tmp_path, n=600, f=80, seed=11)
+        assert main(["--quiet", "mask", "--type", "structural", "--rate", "0.9",
+                     "--features-file", str(inputs[1]), "--out", str(inputs[2])]) == 0
+    elif case == "mixed":
+        deep, tenth = (lambda i: i == 0), (lambda i: i % 10 == 3)
+        inputs = _path_inputs(tmp_path, 3000, [np.sin, np.cos, lambda i: np.sin(i / 7),
+                                               lambda i: np.cos(i / 5),
+                                               lambda i: np.cos(i / 3),
+                                               lambda i: np.cos(i / 11)],
+                              [tenth, deep, tenth, tenth, deep, tenth])
+    else:
+        inputs = _path_inputs(tmp_path, 1500 if case == "short-path" else 3000,
+                              [np.sin, np.cos], [lambda i: i == 0] * 2)
+    written = set()
+    for count in threads:
+        operator_builds.clear()
+        out = tmp_path / f"threads{count}.csv"
+        assert main(["--quiet", "impute", "--edges", str(inputs[0]), "--features",
+                     str(inputs[1]), "--mask", str(inputs[2]), *settings,
+                     *([] if count is None else ["--threads", str(count)]),
+                     "--out", str(out)]) == 0
+        assert len(operator_builds) == builds
+        written.add((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+    assert len(written) == 1
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):
@@ -1122,6 +1193,38 @@ def test_cli_synth_and_pipeline(tmp_path):
     assert blk["timings"] is None
 
 
+# a 400-node graph in many components
+_FRAGMENTED = ["--num-nodes", "400", "--num-classes", "4", "--feature-dim", "64",
+               "--intra", "0.02", "--inter", "0.001", "--seed", "0",
+               "--keep-all-components"]
+
+
+@pytest.mark.parametrize("case", ["structural", "fragmented"])
+def test_cli_pipeline_report_does_not_depend_on_the_thread_count(tmp_path, case):
+    """A pipeline over two seeds writes the same report on one and on two
+    threads: every method under a structural mask, and a fragmented graph
+    cut to its largest component."""
+    ds = tmp_path / "ds"
+    if case == "structural":
+        synth = ["--num-nodes", "600", "--num-classes", "4", "--feature-dim", "80",
+                 "--intra", "0.02", "--inter", "0.002", "--seed", "0"]
+        mask, methods = ["structural", "0.9"], "pcfi,pcfi_stage1_only,fp,zero"
+    else:
+        synth, mask, methods = _FRAGMENTED, ["uniform", "0.5"], "pcfi,fp,zero"
+    assert main(["--quiet", "synth", *synth, "--out", str(ds)]) == 0
+    pipeline = ["--quiet", "pipeline", "--dataset", str(ds), "--mask-type", mask[0],
+                "--rate", mask[1]]
+    reports = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        assert main([*pipeline, "--methods", methods, "--seeds", "0,1",
+                     "--threads", threads, "--out", str(out)]) == 0
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
+    if case == "fragmented":
+        assert json.loads(out.read_text())["num_nodes"] < 400
+
+
 def test_cli_pipeline_refuses_an_empty_method_list(tmp_path):
     ds_dir = tmp_path / "ds"
     assert main(["--quiet", "synth", "--num-nodes", "60", "--num-classes", "2",
@@ -1212,11 +1315,15 @@ def test_cli_mask_rejects_rate_one(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["structural", "uniform"])
-@pytest.mark.parametrize("n, f", [("-3", "2"), ("3", "-2"), ("-3", "-2")])
-def test_cli_mask_rejects_a_negative_dimension(tmp_path, kind, n, f):
+@pytest.mark.parametrize("n, f", [("-3", "2"), ("3", "-2"), ("-3", "-2"),
+                                  ("0", "2"), ("3", "0"), ("0", "0")])
+def test_cli_mask_rejects_a_negative_dimension(tmp_path, caplog, kind, n, f):
+    """Zero counts too: impute and eval refuse a matrix of no rows, so no
+    mask is drawn for one, nor for a matrix of no channels."""
     out = tmp_path / "m.csv"
     assert main(["--quiet", "mask", "--type", kind, "--rate", "0.5",
                  "--num-nodes", n, "--num-channels", f, "--out", str(out)]) == 2
+    assert f"each mask dimension must be at least 1, got ({n}, {f})" in caplog.text
     assert not out.exists()
 
 
@@ -1296,16 +1403,15 @@ def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
         assert rep["residuals"] is None and rep["max_residual"] is None
 
 
-@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
-def test_cli_sidecar_facts_equal_the_pipeline_blocks(tmp_path, mode):
+def _assert_sidecars_match_pipeline_blocks(tmp_path, epath, fpath, *settings):
     """``pcfi impute`` under the mask that ``pcfi pipeline --no-lcc`` draws
     for seed 0 reports, apart from the input's shape and its schema
-    version, exactly the facts of that method's pipeline block."""
-    epath, fpath, _ = _write_inputs(tmp_path)
+    version, exactly the facts of that method's pipeline block, each run
+    with ``settings``; returns the blocks."""
     mpath = tmp_path / "mask0.csv"
     assert main(["--quiet", "mask", "--features-file", str(fpath), "--type",
                  "uniform", "--rate", "0.5", "--seed", "0", "--out", str(mpath)]) == 0
-    common = ["--edges", str(epath), "--mode", mode, "--k", "7"]
+    common = ["--edges", str(epath), *settings]
     rpath = tmp_path / "pipe.json"
     assert main(["--quiet", "pipeline", *common, "--features", str(fpath),
                  "--no-lcc", "--mask-type", "uniform", "--rate", "0.5", "--seeds",
@@ -1323,6 +1429,28 @@ def test_cli_sidecar_facts_equal_the_pipeline_blocks(tmp_path, mode):
         assert facts == {k: blocks[method][k] for k in facts}
         assert set(facts) == {"config", "flagged_channels", "steps_run",
                               "residuals", "max_residual"}
+    return blocks
+
+
+@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
+def test_cli_sidecar_facts_equal_the_pipeline_blocks(tmp_path, mode):
+    epath, fpath, _ = _write_inputs(tmp_path)
+    _assert_sidecars_match_pipeline_blocks(tmp_path, epath, fpath,
+                                           "--mode", mode, "--k", "7")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_sidecar_facts_equal_the_pipeline_blocks_on_a_fragmented_graph(
+        tmp_path, threads):
+    """The same on the whole of a fragmented graph, where some channels
+    cannot reach an observed value and --lenient-no-source zero-fills
+    them."""
+    ds = tmp_path / "ds"
+    assert main(["--quiet", "synth", *_FRAGMENTED, "--out", str(ds)]) == 0
+    blocks = _assert_sidecars_match_pipeline_blocks(
+        tmp_path, ds / "edges.tsv", ds / "features.csv", "--lenient-no-source",
+        "--threads", threads)
+    assert blocks["pcfi"]["flagged_channels"]
 
 
 def test_cli_fp_warns_once_that_it_iterates_under_closed_form(tmp_path, caplog):

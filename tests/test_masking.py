@@ -63,7 +63,7 @@ def test_mask_rate_bounds():
 @pytest.mark.parametrize("make", [structural_mask, uniform_mask])
 @pytest.mark.parametrize("n, f", [(-3, 2), (3, -2), (-3, -2)])
 def test_masks_refuse_a_negative_dimension(make, n, f):
-    with pytest.raises(InputError, match="non-negative"):
+    with pytest.raises(InputError, match="each mask dimension must be at least 1"):
         make(n, f, 0.5, seed=0)
 
 
