@@ -87,15 +87,18 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .confidence import (BLOCK_COLUMNS, UNREACHABLE, SpdsMatrix, alpha_powers,
                          check_alpha, distinct_columns)
 from .errors import InputError, NoSourceError, NumericalError
 from .graph import Graph
 from .masking import FeatureSet
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ImputeOutcome",
@@ -135,7 +138,8 @@ class ImputeOutcome:
         every other run makes the configured number of steps.
     flagged_channels : list of int
         Channels zero-filled (fully or partially) because no source was
-        reachable; empty unless lenient mode intervened.
+        reachable; empty unless lenient mode intervened, and always empty
+        for ``zero``.
     """
 
     values: np.ndarray
@@ -292,17 +296,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     if n == 0 or f == 0:
         return ImputeOutcome(values=out, residuals=residuals, flagged_channels=[])
 
+    flagged = _unreachable_channels(spds, lenient)
     has_source = fs.known.any(axis=0)
-    unhealthy = ~has_source | (spds.distances == UNREACHABLE).any(axis=0)
-    flagged = np.flatnonzero(unhealthy).tolist()
-    if flagged and not lenient:
-        raise NoSourceError(
-            f"{len(flagged)} channel(s) have missing nodes with no reachable "
-            f"observed entry: {flagged[:10]}{'...' if len(flagged) > 10 else ''}; "
-            "rerun leniently to zero-fill them or restrict the graph first",
-            channels=flagged,
-        )
-
     if mode == "closed_form":
         explicit, blocks = has_source, []
     else:
@@ -333,6 +328,22 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     _run(lambda task: task[0](task[1]), tasks, resolve_threads(threads))
     _release_free_heap()
     return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
+
+
+def _unreachable_channels(spds: SpdsMatrix, lenient: bool) -> list[int]:
+    """The channels with a missing entry whose component holds no observed
+    entry of the channel, read off the distance field: the entry is
+    ``UNREACHABLE`` (in a channel with no observed entry, every entry is).
+    Raises :class:`NoSourceError` naming them unless ``lenient``."""
+    flagged = np.flatnonzero((spds.distances == UNREACHABLE).any(axis=0)).tolist()
+    if flagged and not lenient:
+        raise NoSourceError(
+            f"{len(flagged)} channel(s) have missing nodes with no reachable "
+            f"observed entry: {flagged[:10]}{'...' if len(flagged) > 10 else ''}; "
+            "rerun leniently to zero-fill them or restrict the graph first",
+            channels=flagged,
+        )
+    return flagged
 
 
 def _release_free_heap() -> None:
@@ -448,19 +459,26 @@ def _confidences(ai, spds: SpdsMatrix, alpha: float, cols: np.ndarray,
 
 
 def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
-                steps: int = 100) -> ImputeOutcome:
+                steps: int = 100, spds: SpdsMatrix | None = None,
+                lenient: bool = False) -> ImputeOutcome:
     """Baseline diffusion with the symmetric normalized adjacency.
 
     The operator is ``D^{-1/2} (A + I) D^{-1/2}`` with self-loop degrees;
     each step multiplies and then resets observed entries to their input
-    bits. Regions with no observed node in a channel simply stay zero
-    (no flagging).
+    bits. Regions with no observed node in a channel stay zero. Given
+    ``spds``, the distance field of ``fs.known``, the channels that hold
+    such a region are refused or, with ``lenient``, flagged, by the rule
+    of :func:`impute_stage1`; without it, none are flagged.
 
     ``fs`` is only read. Handed over in a one-item list, which is emptied,
     its values are let go after the first step."""
     if isinstance(fs, list):
         fs = fs.pop()
     g.check_rows(fs.values)
+    flagged = []
+    if spds is not None:
+        spds.check_mask(fs.known)
+        flagged = _unreachable_channels(spds, lenient)
     op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]
@@ -468,4 +486,4 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
     known, x0 = fs.known, [fs.values]
     del fs
     x, residuals = diffuse_channel(op, x0, known, steps)
-    return ImputeOutcome(values=x, residuals=residuals, flagged_channels=[])
+    return ImputeOutcome(values=x, residuals=residuals, flagged_channels=flagged)

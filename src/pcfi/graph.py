@@ -4,21 +4,28 @@ The graph is stored in compressed sparse row form: ``indptr`` of length
 N+1 and a flat ``indices`` array holding each node's neighbors sorted
 ascending. Graphs are immutable after construction; self-loops and
 duplicate edges are removed when building. Building and restricting run
-on ``scipy.sparse``; the component search is numpy alone (importing
-``scipy.sparse.csgraph`` would load ``scipy.sparse.linalg`` and
-``scipy.linalg``, which no run needs). This module is the one place that
-forms ``A + I`` and cuts a graph to its largest component.
+on ``scipy.sparse``, which is imported by the three functions that make a
+CSR matrix (:func:`build_graph`, :meth:`Graph.adjacency` and
+:meth:`Graph.self_loop_adjacency`), so a command that builds no graph,
+such as ``pcfi mask``, loads no scipy. The component search is numpy
+alone (importing ``scipy.sparse.csgraph`` would load
+``scipy.sparse.linalg`` and ``scipy.linalg``, which no run needs). This
+module is the one place that forms ``A + I`` and cuts a graph to its
+largest component.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger("pcfi.graph")
 
@@ -79,6 +86,8 @@ class Graph:
     def adjacency(self) -> sparse.csr_array:
         """``A``, the adjacency matrix, as a bool CSR matrix with sorted
         indices."""
+        from scipy import sparse
+
         n = self.num_nodes
         return sparse.csr_array((np.ones(self.indices.size, dtype=bool),
                                  self.indices, self.indptr), shape=(n, n))
@@ -86,6 +95,8 @@ class Graph:
     def self_loop_adjacency(self, dtype=np.float64) -> sparse.csr_array:
         """``A + I``, the adjacency matrix with a self-loop on every node,
         as a CSR matrix of ones with sorted indices."""
+        from scipy import sparse
+
         n = self.num_nodes
         adj = sparse.csr_array((np.ones(self.indices.size, dtype=dtype),
                                 self.indices, self.indptr), shape=(n, n))
@@ -143,6 +154,8 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
             f"edge ({edges[i, 0]}, {edges[i, 1]}) references a node id outside "
             f"[0, {num_nodes})"
         )
+
+    from scipy import sparse
 
     edges = edges[edges[:, 0] != edges[:, 1]]
     both = np.concatenate([edges, edges[:, ::-1]])

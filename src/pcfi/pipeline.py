@@ -92,8 +92,9 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     """Run one method on one masked feature set.
 
     A precomputed distance field may be passed to avoid recomputing it
-    across methods; it must match the mask, and ``fp`` and ``zero`` do not
-    read it.
+    across methods; it must match the mask. ``zero`` does not read it;
+    ``fp`` reads it only to find the channels it cannot fill, which it
+    refuses or, with ``lenient_no_source``, flags, as the pcfi methods do.
 
     ``fs`` may be handed over in a one-item list, which is emptied: the
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
@@ -107,8 +108,11 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     g.check_rows((fs[0] if handed_over else fs).values)
     if cfg.method == "fp":
         ran_config(cfg)  # warns when asked for the closed form
+        if spds is None:
+            spds = compute_spds(g, (fs[0] if handed_over else fs).known)
         # passed on as given, so that a handed-over set is not held here
-        return fp_baseline(g, fs, steps=cfg.steps)
+        return fp_baseline(g, fs, steps=cfg.steps, spds=spds,
+                           lenient=cfg.lenient_no_source)
     if handed_over:
         fs = fs.pop()
     if cfg.method == "zero":

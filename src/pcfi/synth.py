@@ -14,6 +14,10 @@ distance. The metadata records which construction was used
 The noise covariance couples channels: diagonal ``scale**2`` with
 off-diagonal entries at one tenth of that, so channels are genuinely
 correlated and the inter-channel propagation stage has signal to use.
+Its Cholesky factor has a closed form (every Schur complement of an
+equicorrelated matrix is again equicorrelated), so the noise costs
+O(nodes x channels) with no F x F matrix, factorization or matrix
+product, and its bits do not depend on the BLAS or LAPACK build.
 
 All randomness flows through one PCG64 stream in a fixed draw order
 (label shuffle, within-class edges, between-class edges, means pool if
@@ -250,18 +254,45 @@ def equidistant_means(num_classes: int, feature_dim: int,
     return means, info
 
 
+def _noise_factor(feature_dim: int, scale: float):
+    """The Cholesky factor ``L`` of the noise covariance ``a I + b 11^T``
+    (``a = 0.9 scale**2``, ``b = 0.1 scale**2``), as ``(d, c)``: column
+    ``j`` of ``L`` holds ``d[j]`` on the diagonal and ``c[j]`` in every
+    row below it.
+
+    Eliminating column ``j`` of ``a I + b_j 11^T`` leaves the Schur
+    complement ``a I + b_(j+1) 11^T``, again equicorrelated, so
+    ``d[j] = sqrt(a + b_j)`` and ``c[j] = b_j / d[j]`` with
+    ``b_j = a b / (a + j b) = 0.9 scale**2 / (9 + j)``. Both are
+    ``scale`` times their value at scale 1, which keeps scale 0 (where
+    ``L`` is 0) and tiny scales free of 0/0."""
+    b_j = 0.9 / (9.0 + np.arange(feature_dim))  # at scale 1
+    d = np.sqrt(0.9 + b_j)
+    return scale * d, scale * (b_j / d)
+
+
 def sample_features(labels: np.ndarray, means: np.ndarray, scale: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Gaussian features around each node's class mean.
 
     Covariance is ``scale**2`` on the diagonal and a tenth of that off
-    the diagonal, identical for every class."""
-    n = labels.size
+    the diagonal, identical for every class. The noise of a row is
+    ``L z`` for standard normals ``z`` and the closed-form Cholesky
+    factor ``L`` of :func:`_noise_factor`: ``z * d`` plus the running sum
+    of ``z * c`` over the channels before each one. It is computed in
+    place over the ``confidence.row_blocks`` of the draws, so besides the
+    result only a few row blocks are alive, and no F x F array is made."""
     f = means.shape[1]
-    cov = scale * scale * (0.9 * np.eye(f) + 0.1 * np.ones((f, f)))
-    chol = np.linalg.cholesky(cov) if scale > 0 else np.zeros((f, f))
-    features = _normals(rng, (n, f)) @ chol.T
-    features += means[labels]
+    features = _normals(rng, (labels.size, f))
+    d, c = _noise_factor(f, scale)
+    for rows in row_blocks(*features.shape):
+        z = features[rows]
+        before = z * c
+        np.cumsum(before, axis=1, out=before)
+        z *= d
+        z[:, 1:] += before[:, :-1]
+        del before
+        z += means[labels[rows]]
     return features
 
 

@@ -16,6 +16,7 @@ from scipy import sparse
 from pcfi import InputError, SpdsMatrix
 from pcfi.confidence import UNREACHABLE, alpha_powers
 from pcfi.metrics import EvalReport, _spearman_sorted, check_shapes
+from pcfi.synth import _normals
 
 INF = float("inf")
 
@@ -344,6 +345,19 @@ def fp_baseline_reference(g, values: np.ndarray, known: np.ndarray, steps: int):
         x = op @ x
         x[known] = pinned
     return x, np.abs(x - prev).max(axis=0)
+
+
+def sample_features_reference(labels: np.ndarray, means: np.ndarray, scale: float,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Gaussian features around each node's class mean through an explicit
+    Cholesky factor and one matrix product, as first written."""
+    n = labels.size
+    f = means.shape[1]
+    cov = scale * scale * (0.9 * np.eye(f) + 0.1 * np.ones((f, f)))
+    chol = np.linalg.cholesky(cov) if scale > 0 else np.zeros((f, f))
+    features = _normals(rng, (n, f)) @ chol.T
+    features += means[labels]
+    return features
 
 
 def select_reference(rng: np.random.Generator, population: int, count: int) -> np.ndarray:

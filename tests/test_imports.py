@@ -1,7 +1,9 @@
 """Start-up cost guard: the command line, and its runs, must not load
 scipy modules that they do not use. Checked by module name, not by
-seconds, so the test does not depend on machine speed. And the package
-namespace: it is built from the ``__all__`` of its layer modules."""
+seconds, so the test does not depend on machine speed. Commands that
+build no graph (``--help``, ``mask``) load no scipy at all. And the
+package namespace: it is built from the ``__all__`` of its layer
+modules."""
 
 import importlib
 import json
@@ -10,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pcfi
 from pcfi import SynthSpec, generate
-from pcfi.io import write_dataset
+from pcfi.io import load_mask, write_dataset, write_mask, write_matrix
 
 # scipy.stats costs about 0.9 s to import; scipy.sparse.linalg (pulled
 # in by scipy.sparse.csgraph, which graph.connected_components does
@@ -22,16 +27,18 @@ from pcfi.io import write_dataset
 HEAVY = ("scipy.stats", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
-def _heavy_loaded_after(code: str) -> list[str]:
-    """The HEAVY modules loaded once ``code`` has run in a new interpreter."""
+def _loaded_after(code: str, names=HEAVY) -> list[str]:
+    """The modules loaded once ``code`` has run in a new interpreter that
+    are, or lie under, one of ``names``."""
     src = str(Path(pcfi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code += f"; print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+    code += ("\nimport sys\nprint('loaded:', *sorted(m for m in sys.modules if any("
+             f"m == n or m.startswith(n + '.') for n in {tuple(names)!r})))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()[1:]
 
 
 def _cli_run(*argv: str) -> str:
@@ -39,14 +46,51 @@ def _cli_run(*argv: str) -> str:
 
 
 def test_cli_import_skips_heavy_scipy_modules():
-    assert _heavy_loaded_after("import sys, pcfi.cli") == []
+    assert _loaded_after("import sys, pcfi.cli") == []
+
+
+def test_package_import_and_help_load_no_scipy():
+    assert _loaded_after("import pcfi", ["scipy"]) == []
+    help_code = ("from pcfi.cli import main\ntry:\n    main(['--help'])\n"
+                 "except SystemExit as stop:\n    assert stop.code == 0")
+    assert _loaded_after(help_code, ["scipy"]) == []
+
+
+@pytest.mark.parametrize("source", ["flags", "features-file"])
+def test_mask_run_loads_no_scipy(tmp_path, source):
+    if source == "flags":
+        shape = ["--num-nodes", "30", "--num-channels", "4"]
+    else:
+        write_matrix(tmp_path / "x.csv", np.ones((30, 4)))
+        shape = ["--features-file", str(tmp_path / "x.csv")]
+    out = tmp_path / "mask.csv"
+    loaded = _loaded_after(_cli_run("--quiet", "mask", "--type", "uniform", "--rate",
+                                    "0.5", "--seed", "0", *shape, "--out", str(out)),
+                           ["scipy"])
+    assert load_mask(out).shape == (30, 4)
+    assert loaded == []
+
+
+def test_impute_run_loads_scipy_sparse_at_its_graph(tmp_path):
+    """The guard above is not vacuous: a command that builds a graph does
+    load ``scipy.sparse``."""
+    data = tmp_path / "data"
+    ds = generate(SynthSpec(num_nodes=60, num_classes=2, feature_dim=3,
+                            intra_edge_prob=0.2, inter_edge_prob=0.05))
+    write_dataset(data, ds)
+    write_mask(tmp_path / "mask.csv", np.ones(ds.features.shape, dtype=bool))
+    loaded = _loaded_after(_cli_run(
+        "--quiet", "impute", "--edges", str(data / "edges.tsv"), "--features",
+        str(data / "features.csv"), "--mask", str(tmp_path / "mask.csv"),
+        "--out", str(tmp_path / "out.csv")), ["scipy"])
+    assert "scipy.sparse" in loaded
 
 
 def test_pipeline_run_with_largest_component_skips_heavy_scipy_modules(tmp_path):
     spec = SynthSpec(num_nodes=300, num_classes=3, feature_dim=4, intra_edge_prob=0.01,
                      inter_edge_prob=0.001, seed=0, largest_component=False)
     write_dataset(tmp_path, generate(spec))
-    loaded = _heavy_loaded_after(_cli_run(
+    loaded = _loaded_after(_cli_run(
         "--quiet", "pipeline", "--dataset", str(tmp_path), "--mask-type", "uniform",
         "--rate", "0.5", "--out", str(tmp_path / "report.json")))
     report = json.loads((tmp_path / "report.json").read_text())
@@ -56,7 +100,7 @@ def test_pipeline_run_with_largest_component_skips_heavy_scipy_modules(tmp_path)
 
 def test_synth_run_with_largest_component_skips_linalg(tmp_path):
     out = tmp_path / "data"
-    loaded = _heavy_loaded_after(_cli_run(
+    loaded = _loaded_after(_cli_run(
         "--quiet", "synth", "--num-nodes", "300", "--num-classes", "3", "--feature-dim",
         "4", "--intra", "0.01", "--inter", "0.001", "--seed", "0", "--out", str(out)))
     meta = json.loads((out / "meta.json").read_text())

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcfi import (ImputationConfig, InputError, NumericalError, SpdsMatrix, SynthSpec,
-                  apply_mask, build_graph, compute_spds, generate, impute)
+                  apply_mask, build_graph, compute_spds, fp_baseline, generate, impute)
 from pcfi import cli, confidence, propagation
 from pcfi import io as pio
 from pcfi import pipeline
@@ -1451,6 +1451,42 @@ def test_cli_sidecar_facts_equal_the_pipeline_blocks_on_a_fragmented_graph(
         tmp_path, ds / "edges.tsv", ds / "features.csv", "--lenient-no-source",
         "--threads", threads)
     assert blocks["pcfi"]["flagged_channels"]
+    assert blocks["fp"]["flagged_channels"] == blocks["pcfi"]["flagged_channels"]
+
+
+@pytest.mark.parametrize("method", ["pcfi", "fp"])
+def test_cli_fp_and_pcfi_refuse_or_flag_the_same_unfillable_channels(
+        tmp_path, caplog, method):
+    """On the whole of a fragmented graph every channel has a missing entry
+    in a component with no observed entry of its channel. Both methods exit
+    2 naming all 64 channels and write nothing; with --lenient-no-source
+    both exit 0 and flag them all, and fp writes the values of its plain
+    diffusion."""
+    ds = tmp_path / "ds"
+    assert main(["--quiet", "synth", *_FRAGMENTED, "--out", str(ds)]) == 0
+    mpath, out = tmp_path / "mask.csv", tmp_path / "out.csv"
+    assert main(["--quiet", "mask", "--features-file", str(ds / "features.csv"),
+                 "--type", "uniform", "--rate", "0.5", "--seed", "0",
+                 "--out", str(mpath)]) == 0
+    argv = ["impute", "--edges", str(ds / "edges.tsv"), "--features",
+            str(ds / "features.csv"), "--mask", str(mpath), "--method", method,
+            "--out", str(out)]
+    with caplog.at_level("ERROR", logger="pcfi"):
+        assert main(argv) == 2
+    assert "64 channel(s) have missing nodes with no reachable observed entry" \
+        in caplog.text
+    assert sorted(tmp_path.iterdir()) == sorted([ds, mpath])
+    assert main(["--quiet", *argv, "--lenient-no-source"]) == 0
+    sidecar = json.loads((tmp_path / "out.csv.json").read_text())
+    assert sidecar["flagged_channels"] == list(range(64))
+    if method == "fp":
+        values = pio.load_matrix(ds / "features.csv")
+        known = pio.load_mask(mpath)
+        g = build_graph(pio.load_edges(ds / "edges.tsv"), values.shape[0])
+        plain = fp_baseline(g, apply_mask(values, known), steps=100)
+        want = tmp_path / "plain.csv"
+        pio.write_matrix(want, plain.values)
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_cli_fp_warns_once_that_it_iterates_under_closed_form(tmp_path, caplog):

@@ -46,7 +46,7 @@ def test_impute_returns_the_stage_outcome_bit_for_bit(method, lenient):
         want = (fs.values, None, [])
         assert got.values is not fs.values
     elif method == "fp":
-        res = fp_baseline(g, fs, steps=cfg.steps)
+        res = fp_baseline(g, fs, steps=cfg.steps, spds=spds, lenient=lenient)
         want = (res.values, res.residuals, res.flagged_channels)
     else:
         res = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, lenient=lenient)
@@ -156,8 +156,8 @@ def test_pipeline_writes_each_methods_run_facts(collect_timings):
     """A lenient run on a fragmented graph, not cut to its largest
     component, in either mode: each method's block holds its settings with
     the mode that ran, the channels its run flagged (every mask leaves some
-    of the ten isolated nodes missing, so the pcfi methods flag channels;
-    fp and zero flag none), its residuals with their maximum and the steps
+    of the ten isolated nodes missing, so the pcfi methods and fp flag
+    channels; zero flags none), its residuals with their maximum and the steps
     that made them (none for zero and the closed form), when asked for its
     time, and no schema version of its own."""
     rng = np.random.default_rng(5)
@@ -180,8 +180,7 @@ def test_pipeline_writes_each_methods_run_facts(collect_timings):
                 outcome = impute(g, apply_mask(features, known),
                                  dataclasses.replace(cfg, method=method))
                 assert got["flagged_channels"] == outcome.flagged_channels
-                assert (outcome.flagged_channels != []) == (
-                    method in ("pcfi", "pcfi_stage1_only"))
+                assert (outcome.flagged_channels != []) == (method != "zero")
                 iterated = method != "zero" and ran[method] == "iterative"
                 assert (outcome.residuals is not None) == iterated
                 if iterated:

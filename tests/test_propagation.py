@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pcfi import confidence, propagation
-from pcfi import (InputError, SpdsMatrix, apply_mask, build_graph,
-                  compute_spds, correlation, impute_stage1, propagate_stage2,
-                  uniform_mask)
+from pcfi import (ImputationConfig, InputError, SpdsMatrix, SynthSpec, apply_mask,
+                  build_graph, compute_spds, correlation, generate, impute,
+                  impute_stage1, propagate_stage2, uniform_mask)
 
 from _oracles import (correlation_reference, pseudo_confidence_reference,
                       random_connected_edges, stage2_bruteforce_oracle,
@@ -295,3 +295,30 @@ def test_shape_and_beta_validation():
         stage2_bruteforce_oracle(np.zeros((200, 80)),
                                  SpdsMatrix(distances=np.zeros((200, 80), dtype=np.int64)),
                                  0.5, 0.1, max_cells=1000)
+
+
+def _rmse_over_missing(cfg, g, x, known, spds) -> float:
+    out = impute(g, apply_mask(x, known), cfg, spds=spds).values
+    return float(np.sqrt(np.mean((out[~known] - x[~known]) ** 2)))
+
+
+def test_stage2_lowers_the_error_where_channels_share_signal():
+    """The paper's claim for stage 2: where channels are correlated, the
+    other channels of a node fill its missing ones better. Each of 8
+    synthetic channels is copied 4 times with N(0, 0.05**2) noise, under
+    a uniform 0.9 mask: pcfi at beta 1.0 cuts stage 1's error over the
+    missing entries by about 7 % (swapping xi and 1 - xi cuts it by about
+    1 %), and the error does not rise as beta steps from 0 to 0.1 to 1."""
+    ds = generate(SynthSpec(num_nodes=4000, num_classes=7, feature_dim=8,
+                            intra_edge_prob=0.003, inter_edge_prob=0.0002, seed=0))
+    x = np.repeat(ds.features, 4, axis=1)
+    x += np.random.default_rng(0).normal(scale=0.05, size=x.shape)
+    known = uniform_mask(*x.shape, 0.9, seed=0)
+    spds = compute_spds(ds.graph, known)
+    stage1 = _rmse_over_missing(ImputationConfig(method="pcfi_stage1_only"),
+                                ds.graph, x, known, spds)
+    errors = [_rmse_over_missing(ImputationConfig(beta=beta), ds.graph, x, known, spds)
+              for beta in (0.0, 0.1, 1.0)]
+    assert errors[0] == stage1
+    assert errors[0] >= errors[1] >= errors[2]
+    assert errors[2] <= 0.95 * stage1, (errors, stage1)

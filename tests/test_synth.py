@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from _oracles import (feature_homophily_reference, random_gnp_edges,
-                      sbm_edges_reference)
+                      sample_features_reference, sbm_edges_reference)
 from pcfi import (InputError, SynthSpec, build_graph, confidence,
                   connected_components, equidistant_means, generate,
                   generate_labels, sbm_edges, synth)
@@ -238,6 +239,68 @@ def test_noise_covariance_structure():
     assert np.allclose(np.diag(cov), 0.04, atol=0.005)
     off = cov[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.004, atol=0.003)
+
+
+def _factor_matrix(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The lower-triangular matrix with ``d`` on its diagonal and ``c[j]``
+    below the diagonal of column ``j``."""
+    return np.diag(d) + np.tril(np.ones((d.size, d.size)), -1) * c
+
+
+@pytest.mark.parametrize("scale", [0.1, 2.5])
+@pytest.mark.parametrize("f", [1, 2, 7, 300, 1433])
+def test_noise_factor_is_the_cholesky_factor_of_the_covariance(f, scale):
+    cov = scale * scale * (0.9 * np.eye(f) + 0.1 * np.ones((f, f)))
+    want = np.linalg.cholesky(cov)
+    got = _factor_matrix(*synth._noise_factor(f, scale))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _draw(sample, labels, means, scale, seed):
+    return sample(labels, means, scale, np.random.Generator(np.random.PCG64(seed)))
+
+
+@pytest.mark.parametrize("scale", [0.1, 2.5])
+@pytest.mark.parametrize("rows_per_block", [1, 7, 1000])
+def test_sample_features_matches_the_explicit_factor_on_the_same_draws(
+        monkeypatch, rows_per_block, scale):
+    """Row blocks of 1 and 7 rows leave a short last block of the 52 rows;
+    one block of 1000 rows holds them all."""
+    rng = np.random.default_rng(3)
+    n, f = 52, 9
+    labels = rng.integers(0, 4, size=n)
+    means = rng.normal(size=(4, f))
+    want = _draw(sample_features_reference, labels, means, scale, 4)
+    monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", rows_per_block * f)
+    got = _draw(synth.sample_features, labels, means, scale, 4)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, scale)
+
+
+def test_sample_features_of_scale_zero_are_the_means():
+    labels = np.array([2, 0, 1, 1, 2, 0, 2])
+    means = np.random.default_rng(5).normal(size=(3, 4))
+    got = _draw(synth.sample_features, labels, means, 0.0, 0)
+    assert got.tobytes() == means[labels].tobytes()
+
+
+def test_sample_features_holds_no_second_array_of_its_size():
+    """Besides the result, only row blocks are alive (here a block is 873 of
+    the 3000 rows): the explicit factor's product and ``means[labels]``
+    took about 2.2 arrays of the result's size."""
+    n, f = 3000, 300
+    labels = np.arange(n) % 5
+    means = np.random.default_rng(6).normal(size=(5, f))
+    rng = np.random.Generator(np.random.PCG64(0))
+    synth.sample_features(labels[:1], means, 0.1, rng)  # imports outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        synth.sample_features(labels, means, 0.1, rng)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * f * 8, peak
 
 
 def test_fragmentation_warning():
