@@ -3,15 +3,17 @@
 The graph is stored in compressed sparse row form: ``indptr`` of length
 N+1 and a flat ``indices`` array holding each node's neighbors sorted
 ascending. Graphs are immutable after construction; self-loops and
-duplicate edges are removed when building. Building and restricting run
-on ``scipy.sparse``, which is imported by the three functions that make a
-CSR matrix (:func:`build_graph`, :meth:`Graph.adjacency` and
-:meth:`Graph.self_loop_adjacency`), so a command that builds no graph,
-such as ``pcfi mask``, loads no scipy. The component search is numpy
-alone (importing ``scipy.sparse.csgraph`` would load
-``scipy.sparse.linalg`` and ``scipy.linalg``, which no run needs). This
-module is the one place that forms ``A + I`` and cuts a graph to its
-largest component.
+duplicate edges are removed when building. Building and restricting are
+numpy alone: each directed edge ``(i, j)`` becomes the key ``i*N + j``,
+and one in-place sort of the keys orders the rows and each row's
+neighbors at once. ``scipy.sparse`` is imported only by the two methods
+that hand a sparse matrix to a product (:meth:`Graph.adjacency` and
+:meth:`Graph.self_loop_adjacency`), so a command that takes no sparse
+product, such as ``pcfi mask`` or ``pcfi synth``, loads no scipy. The
+component search is numpy alone too (importing ``scipy.sparse.csgraph``
+would load ``scipy.sparse.linalg`` and ``scipy.linalg``, which no run
+needs). This module is the one place that forms ``A + I`` and cuts a
+graph to its largest component.
 """
 
 from __future__ import annotations
@@ -155,20 +157,28 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
             f"[0, {num_nodes})"
         )
 
-    from scipy import sparse
+    m = edges.shape[0]
+    keys = np.empty(2 * m, dtype=np.int64)  # both orientations
+    np.multiply(edges[:, 0], num_nodes, out=keys[:m])
+    keys[:m] += edges[:, 1]
+    np.multiply(edges[:, 1], num_nodes, out=keys[m:])
+    keys[m:] += edges[:, 0]
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])  # repeats
+    keep &= keys % (num_nodes + 1) != 0  # self-loops, the keys i*(N + 1)
+    return _graph_of_sorted_keys(keys[keep], num_nodes)
 
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    both = np.concatenate([edges, edges[:, ::-1]])
-    # built from (row, col) pairs, a CSR matrix sums its duplicates and sorts
-    # each row's indices
-    adj = sparse.csr_array((np.ones(both.shape[0], dtype=bool), (both[:, 0], both[:, 1])),
-                           shape=(num_nodes, num_nodes))
-    return _graph_of(adj)
 
-
-def _graph_of(adj: sparse.csr_array) -> Graph:
-    return Graph(indptr=adj.indptr.astype(np.int64),
-                 indices=adj.indices.astype(np.int64))
+def _graph_of_sorted_keys(keys: np.ndarray, n: int) -> Graph:
+    """The graph on ``n`` nodes whose directed edges ``(i, j)`` are the
+    strictly increasing int64 ``keys`` ``i*n + j``, both orientations of
+    each edge. Sorted keys run row by row, each row's columns ascending,
+    so row ``i`` starts at the first key ``>= i*n``; ``keys`` becomes
+    the graph's ``indices``."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(indptr=indptr, indices=np.remainder(keys, n, out=keys))
 
 
 def connected_components(g: Graph) -> ComponentLabels:
@@ -217,9 +227,22 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
     """Subgraph induced on ``nodes`` (distinct original ids, in any order),
     with ids compacted to ``0..len(nodes)-1`` in that order."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    adj = g.adjacency()[nodes][:, nodes]
-    adj.sort_indices()
-    return _graph_of(adj)
+    k = nodes.size
+    new = np.full(g.num_nodes, -1, dtype=np.int32 if k < 2**31 else np.int64)
+    new[nodes] = np.arange(k)
+    rows = np.repeat(new, g.degrees)
+    cols = new[g.indices]
+    inside = (rows >= 0) & (cols >= 0)
+    keys = rows[inside].astype(np.int64)
+    del rows
+    keys *= k
+    keys += cols[inside]
+    del cols, inside
+    # ascending nodes keep the order of g's rows and of each row's
+    # neighbors, so only nodes out of order need their keys sorted
+    if np.any(nodes[1:] < nodes[:-1]):
+        keys.sort()
+    return _graph_of_sorted_keys(keys, k)
 
 
 def extract_largest_component(g: Graph):

@@ -21,11 +21,11 @@ product, and its bits do not depend on the BLAS or LAPACK build.
 
 All randomness flows through one PCG64 stream in a fixed draw order
 (label shuffle, within-class edges, between-class edges, means pool if
-needed, noise), so a seed pins the dataset exactly. Edges cost
-O(nodes + classes + edges): :func:`sbm_edges` draws the gaps between
-edges, not one uniform per node pair. Normal deviates are produced by
-applying the inverse normal CDF to uniforms, which keeps streams
-reproducible across library versions.
+needed, noise), so a seed pins the dataset exactly for a given numpy.
+Edges cost O(nodes + classes + edges): :func:`sbm_edges` draws the gaps
+between edges, not one uniform per node pair. Normal deviates are
+numpy's ``Generator.standard_normal``, as the gaps are its
+``Generator.geometric``, so generating a dataset loads no scipy.
 """
 
 from __future__ import annotations
@@ -104,18 +104,6 @@ class SynthDataset:
     features: np.ndarray
     labels: np.ndarray
     meta: dict
-
-
-def _normals(rng: np.random.Generator, shape) -> np.ndarray:
-    # imported here: scipy.special costs about 0.14 s of start-up, and only
-    # dataset generation needs it
-    from scipy.special import ndtri
-
-    # inverse-CDF transform, in place; clip so a uniform of exactly 0
-    # cannot hit -inf
-    u = rng.random(shape)
-    np.clip(u, 1e-300, None, out=u)
-    return ndtri(u, out=u)
 
 
 def generate_labels(num_nodes: int, num_classes: int,
@@ -229,7 +217,7 @@ def equidistant_means(num_classes: int, feature_dim: int,
         info = {"means_kind": "simplex",
                 "means_min_distance": 1.0, "means_max_distance": 1.0}
         return means, info
-    pool = _normals(rng, (_MEANS_POOL, f))
+    pool = rng.standard_normal((_MEANS_POOL, f))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     chosen = [0]
     dist_to_chosen = np.linalg.norm(pool - pool[0], axis=1)
@@ -283,7 +271,7 @@ def sample_features(labels: np.ndarray, means: np.ndarray, scale: float,
     place over the ``confidence.row_blocks`` of the draws, so besides the
     result only a few row blocks are alive, and no F x F array is made."""
     f = means.shape[1]
-    features = _normals(rng, (labels.size, f))
+    features = rng.standard_normal((labels.size, f))
     d, c = _noise_factor(f, scale)
     for rows in row_blocks(*features.shape):
         z = features[rows]

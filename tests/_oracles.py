@@ -16,7 +16,6 @@ from scipy import sparse
 from pcfi import InputError, SpdsMatrix
 from pcfi.confidence import UNREACHABLE, alpha_powers
 from pcfi.metrics import EvalReport, _spearman_sorted, check_shapes
-from pcfi.synth import _normals
 
 INF = float("inf")
 
@@ -350,12 +349,13 @@ def fp_baseline_reference(g, values: np.ndarray, known: np.ndarray, steps: int):
 def sample_features_reference(labels: np.ndarray, means: np.ndarray, scale: float,
                               rng: np.random.Generator) -> np.ndarray:
     """Gaussian features around each node's class mean through an explicit
-    Cholesky factor and one matrix product, as first written."""
+    Cholesky factor and one matrix product, as first written, on the
+    package's draws (``standard_normal``)."""
     n = labels.size
     f = means.shape[1]
     cov = scale * scale * (0.9 * np.eye(f) + 0.1 * np.ones((f, f)))
     chol = np.linalg.cholesky(cov) if scale > 0 else np.zeros((f, f))
-    features = _normals(rng, (n, f)) @ chol.T
+    features = rng.standard_normal((n, f)) @ chol.T
     features += means[labels]
     return features
 

@@ -1,9 +1,10 @@
 """Start-up cost guard: the command line, and its runs, must not load
 scipy modules that they do not use. Checked by module name, not by
 seconds, so the test does not depend on machine speed. Commands that
-build no graph (``--help``, ``mask``) load no scipy at all. And the
-package namespace: it is built from the ``__all__`` of its layer
-modules."""
+take no sparse product (``--help``, ``mask``, ``synth``, ``eval
+--spds``) load no scipy at all; the others load ``scipy.sparse`` at
+their first sparse product. And the package namespace: it is built from
+the ``__all__`` of its layer modules."""
 
 import importlib
 import json
@@ -16,14 +17,14 @@ import numpy as np
 import pytest
 
 import pcfi
-from pcfi import SynthSpec, generate
-from pcfi.io import load_mask, write_dataset, write_mask, write_matrix
+from pcfi import SynthSpec, compute_spds, generate
+from pcfi.io import load_mask, write_dataset, write_mask, write_matrix, write_spds
 
 # scipy.stats costs about 0.9 s to import; scipy.sparse.linalg (pulled
 # in by scipy.sparse.csgraph, which graph.connected_components does
-# without) and scipy.special (used only by synth) about 0.1 s each;
-# scipy.linalg (its BLAS wrappers) about 0.08 s and 6.5 MB, which stage
-# 2's numpy-only Gram matrix does without
+# without) and scipy.special about 0.1 s each; scipy.linalg (its BLAS
+# wrappers) about 0.08 s and 6.5 MB, which stage 2's numpy-only Gram
+# matrix does without
 HEAVY = ("scipy.stats", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
@@ -56,24 +57,57 @@ def test_package_import_and_help_load_no_scipy():
     assert _loaded_after(help_code, ["scipy"]) == []
 
 
-@pytest.mark.parametrize("source", ["flags", "features-file"])
-def test_mask_run_loads_no_scipy(tmp_path, source):
-    if source == "flags":
-        shape = ["--num-nodes", "30", "--num-channels", "4"]
+def _no_product_run(command: str, tmp_path: Path) -> list[str]:
+    """The arguments of one run that takes no sparse product; its output
+    is ``tmp_path / "out"``."""
+    out = str(tmp_path / "out")
+    if command.startswith("mask"):
+        if command == "mask-flags":
+            shape = ["--num-nodes", "30", "--num-channels", "4"]
+        else:
+            write_matrix(tmp_path / "x.csv", np.ones((30, 4)))
+            shape = ["--features-file", str(tmp_path / "x.csv")]
+        return ["mask", "--type", "uniform", "--rate", "0.5", "--seed", "0", *shape,
+                "--out", out]
+    if command == "synth":
+        # 4 classes in 2 dimensions draw their means from a pool of normals
+        return ["synth", "--num-nodes", "300", "--num-classes", "4", "--feature-dim",
+                "2", "--intra", "0.012", "--inter", "0.001", "--seed", "0", "--out",
+                out]
+    ds = generate(SynthSpec(num_nodes=60, num_classes=2, feature_dim=3,
+                            intra_edge_prob=0.2, inter_edge_prob=0.05))
+    known = np.random.default_rng(0).random(ds.features.shape) < 0.5
+    files = {name: str(tmp_path / f"{name}.csv") for name in ("x", "mask", "spds")}
+    write_matrix(files["x"], ds.features)
+    write_mask(files["mask"], known)
+    write_spds(files["spds"], compute_spds(ds.graph, known).distances)
+    return ["eval", "--truth", files["x"], "--imputed", files["x"], "--mask",
+            files["mask"], "--spds", files["spds"], "--report", out]
+
+
+@pytest.mark.parametrize("command", ["mask-flags", "mask-features-file", "synth",
+                                     "eval-spds"])
+def test_run_without_a_sparse_product_loads_no_scipy(tmp_path, command):
+    """``synth`` builds its graph and cuts it to the largest component in
+    numpy, and draws its normals with numpy; ``eval --spds`` reads its
+    distance field from a file."""
+    argv = _no_product_run(command, tmp_path)
+    loaded = _loaded_after(_cli_run("--quiet", *argv), ["scipy"])
+    out = tmp_path / "out"
+    if command.startswith("mask"):
+        assert load_mask(out).shape == (30, 4)
+    elif command == "synth":
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["num_components_generated"] > 1  # the cut ran
+        assert meta["means_kind"] == "maxmin"
     else:
-        write_matrix(tmp_path / "x.csv", np.ones((30, 4)))
-        shape = ["--features-file", str(tmp_path / "x.csv")]
-    out = tmp_path / "mask.csv"
-    loaded = _loaded_after(_cli_run("--quiet", "mask", "--type", "uniform", "--rate",
-                                    "0.5", "--seed", "0", *shape, "--out", str(out)),
-                           ["scipy"])
-    assert load_mask(out).shape == (30, 4)
+        assert json.loads(out.read_text())["rmse"] == 0.0
     assert loaded == []
 
 
 def test_impute_run_loads_scipy_sparse_at_its_graph(tmp_path):
-    """The guard above is not vacuous: a command that builds a graph does
-    load ``scipy.sparse``."""
+    """The guards above are not vacuous: a command that takes a sparse
+    product does load ``scipy.sparse``, at its first sparse product."""
     data = tmp_path / "data"
     ds = generate(SynthSpec(num_nodes=60, num_classes=2, feature_dim=3,
                             intra_edge_prob=0.2, inter_edge_prob=0.05))
@@ -96,17 +130,6 @@ def test_pipeline_run_with_largest_component_skips_heavy_scipy_modules(tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["num_nodes"] < spec.num_nodes  # the component step cut the graph
     assert loaded == []
-
-
-def test_synth_run_with_largest_component_skips_linalg(tmp_path):
-    out = tmp_path / "data"
-    loaded = _loaded_after(_cli_run(
-        "--quiet", "synth", "--num-nodes", "300", "--num-classes", "3", "--feature-dim",
-        "4", "--intra", "0.01", "--inter", "0.001", "--seed", "0", "--out", str(out)))
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["num_components_generated"] > 1
-    # synth draws with scipy.special; it needs no linear algebra
-    assert "scipy.sparse.linalg" not in loaded and "scipy.linalg" not in loaded
 
 
 LAYERS = ("confidence", "diffusion", "errors", "graph", "masking", "metrics",

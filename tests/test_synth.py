@@ -241,6 +241,26 @@ def test_noise_covariance_structure():
     assert np.allclose(off, 0.004, atol=0.003)
 
 
+def test_noise_values_are_standard_normal_at_scale_one():
+    """Every noise value at scale 1 is N(0, 1). The test above allows 0.005
+    on a variance of 0.04, so it passes a sampler whose variance is 10 %
+    off. Here the mean, the variance and the share beyond +-1.96 of
+    200 000 values must each lie within 5 sd of N(0, 1)'s. A row's
+    channels correlate at 0.1, so each sd takes the design effect
+    1 + (F - 1) 0.1, which bounds the correlation of the values, of their
+    squares and of their tails."""
+    n, f = 50_000, 4
+    rng = np.random.Generator(np.random.PCG64(11))
+    noise = synth.sample_features(np.zeros(n, dtype=np.int64), np.zeros((1, f)),
+                                  1.0, rng).ravel()
+    values = noise.size / (1 + (f - 1) * 0.1)  # the effective sample size
+    tail = 0.04999579029644087  # P(|Z| > 1.96)
+    assert abs(noise.mean()) <= 5 * np.sqrt(1 / values)
+    assert abs(noise.var() - 1) <= 5 * np.sqrt(2 / values)
+    share = np.mean(np.abs(noise) > 1.96)
+    assert abs(share - tail) <= 5 * np.sqrt(tail * (1 - tail) / values)
+
+
 def _factor_matrix(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The lower-triangular matrix with ``d`` on its diagonal and ``c[j]``
     below the diagonal of column ``j``."""
