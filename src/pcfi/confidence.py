@@ -60,13 +60,14 @@ class SpdsMatrix:
     distances : ndarray of a signed integer type, shape (N, F)
         Hop counts; ``UNREACHABLE`` (-1) where no source is reachable. A
         signed integer array keeps its type (``compute_spds`` gives the
-        narrowest one for its deepest hop); any other input becomes int64.
+        narrowest one for its deepest hop); any other input becomes int64
+        through :func:`hop_counts`, which refuses a fractional float.
     """
 
     distances: np.ndarray
 
     def __post_init__(self):
-        distances = np.asarray(self.distances)
+        distances = hop_counts(self.distances)
         distances = np.ascontiguousarray(
             distances, dtype=distances.dtype if distances.dtype.kind == "i" else np.int64)
         if distances.ndim != 2:
@@ -85,6 +86,22 @@ class SpdsMatrix:
         if not np.array_equal(self.distances == 0, known):
             raise InputError("distance field inconsistent with mask: distance 0 "
                              "must hold exactly at observed entries")
+
+
+def hop_counts(distances) -> np.ndarray:
+    """``distances`` as integers: an integer array as it is, any other as
+    int64. Raises :class:`InputError` naming the first float that is not
+    a whole number int64 holds (nan and inf included) instead of
+    truncating it."""
+    distances = np.asarray(distances)
+    if distances.dtype.kind in "iu":
+        return distances
+    if distances.dtype.kind == "f":
+        whole = (distances == np.trunc(distances)) & (np.abs(distances) < 2.0**63)
+        if not whole.all():
+            raise InputError("distances must be whole numbers (int64), got "
+                             f"{float(distances[~whole][0])}")
+    return distances.astype(np.int64)
 
 
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:

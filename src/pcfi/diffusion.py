@@ -283,8 +283,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     """
     check_alpha(alpha)
     check_schedule(mode, steps)
-    g.check_rows(fs.values)
-    spds.check_mask(fs.known)
+    flagged = _checked_flags(g, fs, spds, lenient)
 
     n, f = fs.values.shape
     out = fs.values if overwrite else fs.values.copy()
@@ -294,9 +293,8 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
         out = out.copy()
     residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
     if n == 0 or f == 0:
-        return ImputeOutcome(values=out, residuals=residuals, flagged_channels=[])
+        return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
 
-    flagged = _unreachable_channels(spds, lenient)
     has_source = fs.known.any(axis=0)
     if mode == "closed_form":
         explicit, blocks = has_source, []
@@ -330,11 +328,14 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
 
 
-def _unreachable_channels(spds: SpdsMatrix, lenient: bool) -> list[int]:
-    """The channels with a missing entry whose component holds no observed
-    entry of the channel, read off the distance field: the entry is
-    ``UNREACHABLE`` (in a channel with no observed entry, every entry is).
-    Raises :class:`NoSourceError` naming them unless ``lenient``."""
+def _checked_flags(g: Graph, fs: FeatureSet, spds: SpdsMatrix, lenient: bool) -> list[int]:
+    """Both diffusions' input checks, before any work: ``fs`` has a row per
+    node of ``g`` and agrees with ``spds`` (:meth:`SpdsMatrix.check_mask`).
+    Returns the channels with a missing entry whose component holds no
+    observed entry of the channel, which are ``UNREACHABLE`` in the field,
+    or raises :class:`NoSourceError` naming them unless ``lenient``."""
+    g.check_rows(fs.values)
+    spds.check_mask(fs.known)
     flagged = np.flatnonzero((spds.distances == UNREACHABLE).any(axis=0)).tolist()
     if flagged and not lenient:
         raise NoSourceError(
@@ -458,27 +459,22 @@ def _confidences(ai, spds: SpdsMatrix, alpha: float, cols: np.ndarray,
     return c, den
 
 
-def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], *,
-                steps: int = 100, spds: SpdsMatrix | None = None,
-                lenient: bool = False) -> ImputeOutcome:
+def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], spds: SpdsMatrix, *,
+                steps: int = 100, lenient: bool = False) -> ImputeOutcome:
     """Baseline diffusion with the symmetric normalized adjacency.
 
     The operator is ``D^{-1/2} (A + I) D^{-1/2}`` with self-loop degrees;
     each step multiplies and then resets observed entries to their input
-    bits. Regions with no observed node in a channel stay zero. Given
-    ``spds``, the distance field of ``fs.known``, the channels that hold
-    such a region are refused or, with ``lenient``, flagged, by the rule
-    of :func:`impute_stage1`; without it, none are flagged.
+    bits. Regions with no observed node in a channel stay zero; ``spds``,
+    the distance field of ``fs.known``, finds the channels that hold such
+    a region, which are refused or, with ``lenient``, flagged, by the
+    rule and the checks of :func:`impute_stage1`.
 
     ``fs`` is only read. Handed over in a one-item list, which is emptied,
     its values are let go after the first step."""
     if isinstance(fs, list):
         fs = fs.pop()
-    g.check_rows(fs.values)
-    flagged = []
-    if spds is not None:
-        spds.check_mask(fs.known)
-        flagged = _unreachable_channels(spds, lenient)
+    flagged = _checked_flags(g, fs, spds, lenient)
     op = g.self_loop_adjacency()
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     op.data = dinv[np.repeat(np.arange(g.num_nodes), g.degrees + 1)] * dinv[op.indices]

@@ -6,11 +6,11 @@ ascending. Graphs are immutable after construction; self-loops and
 duplicate edges are removed when building. Building and restricting are
 numpy alone: each directed edge ``(i, j)`` becomes the key ``i*N + j``,
 and one in-place sort of the keys orders the rows and each row's
-neighbors at once. ``scipy.sparse`` is imported only by the two methods
-that hand a sparse matrix to a product (:meth:`Graph.adjacency` and
-:meth:`Graph.self_loop_adjacency`), so a command that takes no sparse
-product, such as ``pcfi mask`` or ``pcfi synth``, loads no scipy. The
-component search is numpy alone too (importing ``scipy.sparse.csgraph``
+neighbors at once. ``scipy.sparse`` is imported only by
+:meth:`Graph.self_loop_adjacency`, the operand of every sparse product in
+the package, and :meth:`Graph.adjacency`, which only the tests and the
+CI's ogbn-arxiv-size step call, so a command that takes no sparse
+product, such as ``pcfi mask`` or ``pcfi synth``, loads no scipy. The component search is numpy alone too (importing ``scipy.sparse.csgraph``
 would load ``scipy.sparse.linalg`` and ``scipy.linalg``, which no run
 needs). This module is the one place that forms ``A + I`` and cuts a
 graph to its largest component.

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .confidence import hop_counts
 from .errors import InputError
 from .graph import build_graph
 from .synth import SynthDataset
@@ -411,12 +412,9 @@ def write_mask(path, known: np.ndarray) -> None:
 
 
 def write_spds(path, distances: np.ndarray) -> None:
-    """A distance field; an integer array is written in its own type, with
-    no int64 copy."""
-    distances = np.asarray(distances)
-    if distances.dtype.kind not in "iu":
-        distances = distances.astype(np.int64)
-    _write_integers(path, distances, ",")
+    """A distance field, as :func:`pcfi.confidence.hop_counts` gives it: an
+    integer array is written in its own type, with no int64 copy."""
+    _write_integers(path, hop_counts(distances), ",")
 
 
 def write_edges(path, edges: np.ndarray) -> None:

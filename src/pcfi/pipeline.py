@@ -91,10 +91,10 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
            spds: SpdsMatrix | None = None) -> ImputeOutcome:
     """Run one method on one masked feature set.
 
-    A precomputed distance field may be passed to avoid recomputing it
-    across methods; it must match the mask. ``zero`` does not read it;
-    ``fp`` reads it only to find the channels it cannot fill, which it
-    refuses or, with ``lenient_no_source``, flags, as the pcfi methods do.
+    A distance field matching the mask may be passed, else it is computed
+    once for every method but ``zero``, which reads none. ``fp`` reads it
+    only to find the channels it cannot fill, which it refuses or, with
+    ``lenient_no_source``, flags, as the pcfi methods do.
 
     ``fs`` may be handed over in a one-item list, which is emptied: the
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
@@ -105,21 +105,19 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     ``fp`` has no closed form: it iterates (see :func:`ran_config`).
     """
     handed_over = isinstance(fs, list)
-    g.check_rows((fs[0] if handed_over else fs).values)
-    if cfg.method == "fp":
-        ran_config(cfg)  # warns when asked for the closed form
-        if spds is None:
-            spds = compute_spds(g, (fs[0] if handed_over else fs).known)
-        # passed on as given, so that a handed-over set is not held here
-        return fp_baseline(g, fs, steps=cfg.steps, spds=spds,
-                           lenient=cfg.lenient_no_source)
     if handed_over:
         fs = fs.pop()
+    g.check_rows(fs.values)
     if cfg.method == "zero":
         values = fs.values if handed_over else fs.values.copy()
         return ImputeOutcome(values=values, residuals=None, flagged_channels=[])
     if spds is None:
         spds = compute_spds(g, fs.known)
+    if cfg.method == "fp":
+        ran_config(cfg)  # warns when asked for the closed form
+        if handed_over:
+            fs = [fs]  # handed over again, so that the set is not held here
+        return fp_baseline(g, fs, spds, steps=cfg.steps, lenient=cfg.lenient_no_source)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
                            lenient=cfg.lenient_no_source, threads=cfg.threads,
                            overwrite=handed_over)

@@ -23,8 +23,6 @@ time, is::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .confidence import (SpdsMatrix, check_alpha, check_beta, confidence_rows,
@@ -38,21 +36,10 @@ __all__ = ["correlation", "propagate_stage2"]
 GRAM_STRIP = 256
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Channel-by-channel Pearson correlation with zeroed diagonal.
-
-    ``r`` is symmetric with zeros on the diagonal and wherever a channel
-    has zero variance; ``means`` are the per-channel means it was
-    computed about.
-    """
-
-    r: np.ndarray
-    means: np.ndarray
-
-
-def correlation(values: np.ndarray) -> CorrelationMatrix:
-    """Pearson correlation between the columns of ``values``.
+def correlation(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation between the columns of ``values``, as
+    ``(r, means)``: ``r`` is symmetric, and ``means`` are the per-channel
+    means it was computed about.
 
     Zero-variance channels yield zero rows/columns instead of NaN; the
     diagonal is zeroed because a channel never propagates into itself.
@@ -97,7 +84,7 @@ def correlation(values: np.ndarray) -> CorrelationMatrix:
             block /= np.outer(stds[rows], stds)
         block[~np.isfinite(block)] = 0.0
     np.fill_diagonal(r, 0.0)
-    return CorrelationMatrix(r=r, means=means)
+    return r, means
 
 
 def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
@@ -131,11 +118,11 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
         return values
     if not values.flags.writeable:
         raise InputError("stage 2 overwrites its value matrix, which is read-only")
-    corr = correlation(values)
+    r, means = correlation(values)
     for rows, xi in confidence_rows(spds, alpha):
-        c = values[rows] - corr.means
+        c = values[rows] - means
         c *= xi
-        product = c @ corr.r
+        product = c @ r
         np.subtract(1.0, xi, out=xi)
         xi *= beta
         product *= xi

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +130,25 @@ def test_spds_matrix_validation():
     spds = SpdsMatrix(distances=np.array([[0, 1]]))
     with pytest.raises(ValueError, match="read-only"):
         spds.distances[0, 0] = 2
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf"), float("-inf"),
+                                 1e300])
+@pytest.mark.parametrize("place", ["SpdsMatrix", "write_spds"])
+def test_a_distance_that_is_no_whole_number_is_refused(tmp_path, place, bad):
+    """A float distance that is not a whole number int64 holds is refused
+    with its value named, with no warning first and no file written,
+    instead of being truncated (-0.5 would read as an observed entry's 0)."""
+    dist = np.array([[0.0, 2.0], [bad, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=re.escape(
+                f"distances must be whole numbers (int64), got {bad}")):
+            if place == "SpdsMatrix":
+                SpdsMatrix(distances=dist)
+            else:
+                pio.write_spds(tmp_path / "s.csv", dist)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, float("nan")])

@@ -85,8 +85,8 @@ def _field(case):
 
 
 @pytest.mark.parametrize("case", FIELD_CASES)
-@pytest.mark.parametrize("entry", ["check_mask", "impute_stage1", "evaluate",
-                                   "cli eval --spds"])
+@pytest.mark.parametrize("entry", ["check_mask", "impute_stage1", "fp_baseline",
+                                   "evaluate", "cli eval --spds"])
 def test_a_field_that_disagrees_with_the_mask_is_refused_everywhere(
         tmp_path, caplog, entry, case):
     truth, known, spds, message = _field(case)
@@ -105,6 +105,8 @@ def test_a_field_that_disagrees_with_the_mask_is_refused_everywhere(
             spds.check_mask(known)
         elif entry == "impute_stage1":
             impute_stage1(_path(), apply_mask(truth, known), spds, 0.8)
+        elif entry == "fp_baseline":
+            fp_baseline(_path(), apply_mask(truth, known), spds)
         else:
             evaluate(truth, truth, known, spds)
 
@@ -239,7 +241,7 @@ def test_features_and_graph_of_different_sizes_are_refused_everywhere(entry):
     with pytest.raises(InputError, match=re.escape(
             "matrix shape (6, 2) does not match graph with 7 nodes")):
         if entry == "fp_baseline":
-            fp_baseline(g, fs)
+            fp_baseline(g, fs, compute_spds(_path(), known))
         elif entry == "impute_stage1":
             impute_stage1(g, fs, compute_spds(_path(), known), 0.8)
         elif entry == "compute_spds":

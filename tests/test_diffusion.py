@@ -326,6 +326,26 @@ def test_no_source_channel_strict_raises_lenient_flags():
     assert res.values[1, 0] > 0  # healthy channel still imputed
 
 
+def test_fp_baseline_strict_raises_lenient_flags_by_the_same_rule():
+    """fp on its own refuses or flags the channels that stage 1 does, read
+    off the same field, and still fills their reachable entries."""
+    g = build_graph([[0, 1], [1, 2], [3, 4]], 5)
+    known = np.array([[True, False, True], [False, False, False],
+                      [True, False, False], [True, False, False],
+                      [False, False, False]])
+    fs = apply_mask(np.arange(15.0).reshape(5, 3), known)
+    spds = compute_spds(g, known)
+    for run in (impute_stage1, fp_baseline):
+        args = (0.5,) if run is impute_stage1 else ()
+        with pytest.raises(NoSourceError) as exc:
+            run(g, fs, spds, *args, steps=10)
+        assert exc.value.channels == [1, 2]
+        res = run(g, fs, spds, *args, steps=10, lenient=True)
+        assert res.flagged_channels == [1, 2]
+        assert np.all(res.values[:, 1] == 0.0) and np.all(res.values[3:, 2] == 0.0)
+        assert res.values[1, 0] > 0 and res.values[1, 2] > 0
+
+
 def test_unreachable_region_strict_raises_lenient_restricts():
     # two components; channel 0 has a source only in the first
     g = build_graph([[0, 1], [2, 3]], 4)
@@ -732,7 +752,7 @@ def test_fp_baseline_matches_dense_reference():
         x = opd @ x
         x[known] = fs.values[known]
 
-    res = fp_baseline(g, fs, steps=12)
+    res = fp_baseline(g, fs, compute_spds(g, known), steps=12)
     assert np.max(np.abs(res.values - x)) < 1e-12
     assert np.array_equal(res.values[known].view(np.uint64),
                           fs.values[known].view(np.uint64))
@@ -776,6 +796,7 @@ def test_fp_baseline_empty_channel_stays_zero():
     g = build_graph([[0, 1]], 2)
     known = np.array([[True, False], [False, False]])
     fs = apply_mask(np.array([[2.0, 0.0], [0.0, 0.0]]), known)
-    res = fp_baseline(g, fs, steps=30)
+    res = fp_baseline(g, fs, compute_spds(g, known), steps=30, lenient=True)
+    assert res.flagged_channels == [1]
     assert np.all(res.values[:, 1] == 0.0)
     assert res.values[1, 0] > 0

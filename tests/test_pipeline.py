@@ -46,7 +46,7 @@ def test_impute_returns_the_stage_outcome_bit_for_bit(method, lenient):
         want = (fs.values, None, [])
         assert got.values is not fs.values
     elif method == "fp":
-        res = fp_baseline(g, fs, steps=cfg.steps, spds=spds, lenient=lenient)
+        res = fp_baseline(g, fs, spds, steps=cfg.steps, lenient=lenient)
         want = (res.values, res.residuals, res.flagged_channels)
     else:
         res = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, lenient=lenient)
@@ -67,7 +67,30 @@ def test_stage_functions_return_the_one_outcome_type():
     spds = compute_spds(g, fs.known)
     stage1 = impute_stage1(g, fs, spds, 0.8, steps=5)
     assert type(stage1) is ImputeOutcome
-    assert type(fp_baseline(g, fs, steps=5)) is ImputeOutcome
+    assert type(fp_baseline(g, fs, spds, steps=5)) is ImputeOutcome
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_impute_computes_the_field_at_most_once(monkeypatch, method):
+    """``impute`` computes the distance field once for every method that
+    reads it, none for ``zero``, and none when a field is handed in."""
+    calls = []
+
+    def counting_compute_spds(g, known):
+        calls.append(known.shape)
+        return real_compute_spds(g, known)
+
+    real_compute_spds = pipeline.compute_spds
+    monkeypatch.setattr(pipeline, "compute_spds", counting_compute_spds)
+    g, fs = _instance(False)
+    cfg = ImputationConfig(method=method, steps=5)
+    for handed in (fs, [_instance(False)[1]]):  # a handed-over set is used up
+        calls.clear()
+        impute(g, handed, cfg)
+        assert len(calls) == (method != "zero")
+    calls.clear()
+    impute(g, fs, cfg, spds=real_compute_spds(g, fs.known))
+    assert calls == []
 
 
 def test_pipeline_aggregates_are_the_per_seed_mean_and_std():

@@ -17,24 +17,24 @@ def test_correlation_basics():
     x = np.array([[1.0, 2.0, 5.0],
                   [2.0, 4.0, 5.0],
                   [3.0, 6.0, 5.0]])
-    c = correlation(x)
+    r, means = correlation(x)
     # channel 1 = 2 * channel 0 -> correlation 1; channel 2 constant -> 0
-    assert c.r[0, 1] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(c.r[:, 2] == 0.0) and np.all(c.r[2, :] == 0.0)
-    assert np.all(np.diag(c.r) == 0.0)
-    assert np.allclose(c.r, c.r.T)
-    assert c.means.tolist() == [2.0, 4.0, 5.0]
+    assert r[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(r[:, 2] == 0.0) and np.all(r[2, :] == 0.0)
+    assert np.all(np.diag(r) == 0.0)
+    assert np.allclose(r, r.T)
+    assert means.tolist() == [2.0, 4.0, 5.0]
 
 
 def test_correlation_anticorrelated():
     x = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
-    assert correlation(x).r[0, 1] == pytest.approx(-1.0, abs=1e-12)
+    assert correlation(x)[0][0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlation_bounds_random():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(50, 6))
-    r = correlation(x).r
+    r, _ = correlation(x)
     assert np.all(r <= 1.0 + 1e-12) and np.all(r >= -1.0 - 1e-12)
 
 
@@ -99,8 +99,8 @@ def test_correlation_in_row_blocks_is_repeatable_and_near_the_whole_gram(
     monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
     monkeypatch.setattr(propagation, "GRAM_STRIP", strip)
     x, _ = _stage2_instance(5)
-    r = correlation(x).r
-    assert r.tobytes() == correlation(x).r.tobytes()
+    r, _ = correlation(x)
+    assert r.tobytes() == correlation(x)[0].tobytes()
     assert r.tobytes() == r.T.copy().tobytes()
     whole, _ = correlation_reference(x)
     assert np.all(r[4] == 0.0) and np.all(np.diag(r) == 0.0)
@@ -110,11 +110,10 @@ def test_correlation_in_row_blocks_is_repeatable_and_near_the_whole_gram(
 @pytest.mark.parametrize("seed", range(4))
 def test_stage2_matches_whole_matrix_expression_bitwise(seed):
     x, s = _stage2_instance(seed)
-    corr = correlation(x)
-    assert np.all(corr.r[4] == 0.0) and np.all(corr.r[:, 4] == 0.0)
+    r, means = correlation(x)
+    assert np.all(r[4] == 0.0) and np.all(r[:, 4] == 0.0)
     expected = stage2_expression(
-        x, pseudo_confidence_reference(s.distances, 0.7), corr.means,
-        corr.r, 0.05)
+        x, pseudo_confidence_reference(s.distances, 0.7), means, r, 0.05)
     assert propagate_stage2(x, s, 0.7, 0.05).tobytes() == expected.tobytes()
 
 
@@ -130,15 +129,15 @@ def test_stage2_in_row_blocks_matches_whole_matrix_expression_bitwise(
     monkeypatch.setattr(confidence, "ROW_BLOCK_VALUES", block_values)
     x, s = _stage2_instance(11)
     n, f = x.shape
-    corr = correlation(x)
+    r, means = correlation(x)
     xi = pseudo_confidence_reference(s.distances, 0.7)
     out = propagate_stage2(x.copy(), s, 0.7, 0.05)
     rows_per_block = max(1, block_values // f)
     for lo in range(0, n, rows_per_block):
         rows = slice(lo, lo + rows_per_block)
-        expected = stage2_expression(x[rows], xi[rows], corr.means, corr.r, 0.05)
+        expected = stage2_expression(x[rows], xi[rows], means, r, 0.05)
         assert out[rows].tobytes() == expected.tobytes(), rows
-    whole = stage2_expression(x, xi, corr.means, corr.r, 0.05)
+    whole = stage2_expression(x, xi, means, r, 0.05)
     assert np.all(np.abs(out - whole) <= 1e-15 * np.abs(whole))
 
 
