@@ -31,7 +31,7 @@ from .masking import (MASK_KINDS, FeatureSet, check_mask_settings, check_mask_sh
                       make_mask)
 from .metrics import check_shapes, evaluate
 from .pipeline import (SIDECAR_SCHEMA_VERSION, ImputationConfig, METHODS, impute,
-                       plan_runs, ran_config, run_facts, run_pipeline)
+                       plan_runs, run_facts, run_pipeline)
 from .synth import SynthSpec, generate
 
 log = logging.getLogger("pcfi")
@@ -116,7 +116,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    cfg = ran_config(_impute_config(args, args.method))
+    cfg = _impute_config(args, args.method)
     # the side-car: --report, else <out>.json unless --out -
     report_path = args.report
     if report_path is None and args.out != "-":
@@ -242,8 +242,8 @@ def _add_common_impute_args(p: argparse.ArgumentParser) -> None:
                         "an observed value instead of erroring")
     p.add_argument("--threads", type=int, default=None,
                    help="threads over column blocks, the calling one "
-                        "included, >= 0 (0 = all cpus; default: "
-                        "PCFI_THREADS or 1)")
+                        "included, >= 0 (0 = the cpus this process may run "
+                        "on; default: PCFI_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -61,15 +61,13 @@ class SpdsMatrix:
         Hop counts; ``UNREACHABLE`` (-1) where no source is reachable. A
         signed integer array keeps its type (``compute_spds`` gives the
         narrowest one for its deepest hop); any other input becomes int64
-        through :func:`hop_counts`, which refuses a fractional float.
+        through :func:`hop_counts`, which refuses a value int64 cannot hold.
     """
 
     distances: np.ndarray
 
     def __post_init__(self):
-        distances = hop_counts(self.distances)
-        distances = np.ascontiguousarray(
-            distances, dtype=distances.dtype if distances.dtype.kind == "i" else np.int64)
+        distances = np.ascontiguousarray(hop_counts(self.distances))
         if distances.ndim != 2:
             raise InputError(f"distance field must be 2-D, got shape {distances.shape}")
         if np.any(distances < UNREACHABLE):
@@ -89,19 +87,19 @@ class SpdsMatrix:
 
 
 def hop_counts(distances) -> np.ndarray:
-    """``distances`` as integers: an integer array as it is, any other as
-    int64. Raises :class:`InputError` naming the first float that is not
-    a whole number int64 holds (nan and inf included) instead of
-    truncating it."""
+    """``distances`` as signed integers: a signed integer array as it is,
+    any other as int64. Raises :class:`InputError` naming the first value
+    that is not a whole number int64 holds (nan, inf and uint64 values
+    above ``2**63 - 1`` included) instead of truncating or wrapping it."""
     distances = np.asarray(distances)
-    if distances.dtype.kind in "iu":
-        return distances
     if distances.dtype.kind == "f":
         whole = (distances == np.trunc(distances)) & (np.abs(distances) < 2.0**63)
-        if not whole.all():
-            raise InputError("distances must be whole numbers (int64), got "
-                             f"{float(distances[~whole][0])}")
-    return distances.astype(np.int64)
+    else:  # of the integer types, only an unsigned one holds more than int64
+        whole = distances.dtype.kind != "u" or distances <= np.iinfo(np.int64).max
+    if not np.all(whole):
+        raise InputError("distances must be whole numbers (int64), got "
+                         f"{distances[~whole][0].item()}")
+    return distances if distances.dtype.kind == "i" else distances.astype(np.int64)
 
 
 def multi_source_bfs(g: Graph, sources: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ The explicit operator (:func:`build_channel_operator`) is built once per
 distinct missing pattern, in node order, and serves two cases:
 ``mode="closed_form"``, which solves the linear system directly, and
 the corner of the iterative mode where confidences would underflow
-(below). It is iterated by :func:`diffuse_channel`, the one
-pinned loop, which the FP baseline runs as well with its own operator.
+(below). It is iterated by :func:`diffuse_channel` and solved by
+:func:`closed_form_channel`, which the FP baseline runs with its own.
 Nodes that reach no source see only other such nodes, all at distance
 ``UNREACHABLE``, so their rows average among themselves and their zeros
 stay exactly 0.
@@ -149,7 +149,7 @@ class ImputeOutcome:
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else the PCFI_THREADS environment
-    variable, else 1. A value of 0 means all cpus."""
+    variable, else 1. A value of 0 means the cpus this process may run on."""
     if threads is None:
         raw = os.environ.get("PCFI_THREADS", "").strip()
         if raw:
@@ -162,7 +162,8 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 0:
         raise InputError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
-        threads = os.cpu_count() or 1
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     return threads
 
 
@@ -303,9 +304,7 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
         explicit = has_source & (depth * -math.log(alpha) > MAX_DECAY)
         blocks = _fused_blocks(explicit)
     ai = g.self_loop_adjacency() if blocks else None
-    channels = np.flatnonzero(explicit)
-    first, inverse = distinct_columns(fs.known[:, channels])
-    patterns = [channels[inverse == gi] for gi in range(first.size)]
+    patterns = _known_sets(fs.known, np.flatnonzero(explicit))
 
     def run_pattern(cols):
         dist_col = spds.distances[:, cols[0]]
@@ -345,6 +344,12 @@ def _checked_flags(g: Graph, fs: FeatureSet, spds: SpdsMatrix, lenient: bool) ->
             channels=flagged,
         )
     return flagged
+
+
+def _known_sets(known: np.ndarray, channels: np.ndarray) -> list[np.ndarray]:
+    """``channels`` grouped by their column of ``known``, one per known set."""
+    first, inverse = distinct_columns(known[:, channels])
+    return [channels[inverse == gi] for gi in range(first.size)]
 
 
 def _release_free_heap() -> None:
@@ -460,18 +465,22 @@ def _confidences(ai, spds: SpdsMatrix, alpha: float, cols: np.ndarray,
 
 
 def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], spds: SpdsMatrix, *,
-                steps: int = 100, lenient: bool = False) -> ImputeOutcome:
+                steps: int = 100, mode: str = "iterative",
+                lenient: bool = False) -> ImputeOutcome:
     """Baseline diffusion with the symmetric normalized adjacency.
 
     The operator is ``D^{-1/2} (A + I) D^{-1/2}`` with self-loop degrees;
-    each step multiplies and then resets observed entries to their input
-    bits. Regions with no observed node in a channel stay zero; ``spds``,
-    the distance field of ``fs.known``, finds the channels that hold such
-    a region, which are refused or, with ``lenient``, flagged, by the
-    rule and the checks of :func:`impute_stage1`.
+    ``mode`` is :func:`impute_stage1`'s: each of ``steps`` steps multiplies
+    and then resets observed entries to their input bits, or the closed
+    form solves once per known set. Regions with no observed node in a
+    channel stay zero; ``spds``, the distance field of ``fs.known``, finds
+    the channels that hold such a region, which are refused or, with
+    ``lenient``, flagged, by the rule and the checks of :func:`impute_stage1`.
 
     ``fs`` is only read. Handed over in a one-item list, which is emptied,
-    its values are let go after the first step."""
+    its values are let go after the first step, or once the closed form has
+    copied them."""
+    check_schedule(mode, steps)
     if isinstance(fs, list):
         fs = fs.pop()
     flagged = _checked_flags(g, fs, spds, lenient)
@@ -481,5 +490,11 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], spds: SpdsMatrix, *
 
     known, x0 = fs.known, [fs.values]
     del fs
+    if mode == "closed_form":
+        x = x0.pop().copy()
+        for cols in _known_sets(known, np.flatnonzero(known.any(axis=0))):
+            x[:, cols] = closed_form_channel(op, x.take(cols, axis=1),
+                                             spds.distances[:, cols[0]] > 0)
+        return ImputeOutcome(values=x, residuals=None, flagged_channels=flagged)
     x, residuals = diffuse_channel(op, x0, known, steps)
     return ImputeOutcome(values=x, residuals=residuals, flagged_channels=flagged)

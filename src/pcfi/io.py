@@ -412,8 +412,8 @@ def write_mask(path, known: np.ndarray) -> None:
 
 
 def write_spds(path, distances: np.ndarray) -> None:
-    """A distance field, as :func:`pcfi.confidence.hop_counts` gives it: an
-    integer array is written in its own type, with no int64 copy."""
+    """A distance field, as :func:`pcfi.confidence.hop_counts` gives it: a
+    signed integer array is written in its own type, with no int64 copy."""
     _write_integers(path, hop_counts(distances), ",")
 
 

@@ -15,8 +15,8 @@ diffusion's own outcome, ``pcfi`` the same with stage 2's values.
 
 ``ImputationConfig`` holds every setting of a run and the only defaults;
 it checks each when made, ``alpha`` only for the methods that read it and
-the schedule only for the methods that run one (``fp`` iterates in either
-mode; ``zero`` runs none, so only its mode's name is checked).
+the schedule only for the methods that run one, ``fp`` as the pcfi
+methods (``zero`` runs none, so only its mode's name is checked).
 ``run_facts`` writes the facts of a run (settings, flagged channels,
 residuals, steps run) for the ``pcfi impute`` side-car and each
 pipeline method block alike.
@@ -32,7 +32,6 @@ reports produced with the same inputs are byte-identical by default.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import time
 from dataclasses import dataclass
 
@@ -49,8 +48,6 @@ from .propagation import propagate_stage2
 
 __all__ = ["ImputationConfig", "impute", "run_pipeline"]
 
-log = logging.getLogger("pcfi.pipeline")
-
 METHODS = ("pcfi", "pcfi_stage1_only", "fp", "zero")
 PIPELINE_SCHEMA_VERSION = 2
 SIDECAR_SCHEMA_VERSION = 1
@@ -60,9 +57,9 @@ SIDECAR_SCHEMA_VERSION = 1
 class ImputationConfig:
     """Settings of one imputation run. ``alpha`` must lie in (0, 1) for
     ``pcfi`` and ``pcfi_stage1_only``; ``mode`` selects iterative or
-    closed-form diffusion; ``lenient_no_source`` zero-fills channels with
-    unreachable missing entries instead of erroring; ``threads`` is
-    checked for every method."""
+    closed-form diffusion, for ``fp`` too; ``lenient_no_source`` zero-fills
+    channels with unreachable missing entries instead of erroring;
+    ``threads`` is checked for every method."""
 
     alpha: float = 0.8
     beta: float = 1e-3
@@ -82,8 +79,6 @@ class ImputationConfig:
         check_beta(self.beta)
         # zero runs no schedule, so only the name of its mode is checked
         check_schedule(self.mode, 1 if self.method == "zero" else self.steps)
-        if self.method == "fp":  # fp iterates in either mode
-            check_schedule("iterative", self.steps)
         resolve_threads(self.threads)
 
 
@@ -93,16 +88,18 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
 
     A distance field matching the mask may be passed, else it is computed
     once for every method but ``zero``, which reads none. ``fp`` reads it
-    only to find the channels it cannot fill, which it refuses or, with
-    ``lenient_no_source``, flags, as the pcfi methods do.
+    to find the channels it cannot fill, which it refuses or, with
+    ``lenient_no_source``, flags, as the pcfi methods do, and the rows its
+    closed form solves.
 
     ``fs`` may be handed over in a one-item list, which is emptied: the
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
     that same array in place, so the masked input becomes the result and
     no second array of its size is made, ``zero`` returns ``fs.values``
-    itself, and ``fp`` lets them go after its first step. Passed directly,
-    ``fs`` is left as it is and stage 1 and ``zero`` work on a copy.
-    ``fp`` has no closed form: it iterates (see :func:`ran_config`).
+    itself, and ``fp`` lets them go after its first step or its closed
+    form's copy. Passed directly, ``fs`` is left as it is and stage 1 and
+    ``zero`` work on a copy.
+    ``cfg.mode`` is the schedule of ``fp`` and the pcfi methods alike.
     """
     handed_over = isinstance(fs, list)
     if handed_over:
@@ -114,10 +111,10 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     if spds is None:
         spds = compute_spds(g, fs.known)
     if cfg.method == "fp":
-        ran_config(cfg)  # warns when asked for the closed form
         if handed_over:
             fs = [fs]  # handed over again, so that the set is not held here
-        return fp_baseline(g, fs, spds, steps=cfg.steps, lenient=cfg.lenient_no_source)
+        return fp_baseline(g, fs, spds, steps=cfg.steps, mode=cfg.mode,
+                           lenient=cfg.lenient_no_source)
     stage1 = impute_stage1(g, fs, spds, cfg.alpha, steps=cfg.steps, mode=cfg.mode,
                            lenient=cfg.lenient_no_source, threads=cfg.threads,
                            overwrite=handed_over)
@@ -128,15 +125,6 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         stage1, values=propagate_stage2(stage1.values, spds, cfg.alpha, cfg.beta))
 
 
-def ran_config(cfg: ImputationConfig) -> ImputationConfig:
-    """``cfg`` with the mode that runs: ``fp`` has no closed form, so it
-    iterates, and a warning says so when ``cfg`` asks for the closed form."""
-    if cfg.method != "fp" or cfg.mode == "iterative":
-        return cfg
-    log.warning("fp has no closed form: it iterates %d steps", cfg.steps)
-    return dataclasses.replace(cfg, mode="iterative")
-
-
 def _settings(cfg: ImputationConfig) -> dict:
     """The settings a report shows: every field of ``cfg`` but ``threads``,
     which must not change a report's bytes."""
@@ -144,8 +132,8 @@ def _settings(cfg: ImputationConfig) -> dict:
 
 
 def run_facts(cfg: ImputationConfig, outcome: ImputeOutcome) -> dict:
-    """The JSON-ready facts of one run of ``cfg``, as :func:`ran_config`
-    gives it: ``config`` (its settings), ``flagged_channels``,
+    """The JSON-ready facts of one run of ``cfg``: ``config`` (the settings
+    that were asked for and ran), ``flagged_channels``,
     ``residuals``, ``max_residual`` and ``steps_run``, 0 exactly when no
     iteration ran."""
     residuals = outcome.residuals
@@ -189,12 +177,11 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
                  collect_timings: bool = False) -> dict:
     """Mask, impute, and score under each seed; aggregate across seeds.
 
-    Each of ``methods`` runs with the settings of ``cfg`` in place of its
-    ``method``, in the mode that runs (:func:`ran_config`, which warns once
-    for the whole run); the mask settings, seeds and methods are checked by
-    :func:`plan_runs` before any work. Each method is handed its own masked
-    copy of ``features`` (see :func:`impute`), made before its timer
-    starts; ``features`` itself is only read.
+    Each of ``methods`` runs with the settings of ``cfg``, its schedule
+    included, in place of its ``method``; the mask settings, seeds and
+    methods are checked by :func:`plan_runs` before any work. Each method
+    is handed its own masked copy of ``features`` (see :func:`impute`),
+    made before its timer starts; ``features`` itself is only read.
     Returns a JSON-ready dict: one block per seed with, per method, the
     :class:`pcfi.metrics.EvalReport` fields (no per-node list and no
     ``schema_version``), the :func:`run_facts` of the run and ``timings``
@@ -205,7 +192,6 @@ def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
     features = np.asarray(features, dtype=np.float64)
     g.check_rows(features)
     seeds, configs = plan_runs(cfg, mask_kind, mask_rate, seeds, methods)
-    configs = {m: ran_config(c) for m, c in configs.items()}
     n, f = features.shape
     per_seed = []
     for seed in seeds:

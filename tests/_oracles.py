@@ -346,6 +346,29 @@ def fp_baseline_reference(g, values: np.ndarray, known: np.ndarray, steps: int):
     return x, np.abs(x - prev).max(axis=0)
 
 
+def fp_fixed_point_reference(g, values: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """FP's fixed point by a dense solve per channel: with ``W`` the dense
+    ``D^-1/2 (A + I) D^-1/2``, ``(I - W_uu) x_u = W_uk x_k`` over the
+    missing rows ``u`` that a walk joins to an observed row of the
+    channel; every other row keeps its ``values`` entry."""
+    n = g.num_nodes
+    adj = np.eye(n)
+    for i, j in g.edge_array():
+        adj[i, j] = adj[j, i] = 1.0
+    dinv = 1.0 / np.sqrt(adj.sum(axis=1))
+    w = dinv[:, None] * adj * dinv[None, :]
+    out = values.copy()
+    for c in range(values.shape[1]):
+        reached = known[:, c].copy()
+        for _ in range(n):
+            reached = reached | (adj @ reached > 0)
+        u = np.flatnonzero(reached & ~known[:, c])
+        k = np.flatnonzero(known[:, c])
+        a = np.eye(u.size) - w[np.ix_(u, u)]
+        out[u, c] = np.linalg.solve(a, w[np.ix_(u, k)] @ values[k, c])
+    return out
+
+
 def sample_features_reference(labels: np.ndarray, means: np.ndarray, scale: float,
                               rng: np.random.Generator) -> np.ndarray:
     """Gaussian features around each node's class mean through an explicit

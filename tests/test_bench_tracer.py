@@ -13,8 +13,11 @@ of a layer module, and its per-layer metrics read, from those calls:
 - the ``num_components`` of ``graph.connected_components``' result;
 - the first argument, the path, of every ``io.load_*`` and ``io.write_*``.
 
-A change that breaks one of these leaves a span without what its metric
-reads, and the traced run fails where an untraced one passes. The test
+Every other traced function, ``diffusion.fp_baseline`` and
+``pipeline.impute`` included, is read only for its time, so a keyword
+added to one of them is safe. A change that breaks one of the forms
+above leaves a span without what its metric reads, and the traced run
+fails where an untraced one passes. The test
 runs the bench's own code on its two tiny self-test workloads, in a child
 process, because importing ``bench/run.py`` pins the BLAS thread counts in
 ``os.environ`` and sets ``sys.dont_write_bytecode``.

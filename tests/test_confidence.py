@@ -133,13 +133,14 @@ def test_spds_matrix_validation():
 
 
 @pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf"), float("-inf"),
-                                 1e300])
+                                 1e300, pytest.param(np.uint64(2**63), id="uint64-2**63")])
 @pytest.mark.parametrize("place", ["SpdsMatrix", "write_spds"])
 def test_a_distance_that_is_no_whole_number_is_refused(tmp_path, place, bad):
-    """A float distance that is not a whole number int64 holds is refused
-    with its value named, with no warning first and no file written,
-    instead of being truncated (-0.5 would read as an observed entry's 0)."""
-    dist = np.array([[0.0, 2.0], [bad, 1.0]])
+    """A distance that is not a whole number int64 holds is refused with
+    its value named, with no warning first and no file written, instead
+    of being truncated (-0.5 would read as an observed entry's 0) or, as
+    a uint64 above ``2**63 - 1``, wrapped to a negative int64."""
+    dist = np.array([[0, 2], [bad, 1]], dtype=np.asarray(bad).dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=re.escape(
@@ -173,6 +174,8 @@ def test_spds_matrix_keeps_signed_integer_types():
     for other in (np.array([[0.0, 2.0]]), np.array([[0, 2]], np.uint8),
                   [[0, 2]], np.array([[True, False]])):
         assert SpdsMatrix(distances=other).distances.dtype == np.int64
+    widest = SpdsMatrix(distances=np.array([[0, 2**63 - 1]], np.uint64)).distances
+    assert widest.dtype == np.int64 and widest[0, 1] == 2**63 - 1
 
 
 def test_distance_type_holds_every_hop_count():

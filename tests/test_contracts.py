@@ -189,13 +189,12 @@ BAD_MODE = ("magic", 100, "unknown diffusion mode 'magic'")
 NO_STEPS = ("iterative", 0, "steps must be >= 1, got 0")
 
 
-# the pinned loop takes no mode: it always iterates, and so does fp; zero
-# runs no schedule, but its mode must be one
+# the pinned loop takes no mode: it always iterates; zero runs no
+# schedule, but its mode must be one
 @pytest.mark.parametrize("entry, mode, steps, message", [
     ("ImputationConfig", *BAD_MODE), ("ImputationConfig", *NO_STEPS),
     ("impute_stage1", *BAD_MODE), ("impute_stage1", *NO_STEPS),
     ("diffuse_channel", *NO_STEPS),
-    ("ImputationConfig-fp", "closed_form", 0, "steps must be >= 1, got 0"),
     ("ImputationConfig-fp", *BAD_MODE), ("ImputationConfig-zero", *BAD_MODE),
 ])
 def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
@@ -229,6 +228,38 @@ def test_zero_takes_any_steps(tmp_path, mode, steps):
     masked = np.where(known, pio.load_matrix(paths["truth"]), 0.0)
     assert pio.load_matrix(out).tobytes() == masked.tobytes()
     assert json.loads((tmp_path / "zero.csv.json").read_text())["steps_run"] == 0
+
+
+@pytest.mark.parametrize("entry", ["library", "impute", "pipeline"])
+@pytest.mark.parametrize("method", ["pcfi", "fp"])
+def test_a_closed_form_takes_any_steps(tmp_path, method, entry):
+    """The closed form runs no schedule, for ``fp`` as for ``pcfi``: a step
+    count of 0 is not refused, in the library or on the command line,
+    and the result is the one of 100 steps, with no step run."""
+    truth, known = _masked()
+    paths = _write_inputs(tmp_path)
+
+    def run(steps):
+        if entry == "library":
+            cfg = ImputationConfig(method=method, mode="closed_form", steps=steps)
+            outcome = impute(_path(), apply_mask(truth, known), cfg)
+            assert outcome.residuals is None
+            return outcome.values.tobytes()
+        out = tmp_path / f"{steps}.out"
+        common = ["--edges", str(paths["edges"]), "--features", str(paths["truth"]),
+                  "--mode", "closed_form", "--k", str(steps), "--out", str(out)]
+        if entry == "impute":
+            assert main(["--quiet", "impute", *common, "--mask", str(paths["mask"]),
+                         "--method", method]) == 0
+            assert json.loads(out.with_name(out.name + ".json").read_text())["steps_run"] == 0
+            return out.read_bytes()
+        assert main(["--quiet", "pipeline", *common, "--no-lcc", "--mask-type", "uniform",
+                     "--rate", "0.5", "--seeds", "0", "--methods", method]) == 0
+        block = json.loads(out.read_text())["per_seed"][0]["methods"][method]
+        assert block.pop("config")["steps"] == steps and block["steps_run"] == 0
+        return block
+
+    assert run(0) == run(100)
 
 
 @pytest.mark.parametrize("entry", ["impute_stage1", "fp_baseline", "compute_spds",
@@ -323,17 +354,9 @@ def test_cli_pipeline_refuses_a_bad_thread_count_for_methods_without_a_pool(
      "mask rate must lie in (0, 1), got 2.0"),
     (["mask", "--type", "uniform", "--rate", "0.5", "--seed", "-1",
       "--features-file", "nope.csv"], "seed must be a non-negative integer, got -1"),
-    # fp iterates whatever the mode
-    (["impute", "--edges", "nope.tsv", "--features", "nope.csv", "--mask",
-      "nope.csv", "--method", "fp", "--mode", "closed_form", "--k", "0"],
-     "steps must be >= 1, got 0"),
-    (["pipeline", "--dataset", "nope", "--mask-type", "uniform", "--rate", "0.5",
-      "--methods", "fp", "--mode", "closed_form", "--k", "0"],
-     "steps must be >= 1, got 0"),
 ], ids=["impute-alpha", "impute-threads", "pipeline-seeds", "pipeline-steps",
         "pipeline-alpha", "pipeline-repeated-seed", "pipeline-repeated-method",
-        "pipeline-rate", "mask-rate", "mask-seed", "impute-fp-closed-form",
-        "pipeline-fp-closed-form"])
+        "pipeline-rate", "mask-rate", "mask-seed"])
 def test_cli_refuses_settings_before_reading_a_file(tmp_path, caplog, monkeypatch,
                                                     argv, message):
     monkeypatch.chdir(tmp_path)

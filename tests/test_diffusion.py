@@ -15,8 +15,8 @@ from pcfi import diffusion
 from pcfi.confidence import BLOCK_COLUMNS
 
 from _oracles import (dense_pinned_operator, dense_uniform_exponent_operator,
-                      floyd_warshall, fused_block_reference, iterate_dense,
-                      random_connected_edges, spds_reference)
+                      floyd_warshall, fp_fixed_point_reference, fused_block_reference,
+                      iterate_dense, random_connected_edges, spds_reference)
 
 
 # enough channels for three column blocks
@@ -693,6 +693,19 @@ def test_resolve_threads_env(monkeypatch):
         resolve_threads(-1)
 
 
+def test_zero_threads_are_the_cpus_the_process_may_run_on(monkeypatch):
+    """0, given or through ``PCFI_THREADS``, counts the process's affinity
+    set, not the machine's cpus; where the platform has no affinity call,
+    ``os.cpu_count()``."""
+    monkeypatch.setattr(diffusion.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(diffusion.os, "sched_getaffinity", lambda pid: {0, 5, 6},
+                        raising=False)
+    monkeypatch.setenv("PCFI_THREADS", "0")
+    assert resolve_threads(0) == resolve_threads(None) == 3
+    monkeypatch.delattr(diffusion.os, "sched_getaffinity")
+    assert resolve_threads(0) == resolve_threads(None) == 8
+
+
 def test_validation_errors():
     g, fs, spds, _ = _instance(2, n=10)
     with pytest.raises(InputError, match="steps"):
@@ -730,6 +743,56 @@ def test_closed_form_size_guard(monkeypatch):
     monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", 2)
     with pytest.raises(InputError, match="iterative"):
         closed_form_channel(op, fs.values, spds.distances[:, 0] > 0)
+
+
+def _fp_closed_form_instance(case):
+    """A 60-node graph under a structural or a uniform mask, or two
+    components where channel 1 observes only the first and channel 2
+    nothing, so a lenient run flags both."""
+    if case != "lenient":
+        g, fs, _, _ = _instance(40, n=60, f=4, kind=case)
+        return g, fs
+    rng = np.random.default_rng(41)
+    edges = np.concatenate([random_connected_edges(rng, 30),
+                            30 + random_connected_edges(rng, 30)])
+    g = build_graph(edges, 60)
+    known = rng.random((60, 3)) < 0.3
+    known[0, :2] = True
+    known[30:, 1] = False
+    known[:, 2] = False
+    return g, apply_mask(rng.normal(size=(60, 3)), known)
+
+
+@pytest.mark.parametrize("case", ["structural", "uniform", "lenient"])
+def test_fp_closed_form_matches_the_dense_solve(case):
+    """``fp`` under ``mode="closed_form"`` solves FP's own system, once per
+    known set: it matches a dense solve per channel, keeps the observed
+    bits and the zeros of the rows that reach no source, runs no
+    iteration, and flags what the iterative run flags."""
+    g, fs = _fp_closed_form_instance(case)
+    lenient = case == "lenient"
+    spds = compute_spds(g, fs.known)
+    got = fp_baseline(g, fs, spds, steps=0, mode="closed_form", lenient=lenient)
+    want = fp_fixed_point_reference(g, fs.values, fs.known)
+    assert np.max(np.abs(got.values - want)) < 1e-10
+    assert got.values[fs.known].tobytes() == fs.values[fs.known].tobytes()
+    assert np.all(got.values[spds.distances == -1] == 0.0)
+    assert got.residuals is None
+    iterated = fp_baseline(g, fs, spds, steps=5, lenient=lenient)
+    assert got.flagged_channels == iterated.flagged_channels == ([1, 2] if lenient else [])
+
+
+def test_fp_closed_form_is_refused_above_the_size_limit_with_pcfis_message(monkeypatch):
+    """``fp``'s closed form densifies the same system size as pcfi's, one
+    per known set, and is refused above ``MAX_DENSE_UNKNOWNS`` with the
+    same message."""
+    g, fs, spds, _ = _instance(5, n=30, f=2, kind="structural")
+    monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", 2)
+    with pytest.raises(InputError, match="use the iterative mode") as pcfi_refusal:
+        impute_stage1(g, fs, spds, 0.5, mode="closed_form")
+    with pytest.raises(InputError) as fp_refusal:
+        fp_baseline(g, fs, spds, mode="closed_form")
+    assert str(fp_refusal.value) == str(pcfi_refusal.value)
 
 
 def test_fp_baseline_matches_dense_reference():

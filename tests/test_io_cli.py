@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import locale
+import logging
 import os
 import re
 import subprocess
@@ -19,12 +20,12 @@ from hypothesis.extra import numpy as hnp
 
 from pcfi import (ImputationConfig, InputError, NumericalError, SpdsMatrix, SynthSpec,
                   apply_mask, build_graph, compute_spds, fp_baseline, generate, impute)
-from pcfi import cli, confidence, propagation
+from pcfi import cli, confidence, diffusion, propagation
 from pcfi import io as pio
 from pcfi import pipeline
 from pcfi.cli import main
 
-from _oracles import load_mask_reference
+from _oracles import fp_fixed_point_reference, load_mask_reference
 from conftest import run_cli
 
 
@@ -1385,16 +1386,16 @@ def test_cli_stage1_only_method(tmp_path):
 ])
 def test_cli_sidecar_reports_the_steps_that_ran(tmp_path, method, mode):
     """``steps_run`` is ``--k`` exactly when there are residuals: the
-    closed form and zero run no iteration, and fp iterates in either mode,
-    which its ``config`` records."""
+    closed form, fp's as pcfi's, and zero run no iteration, and every
+    method's ``config`` records the mode that was asked for."""
     epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
     out = tmp_path / "o.csv"
     assert main(["--quiet", "impute", "--edges", str(epath), "--features",
                  str(fpath), "--mask", str(mpath), "--method", method,
                  "--mode", mode, "--k", "7", "--out", str(out)]) == 0
     rep = json.loads((tmp_path / "o.csv.json").read_text())
-    assert rep["config"]["mode"] == ("iterative" if method == "fp" else mode)
-    if method == "fp" or (method == "pcfi" and mode == "iterative"):
+    assert rep["config"]["mode"] == mode
+    if method != "zero" and mode == "iterative":
         assert rep["steps_run"] == 7
         assert len(rep["residuals"]) == 3 and min(rep["residuals"]) >= 0.0
         assert rep["max_residual"] == max(rep["residuals"])
@@ -1490,22 +1491,48 @@ def test_cli_fp_and_pcfi_refuse_or_flag_the_same_unfillable_channels(
         assert out.read_bytes() == want.read_bytes()
 
 
-def test_cli_fp_warns_once_that_it_iterates_under_closed_form(tmp_path, caplog):
-    """``fp`` has no closed form: asked for one, it logs one warning through
-    ``pcfi.pipeline`` and writes the bytes of the iterative run."""
+def test_cli_fp_solves_its_closed_form_without_a_warning(tmp_path, caplog):
+    """``fp`` asked for the closed form solves it, with no warning: it
+    writes the library's closed form, which is FP's fixed point to the
+    nine digits of the CSV, as a dense solve gives it, and which 7 steps
+    do not reach."""
     epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
     for mode in ("iterative", "closed_form"):
         caplog.clear()
         assert main(["--quiet", "impute", "--edges", str(epath), "--features",
                      str(fpath), "--mask", str(mpath), "--method", "fp", "--mode",
                      mode, "--k", "7", "--out", str(tmp_path / f"{mode}.csv")]) == 0
-        warned = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert [r.name for r in warned] == ([] if mode == "iterative"
-                                            else ["pcfi.pipeline"])
-    assert warned[0].getMessage() == "fp has no closed form: it iterates 7 steps"
-    for suffix in (".csv", ".csv.json"):
-        assert ((tmp_path / f"closed_form{suffix}").read_bytes()
-                == (tmp_path / f"iterative{suffix}").read_bytes())
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    values, known = pio.load_matrix(fpath), pio.load_mask(mpath)
+    g = build_graph(pio.load_edges(epath), values.shape[0])
+    fs = apply_mask(values, known)
+    solved = fp_baseline(g, fs, compute_spds(g, known), mode="closed_form").values
+    pio.write_matrix(tmp_path / "library.csv", solved)
+    written = (tmp_path / "closed_form.csv").read_bytes()
+    assert written == (tmp_path / "library.csv").read_bytes()
+    want = fp_fixed_point_reference(g, fs.values, known)
+    assert np.all(np.abs(pio.load_matrix(tmp_path / "closed_form.csv") - want)
+                  <= 1e-8 * np.abs(want) + 1e-10)
+    assert np.max(np.abs(pio.load_matrix(tmp_path / "iterative.csv") - want)) > 1e-6
+
+
+def test_cli_refuses_both_closed_forms_above_the_size_limit_alike(tmp_path, caplog,
+                                                                 monkeypatch):
+    """Above ``MAX_DENSE_UNKNOWNS`` unknowns in a known set, ``fp``'s
+    closed form exits 2 with pcfi's message and writes nothing."""
+    epath, fpath, mpath = _write_inputs(tmp_path, seed=3)
+    monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", 2)
+    refusals = []
+    for method in ("pcfi", "fp"):
+        caplog.clear()
+        out = tmp_path / f"{method}.csv"
+        assert main(["--quiet", "impute", "--edges", str(epath), "--features",
+                     str(fpath), "--mask", str(mpath), "--method", method,
+                     "--mode", "closed_form", "--out", str(out)]) == 2
+        assert not out.exists()
+        refusals.append([r.getMessage() for r in caplog.records
+                         if r.levelno >= logging.ERROR])
+    assert refusals[0] == refusals[1] and "use the iterative mode" in refusals[0][0]
 
 
 def test_cli_runs_more_steps_than_an_int8_field_holds(tmp_path):

@@ -178,11 +178,12 @@ def test_pipeline_reports_every_method_of_an_iterator():
 def test_pipeline_writes_each_methods_run_facts(collect_timings):
     """A lenient run on a fragmented graph, not cut to its largest
     component, in either mode: each method's block holds its settings with
-    the mode that ran, the channels its run flagged (every mask leaves some
-    of the ten isolated nodes missing, so the pcfi methods and fp flag
-    channels; zero flags none), its residuals with their maximum and the steps
-    that made them (none for zero and the closed form), when asked for its
-    time, and no schema version of its own."""
+    the mode that was asked for, which ran, the channels its run flagged
+    (every mask leaves some of the ten isolated nodes missing, so the pcfi
+    methods and fp flag channels; zero flags none), its residuals with
+    their maximum and the steps that made them (none for zero and the
+    closed form, fp's included), when asked for its time, and no schema
+    version of its own."""
     rng = np.random.default_rng(5)
     n, f = 30, 3
     g = build_graph(random_connected_edges(rng, 20), n)  # 20..29 isolated
@@ -192,19 +193,17 @@ def test_pipeline_writes_each_methods_run_facts(collect_timings):
         rep = run_pipeline(g, features, cfg, mask_kind="structural", mask_rate=0.9,
                            seeds=[0, 1], methods=pipeline.METHODS,
                            collect_timings=collect_timings)
-        ran = {"pcfi": mode, "pcfi_stage1_only": mode, "fp": "iterative",
-               "zero": mode}
         for block in rep["per_seed"]:
             known = make_mask("structural", n, f, 0.9, block["seed"])
             for method, got in block["methods"].items():
                 assert got["config"] == {"method": method, "alpha": 0.8, "beta": 1e-3,
-                                         "steps": 10, "mode": ran[method],
+                                         "steps": 10, "mode": mode,
                                          "lenient_no_source": True}
                 outcome = impute(g, apply_mask(features, known),
                                  dataclasses.replace(cfg, method=method))
                 assert got["flagged_channels"] == outcome.flagged_channels
                 assert (outcome.flagged_channels != []) == (method != "zero")
-                iterated = method != "zero" and ran[method] == "iterative"
+                iterated = method != "zero" and mode == "iterative"
                 assert (outcome.residuals is not None) == iterated
                 if iterated:
                     assert got["steps_run"] == 10
@@ -222,9 +221,9 @@ def test_pipeline_writes_each_methods_run_facts(collect_timings):
 
 
 def test_pipeline_records_the_mode_each_method_ran():
-    """Under ``mode="closed_form"`` the pcfi methods solve and ``fp``
-    iterates: each method's ``config`` records the mode that ran, and the
-    report's ``config`` the mode that was asked for."""
+    """Under ``mode="closed_form"`` the pcfi methods and ``fp`` all solve:
+    each method's ``config`` records the mode that was asked for, as the
+    report's ``config`` does."""
     rng = np.random.default_rng(6)
     g = build_graph(random_connected_edges(rng, 30), 30)
     cfg = ImputationConfig(steps=10, mode="closed_form")
@@ -233,22 +232,25 @@ def test_pipeline_records_the_mode_each_method_ran():
     assert rep["config"]["mode"] == "closed_form"
     ran = {m: block["config"]["mode"]
            for m, block in rep["per_seed"][0]["methods"].items()}
-    assert ran == {"pcfi": "closed_form", "pcfi_stage1_only": "closed_form",
-                   "fp": "iterative", "zero": "closed_form"}
+    assert ran == dict.fromkeys(pipeline.METHODS, "closed_form")
 
 
-@pytest.mark.parametrize("mode, warnings", [("iterative", 0), ("closed_form", 1)])
-def test_pipeline_warns_once_that_fp_iterates(caplog, mode, warnings):
-    """``fp`` has no closed form: a closed-form pipeline over three seeds
-    logs that once, not once per seed, and an iterative one not at all."""
+def test_pipeline_runs_fp_in_either_mode_without_a_warning(caplog):
+    """A pipeline over three seeds logs no warning in either mode, and
+    ``fp``'s closed form is not its 10 steps: every seed scores another
+    RMSE."""
     rng = np.random.default_rng(7)
     g = build_graph(random_connected_edges(rng, 30), 30)
-    caplog.set_level("WARNING", logger="pcfi.pipeline")
-    run_pipeline(g, rng.normal(size=(30, 3)), ImputationConfig(steps=10, mode=mode),
-                 mask_kind="uniform", mask_rate=0.5, seeds=[0, 1, 2],
-                 methods=["fp", "zero"])
-    warned = [r.getMessage() for r in caplog.records if r.name == "pcfi.pipeline"]
-    assert warned == ["fp has no closed form: it iterates 10 steps"] * warnings
+    features = rng.normal(size=(30, 3))
+    caplog.set_level("WARNING")
+    rmse = {}
+    for mode in ("iterative", "closed_form"):
+        rep = run_pipeline(g, features, ImputationConfig(steps=10, mode=mode),
+                           mask_kind="uniform", mask_rate=0.5, seeds=[0, 1, 2],
+                           methods=["fp", "zero"])
+        rmse[mode] = [block["methods"]["fp"]["rmse"] for block in rep["per_seed"]]
+    assert caplog.records == []
+    assert all(a != b for a, b in zip(rmse["iterative"], rmse["closed_form"]))
 
 
 def _handover_instance(case):
@@ -319,13 +321,13 @@ def test_zero_returns_the_handed_over_values():
 
 
 @pytest.mark.parametrize("steps", [1, 20])
-@pytest.mark.parametrize("case", ["fused", "deep"])
+@pytest.mark.parametrize("case", ["fused", "deep", "closed_form"])
 def test_fp_reads_a_handed_over_set_without_writing_it(case, steps):
     """Handed over, ``fp`` empties the list and gives the bits of a run on
     the set passed directly; the masked values are never written, also
-    when the one step's change is taken against them."""
-    g, values, known, _ = _handover_instance(case)
-    cfg = ImputationConfig(method="fp", steps=steps)
+    when the one step's change is taken against them, or in the closed form."""
+    g, values, known, settings = _handover_instance(case)
+    cfg = ImputationConfig(method="fp", steps=steps, **settings)
     fs = apply_mask(values, known)
     bits = fs.values.tobytes()
     direct = impute(g, fs, cfg)
