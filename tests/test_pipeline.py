@@ -235,22 +235,27 @@ def test_pipeline_records_the_mode_each_method_ran():
     assert ran == dict.fromkeys(pipeline.METHODS, "closed_form")
 
 
-def test_pipeline_runs_fp_in_either_mode_without_a_warning(caplog):
-    """A pipeline over three seeds logs no warning in either mode, and
-    ``fp``'s closed form is not its 10 steps: every seed scores another
-    RMSE."""
+@pytest.mark.parametrize("mode, solved", [("iterative", 0), ("closed_form", 1)])
+def test_pipeline_warns_once_that_fp_iterates(caplog, mode, solved):
+    """``fp`` once iterated under ``mode="closed_form"`` and warned so once
+    per pipeline. It now solves its closed form, so a pipeline over three
+    seeds logs no warning in either mode; each seed's ``fp`` block ran 10
+    steps when iterative and none when solved, and scores another RMSE
+    than the other mode."""
     rng = np.random.default_rng(7)
     g = build_graph(random_connected_edges(rng, 30), 30)
     features = rng.normal(size=(30, 3))
     caplog.set_level("WARNING")
-    rmse = {}
-    for mode in ("iterative", "closed_form"):
-        rep = run_pipeline(g, features, ImputationConfig(steps=10, mode=mode),
-                           mask_kind="uniform", mask_rate=0.5, seeds=[0, 1, 2],
-                           methods=["fp", "zero"])
-        rmse[mode] = [block["methods"]["fp"]["rmse"] for block in rep["per_seed"]]
+    reps = {m: run_pipeline(g, features, ImputationConfig(steps=10, mode=m),
+                            mask_kind="uniform", mask_rate=0.5, seeds=[0, 1, 2],
+                            methods=["fp", "zero"])
+            for m in (mode, "closed_form" if mode == "iterative" else "iterative")}
     assert caplog.records == []
-    assert all(a != b for a, b in zip(rmse["iterative"], rmse["closed_form"]))
+    other = next(m for m in reps if m != mode)
+    for got, alt in zip(reps[mode]["per_seed"], reps[other]["per_seed"]):
+        assert got["methods"]["fp"]["config"]["mode"] == mode
+        assert got["methods"]["fp"]["steps_run"] == 10 * (1 - solved)
+        assert got["methods"]["fp"]["rmse"] != alt["methods"]["fp"]["rmse"]
 
 
 def _handover_instance(case):
