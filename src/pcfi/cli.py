@@ -16,6 +16,7 @@ exits 3 (``synth`` creates its directory).
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -241,7 +242,7 @@ def _add_common_impute_args(p: argparse.ArgumentParser) -> None:
                    help="zero-fill channels whose missing entries cannot reach "
                         "an observed value instead of erroring")
     p.add_argument("--threads", type=int, default=None,
-                   help="threads over column blocks, the calling one "
+                   help="threads over stage 1's tasks, the calling one "
                         "included, >= 0 (0 = the cpus this process may run "
                         "on; default: PCFI_THREADS or 1)")
 
@@ -303,16 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
-    p.add_argument("--num-nodes", type=int, default=5000)
-    p.add_argument("--num-classes", type=int, default=10)
-    p.add_argument("--feature-dim", type=int, default=5)
-    p.add_argument("--intra", type=float, default=0.01,
+    p.add_argument("--num-nodes", type=int, default=SynthSpec.num_nodes)
+    p.add_argument("--num-classes", type=int, default=SynthSpec.num_classes)
+    p.add_argument("--feature-dim", type=int, default=SynthSpec.feature_dim)
+    p.add_argument("--intra", type=float, default=SynthSpec.intra_edge_prob,
                    help="edge probability within a class")
-    p.add_argument("--inter", type=float, default=0.0011,
+    p.add_argument("--inter", type=float, default=SynthSpec.inter_edge_prob,
                    help="edge probability between classes")
-    p.add_argument("--gaussian-scale", type=float, default=0.1,
+    p.add_argument("--gaussian-scale", type=float, default=SynthSpec.gaussian_scale,
                    help="feature noise standard deviation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--keep-all-components", action="store_true",
                    help="do not restrict to the largest component")
     p.add_argument("--out", required=True, help="output directory")
@@ -328,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seeds", default="0",
                    help="comma-separated mask seeds (default 0)")
-    p.add_argument("--methods", default="pcfi,fp,zero",
-                   help="comma-separated methods "
-                        "(pcfi, pcfi_stage1_only, fp, zero)")
+    p.add_argument("--methods", default=",".join(
+                       inspect.signature(run_pipeline).parameters["methods"].default),
+                   help=f"comma-separated methods, of {', '.join(METHODS)}")
     _add_common_impute_args(p)
     p.add_argument("--no-lcc", action="store_true",
                    help="run on the full graph instead of the largest component")

@@ -24,7 +24,8 @@ distinct missing pattern, in node order, and serves two cases:
 ``mode="closed_form"``, which solves the linear system directly, and
 the corner of the iterative mode where confidences would underflow
 (below). It is iterated by :func:`diffuse_channel` and solved by
-:func:`closed_form_channel`, which the FP baseline runs with its own.
+:func:`closed_form_channel`, as FP's operator is: both closed forms refuse a
+run above ``MAX_DENSE_UNKNOWNS`` unknowns in a known set before any solve.
 Nodes that reach no source see only other such nodes, all at distance
 ``UNREACHABLE``, so their rows average among themselves and their zeros
 stay exactly 0.
@@ -231,21 +232,14 @@ def diffuse_channel(op: sparse.csr_array, x0: np.ndarray | list[np.ndarray],
 
 def closed_form_channel(op: sparse.csr_array, x0: np.ndarray,
                         solve: np.ndarray) -> np.ndarray:
-    """Solve ``x_u = (I - W_uu)^{-1} W_uk x_k`` for the rows ``solve``
-    (missing and reachable: ``S > 0``); every other row keeps its ``x0``
-    bits.
+    """Solve ``x_u = (I - W_uu)^{-1} W_uk x_k``, with ``W_uu`` made dense, for
+    the rows ``solve`` (missing and reachable: ``S > 0``); every other row
+    keeps its ``x0`` bits.
 
     ``x0`` has one row per node and one column per channel, and is 0 on
-    every missing row, so ``W_uk x_k`` is ``op[u] @ x0``. The solve
-    densifies ``W_uu``, so it is refused above ``MAX_DENSE_UNKNOWNS``
-    unknowns.
+    every missing row, so ``W_uk x_k`` is ``op[u] @ x0``.
     """
     u = np.flatnonzero(solve)
-    if u.size > MAX_DENSE_UNKNOWNS:
-        raise InputError(
-            f"closed form would densify a {u.size} x {u.size} system "
-            f"(limit {MAX_DENSE_UNKNOWNS}); use the iterative mode"
-        )
     wu = op[u]
     a = np.eye(u.size) - wu[:, u].toarray()
     out = x0.copy()
@@ -271,9 +265,9 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
 
     ``mode`` is "iterative" (``steps`` applications of the operator) or
     "closed_form" (direct solve). ``threads`` spreads one task list over
-    a pool: a task per missing pattern of the explicit channels (in the
-    closed form, every channel with a source), then the fused column
-    blocks; output bits do not depend on it. ``spds`` must agree with
+    a pool: a task per missing pattern of the explicit channels, then the
+    fused column blocks, or in the closed form a task per known set;
+    output bits do not depend on it. ``spds`` must agree with
     ``fs.known`` (:meth:`SpdsMatrix.check_mask`).
 
     The result is written into a copy of ``fs.values``, or, with
@@ -286,36 +280,27 @@ def impute_stage1(g: Graph, fs: FeatureSet, spds: SpdsMatrix, alpha: float, *,
     check_schedule(mode, steps)
     flagged = _checked_flags(g, fs, spds, lenient)
 
-    n, f = fs.values.shape
-    out = fs.values if overwrite else fs.values.copy()
-    try:
-        out.setflags(write=True)  # FeatureSet hands its arrays out read-only
-    except ValueError:  # memory the array does not own and may not write
-        out = out.copy()
-    residuals = np.zeros(f, dtype=np.float64) if mode == "iterative" else None
-    if n == 0 or f == 0:
+    out = fs.given_up_values() if overwrite else fs.values.copy()
+    if mode == "closed_form":
+        _solve_known_sets(out, fs.known, spds, lambda c: build_channel_operator(
+            g, spds.distances[:, c], fs.known[:, c], alpha), resolve_threads(threads))
+        return ImputeOutcome(values=out, residuals=None, flagged_channels=flagged)
+    residuals = np.zeros(fs.num_channels, dtype=np.float64)
+    if fs.values.size == 0:
         return ImputeOutcome(values=out, residuals=residuals, flagged_channels=flagged)
 
-    has_source = fs.known.any(axis=0)
-    if mode == "closed_form":
-        explicit, blocks = has_source, []
-    else:
-        depth = np.minimum(spds.distances.max(axis=0), steps + 1, dtype=np.int64)
-        explicit = has_source & (depth * -math.log(alpha) > MAX_DECAY)
-        blocks = _fused_blocks(explicit)
+    depth = np.minimum(spds.distances.max(axis=0), steps + 1, dtype=np.int64)
+    explicit = fs.known.any(axis=0) & (depth * -math.log(alpha) > MAX_DECAY)
+    blocks = _fused_blocks(explicit)
     ai = g.self_loop_adjacency() if blocks else None
     patterns = _known_sets(fs.known, np.flatnonzero(explicit))
 
     def run_pattern(cols):
         dist_col = spds.distances[:, cols[0]]
         op = build_channel_operator(g, dist_col, fs.known[:, cols[0]], alpha)
-        if mode == "closed_form":
-            out[:, cols] = closed_form_channel(op, fs.values.take(cols, axis=1),
-                                               dist_col > 0)
-        else:
-            # handed over, so the copy is freed after the first product
-            out[:, cols], residuals[cols] = diffuse_channel(
-                op, [fs.values.take(cols, axis=1)], fs.known.take(cols, axis=1), steps)
+        # handed over, so the copy is freed after the first product
+        out[:, cols], residuals[cols] = diffuse_channel(
+            op, [fs.values.take(cols, axis=1)], fs.known.take(cols, axis=1), steps)
 
     def run_block(cols):
         residuals[cols] = _diffuse_block(ai, fs, spds, alpha, cols, steps,
@@ -350,6 +335,24 @@ def _known_sets(known: np.ndarray, channels: np.ndarray) -> list[np.ndarray]:
     """``channels`` grouped by their column of ``known``, one per known set."""
     first, inverse = distinct_columns(known[:, channels])
     return [channels[inverse == gi] for gi in range(first.size)]
+
+
+def _solve_known_sets(out: np.ndarray, known: np.ndarray, spds: SpdsMatrix,
+                      operator, nthreads: int) -> None:
+    """Both closed forms: refuse a known set of more than ``MAX_DENSE_UNKNOWNS``
+    unknowns (``S > 0``), naming the largest, then solve each set's columns of
+    ``out`` in place with its first channel ``c``'s ``operator(c)``, a task each."""
+    largest = int((spds.distances > 0).sum(axis=0).max(initial=0))
+    if largest > MAX_DENSE_UNKNOWNS:
+        raise InputError(f"closed form would densify a {largest} x {largest} system "
+                         f"(limit {MAX_DENSE_UNKNOWNS}); use the iterative mode")
+
+    def solve(cols):
+        out[:, cols] = closed_form_channel(operator(cols[0]), out.take(cols, axis=1),
+                                           spds.distances[:, cols[0]] > 0)
+
+    _run(solve, _known_sets(known, np.flatnonzero(known.any(axis=0))), nthreads)
+    _release_free_heap()
 
 
 def _release_free_heap() -> None:
@@ -492,9 +495,7 @@ def fp_baseline(g: Graph, fs: FeatureSet | list[FeatureSet], spds: SpdsMatrix, *
     del fs
     if mode == "closed_form":
         x = x0.pop().copy()
-        for cols in _known_sets(known, np.flatnonzero(known.any(axis=0))):
-            x[:, cols] = closed_form_channel(op, x.take(cols, axis=1),
-                                             spds.distances[:, cols[0]] > 0)
+        _solve_known_sets(x, known, spds, lambda c: op, 1)
         return ImputeOutcome(values=x, residuals=None, flagged_channels=flagged)
     x, residuals = diffuse_channel(op, x0, known, steps)
     return ImputeOutcome(values=x, residuals=residuals, flagged_channels=flagged)

@@ -65,6 +65,14 @@ class FeatureSet:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "known", known)
 
+    def given_up_values(self) -> np.ndarray:
+        """``values`` unlocked for a caller that gives the set up, else a copy."""
+        try:
+            self.values.setflags(write=True)
+        except ValueError:  # memory the array does not own and may not write
+            return self.values.copy()
+        return self.values
+
     @property
     def num_nodes(self) -> int:
         return self.values.shape[0]

@@ -96,9 +96,9 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
     pcfi methods then write stage 1 into ``fs.values`` and stage 2 corrects
     that same array in place, so the masked input becomes the result and
     no second array of its size is made, ``zero`` returns ``fs.values``
-    itself, and ``fp`` lets them go after its first step or its closed
-    form's copy. Passed directly, ``fs`` is left as it is and stage 1 and
-    ``zero`` work on a copy.
+    itself, unlocked, and ``fp`` lets them go after its first step or its
+    closed form's copy. Passed directly, ``fs`` is left as it is and stage 1
+    and ``zero`` work on a copy. Every method returns writable values.
     ``cfg.mode`` is the schedule of ``fp`` and the pcfi methods alike.
     """
     handed_over = isinstance(fs, list)
@@ -106,7 +106,7 @@ def impute(g: Graph, fs: FeatureSet | list[FeatureSet], cfg: ImputationConfig,
         fs = fs.pop()
     g.check_rows(fs.values)
     if cfg.method == "zero":
-        values = fs.values if handed_over else fs.values.copy()
+        values = fs.given_up_values() if handed_over else fs.values.copy()
         return ImputeOutcome(values=values, residuals=None, flagged_channels=[])
     if spds is None:
         spds = compute_spds(g, fs.known)

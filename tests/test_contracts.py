@@ -9,6 +9,8 @@ inputs given together and two ``impute`` outputs aimed at one destination
 with exit code 2 before it reads any file, and an output whose directory
 does not exist with exit code 3; it writes no output."""
 
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -25,6 +27,7 @@ from pcfi.cli import build_parser, main
 from pcfi.diffusion import MODES
 from pcfi.masking import MASK_KINDS, make_mask
 from pcfi.pipeline import METHODS
+from pcfi.synth import SynthSpec
 
 
 def _path(n=6):
@@ -181,6 +184,14 @@ def test_command_line_choices_come_from_the_owners():
     assert choices[("mask", "type")] == MASK_KINDS
     assert choices[("pipeline", "mask_type")] == MASK_KINDS
     assert choices[("impute", "mode")] == choices[("pipeline", "mode")] == MODES
+    defaults = {(name, a.dest): a.default for name, p in sub.items() for a in p._actions}
+    flags = {"intra_edge_prob": "intra", "inter_edge_prob": "inter",
+             "largest_component": None}  # --keep-all-components, a switch
+    for field in dataclasses.fields(SynthSpec):
+        if (flag := flags.get(field.name, field.name)) is not None:
+            assert defaults[("synth", flag)] == field.default, field.name
+    methods = inspect.signature(run_pipeline).parameters["methods"].default
+    assert defaults[("pipeline", "methods")].split(",") == list(methods)
 
 
 # -- the diffusion schedule and the row count --------------------------------

@@ -738,11 +738,41 @@ def test_channel_operator_and_closed_form_refusals():
 
 
 def test_closed_form_size_guard(monkeypatch):
+    """Both closed forms refuse a known set above ``MAX_DENSE_UNKNOWNS``
+    unknowns; the solve itself has no limit."""
     g, fs, spds, _ = _instance(5, n=30, f=1)
-    op = build_channel_operator(g, spds.distances[:, 0], fs.known[:, 0], 0.5)
     monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", 2)
     with pytest.raises(InputError, match="iterative"):
-        closed_form_channel(op, fs.values, spds.distances[:, 0] > 0)
+        impute_stage1(g, fs, spds, 0.5, mode="closed_form")
+    with pytest.raises(InputError, match="iterative"):
+        fp_baseline(g, fs, spds, mode="closed_form")
+    op = build_channel_operator(g, spds.distances[:, 0], fs.known[:, 0], 0.5)
+    solved = closed_form_channel(op, fs.values, spds.distances[:, 0] > 0)
+    assert np.isfinite(solved).all()
+
+
+@pytest.mark.parametrize("limit", ["below-every-set", "below-the-largest"])
+def test_closed_form_refusal_names_the_largest_known_set(monkeypatch, operator_builds,
+                                                         limit):
+    """Six channels of a uniform mask, each its own known set with 16 to
+    24 unknowns: both closed forms refuse with one message, naming the
+    largest set, at any thread count and before any operator is built."""
+    g, fs, spds, _ = _instance(10, n=40, f=6, kind="uniform")
+    unknowns = (spds.distances > 0).sum(axis=0)
+    assert np.unique(unknowns).size >= 3
+    largest = int(unknowns.max())
+    cap = int(unknowns.min()) - 1 if limit == "below-every-set" else largest - 1
+    monkeypatch.setattr(diffusion, "MAX_DENSE_UNKNOWNS", cap)
+    want = (f"closed form would densify a {largest} x {largest} system "
+            f"(limit {cap}); use the iterative mode")
+    for threads in (1, 2, 3):
+        with pytest.raises(InputError) as pcfi_refusal:
+            impute_stage1(g, fs, spds, 0.5, mode="closed_form", threads=threads)
+        monkeypatch.setenv("PCFI_THREADS", str(threads))
+        with pytest.raises(InputError) as fp_refusal:
+            fp_baseline(g, fs, spds, mode="closed_form")
+        assert str(pcfi_refusal.value) == str(fp_refusal.value) == want
+    assert operator_builds == []
 
 
 def _fp_closed_form_instance(case):

@@ -325,6 +325,31 @@ def test_zero_returns_the_handed_over_values():
     assert _same(handed.values, apply_mask(values, known).values)
 
 
+@pytest.mark.parametrize("handed_over", [False, True])
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_impute_hands_back_writable_values(method, handed_over):
+    """Every method returns writable values, passed the set directly or
+    handed it over; handed over, the pcfi methods and ``zero`` return the
+    set's own array, unlocked."""
+    g, values, known, _ = _handover_instance("fused")
+    fs = apply_mask(values, known)
+    got = impute(g, [fs] if handed_over else fs,
+                 ImputationConfig(method=method, steps=20)).values
+    assert got.flags.writeable
+    assert (got is fs.values) == (handed_over and method != "fp")
+
+
+def test_zero_copies_handed_over_read_only_memory():
+    """Handed a set over memory its array may not make writable (here a
+    bytes object), ``zero`` returns a writable copy with the same bits."""
+    g, values, known, _ = _handover_instance("fused")
+    masked = np.where(known, values, 0.0)
+    fs = FeatureSet(np.frombuffer(masked.tobytes()).reshape(masked.shape), known)
+    got = impute(g, [fs], ImputationConfig(method="zero")).values
+    assert got is not fs.values and got.flags.writeable
+    assert got.tobytes() == masked.tobytes()
+
+
 @pytest.mark.parametrize("steps", [1, 20])
 @pytest.mark.parametrize("case", ["fused", "deep", "closed_form"])
 def test_fp_reads_a_handed_over_set_without_writing_it(case, steps):
