@@ -16,7 +16,6 @@ exits 3 (``synth`` creates its directory).
 from __future__ import annotations
 
 import argparse
-import inspect
 import logging
 import os
 import sys
@@ -31,8 +30,8 @@ from .graph import build_graph, extract_largest_component
 from .masking import (MASK_KINDS, FeatureSet, check_mask_settings, check_mask_shape,
                       make_mask)
 from .metrics import check_shapes, evaluate
-from .pipeline import (SIDECAR_SCHEMA_VERSION, ImputationConfig, METHODS, impute,
-                       plan_runs, run_facts, run_pipeline)
+from .pipeline import (DEFAULT_METHODS, SIDECAR_SCHEMA_VERSION, ImputationConfig,
+                       METHODS, impute, plan_runs, run_facts, run_pipeline)
 from .synth import SynthSpec, generate
 
 log = logging.getLogger("pcfi")
@@ -329,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seeds", default="0",
                    help="comma-separated mask seeds (default 0)")
-    p.add_argument("--methods", default=",".join(
-                       inspect.signature(run_pipeline).parameters["methods"].default),
+    p.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                    help=f"comma-separated methods, of {', '.join(METHODS)}")
     _add_common_impute_args(p)
     p.add_argument("--no-lcc", action="store_true",

@@ -197,14 +197,6 @@ def row_blocks(n: int, f: int):
         yield slice(lo, lo + step)
 
 
-def confidence_rows(spds: SpdsMatrix, alpha: float):
-    """``(rows, alpha ** S[rows])`` for the ``row_blocks`` of the field;
-    every block is a new array. ``alpha`` must lie in (0, 1)."""
-    check_alpha(alpha)
-    for rows in row_blocks(*spds.distances.shape):
-        yield rows, alpha_powers(alpha, spds.distances[rows])
-
-
 def check_alpha(alpha: float) -> None:
     """Raise :class:`InputError` unless ``alpha`` lies in (0, 1)."""
     if not (0.0 < alpha < 1.0):

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -150,7 +151,8 @@ class ImputeOutcome:
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else the PCFI_THREADS environment
-    variable, else 1. A value of 0 means the cpus this process may run on."""
+    variable, else 1. A value of 0 means the cpus this process may run on;
+    a count that is not an integer or is negative is refused."""
     if threads is None:
         raw = os.environ.get("PCFI_THREADS", "").strip()
         if raw:
@@ -160,6 +162,8 @@ def resolve_threads(threads: int | None = None) -> int:
                 raise InputError(f"PCFI_THREADS must be an integer, got {raw!r}") from None
         else:
             threads = 1
+    if not isinstance(threads, numbers.Integral):
+        raise InputError(f"thread count must be an integer, got {threads}")
     if threads < 0:
         raise InputError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
@@ -170,9 +174,11 @@ def resolve_threads(threads: int | None = None) -> int:
 
 def check_schedule(mode: str, steps: int) -> None:
     """Raise :class:`InputError` unless ``mode`` is one of ``MODES`` and,
-    when iterating, ``steps`` is at least 1."""
+    when iterating, ``steps`` is an integer of at least 1."""
     if mode not in MODES:
         raise InputError(f"unknown diffusion mode {mode!r}")
+    if mode == "iterative" and not isinstance(steps, numbers.Integral):
+        raise InputError(f"steps must be an integer, got {steps}")
     if mode == "iterative" and steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
 

@@ -8,12 +8,12 @@ numpy alone: each directed edge ``(i, j)`` becomes the key ``i*N + j``,
 and one in-place sort of the keys orders the rows and each row's
 neighbors at once. ``scipy.sparse`` is imported only by
 :meth:`Graph.self_loop_adjacency`, the operand of every sparse product in
-the package, and :meth:`Graph.adjacency`, which only the tests and the
-CI's ogbn-arxiv-size step call, so a command that takes no sparse
-product, such as ``pcfi mask`` or ``pcfi synth``, loads no scipy. The component search is numpy alone too (importing ``scipy.sparse.csgraph``
-would load ``scipy.sparse.linalg`` and ``scipy.linalg``, which no run
-needs). This module is the one place that forms ``A + I`` and cuts a
-graph to its largest component.
+the package, so a command that takes no sparse product, such as ``pcfi
+mask`` or ``pcfi synth``, loads no scipy. The component search is numpy
+alone too (importing ``scipy.sparse.csgraph`` would load
+``scipy.sparse.linalg`` and ``scipy.linalg``, which no run needs).
+This module is the one place that forms ``A + I`` and cuts a graph to
+its largest component.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def adjacency(self) -> sparse.csr_array:
-        """``A``, the adjacency matrix, as a bool CSR matrix with sorted
-        indices."""
-        from scipy import sparse
-
-        n = self.num_nodes
-        return sparse.csr_array((np.ones(self.indices.size, dtype=bool),
-                                 self.indices, self.indptr), shape=(n, n))
 
     def self_loop_adjacency(self, dtype=np.float64) -> sparse.csr_array:
         """``A + I``, the adjacency matrix with a self-loop on every node,

@@ -20,6 +20,7 @@ index, so a given seed selects the same entries on any platform. The
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,15 +107,17 @@ def _select(rng: np.random.Generator, population: int, count: int) -> np.ndarray
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a negative seed, which the PCG64 stream cannot take."""
-    if seed < 0:
+    """Refuse a seed that is not an integer, or a negative one, which the
+    PCG64 stream cannot take."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
 
 
 def check_mask_settings(kind: str, rate: float, seed: int) -> None:
     """Raise :class:`InputError` unless ``kind`` is one of ``MASK_KINDS``,
-    ``rate`` lies in (0, 1) and ``seed`` is non-negative: the settings of
-    a mask, checked before the shape that it is drawn for is known."""
+    ``rate`` lies in (0, 1) and ``seed`` is a non-negative integer: the
+    settings of a mask, checked before the shape that it is drawn for is
+    known."""
     if kind not in MASK_KINDS:
         raise InputError(f"unknown mask kind {kind!r}")
     if not (0.0 < rate < 1.0):
@@ -131,9 +134,9 @@ def _draw(kind: str, num_nodes: int, num_channels: int, rate: float,
     Raises
     ------
     InputError
-        If a dimension is below 1, the seed is negative, the
-        rate lies outside (0, 1), or the rounded count would remove every
-        candidate.
+        If a dimension is below 1, the seed is not a non-negative
+        integer, the rate lies outside (0, 1), or the rounded count would
+        remove every candidate.
     """
     check_mask_settings(kind, rate, seed)
     # each dimension on its own: the product of two negatives is positive,

@@ -49,6 +49,8 @@ from .propagation import propagate_stage2
 __all__ = ["ImputationConfig", "impute", "run_pipeline"]
 
 METHODS = ("pcfi", "pcfi_stage1_only", "fp", "zero")
+# what run_pipeline and ``pcfi pipeline`` run when no methods are given
+DEFAULT_METHODS = ("pcfi", "fp", "zero")
 PIPELINE_SCHEMA_VERSION = 2
 SIDECAR_SCHEMA_VERSION = 1
 
@@ -155,13 +157,14 @@ def plan_runs(cfg: ImputationConfig, mask_kind: str, mask_rate: float, seeds,
     settings that :func:`pcfi.masking.check_mask_settings` refuses, a seed
     or method listed twice, an unknown method, or a bad ``alpha`` for a
     method that reads it."""
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     if not seeds:
         raise InputError("at least one seed is required")
     for seed in seeds:
         check_mask_settings(mask_kind, mask_rate, seed)
         if seeds.count(seed) > 1:
             raise InputError(f"seed {seed} is listed more than once")
+    seeds = [int(s) for s in seeds]
     methods = list(methods)
     if not methods:
         raise InputError("at least one method is required")
@@ -173,7 +176,7 @@ def plan_runs(cfg: ImputationConfig, mask_kind: str, mask_rate: float, seeds,
 
 def run_pipeline(g: Graph, features: np.ndarray, cfg: ImputationConfig, *,
                  mask_kind: str, mask_rate: float, seeds,
-                 methods=("pcfi", "fp", "zero"),
+                 methods=DEFAULT_METHODS,
                  collect_timings: bool = False) -> dict:
     """Mask, impute, and score under each seed; aggregate across seeds.
 

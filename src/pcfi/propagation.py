@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .confidence import (SpdsMatrix, check_alpha, check_beta, confidence_rows,
-                         row_blocks)
+from .confidence import SpdsMatrix, alpha_powers, check_alpha, check_beta, row_blocks
 from .errors import InputError
 
 __all__ = ["correlation", "propagate_stage2"]
@@ -119,7 +118,8 @@ def propagate_stage2(values: np.ndarray, spds: SpdsMatrix, alpha: float,
     if not values.flags.writeable:
         raise InputError("stage 2 overwrites its value matrix, which is read-only")
     r, means = correlation(values)
-    for rows, xi in confidence_rows(spds, alpha):
+    for rows in row_blocks(*values.shape):
+        xi = alpha_powers(alpha, spds.distances[rows])
         c = values[rows] - means
         c *= xi
         product = c @ r

@@ -43,15 +43,18 @@ def operator_builds(monkeypatch):
     return calls
 
 
-def run_cli(args, stdin: bytes = b"", **env_vars) -> subprocess.CompletedProcess:
+def run_cli(args, stdin: bytes = b"", timeout: float | None = None,
+            **env_vars) -> subprocess.CompletedProcess:
     """Run ``pcfi --quiet args`` in a child process, so it reads and writes
     the interpreter's own stdin and stdout, with ``env_vars`` added to its
-    environment; asserts that it exits 0 and returns the completed
-    process, its output as bytes."""
+    environment; asserts that it exits 0, within ``timeout`` seconds if
+    given (the child is killed and :class:`subprocess.TimeoutExpired`
+    raised past it), and returns the completed process, its output as
+    bytes."""
     src = str(Path(diffusion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     proc = subprocess.run([sys.executable, "-m", "pcfi.cli", "--quiet", *args],
-                          input=stdin, env=env, capture_output=True)
+                          input=stdin, env=env, capture_output=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc

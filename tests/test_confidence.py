@@ -11,8 +11,7 @@ from pcfi import (InputError, SpdsMatrix, UNREACHABLE, apply_mask, build_graph,
 
 from pcfi import confidence
 from pcfi import io as pio
-from pcfi.confidence import (BLOCK_COLUMNS, alpha_powers, confidence_rows,
-                             distance_dtype)
+from pcfi.confidence import BLOCK_COLUMNS, alpha_powers, distance_dtype
 
 from _oracles import (compute_spds_channel, floyd_warshall,
                       pseudo_confidence_reference, random_gnp_edges,
@@ -160,8 +159,7 @@ def test_confidence_makers_reject_alpha_outside_unit_interval(alpha):
     known = np.array([[True], [False], [False]])
     spds = compute_spds(g, known)
     fs = apply_mask(np.ones((3, 1)), known)
-    for make in (lambda: next(confidence_rows(spds, alpha)),
-                 lambda: impute_stage1(g, fs, spds, alpha),
+    for make in (lambda: impute_stage1(g, fs, spds, alpha),
                  lambda: propagate_stage2(np.ones((3, 1)), spds, alpha, 0.0)):
         with pytest.raises(InputError, match="alpha must lie in"):
             make()

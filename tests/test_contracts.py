@@ -198,6 +198,7 @@ def test_command_line_choices_come_from_the_owners():
 
 BAD_MODE = ("magic", 100, "unknown diffusion mode 'magic'")
 NO_STEPS = ("iterative", 0, "steps must be >= 1, got 0")
+FRACTIONAL_STEPS = ("iterative", 2.0, "steps must be an integer, got 2.0")
 
 
 # the pinned loop takes no mode: it always iterates; zero runs no
@@ -207,6 +208,8 @@ NO_STEPS = ("iterative", 0, "steps must be >= 1, got 0")
     ("impute_stage1", *BAD_MODE), ("impute_stage1", *NO_STEPS),
     ("diffuse_channel", *NO_STEPS),
     ("ImputationConfig-fp", *BAD_MODE), ("ImputationConfig-zero", *BAD_MODE),
+    ("ImputationConfig", *FRACTIONAL_STEPS), ("impute_stage1", *FRACTIONAL_STEPS),
+    ("diffuse_channel", *FRACTIONAL_STEPS), ("ImputationConfig-fp", *FRACTIONAL_STEPS),
 ])
 def test_a_bad_schedule_is_refused_everywhere(entry, mode, steps, message):
     truth, known = _masked()
@@ -304,12 +307,29 @@ def test_features_and_graph_of_different_sizes_are_refused_everywhere(entry):
 def test_config_refuses_a_bad_thread_count_for_every_method(monkeypatch, method):
     with pytest.raises(InputError, match=re.escape("thread count must be >= 0, got -1")):
         ImputationConfig(method=method, threads=-1)
+    with pytest.raises(InputError, match=re.escape("thread count must be an integer, got 2.5")):
+        ImputationConfig(method=method, threads=2.5)
     monkeypatch.setenv("PCFI_THREADS", "abc")
     with pytest.raises(InputError,
                        match=re.escape("PCFI_THREADS must be an integer, got 'abc'")):
         ImputationConfig(method=method)
-    # an explicit count is not read from the environment
+    # an explicit count is not read from the environment; numpy integers
+    # count as integers
     assert ImputationConfig(method=method, threads=2).threads == 2
+    assert ImputationConfig(method=method, threads=np.int64(2),
+                            steps=np.int32(3)).threads == 2
+
+
+def test_stage1_refuses_a_fractional_thread_count_on_one_block_or_four():
+    """2.5 threads ran on 10 channels, one column block, and failed inside
+    the pool on 100, four blocks: now both are refused alike."""
+    for f in (10, 100):
+        truth, known = _masked(f=f)
+        known[0] = True  # a source in every channel, so none is refused for lack of one
+        with pytest.raises(InputError,
+                           match=re.escape("thread count must be an integer, got 2.5")):
+            impute_stage1(_path(), apply_mask(truth, known), compute_spds(_path(), known),
+                          0.8, threads=2.5)
 
 
 @pytest.mark.parametrize("source", ["--threads -1", "PCFI_THREADS=abc"])

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from pcfi import (InputError, apply_mask, build_graph, compute_spds,
                   connected_components, extract_largest_component, fp_baseline,
                   induced_subgraph)
+from pcfi.io import load_dataset, load_edges
 
 from _oracles import (build_graph_reference, components_reference, floyd_warshall,
                       fp_baseline_reference, induced_subgraph_reference,
                       random_gnp_edges)
+from conftest import run_cli
 
 
 def test_build_dedups_and_drops_self_loops():
@@ -110,15 +113,55 @@ def test_components_match_reachability_oracle(case):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_components_match_csgraph(data):
+    from scipy import sparse
     from scipy.sparse import csgraph
 
     n, edges = data.draw(_edge_lists(max_nodes=60))
     g = build_graph(edges, n)
     comps = connected_components(g)
-    count, labels = csgraph.connected_components(g.adjacency(), directed=False)
+    adj = sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    count, labels = csgraph.connected_components(adj, directed=False)
     assert np.array_equal(comps.labels, labels)
     assert comps.num_components == count
     assert comps.largest_id == (int(np.bincount(labels).argmax()) if n else -1)
+
+
+def test_build_and_components_at_ogbn_arxiv_size(tmp_path):
+    """A 169 343-node graph in thousands of components, made by ``pcfi
+    synth`` within 60 s and checked within 60 s more: its CSR equals
+    scipy's build of the same ``edges.tsv``, its labels equal
+    ``scipy.sparse.csgraph``'s, and the largest-component cut keeps the
+    most common label and equals scipy's row and column slice."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    run_cli(["synth", "--num-nodes", "169343", "--num-classes", "40",
+             "--feature-dim", "4", "--intra", "0.0004", "--inter", "0.000006",
+             "--seed", "0", "--keep-all-components", "--out", str(tmp_path)],
+            timeout=60)
+    start = time.perf_counter()
+    g = load_dataset(tmp_path)[0]
+    n = g.num_nodes
+    edges = load_edges(tmp_path / "edges.tsv")
+    both = np.concatenate([edges, edges[:, ::-1]])
+    both = both[both[:, 0] != both[:, 1]]
+    csr = sparse.coo_array((np.ones(len(both)), (both[:, 0], both[:, 1])),
+                           shape=(n, n)).tocsr()
+    csr.sort_indices()
+    assert np.array_equal(g.indptr, csr.indptr)
+    assert np.array_equal(g.indices, csr.indices)
+    # csr is g's CSR from here on: the scipy references below read it
+    labels = connected_components(g).labels
+    count, want = csgraph.connected_components(csr, directed=False)
+    assert count >= 1000, f"{n} nodes, {g.num_edges} edges, {count} components"
+    assert np.array_equal(labels, want)
+    sub, id_map, _ = extract_largest_component(g)
+    assert np.array_equal(id_map, np.flatnonzero(labels == np.bincount(labels).argmax()))
+    cut = csr[id_map][:, id_map]
+    cut.sort_indices()
+    assert np.array_equal(sub.indptr, cut.indptr)
+    assert np.array_equal(sub.indices, cut.indices)
+    assert time.perf_counter() - start < 60
 
 
 def _chain(order):

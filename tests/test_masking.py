@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import select_reference
 from pcfi import (ImputationConfig, InputError, apply_mask, build_graph,
                   run_pipeline, structural_mask, uniform_mask)
-from pcfi.masking import FeatureSet, _select
+from pcfi.masking import FeatureSet, _select, make_mask
 
 
 def test_structural_mask_removes_whole_rows():
@@ -71,6 +71,11 @@ def test_masks_refuse_a_negative_dimension(make, n, f):
 def test_masks_refuse_a_negative_seed(make):
     with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
         make(3, 2, 0.5, seed=-1)
+    kind = make.__name__.split("_")[0]
+    with pytest.raises(InputError, match="seed must be a non-negative integer, got 1.5"):
+        make_mask(kind, 3, 2, 0.5, 1.5)
+    # a numpy integer is an integer
+    assert np.array_equal(make_mask(kind, 3, 2, 0.5, np.int64(1)), make(3, 2, 0.5, seed=1))
 
 
 def test_mask_refuses_to_remove_everything():

@@ -141,7 +141,8 @@ def test_pipeline_refuses_a_method_listed_twice_before_masking(monkeypatch):
     ([0, -1], "seed must be a non-negative integer, got -1"),
     ([0, 1, 0], "seed 0 is listed more than once"),
     ([], "at least one seed is required"),
-], ids=["negative", "repeated", "none"])
+    ([0, 1.5], "seed must be a non-negative integer, got 1.5"),
+], ids=["negative", "repeated", "none", "fractional"])
 def test_pipeline_refuses_a_negative_or_repeated_seed_before_masking(
         monkeypatch, seeds, message):
     def no_mask(*args):

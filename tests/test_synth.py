@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 from _oracles import (feature_homophily_reference, random_gnp_edges,
                       sample_features_reference, sbm_edges_reference)
+from conftest import run_cli
 from pcfi import (InputError, SynthSpec, build_graph, confidence,
                   connected_components, equidistant_means, generate,
                   generate_labels, sbm_edges, synth)
@@ -103,6 +105,30 @@ def test_sbm_tier_counts_at_20000_nodes(seed):
     same = labels[edges[:, 0]] == labels[edges[:, 1]]
     assert _within_sd(int(same.sum()), intra_pairs, intra)
     assert _within_sd(int((~same).sum()), inter_pairs, inter)
+
+
+def test_cli_synth_at_ogbn_arxiv_size(tmp_path):
+    """``pcfi synth`` makes a 169 343-node, 40-class graph within 20 s,
+    which a sampler quadratic in the node count cannot; its edge count
+    lies within 5 sd of the SBM's binomial mean, and both homophily facts
+    are finite."""
+    run_cli(["synth", "--num-nodes", "169343", "--num-classes", "40",
+             "--feature-dim", "4", "--intra", "0.0035", "--inter", "0.00005",
+             "--seed", "0", "--out", str(tmp_path)], timeout=20)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    spec = meta["spec"]
+    n, c = spec["num_nodes"], spec["num_classes"]
+    sizes = [n // c + (k < n % c) for k in range(c)]
+    intra = sum(s * (s - 1) // 2 for s in sizes)
+    inter = n * (n - 1) // 2 - intra
+    p, q = spec["intra_edge_prob"], spec["inter_edge_prob"]
+    mean = intra * p + inter * q
+    sd = math.sqrt(intra * p * (1 - p) + inter * q * (1 - q))
+    edges = meta["num_edges_generated"]
+    assert meta["num_nodes_generated"] == 169343
+    assert abs(edges - mean) <= 5 * sd, f"{edges} edges; expected {mean:.0f} +- {sd:.0f}"
+    for fact in ("class_homophily", "feature_homophily"):
+        assert isinstance(meta[fact], float) and math.isfinite(meta[fact]), fact
 
 
 @pytest.mark.parametrize("labels", [[5, -1, 2, 2, 5, -1, 5, 2, -1], [3, 3, 3, 3],
@@ -366,6 +392,8 @@ def test_spec_validation():
 def test_spec_refuses_a_negative_seed():
     with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
         SynthSpec(num_nodes=30, seed=-1)
+    with pytest.raises(InputError, match="seed must be a non-negative integer, got 1.5"):
+        SynthSpec(num_nodes=30, seed=1.5)
 
 
 def test_homophily_helpers_validate():
